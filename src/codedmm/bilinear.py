@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .blocks import MatrixF, assemble_product, partition
+from .blocks import MatrixF, assemble_product, combine_blocks
 from .errors import (
     BlockShapeMismatch,
     ConstructionTooLarge,
@@ -30,8 +30,8 @@ from .errors import (
     InsufficientResults,
     TooFewWorkers,
 )
-from .field import PrimeField, interpolate_arrays, lagrange_basis_values, vandermonde
-from .schemes import CodingScheme
+from .field import PrimeField, lagrange_basis_values, lagrange_matrix, modmatmul
+from .schemes import CodingScheme, gather_results
 
 _RANK_BUDGET = 10**6
 _TENSOR_ELEMENT_BUDGET = 10**7
@@ -106,7 +106,8 @@ def validate_construction(bc: BilinearConstruction, field: PrimeField) -> Valida
     b = bc.b.astype(field.array_dtype, copy=True) % q
     c = bc.c.astype(field.array_dtype, copy=True) % q
     pair = a.reshape(r, p * m, 1) * b.reshape(r, 1, p * n) % q
-    got = np.tensordot(pair, c.reshape(r, m * n), axes=(0, 0)) % q
+    got = modmatmul(pair.reshape(r, p * m * p * n).T, c.reshape(r, m * n), q)
+    got = got.reshape(p * m, p * n, m * n)
 
     expected = np.zeros((p * m, p * n, m * n), dtype=field.array_dtype)
     for jj in range(p):
@@ -245,39 +246,22 @@ class ImprovedBilinearCode(CodingScheme):
         self._a = bc.a.astype(field.array_dtype, copy=True) % q
         self._b = bc.b.astype(field.array_dtype, copy=True) % q
         self._c = bc.c.astype(field.array_dtype, copy=True) % q
-        # basis_weights[i][j] = l_j(y_i) over the x points
-        self._weights = np.array(
+        # weights[i][j] = l_j(y_i) over the x points: worker i stores
+        # sum_j weights[i][j] * (coded vector)_j, so its weights on the blocks
+        # themselves are the rows of weights @ a (and weights @ b)
+        weights = np.array(
             [lagrange_basis_values(field, self.x_points, y) for y in self.y_points],
             dtype=field.array_dtype,
         )
+        self.gen_a = modmatmul(weights, self._a.reshape(r, -1), q)
+        self.gen_b = modmatmul(weights, self._b.reshape(r, -1), q)
 
     def recovery_threshold(self) -> int:
         return 2 * self.construction.rank - 1
 
     def _coded_vector(self, grid, tensor: np.ndarray) -> np.ndarray:
-        q = self.field.modulus
-        stack = np.stack([[grid[j, k].data for k in range(grid.col_parts)]
-                          for j in range(grid.row_parts)])
-        return np.tensordot(tensor, stack, axes=([1, 2], [0, 1])) % q
-
-    def encode_a(self, a: MatrixF, i: int) -> MatrixF:
-        vec = self._coded_vector(partition(a, self.p, self.m), self._a)
-        return self._store(vec, i)
-
-    def encode_b(self, b: MatrixF, i: int) -> MatrixF:
-        vec = self._coded_vector(partition(b, self.p, self.n), self._b)
-        return self._store(vec, i)
-
-    def encode_all(self, a: MatrixF, b: MatrixF) -> list[tuple[MatrixF, MatrixF]]:
-        vec_a = self._coded_vector(partition(a, self.p, self.m), self._a)
-        vec_b = self._coded_vector(partition(b, self.p, self.n), self._b)
-        return [(self._store(vec_a, i), self._store(vec_b, i)) for i in range(self.N)]
-
-    def _store(self, vec: np.ndarray, i: int) -> MatrixF:
-        if not 0 <= i < self.N:
-            raise ValueError(f"worker index {i} out of range for N={self.N}")
-        data = np.tensordot(self._weights[i], vec, axes=(0, 0)) % self.field.modulus
-        return MatrixF(self.field, data)
+        """(R, br, bc) coded vector: entry r is sum_(j,k) tensor[r, j, k] * grid[j, k]."""
+        return combine_blocks(self.field, tensor.reshape(len(tensor), -1), grid.stacked())
 
     def decode(
         self,
@@ -288,22 +272,19 @@ class ImprovedBilinearCode(CodingScheme):
         k_need = self.recovery_threshold()
         if len(subset) < k_need:
             raise InsufficientResults(f"got {len(subset)} results, need {k_need}")
-        q = self.field.modulus
-        use = list(subset)[:k_need]
-        coeffs = interpolate_arrays(
-            self.field, [self.y_points[w] for w in use], [results[w].data for w in use]
-        )
-        # element-wise products are the product polynomial at the x points
-        vmat = vandermonde(self.field, self.x_points, k_need)
-        products = np.tensordot(vmat, coeffs, axes=(1, 0)) % q
-        blocks = np.tensordot(self._c, products, axes=(0, 0)) % q
+        use = list(subset)
+        got = gather_results(results, use, self.N)[:k_need]
+        ys = [self.y_points[w] for w in use[:k_need]]
+        # element-wise products are the product polynomial at the x points;
+        # c maps them to the output blocks, so one (mn, K) map decodes
+        at_x = lagrange_matrix(self.field, ys, self.x_points)
+        r = self.construction.rank
+        decode_map = modmatmul(self._c.reshape(r, -1).T, at_x, self.field.modulus)
+        blocks = combine_blocks(self.field, decode_map, np.stack([g.data for g in got]))
         grid = [
-            [MatrixF(self.field, blocks[j, k]) for k in range(self.n)]
+            [MatrixF._wrap(self.field, blocks[j * self.n + k]) for k in range(self.n)]
             for j in range(self.m)
         ]
-        if dims is None:
-            br, bc = blocks.shape[2:]
-            dims = (self.m * br, self.n * bc)
         return assemble_product(grid, dims)
 
 
@@ -356,7 +337,8 @@ class ElementwiseProductCode:
         if not 0 <= i < self.N:
             raise ValueError(f"worker index {i} out of range for N={self.N}")
         stack = self._normalize(vec)
-        return np.tensordot(self._weights[i], stack, axes=(0, 0)) % self.field.modulus
+        flat = modmatmul(self._weights[i:i + 1], stack.reshape(self.length, -1), self.field.modulus)
+        return flat.reshape(stack.shape[1:])
 
     @staticmethod
     def worker(coded_a, coded_b):
@@ -369,14 +351,16 @@ class ElementwiseProductCode:
         k_need = 2 * self.length - 1
         if len(subset) >= k_need:
             use = list(subset)[:k_need]
-            coeffs = interpolate_arrays(
-                self.field, use, [np.asarray(results[w]) % q for w in use]
+            got = gather_results(results, subset, self.N)[:k_need]
+            stack = np.stack([np.asarray(v) % q for v in got])
+            at_x = lagrange_matrix(self.field, use, self.x_points)
+            products = modmatmul(at_x, stack.reshape(k_need, -1), q).reshape(
+                self.length, *stack.shape[1:]
             )
-            vmat = vandermonde(self.field, self.x_points, k_need)
-            products = np.tensordot(vmat, coeffs, axes=(1, 0)) % q
         elif len(subset) >= self.recovery_threshold() and set(subset) >= set(self.x_points):
             # y_i = x_i for i < R: those workers hold the products directly
-            products = np.stack([np.asarray(results[i]) % q for i in self.x_points])
+            got = gather_results(results, self.x_points, self.N)
+            products = np.stack([np.asarray(v) % q for v in got])
         else:
             raise InsufficientResults(
                 f"got {len(subset)} results, need {self.recovery_threshold()}"

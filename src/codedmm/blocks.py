@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BlockShapeMismatch, FieldMismatch
-from .field import FieldElement, PrimeField, interpolate_arrays
+from .field import FieldElement, PrimeField, interpolate_arrays, modmatmul
 
 
 class MatrixF:
@@ -29,6 +29,14 @@ class MatrixF:
             raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "data", arr % field.modulus)
+
+    @classmethod
+    def _wrap(cls, field: PrimeField, data: np.ndarray) -> "MatrixF":
+        """Adopt an already canonical 2-D array of the field's dtype, uncopied."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "data", data)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixF is immutable")
@@ -64,25 +72,25 @@ class MatrixF:
         self._check(other)
         if other.shape != self.shape:
             raise BlockShapeMismatch(f"{self.shape} + {other.shape}")
-        return MatrixF(self.field, self.data + other.data)
+        return MatrixF._wrap(self.field, (self.data + other.data) % self.field.modulus)
 
     def __sub__(self, other: "MatrixF") -> "MatrixF":
         self._check(other)
         if other.shape != self.shape:
             raise BlockShapeMismatch(f"{self.shape} - {other.shape}")
-        return MatrixF(self.field, self.data - other.data)
+        return MatrixF._wrap(self.field, (self.data - other.data) % self.field.modulus)
 
     def __matmul__(self, other: "MatrixF") -> "MatrixF":
         self._check(other)
         if self.cols != other.rows:
             raise BlockShapeMismatch(f"{self.shape} @ {other.shape}")
-        return MatrixF(self.field, self.data @ other.data)
+        return MatrixF._wrap(self.field, modmatmul(self.data, other.data, self.field.modulus))
 
     def scale(self, k: int) -> "MatrixF":
         return MatrixF(self.field, self.data * (k % self.field.modulus))
 
     def transpose(self) -> "MatrixF":
-        return MatrixF(self.field, self.data.T)
+        return MatrixF._wrap(self.field, self.data.T)
 
     def entry(self, r: int, c: int) -> FieldElement:
         return FieldElement(self.field, int(self.data[r, c]))
@@ -123,9 +131,13 @@ class BlockGrid:
     def field(self) -> PrimeField:
         return self.blocks[0][0].field
 
+    def stacked(self) -> np.ndarray:
+        """The blocks as one (row_parts * col_parts, br, bc) array, row-major."""
+        return np.stack([blk.data for row in self.blocks for blk in row])
 
-def partition(matrix: MatrixF, row_parts: int, col_parts: int) -> BlockGrid:
-    """Split into row_parts x col_parts equal blocks, zero-padding as needed."""
+
+def padded_blocks(matrix: MatrixF, row_parts: int, col_parts: int) -> np.ndarray:
+    """The zero-padded blocks as one (row_parts, col_parts, br, bc) array view."""
     if row_parts < 1 or col_parts < 1:
         raise ValueError("partition counts must be >= 1")
     s, r = matrix.shape
@@ -133,14 +145,27 @@ def partition(matrix: MatrixF, row_parts: int, col_parts: int) -> BlockGrid:
     bc = -(-r // col_parts)
     padded = np.zeros((br * row_parts, bc * col_parts), dtype=matrix.field.array_dtype)
     padded[:s, :r] = matrix.data
+    return padded.reshape(row_parts, br, col_parts, bc).swapaxes(1, 2)
+
+
+def partition(matrix: MatrixF, row_parts: int, col_parts: int) -> BlockGrid:
+    """Split into row_parts x col_parts equal blocks, zero-padding as needed."""
+    view = padded_blocks(matrix, row_parts, col_parts)
     rows = tuple(
-        tuple(
-            MatrixF(matrix.field, padded[j * br:(j + 1) * br, k * bc:(k + 1) * bc])
-            for k in range(col_parts)
-        )
-        for j in range(row_parts)
+        tuple(MatrixF._wrap(matrix.field, blk) for blk in row) for row in view
     )
-    return BlockGrid(rows, row_parts, col_parts, (br, bc), (s, r))
+    return BlockGrid(rows, row_parts, col_parts, view.shape[2:], matrix.shape)
+
+
+def combine_blocks(field: PrimeField, weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """(len(weights), br, bc) array whose [i] is sum_t weights[i, t] * blocks[t].
+
+    blocks is a (..., br, bc) stack of T canonical blocks, such as the view
+    from padded_blocks, so every combination comes from one modmatmul.
+    """
+    br, bc = blocks.shape[-2:]
+    coded = modmatmul(weights, blocks.reshape(-1, br * bc), field.modulus)
+    return coded.reshape(len(weights), br, bc)
 
 
 def assemble(blocks: Sequence[Sequence[MatrixF]]) -> MatrixF:
@@ -153,18 +178,25 @@ def assemble(blocks: Sequence[Sequence[MatrixF]]) -> MatrixF:
             if blk.field != first.field:
                 raise FieldMismatch("blocks over different fields")
     data = np.block([[blk.data for blk in row] for row in blocks])
-    return MatrixF(first.field, data)
+    return MatrixF._wrap(first.field, data)
 
 
-def assemble_product(blocks: Sequence[Sequence[MatrixF]], true_dims: tuple[int, int]) -> MatrixF:
-    """Assemble the m x n grid of product blocks and strip the padding."""
+def assemble_product(
+    blocks: Sequence[Sequence[MatrixF]], true_dims: tuple[int, int] | None
+) -> MatrixF:
+    """Assemble the m x n grid of product blocks and strip the padding.
+
+    With true_dims None the padded product is returned.
+    """
     full = assemble(blocks)
+    if true_dims is None:
+        return full
     r, t = true_dims
     if r > full.rows or t > full.cols:
         raise BlockShapeMismatch(
             f"true dims {true_dims} exceed assembled shape {full.shape}"
         )
-    return MatrixF(full.field, full.data[:r, :t])
+    return MatrixF._wrap(full.field, full.data[:r, :t])
 
 
 def partition_vector(field: PrimeField, vec, parts: int, block_len: int | None = None) -> list[np.ndarray]:
@@ -229,7 +261,7 @@ def interpolate_block_polynomial(points: Sequence[tuple]) -> list[MatrixF]:
         xs.append(x.value if isinstance(x, FieldElement) else x % field.modulus)
         vals.append(blk.data)
     coeffs = interpolate_arrays(field, xs, vals)
-    return [MatrixF(field, coeffs[d]) for d in range(len(pts))]
+    return [MatrixF._wrap(field, c) for c in coeffs]
 
 
 # -- text fixtures: first line "rows cols q", then row-major entries --

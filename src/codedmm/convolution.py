@@ -26,7 +26,8 @@ from .errors import (
     InsufficientResults,
     TooFewWorkers,
 )
-from .field import PrimeField, interpolate_arrays
+from .field import PrimeField, exact_float_terms, interpolate_arrays, modmatmul
+from .schemes import gather_results
 
 
 @dataclass(frozen=True)
@@ -63,21 +64,35 @@ def conv_spec(m: int, n: int, N: int, s: int, field: PrimeField) -> ConvCodeSpec
 
 
 def field_convolve(field: PrimeField, a, b) -> np.ndarray:
-    """Full linear convolution over GF(q), length len(a) + len(b) - 1."""
+    """Full linear convolution over GF(q), length len(a) + len(b) - 1.
+
+    int64 operands convolve in float64, which is exact while an output entry
+    sums at most exact_float_terms(q) products, so the shorter operand is
+    cut into pieces of that length, each reduced before the overlap-add.
+    """
     q = field.modulus
-    av = np.asarray(a) % q
-    bv = np.asarray(b) % q
-    out = np.zeros(len(av) + len(bv) - 1, dtype=field.array_dtype)
-    for i, x in enumerate(av):
-        if x:
-            out[i: i + len(bv)] += x * bv
+    av = np.asarray(a, dtype=field.array_dtype) % q
+    bv = np.asarray(b, dtype=field.array_dtype) % q
+    if av.dtype == object:
+        return np.convolve(av, bv) % q
+    if len(av) > len(bv):
+        av, bv = bv, av
+    step = exact_float_terms(q)
+    bf = bv.astype(np.float64)
+    out = np.zeros(len(av) + len(bv) - 1, dtype=np.int64)
+    for i0 in range(0, len(av), step):
+        part = np.convolve(av[i0:i0 + step].astype(np.float64), bf)
+        out[i0:i0 + len(part)] += part.astype(np.int64) % q
     return out % q
 
 
 def conv_encode(
     spec: ConvCodeSpec, a_blocks: Sequence[np.ndarray], b_blocks: Sequence[np.ndarray], i: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The coded pair of length-s vectors stored by worker i."""
+    """The coded pair of length-s vectors stored by worker i.
+
+    Blocks are canonical, as partition_vector returns them.
+    """
     if not 0 <= i < spec.N:
         raise ValueError(f"worker index {i} out of range for N={spec.N}")
     if len(a_blocks) != spec.m or len(b_blocks) != spec.n:
@@ -88,20 +103,13 @@ def conv_encode(
         if len(blk) != spec.s:
             raise BlockShapeMismatch(f"block of length {len(blk)}, expected {spec.s}")
     q = spec.field.modulus
-    x = spec.x_points[i] % q
     dtype = spec.field.array_dtype
-
-    coded_a = np.zeros(spec.s, dtype=dtype)
-    w = 1
-    for blk in a_blocks:
-        coded_a += np.asarray(blk) * w
-        w = w * x % q
-    coded_b = np.zeros(spec.s, dtype=dtype)
-    w = 1
-    for blk in b_blocks:
-        coded_b += np.asarray(blk) * w
-        w = w * x % q
-    return coded_a % q, coded_b % q
+    powers = np.array(
+        [[pow(spec.x_points[i], d, q) for d in range(max(spec.m, spec.n))]], dtype=dtype
+    )
+    coded_a = modmatmul(powers[:, :spec.m], np.array(a_blocks, dtype=dtype), q)
+    coded_b = modmatmul(powers[:, :spec.n], np.array(b_blocks, dtype=dtype), q)
+    return coded_a[0], coded_b[0]
 
 
 def conv_worker(spec: ConvCodeSpec, coded_a: np.ndarray, coded_b: np.ndarray) -> np.ndarray:
@@ -128,8 +136,8 @@ def conv_decode(
     use = list(subset)[:k_need]
     expect = 2 * spec.s - 1
     vals = []
-    for w in use:
-        v = np.asarray(results[w])
+    for v in gather_results(results, subset, spec.N)[:k_need]:
+        v = np.asarray(v)
         if len(v) != expect:
             raise BlockShapeMismatch(f"result of length {len(v)}, expected {expect}")
         vals.append(v % spec.field.modulus)

@@ -47,3 +47,11 @@ class DegreeCollision(CodedmmError):
 
 class ConstructionTooLarge(CodedmmError):
     """Composed bilinear construction exceeds the supported rank budget."""
+
+
+class UnknownWorker(CodedmmError):
+    """A worker index outside [0, N) was named in a decode subset."""
+
+
+class MissingResult(CodedmmError):
+    """A worker named in a decode subset has no result."""

@@ -2,10 +2,18 @@
 Lagrange interpolation.
 
 Field elements are canonical integers in [0, q).  The heavier matrix paths
-elsewhere in the package keep raw canonical ints in numpy arrays and call the
-``PrimeField`` integer methods or reduce with ``% q`` directly; the
+elsewhere in the package keep raw canonical ints in numpy arrays; the
 ``FieldElement`` wrapper exists for scalar work where operator syntax and
 field-mixing checks are worth having.
+
+Every matrix contraction over GF(q) goes through ``modmatmul``.  For q < 2^21
+arrays are int64 and the product runs on float64 BLAS with delayed modular
+reduction (Dumas, Giorgi & Pernet, FFLAS-FFPACK): a sum of k products of
+canonical entries is an integer of at most k*(q-1)^2, which float64 holds
+exactly while it stays below 2^53, so contractions are split into chunks of
+at most (2^53 - 1) // (q-1)^2 terms (2048 or more for q < 2^21) and reduced
+between chunks.  Larger moduli use Python-int (object) arrays, exact at any
+length.
 """
 
 from __future__ import annotations
@@ -16,9 +24,17 @@ import numpy as np
 
 from .errors import DivisionByZero, DuplicateEvaluationPoint, FieldMismatch
 
-# int64 products stay exact as long as q*q times the longest contraction
-# fits in 63 bits; q < 2^21 leaves room for contractions of length 2^21.
+# Moduli below this get int64 arrays, whose contractions modmatmul runs on
+# float64 BLAS in chunks of at least 2048 terms; larger moduli get Python-int
+# (object) arrays.
 _INT64_SAFE_MODULUS = 1 << 21
+
+# Integers up to this bound are exact in float64.
+_FLOAT_EXACT = 1 << 53
+
+# modmatmul computes about this many output entries per dgemm call, which
+# bounds its float64 temporaries.
+_TILE_ELEMS = 1 << 18
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -446,6 +462,41 @@ def lagrange_interpolate(points) -> FieldPolynomial:
     return FieldPolynomial(field, out)
 
 
+def exact_float_terms(q: int) -> int:
+    """Longest dot product of canonical entries that float64 sums exactly."""
+    return (_FLOAT_EXACT - 1) // (q - 1) ** 2
+
+
+def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Canonical (a @ b) mod q for 2-D arrays of canonical entries.
+
+    Object operands multiply as Python ints.  int64 operands run on float64
+    dgemm, in chunks of the contraction that float64 sums exactly, reduced
+    with an int64 ``%`` between chunks; output columns are done in tiles of
+    about _TILE_ELEMS entries.  The result has the operands' dtype.
+    """
+    if a.dtype == object or b.dtype == object:
+        return (a @ b) % q
+    step = exact_float_terms(q)
+    if step == 0:
+        return modmatmul(a.astype(object), b.astype(object), q).astype(np.int64)
+    rows, inner = a.shape
+    cols = b.shape[1]
+    out = np.zeros((rows, cols), dtype=np.int64)
+    af = a.astype(np.float64)
+    width = max(1, _TILE_ELEMS // max(rows, 1))
+    for c0 in range(0, cols, width):
+        tile = out[:, c0:c0 + width]
+        for k0 in range(0, inner, step):
+            part = af[:, k0:k0 + step] @ b[k0:k0 + step, c0:c0 + width].astype(np.float64)
+            if k0:
+                tile += part.astype(np.int64)
+            else:
+                tile[...] = part
+            np.remainder(tile, q, out=tile)
+    return out
+
+
 def interpolate_arrays(field: PrimeField, xs: Sequence[int], values: Sequence[np.ndarray]) -> np.ndarray:
     """Coefficient stack of the array-valued polynomial through (xs, values).
 
@@ -453,11 +504,21 @@ def interpolate_arrays(field: PrimeField, xs: Sequence[int], values: Sequence[np
     (len(xs), *value_shape) whose [d] slice is the degree-d coefficient.
     Equivalent to running lagrange_interpolate entry-wise.
     """
-    q = field.modulus
     basis = np.array(lagrange_basis(field, xs), dtype=field.array_dtype)
     stack = np.stack(values)
     # coeff[d] = sum_i basis[i][d] * values[i]
-    return np.tensordot(basis, stack, axes=(0, 0)) % q
+    flat = modmatmul(basis.T, stack.reshape(len(stack), -1), field.modulus)
+    return flat.reshape(stack.shape)
+
+
+def lagrange_matrix(field: PrimeField, xs: Sequence[int], ys: Sequence[int]) -> np.ndarray:
+    """M[r, i] = l_i(ys[r]) for the Lagrange basis over distinct points xs.
+
+    M @ values maps a degree < len(xs) polynomial's values at xs to its
+    values at ys.
+    """
+    basis = np.array(lagrange_basis(field, xs), dtype=field.array_dtype)
+    return modmatmul(vandermonde(field, ys, len(xs)), basis.T, field.modulus)
 
 
 def vandermonde(field: PrimeField, xs: Sequence[int], n_cols: int) -> np.ndarray:

@@ -66,29 +66,3 @@ def solve_linear_system(
         x[col] = b[r]
     return x.reshape((cols,) + rhs_shape)
 
-
-def matrix_rank(field: PrimeField, coeffs) -> int:
-    """Rank of a matrix over GF(q)."""
-    q = field.modulus
-    m = np.array(coeffs, dtype=field.array_dtype) % q
-    rows, cols = m.shape
-    rank = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, rows):
-            if m[r, col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != rank:
-            m[[rank, pivot]] = m[[pivot, rank]]
-        inv = field.inv(int(m[rank, col]))
-        m[rank] = m[rank] * inv % q
-        for r in range(rank + 1, rows):
-            if m[r, col] != 0:
-                m[r] = (m[r] - m[r, col] * m[rank]) % q
-        rank += 1
-        if rank == rows:
-            break
-    return rank

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocks import MatrixF, interpolate_block_polynomial
+from .blocks import MatrixF, combine_blocks, interpolate_block_polynomial
 from .errors import TooManyErrors
 from .field import FieldPolynomial, PrimeField, vandermonde
 from .linalg import solve_linear_system
@@ -77,8 +77,7 @@ def _eval_coeff_blocks(
 ) -> np.ndarray:
     """Evaluate a coefficient-block polynomial at many points; (len(xs), *shape)."""
     stack = np.stack([c.data for c in coeffs])
-    vmat = vandermonde(field, xs, len(coeffs))
-    return np.tensordot(vmat, stack, axes=(1, 0)) % field.modulus
+    return combine_blocks(field, vandermonde(field, xs, len(coeffs)), stack)
 
 
 def detect_errors(

@@ -17,17 +17,19 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .blocks import BlockGrid, MatrixF, assemble_product, interpolate_block_polynomial, partition
+from .blocks import BlockGrid, MatrixF, assemble_product, combine_blocks, padded_blocks
 from .errors import (
     BlockShapeMismatch,
     DegreeCollision,
     DuplicateEvaluationPoint,
     FieldTooSmall,
     InsufficientResults,
+    MissingResult,
     SingularDecodeSystem,
     TooFewWorkers,
+    UnknownWorker,
 )
-from .field import PrimeField
+from .field import PrimeField, lagrange_basis
 from .linalg import solve_linear_system
 
 
@@ -38,6 +40,22 @@ def worker_multiply(coded_a: MatrixF, coded_b: MatrixF) -> MatrixF:
             f"coded blocks disagree on inner dimension: {coded_a.shape} vs {coded_b.shape}"
         )
     return coded_a.transpose() @ coded_b
+
+
+def gather_results(results: Mapping, subset: Sequence[int], N: int) -> list:
+    """The results of the workers in subset, in order.
+
+    Raises UnknownWorker for an index outside [0, N) and MissingResult for a
+    worker with no entry in results.
+    """
+    out = []
+    for w in subset:
+        if not 0 <= w < N:
+            raise UnknownWorker(f"worker index {w} out of range for N={N}")
+        if w not in results:
+            raise MissingResult(f"no result from worker {w}")
+        out.append(results[w])
+    return out
 
 
 @dataclass(frozen=True)
@@ -82,6 +100,21 @@ class PolynomialCodeSpec:
     def output_degree(self, k: int, kp: int) -> int:
         """Degree whose coefficient is the output block C[k, kp]."""
         return (self.p - 1) * self.alpha + k * self.beta + kp * self.theta
+
+    def generators(self) -> tuple[np.ndarray, np.ndarray]:
+        """Worker weights (G_A, G_B) on the row-major A and B blocks.
+
+        G_A[i, j*m + k] = x_i^(j*alpha + k*beta) and
+        G_B[i, j*n + k] = x_i^((p-1-j)*alpha + k*theta).
+        """
+        q = self.field.modulus
+        p, a, b, t = self.p, self.alpha, self.beta, self.theta
+        gen_a = [[pow(x, j * a + k * b, q) for j in range(p) for k in range(self.m)]
+                 for x in self.x_points]
+        gen_b = [[pow(x, (p - 1 - j) * a + k * t, q) for j in range(p) for k in range(self.n)]
+                 for x in self.x_points]
+        dtype = self.field.array_dtype
+        return np.array(gen_a, dtype=dtype), np.array(gen_b, dtype=dtype)
 
     def check_degree_separation(self):
         """Verify each needed degree is hit only by its aligned product terms.
@@ -129,21 +162,10 @@ def general_poly_encode(
         raise BlockShapeMismatch(
             f"B grid is {b_grid.row_parts}x{b_grid.col_parts}, spec wants {spec.p}x{spec.n}"
         )
-    q = spec.field.modulus
-    x = spec.x_points[i] % q
-    dtype = spec.field.array_dtype
-
-    coded_a = np.zeros(a_grid.block_shape, dtype=dtype)
-    for j in range(spec.p):
-        for k in range(spec.m):
-            w = pow(x, j * spec.alpha + k * spec.beta, q)
-            coded_a = coded_a + a_grid[j, k].data * w
-    coded_b = np.zeros(b_grid.block_shape, dtype=dtype)
-    for j in range(spec.p):
-        for k in range(spec.n):
-            w = pow(x, (spec.p - 1 - j) * spec.alpha + k * spec.theta, q)
-            coded_b = coded_b + b_grid[j, k].data * w
-    return MatrixF(spec.field, coded_a), MatrixF(spec.field, coded_b)
+    gen_a, gen_b = spec.generators()
+    (coded_a,) = combine_blocks(spec.field, gen_a[i:i + 1], a_grid.stacked())
+    (coded_b,) = combine_blocks(spec.field, gen_b[i:i + 1], b_grid.stacked())
+    return MatrixF._wrap(spec.field, coded_a), MatrixF._wrap(spec.field, coded_b)
 
 
 def entangled_spec(p: int, m: int, n: int, N: int, field: PrimeField) -> PolynomialCodeSpec:
@@ -164,25 +186,39 @@ def entangled_spec(p: int, m: int, n: int, N: int, field: PrimeField) -> Polynom
 
 
 class CodingScheme(ABC):
-    """Encode/decode bundle with the any-K-subset recovery contract."""
+    """Encode/decode bundle with the any-K-subset recovery contract.
+
+    Every scheme is linear: worker i stores sum_t gen_a[i, t] * (A block t)
+    and likewise for B, with the p x m (p x n) blocks in row-major order, so
+    encoding is one modmatmul of a generator matrix with the stacked blocks.
+    """
 
     p: int
     m: int
     n: int
     N: int
     field: PrimeField
+    gen_a: np.ndarray
+    gen_b: np.ndarray
 
     @abstractmethod
     def recovery_threshold(self) -> int:
         """Minimum number of worker results that always suffices to decode."""
 
-    @abstractmethod
-    def encode_a(self, a: MatrixF, i: int) -> MatrixF:
-        ...
+    def _encode(self, matrix: MatrixF, parts: int, weights: np.ndarray) -> list[MatrixF]:
+        coded = combine_blocks(self.field, weights, padded_blocks(matrix, self.p, parts))
+        return [MatrixF._wrap(self.field, c) for c in coded]
 
-    @abstractmethod
+    def _worker_rows(self, gen: np.ndarray, i: int) -> np.ndarray:
+        if not 0 <= i < self.N:
+            raise ValueError(f"worker index {i} out of range for N={self.N}")
+        return gen[i:i + 1]
+
+    def encode_a(self, a: MatrixF, i: int) -> MatrixF:
+        return self._encode(a, self.m, self._worker_rows(self.gen_a, i))[0]
+
     def encode_b(self, b: MatrixF, i: int) -> MatrixF:
-        ...
+        return self._encode(b, self.n, self._worker_rows(self.gen_b, i))[0]
 
     @abstractmethod
     def decode(
@@ -199,7 +235,7 @@ class CodingScheme(ABC):
 
     def encode_all(self, a: MatrixF, b: MatrixF) -> list[tuple[MatrixF, MatrixF]]:
         """Coded pairs for every worker (partitions the inputs only once)."""
-        return [(self.encode_a(a, i), self.encode_b(b, i)) for i in range(self.N)]
+        return list(zip(self._encode(a, self.m, self.gen_a), self._encode(b, self.n, self.gen_b)))
 
 
 class GeneralPolynomialCode(CodingScheme):
@@ -214,24 +250,10 @@ class GeneralPolynomialCode(CodingScheme):
         self.spec = spec
         self.p, self.m, self.n, self.N = spec.p, spec.m, spec.n, spec.N
         self.field = spec.field
+        self.gen_a, self.gen_b = spec.generators()
 
     def recovery_threshold(self) -> int:
         return self.spec.product_degree() + 1
-
-    def encode_a(self, a: MatrixF, i: int) -> MatrixF:
-        grid = partition(a, self.p, self.m)
-        return general_poly_encode_a(self.spec, grid, i)
-
-    def encode_b(self, b: MatrixF, i: int) -> MatrixF:
-        grid = partition(b, self.p, self.n)
-        return general_poly_encode_b(self.spec, grid, i)
-
-    def encode_all(self, a: MatrixF, b: MatrixF) -> list[tuple[MatrixF, MatrixF]]:
-        a_grid = partition(a, self.p, self.m)
-        b_grid = partition(b, self.p, self.n)
-        return [
-            general_poly_encode(self.spec, a_grid, b_grid, i) for i in range(self.N)
-        ]
 
     def decode(
         self,
@@ -242,45 +264,26 @@ class GeneralPolynomialCode(CodingScheme):
         k_need = self.recovery_threshold()
         if len(subset) < k_need:
             raise InsufficientResults(f"got {len(subset)} results, need {k_need}")
-        use = list(subset)[:k_need]
-        pts = [(self.spec.x_points[w], results[w]) for w in use]
-        coeffs = interpolate_block_polynomial(pts)
-        return self.assemble_from_coefficients(coeffs, dims)
+        use = list(subset)
+        got = gather_results(results, use, self.N)[:k_need]
+        xs = [self.spec.x_points[w] for w in use[:k_need]]
+        basis = np.array(lagrange_basis(self.field, xs), dtype=self.field.array_dtype)
+        # only the output degrees' coefficients: coeff[d] = sum_i basis[i][d] * result_i
+        degrees = [self.spec.output_degree(k, kp) for k in range(self.m) for kp in range(self.n)]
+        blocks = combine_blocks(self.field, basis.T[degrees], np.stack([r.data for r in got]))
+        return self.assemble_from_coefficients(
+            {d: MatrixF._wrap(self.field, blk) for d, blk in zip(degrees, blocks)}, dims
+        )
 
     def assemble_from_coefficients(
-        self, coeffs: Sequence[MatrixF], dims: tuple[int, int] | None
+        self, coeffs: Sequence[MatrixF] | Mapping[int, MatrixF], dims: tuple[int, int] | None
     ) -> MatrixF:
-        """Pick each output block's degree out of the coefficient stack."""
+        """Pick each output block's degree out of the coefficients, indexed by degree."""
         grid = [
             [coeffs[self.spec.output_degree(k, kp)] for kp in range(self.n)]
             for k in range(self.m)
         ]
-        if dims is None:
-            br, bc = coeffs[0].shape
-            dims = (self.m * br, self.n * bc)
         return assemble_product(grid, dims)
-
-
-def general_poly_encode_a(spec: PolynomialCodeSpec, a_grid: BlockGrid, i: int) -> MatrixF:
-    q = spec.field.modulus
-    x = spec.x_points[i] % q
-    out = np.zeros(a_grid.block_shape, dtype=spec.field.array_dtype)
-    for j in range(spec.p):
-        for k in range(spec.m):
-            out = out + a_grid[j, k].data * pow(x, j * spec.alpha + k * spec.beta, q)
-    return MatrixF(spec.field, out)
-
-
-def general_poly_encode_b(spec: PolynomialCodeSpec, b_grid: BlockGrid, i: int) -> MatrixF:
-    q = spec.field.modulus
-    x = spec.x_points[i] % q
-    out = np.zeros(b_grid.block_shape, dtype=spec.field.array_dtype)
-    for j in range(spec.p):
-        for k in range(spec.n):
-            out = out + b_grid[j, k].data * pow(
-                x, (spec.p - 1 - j) * spec.alpha + k * spec.theta, q
-            )
-    return MatrixF(spec.field, out)
 
 
 class EntangledCode(GeneralPolynomialCode):
@@ -315,33 +318,17 @@ class UncodedRepetitionCode(CodingScheme):
         self.p, self.m, self.n, self.N = p, m, n, N
         self.field = field
         self.num_tasks = tasks
+        # unit generator rows: worker w stores A[j,k] and B[j,k'] of its task
+        self.gen_a = np.zeros((N, p * m), dtype=field.array_dtype)
+        self.gen_b = np.zeros((N, p * n), dtype=field.array_dtype)
+        for w in range(N):
+            t = w % tasks
+            j, k, kp = t % p, (t // p) % m, t // (p * m)
+            self.gen_a[w, j * m + k] = 1
+            self.gen_b[w, j * n + kp] = 1
 
     def recovery_threshold(self) -> int:
         return self.N - self.N // self.num_tasks + 1
-
-    def _task(self, w: int) -> tuple[int, int, int]:
-        t = w % self.num_tasks
-        j = t % self.p
-        k = (t // self.p) % self.m
-        kp = t // (self.p * self.m)
-        return j, k, kp
-
-    def encode_a(self, a: MatrixF, i: int) -> MatrixF:
-        j, k, _ = self._task(i)
-        return partition(a, self.p, self.m)[j, k]
-
-    def encode_b(self, b: MatrixF, i: int) -> MatrixF:
-        j, _, kp = self._task(i)
-        return partition(b, self.p, self.n)[j, kp]
-
-    def encode_all(self, a: MatrixF, b: MatrixF) -> list[tuple[MatrixF, MatrixF]]:
-        a_grid = partition(a, self.p, self.m)
-        b_grid = partition(b, self.p, self.n)
-        out = []
-        for i in range(self.N):
-            j, k, kp = self._task(i)
-            out.append((a_grid[j, k], b_grid[j, kp]))
-        return out
 
     def decode(
         self,
@@ -350,10 +337,8 @@ class UncodedRepetitionCode(CodingScheme):
         dims: tuple[int, int] | None = None,
     ) -> MatrixF:
         by_task: dict[int, MatrixF] = {}
-        for w in subset:
-            t = w % self.num_tasks
-            if t not in by_task:
-                by_task[t] = results[w]
+        for w, res in zip(subset, gather_results(results, subset, self.N)):
+            by_task.setdefault(w % self.num_tasks, res)
         missing = self.num_tasks - len(by_task)
         if missing:
             raise InsufficientResults(f"{missing} of {self.num_tasks} sub-products missing")
@@ -366,9 +351,6 @@ class UncodedRepetitionCode(CodingScheme):
                     acc = acc + by_task[j + k * self.p + kp * self.p * self.m]
                 row.append(acc)
             grid.append(row)
-        if dims is None:
-            br, bc = grid[0][0].shape
-            dims = (self.m * br, self.n * bc)
         return assemble_product(grid, dims)
 
 
@@ -390,39 +372,15 @@ class RandomLinearCode(CodingScheme):
         self.seed = seed
         rng = np.random.default_rng(seed)
         q = field.modulus
-        self.coeff_a = np.array(
-            rng.integers(0, q, size=(N, p, m)), dtype=field.array_dtype
+        self.gen_a = np.array(
+            rng.integers(0, q, size=(N, p * m)), dtype=field.array_dtype
         )
-        self.coeff_b = np.array(
-            rng.integers(0, q, size=(N, p, n)), dtype=field.array_dtype
+        self.gen_b = np.array(
+            rng.integers(0, q, size=(N, p * n)), dtype=field.array_dtype
         )
 
     def recovery_threshold(self) -> int:
         return self.p * self.p * self.m * self.n
-
-    def encode_a(self, a: MatrixF, i: int) -> MatrixF:
-        grid = partition(a, self.p, self.m)
-        return self._combine(grid, self.coeff_a[i])
-
-    def encode_b(self, b: MatrixF, i: int) -> MatrixF:
-        grid = partition(b, self.p, self.n)
-        return self._combine(grid, self.coeff_b[i])
-
-    def encode_all(self, a: MatrixF, b: MatrixF) -> list[tuple[MatrixF, MatrixF]]:
-        a_grid = partition(a, self.p, self.m)
-        b_grid = partition(b, self.p, self.n)
-        return [
-            (self._combine(a_grid, self.coeff_a[i]), self._combine(b_grid, self.coeff_b[i]))
-            for i in range(self.N)
-        ]
-
-    def _combine(self, grid: BlockGrid, weights: np.ndarray) -> MatrixF:
-        q = self.field.modulus
-        out = np.zeros(grid.block_shape, dtype=self.field.array_dtype)
-        for j in range(grid.row_parts):
-            for k in range(grid.col_parts):
-                out = out + grid[j, k].data * int(weights[j, k])
-        return MatrixF(self.field, out)
 
     def decode(
         self,
@@ -436,16 +394,9 @@ class RandomLinearCode(CodingScheme):
         q = self.field.modulus
         use = list(subset)
         # row w: result_w = sum over pairs ((j,k),(j',k')) of
-        #        coeff_a[w,j,k] * coeff_b[w,j',k'] * (A[j,k]^T B[j',k'])
-        rows = np.stack(
-            [
-                (
-                    self.coeff_a[w].reshape(-1, 1) * self.coeff_b[w].reshape(1, -1) % q
-                ).reshape(-1)
-                for w in use
-            ]
-        )
-        rhs = np.stack([results[w].data for w in use])
+        #        gen_a[w,(j,k)] * gen_b[w,(j',k')] * (A[j,k]^T B[j',k'])
+        rhs = np.stack([r.data for r in gather_results(results, use, self.N)])
+        rows = (self.gen_a[use, :, None] * self.gen_b[use, None, :] % q).reshape(len(use), -1)
         solved = solve_linear_system(self.field, rows, rhs, require_full_column_rank=True)
         if solved is None:
             raise SingularDecodeSystem(
@@ -461,7 +412,4 @@ class RandomLinearCode(CodingScheme):
                     acc = acc + products[j * self.m + k, j * self.n + kp]
                 row.append(MatrixF(self.field, acc))
             grid.append(row)
-        if dims is None:
-            br, bc = grid[0][0].shape
-            dims = (self.m * br, self.n * bc)
         return assemble_product(grid, dims)

@@ -7,7 +7,13 @@ import pytest
 
 from codedmm.blocks import partition_vector
 from codedmm.convolution import conv_decode, conv_encode, conv_spec, conv_worker, field_convolve
-from codedmm.errors import FieldTooSmall, InsufficientResults, TooFewWorkers
+from codedmm.errors import (
+    FieldTooSmall,
+    InsufficientResults,
+    MissingResult,
+    TooFewWorkers,
+    UnknownWorker,
+)
 from codedmm.field import PrimeField, interpolate_arrays
 
 from oracles import direct_convolution
@@ -83,6 +89,17 @@ class TestConvWorker:
             b = [rng.randrange(257) for _ in range(7)]
             assert field_convolve(gf257, a, b).tolist() == direct_convolution(257, a, b)
 
+    def test_operands_longer_than_one_float_chunk(self):
+        # at q = 2^21 - 9 float64 sums only 2048 products exactly, so both
+        # operand lengths force the shorter one to be cut into pieces; near
+        # maximal entries make the full-overlap sums odd and above 2^53
+        q = 2097143
+        a = [q - 2 if i % 7 == 0 else q - 1 for i in range(2049)]
+        b = [q - 2 if i % 5 == 0 else q - 1 for i in range(2050)]
+        want = direct_convolution(q, a, b)
+        assert field_convolve(PrimeField(q), a, b).tolist() == want
+        assert field_convolve(PrimeField(q), b, a).tolist() == want
+
 
 class TestConvDecode:
     def test_all_subsets_m3_n2(self, gf257, rng):
@@ -110,6 +127,16 @@ class TestConvDecode:
         spec = conv_spec(2, 2, 5, 3, gf257)
         results = encode_all(spec, [0] * 6, [0] * 6)
         assert not conv_decode(spec, results, [0, 1, 2]).any()
+
+    def test_bad_subset_raises_typed_errors(self, gf257):
+        spec = conv_spec(2, 2, 5, 3, gf257)
+        results = encode_all(spec, [1] * 6, [2] * 6)
+        for bad in (5, -1):
+            with pytest.raises(UnknownWorker):
+                conv_decode(spec, results, [bad, 0, 1])
+        del results[1]
+        with pytest.raises(MissingResult):
+            conv_decode(spec, results, [0, 1, 2])
 
     def test_padded_lengths(self, gf257, rng):
         spec = conv_spec(2, 3, 7, 4, gf257)

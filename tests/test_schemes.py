@@ -4,12 +4,16 @@ from itertools import combinations
 
 import pytest
 
+from codedmm.bilinear import ImprovedBilinearCode, strassen_construction
 from codedmm.blocks import MatrixF, partition
 from codedmm.errors import (
+    CodedmmError,
     DegreeCollision,
     FieldTooSmall,
     InsufficientResults,
+    MissingResult,
     TooFewWorkers,
+    UnknownWorker,
 )
 from codedmm.schemes import (
     EntangledCode,
@@ -275,3 +279,34 @@ class TestRandomLinear:
             except SingularDecodeSystem:
                 hit = True
         assert hit, "expected at least one singular subset over GF(7)"
+
+
+SCHEMES = {
+    "entangled": lambda f: EntangledCode(2, 2, 1, 9, f),
+    "uncoded": lambda f: UncodedRepetitionCode(2, 1, 1, 4, f),
+    "random-linear": lambda f: RandomLinearCode(1, 2, 1, 4, f, seed=3),
+    "improved": lambda f: ImprovedBilinearCode(strassen_construction(), 13, f),
+}
+
+
+class TestDecodeSubsetErrors:
+    """A bad subset is a typed CodedmmError, never IndexError or KeyError."""
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_worker_index_out_of_range(self, name, gf65537, rng):
+        scheme = SCHEMES[name](gf65537)
+        results = run_workers(scheme, random_matrix(gf65537, 4, 4, rng), random_matrix(gf65537, 4, 4, rng))
+        k = scheme.recovery_threshold()
+        assert issubclass(UnknownWorker, CodedmmError)
+        for bad in (scheme.N, scheme.N + 7, -1):
+            with pytest.raises(UnknownWorker):
+                scheme.decode(results, [bad] + list(range(k)))
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_subset_worker_without_result(self, name, gf65537, rng):
+        scheme = SCHEMES[name](gf65537)
+        results = run_workers(scheme, random_matrix(gf65537, 4, 4, rng), random_matrix(gf65537, 4, 4, rng))
+        del results[0]
+        assert issubclass(MissingResult, CodedmmError)
+        with pytest.raises(MissingResult):
+            scheme.decode(results, list(range(scheme.N)))
