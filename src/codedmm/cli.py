@@ -231,6 +231,17 @@ def _cmd_bounds(args) -> int:
             out.close()
 
 
+def _count(text: str) -> int:
+    """A --trials / --samples value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_latency(text: str):
     name, _, rest = text.partition(":")
     params = [float(v) for v in rest.split(",") if v] if rest else []
@@ -303,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--exhaustive", action="store_true", help="try every threshold-size subset")
-    sp.add_argument("--samples", type=int, default=200, help="random subsets when not exhaustive")
+    sp.add_argument("--samples", type=_count, default=200, help="random subsets when not exhaustive")
     sp.add_argument("--a", help="matrix text fixture for A (header: rows cols q)")
     sp.add_argument("--b", help="matrix text fixture for B")
     common(sp)
@@ -314,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"registry name ({', '.join(sorted(registry_names()))}) or JSON path")
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--samples", type=_count, default=200)
     common(sp)
     sp.set_defaults(func=_cmd_verify_improved)
 
@@ -323,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--len", type=int, required=True, help="per-worker block length s")
-    sp.add_argument("--samples", type=int, default=200)
+    sp.add_argument("--samples", type=_count, default=200)
     common(sp, q_default=257)
     sp.set_defaults(func=_cmd_conv)
 
@@ -333,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--errors", type=int, required=True)
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=_count, default=100)
     sp.add_argument("--mode", choices=("detect", "correct"), required=True)
     common(sp)
     sp.set_defaults(func=_cmd_fault)
@@ -357,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--latency", type=_parse_latency, default=ShiftedExponential(),
                     help="shifted-exp:shift,rate or stragglers:count,slowdown")
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--trials", type=_count, default=100)
     sp.add_argument("--faults", type=int, default=0)
     sp.add_argument("--alpha", type=int)
     sp.add_argument("--beta", type=int)

@@ -1,8 +1,10 @@
-"""Gaussian elimination over GF(q).
+"""Gauss-Jordan elimination over GF(q).
 
 One solver covers both uses in the package: scalar systems (Berlekamp-Welch)
 and systems whose right-hand sides are whole matrix blocks (random linear
-decoding) -- the RHS is just carried as extra columns.
+decoding).  The right-hand sides are carried as extra columns, [M | b], and
+each pivot clears its column in every other row with one vectorized rank-1
+update, leaving M in reduced row echelon form.
 """
 
 from __future__ import annotations
@@ -27,42 +29,31 @@ def solve_linear_system(
     m = np.array(coeffs, dtype=field.array_dtype) % q
     b = np.array(rhs, dtype=field.array_dtype) % q
     rows, cols = m.shape
-    rhs_shape = b.shape[1:]
-    b = b.reshape(rows, -1)
+    aug = np.concatenate([m, b.reshape(rows, -1)], axis=1)
 
     pivot_cols: list[int] = []
-    row = 0
     for col in range(cols):
-        pivot = None
-        for r in range(row, rows):
-            if m[r, col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        if pivot != row:
-            m[[row, pivot]] = m[[pivot, row]]
-            b[[row, pivot]] = b[[pivot, row]]
-        inv = field.inv(int(m[row, col]))
-        m[row] = m[row] * inv % q
-        b[row] = b[row] * inv % q
-        for r in range(rows):
-            if r != row and m[r, col] != 0:
-                f = m[r, col]
-                m[r] = (m[r] - f * m[row]) % q
-                b[r] = (b[r] - f * b[row]) % q
-        pivot_cols.append(col)
-        row += 1
+        row = len(pivot_cols)
         if row == rows:
             break
-    if require_full_column_rank and len(pivot_cols) < cols:
+        nonzero = np.flatnonzero(aug[row:, col])
+        if not nonzero.size:
+            continue
+        pivot = row + int(nonzero[0])
+        if pivot != row:
+            aug[[row, pivot]] = aug[[pivot, row]]
+        aug[row] = aug[row] * field.inv(int(aug[row, col])) % q
+        factors = aug[:, col].copy()
+        factors[row] = 0
+        # columns left of col are already zero in the pivot row
+        aug[:, col:] = (aug[:, col:] - np.outer(factors, aug[row, col:])) % q
+        pivot_cols.append(col)
+    rank = len(pivot_cols)
+    if require_full_column_rank and rank < cols:
         return None
     # consistency: eliminated rows below the rank must have zero RHS
-    for r in range(row, rows):
-        if np.any(b[r] % q != 0):
-            return None
-    x = np.zeros((cols,) + b.shape[1:], dtype=field.array_dtype)
-    for r, col in enumerate(pivot_cols):
-        x[col] = b[r]
-    return x.reshape((cols,) + rhs_shape)
-
+    if np.any(aug[rank:, cols:] != 0):
+        return None
+    x = np.zeros((cols, aug.shape[1] - cols), dtype=field.array_dtype)
+    x[pivot_cols] = aug[:rank, cols:]
+    return x.reshape((cols,) + b.shape[1:])

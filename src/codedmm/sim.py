@@ -159,7 +159,9 @@ def run_trial(
     inputs, when given, is the (A, B) pair to multiply; otherwise a random
     pair is drawn from the trial seed.  The trial rng is consumed in a
     scheme-independent order (inputs, latencies, fault choice), so configs
-    differing only in the scheme see identical latency draws.
+    differing only in the scheme see identical latency draws.  The trial
+    succeeds only when the decode equals the oracle product A^T B; a wrong
+    decode (from corrupted workers) is reported like a failed one.
     """
     rng = _trial_rng(config.seed, trial)
     q = scheme.field.modulus
@@ -192,12 +194,10 @@ def run_trial(
     results = {o.worker: o.block for o in outcomes}
     waited = threshold
     success = False
-    decoded = None
     while waited <= config.N:
         subset = [o.worker for o in outcomes[:waited]]
         try:
-            decoded = scheme.decode(results, subset, dims=(r, t))
-            success = True
+            success = scheme.decode(results, subset, dims=(r, t)) == oracle
             break
         except SingularDecodeSystem:
             waited += 1  # wait for one more arrival and retry
@@ -214,7 +214,7 @@ def run_trial(
         success=success,
         completion_time=completion,
         waited=waited,
-        oracle_match=bool(success and decoded == oracle),
+        oracle_match=success,
     )
 
 

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 
+import pytest
+
 from codedmm.cli import main
 
 
@@ -206,6 +208,28 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, capsys):
         assert main(["verify", "--p", "2"]) == 2
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--scheme", "entangled", "--p", "2", "--m", "1", "--n", "1",
+             "--N", "6", "--trials"),
+            ("fault", "--p", "2", "--m", "2", "--n", "1", "--N", "9", "--errors", "1",
+             "--mode", "correct", "--trials"),
+            ("verify", "--p", "2", "--m", "2", "--n", "1", "--N", "9", "--samples"),
+            ("verify-improved", "--construction", "strassen", "--N", "13", "--samples"),
+            ("conv", "--m", "2", "--n", "2", "--N", "5", "--len", "2", "--samples"),
+        ],
+        ids=["simulate-trials", "fault-trials", "verify-samples",
+             "verify-improved-samples", "conv-samples"],
+    )
+    def test_counts_below_one_are_usage_errors(self, capsys, argv, count):
+        code, out, err = run_cli(capsys, *argv, count)
+        assert code == 2
+        assert out == ""
+        assert "must be at least 1" in err
+        assert "Traceback" not in err
 
     def test_table_format(self, capsys):
         code, out, _ = run_cli(

@@ -80,6 +80,21 @@ class TestOracleMatch:
         result = run_experiment(cfg)
         assert any(not rep.oracle_match for rep in result.reports)
 
+    def test_success_means_exact(self):
+        cfg = config(p=2, m=2, n=1, N=9, trials=50, faults=2, seed=0)
+        result = run_experiment(cfg)
+        wrong = [rep for rep in result.reports if not rep.oracle_match]
+        assert wrong  # the corrupted workers do reach the decoder
+        for rep in result.reports:
+            assert rep.success == rep.oracle_match
+        for rep in wrong:
+            assert rep.completion_time == float("inf")
+            assert rep.waited == cfg.N
+        assert sum(not rep.success for rep in result.reports) == len(wrong)
+        assert result.success_rate == (
+            sum(rep.success for rep in result.reports) / cfg.trials
+        )
+
 
 class TestSharedDraws:
     def test_waited_counts_follow_thresholds(self):
