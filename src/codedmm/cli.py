@@ -23,7 +23,7 @@ from .convolution import conv_decode, conv_encode, conv_spec, conv_worker, field
 from .errors import CodedmmError, TooManyErrors
 from .field import PrimeField
 from .robust import Clean, FaultModel, correct_errors, detect_errors
-from .schemes import EntangledCode, worker_multiply
+from .schemes import EntangledCode
 from .sim import (
     FixedStragglers,
     ShiftedExponential,
@@ -95,7 +95,7 @@ def _verify_scheme(scheme, args, label: str) -> int:
         a, b = _random_inputs(scheme.field, rng, s, r, t)
     r, t = a.cols, b.cols
     oracle = a.transpose() @ b
-    results = {i: worker_multiply(ca, cb) for i, (ca, cb) in enumerate(scheme.encode_all(a, b))}
+    results = dict(enumerate(scheme.worker_products(a, b)))
     k = scheme.recovery_threshold()
     exhaustive = args.exhaustive and comb(scheme.N, k) <= MAX_EXHAUSTIVE_SUBSETS
     if args.exhaustive and not exhaustive:
@@ -166,7 +166,7 @@ def _cmd_fault(args) -> int:
     for trial in range(args.trials):
         a, b = _random_inputs(field, rng, s, r, t)
         oracle = a.transpose() @ b
-        results = [worker_multiply(ca, cb) for ca, cb in code.encode_all(a, b)]
+        results = code.worker_products(a, b)
         corrupted, _ = FaultModel(args.errors, seed=int(rng.integers(1 << 62))).inject(results)
         if args.mode == "detect":
             outcome = detect_errors(code, corrupted, dims=(r, t))

@@ -18,6 +18,7 @@ length.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -109,21 +110,11 @@ class PrimeField:
         return -a % self.modulus
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse via extended Euclid.
-
-        Deterministic and independent of the modulus structure (no reliance
-        on Fermat exponentiation keeps this valid for every prime equally).
-        """
-        a %= self.modulus
+        """Multiplicative inverse, ``pow(a, -1, q)``; DivisionByZero for 0."""
+        a = int(a) % self.modulus
         if a == 0:
             raise DivisionByZero(f"0 has no inverse in GF({self.modulus})")
-        r0, r1 = self.modulus, a
-        t0, t1 = 0, 1
-        while r1:
-            quot = r0 // r1
-            r0, r1 = r1, r0 - quot * r1
-            t0, t1 = t1, t0 - quot * t1
-        return t0 % self.modulus
+        return pow(a, -1, self.modulus)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -235,19 +226,6 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"{self.value} (mod {self.field.modulus})"
-
-
-def field_arith(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch one of {add, sub, mul, div}; handy for table-driven checks."""
-    try:
-        return {
-            "add": a.__add__,
-            "sub": a.__sub__,
-            "mul": a.__mul__,
-            "div": a.__truediv__,
-        }[op](b)
-    except KeyError:
-        raise ValueError(f"unknown op {op!r}") from None
 
 
 class FieldPolynomial:
@@ -468,27 +446,30 @@ def exact_float_terms(q: int) -> int:
 
 
 def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Canonical (a @ b) mod q for 2-D arrays of canonical entries.
+    """Canonical (a @ b) mod q for arrays of canonical entries.
 
-    Object operands multiply as Python ints.  int64 operands run on float64
-    dgemm, in chunks of the contraction that float64 sums exactly, reduced
-    with an int64 ``%`` between chunks; output columns are done in tiles of
-    about _TILE_ELEMS entries.  The result has the operands' dtype.
+    Operands are matrices or equal-length stacks of them, (..., rows, inner)
+    @ (..., inner, cols), one product per stack entry.  Object operands
+    multiply as Python ints.  int64 operands run on float64 BLAS, in chunks
+    of the contraction that float64 sums exactly, reduced with an int64
+    ``%`` between chunks; output columns are done in tiles of about
+    _TILE_ELEMS entries across the whole stack.  The result has the
+    operands' dtype.
     """
     if a.dtype == object or b.dtype == object:
         return (a @ b) % q
     step = exact_float_terms(q)
     if step == 0:
         return modmatmul(a.astype(object), b.astype(object), q).astype(np.int64)
-    rows, inner = a.shape
-    cols = b.shape[1]
-    out = np.zeros((rows, cols), dtype=np.int64)
+    rows, inner = a.shape[-2:]
+    cols = b.shape[-1]
+    out = np.zeros((*np.broadcast_shapes(a.shape[:-2], b.shape[:-2]), rows, cols), dtype=np.int64)
     af = a.astype(np.float64)
-    width = max(1, _TILE_ELEMS // max(rows, 1))
+    width = max(1, _TILE_ELEMS // max(prod(out.shape[:-1]), 1))
     for c0 in range(0, cols, width):
-        tile = out[:, c0:c0 + width]
+        tile = out[..., c0:c0 + width]
         for k0 in range(0, inner, step):
-            part = af[:, k0:k0 + step] @ b[k0:k0 + step, c0:c0 + width].astype(np.float64)
+            part = af[..., k0:k0 + step] @ b[..., k0:k0 + step, c0:c0 + width].astype(np.float64)
             if k0:
                 tile += part.astype(np.int64)
             else:

@@ -29,7 +29,7 @@ from .errors import (
     TooFewWorkers,
     UnknownWorker,
 )
-from .field import PrimeField, lagrange_basis
+from .field import PrimeField, lagrange_basis, modmatmul
 from .linalg import solve_linear_system
 
 
@@ -205,9 +205,9 @@ class CodingScheme(ABC):
     def recovery_threshold(self) -> int:
         """Minimum number of worker results that always suffices to decode."""
 
-    def _encode(self, matrix: MatrixF, parts: int, weights: np.ndarray) -> list[MatrixF]:
-        coded = combine_blocks(self.field, weights, padded_blocks(matrix, self.p, parts))
-        return [MatrixF._wrap(self.field, c) for c in coded]
+    def _encode(self, matrix: MatrixF, parts: int, weights: np.ndarray) -> np.ndarray:
+        """(len(weights), br, bc) stack whose [i] is sum_t weights[i, t] * (block t)."""
+        return combine_blocks(self.field, weights, padded_blocks(matrix, self.p, parts))
 
     def _worker_rows(self, gen: np.ndarray, i: int) -> np.ndarray:
         if not 0 <= i < self.N:
@@ -215,10 +215,12 @@ class CodingScheme(ABC):
         return gen[i:i + 1]
 
     def encode_a(self, a: MatrixF, i: int) -> MatrixF:
-        return self._encode(a, self.m, self._worker_rows(self.gen_a, i))[0]
+        (coded,) = self._encode(a, self.m, self._worker_rows(self.gen_a, i))
+        return MatrixF._wrap(self.field, coded)
 
     def encode_b(self, b: MatrixF, i: int) -> MatrixF:
-        return self._encode(b, self.n, self._worker_rows(self.gen_b, i))[0]
+        (coded,) = self._encode(b, self.n, self._worker_rows(self.gen_b, i))
+        return MatrixF._wrap(self.field, coded)
 
     @abstractmethod
     def decode(
@@ -235,7 +237,18 @@ class CodingScheme(ABC):
 
     def encode_all(self, a: MatrixF, b: MatrixF) -> list[tuple[MatrixF, MatrixF]]:
         """Coded pairs for every worker (partitions the inputs only once)."""
-        return list(zip(self._encode(a, self.m, self.gen_a), self._encode(b, self.n, self.gen_b)))
+        coded_a, coded_b = self._encode(a, self.m, self.gen_a), self._encode(b, self.n, self.gen_b)
+        return [(MatrixF._wrap(self.field, ca), MatrixF._wrap(self.field, cb))
+                for ca, cb in zip(coded_a, coded_b)]
+
+    def worker_products(self, a: MatrixF, b: MatrixF) -> list[MatrixF]:
+        """Every worker's result, in worker order, from one stacked modmatmul.
+
+        Entry i equals worker_multiply(*self.encode_all(a, b)[i]).
+        """
+        coded_a, coded_b = self._encode(a, self.m, self.gen_a), self._encode(b, self.n, self.gen_b)
+        products = modmatmul(coded_a.swapaxes(1, 2), coded_b, self.field.modulus)
+        return [MatrixF._wrap(self.field, block) for block in products]
 
 
 class GeneralPolynomialCode(CodingScheme):
@@ -291,16 +304,6 @@ class EntangledCode(GeneralPolynomialCode):
 
     def __init__(self, p: int, m: int, n: int, N: int, field: PrimeField):
         super().__init__(entangled_spec(p, m, n, N, field))
-
-
-def entangled_decode(
-    spec: PolynomialCodeSpec,
-    results: Mapping[int, MatrixF],
-    subset: Sequence[int],
-    dims: tuple[int, int] | None = None,
-) -> MatrixF:
-    """Decode helper bound to a spec rather than a scheme object."""
-    return GeneralPolynomialCode(spec).decode(results, subset, dims)
 
 
 class UncodedRepetitionCode(CodingScheme):

@@ -24,7 +24,6 @@ from .schemes import (
     EntangledCode,
     RandomLinearCode,
     UncodedRepetitionCode,
-    worker_multiply,
 )
 
 SCHEME_NAMES = ("entangled", "general-poly", "uncoded", "random-linear", "improved")
@@ -178,8 +177,7 @@ def run_trial(
         victims = set(rng.choice(config.N, size=config.faults, replace=False).tolist())
 
     outcomes = []
-    for i, (ca, cb) in enumerate(scheme.encode_all(a, b)):
-        block = worker_multiply(ca, cb)
+    for i, block in enumerate(scheme.worker_products(a, b)):
         if i in victims:
             while True:
                 delta = rng.integers(0, q, size=block.shape)

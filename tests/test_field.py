@@ -6,7 +6,6 @@ from codedmm.errors import DivisionByZero, DuplicateEvaluationPoint, FieldMismat
 from codedmm.field import (
     FieldPolynomial,
     PrimeField,
-    field_arith,
     is_prime,
     lagrange_basis_values,
     lagrange_interpolate,
@@ -41,6 +40,15 @@ class TestPrimeField:
         with pytest.raises(DivisionByZero):
             gf7.inv(0)
 
+    @pytest.mark.parametrize("q", [7, 65537, 2097143, (1 << 61) - 1])
+    def test_inverse_times_element_is_one(self, q, rng):
+        field = PrimeField(q)
+        for _ in range(50):
+            a = rng.randrange(1, q)
+            assert a * field.inv(a) % q == 1
+        with pytest.raises(DivisionByZero):
+            field.inv(q)
+
 
 class TestFieldElement:
     def test_add_wraps(self, gf7, gf257):
@@ -60,15 +68,13 @@ class TestFieldElement:
         with pytest.raises(FieldMismatch):
             gf7(1) + gf257(1)
         with pytest.raises(FieldMismatch):
-            field_arith(gf7(1), gf257(1), "mul")
+            gf7(1) * gf257(1)
 
-    def test_field_arith_dispatch(self, gf7):
-        assert field_arith(gf7(3), gf7(5), "add").value == 1
-        assert field_arith(gf7(3), gf7(5), "sub").value == 5
-        assert field_arith(gf7(3), gf7(5), "mul").value == 1
-        assert field_arith(gf7(3), gf7(5), "div").value == 2  # 3 * 5^-1 = 3 * 3 = 2
-        with pytest.raises(ValueError):
-            field_arith(gf7(1), gf7(1), "pow")
+    def test_operator_arithmetic(self, gf7):
+        assert (gf7(3) + gf7(5)).value == 1
+        assert (gf7(3) - gf7(5)).value == 5
+        assert (gf7(3) * gf7(5)).value == 1
+        assert (gf7(3) / gf7(5)).value == 2  # 3 * 5^-1 = 3 * 3 = 2
 
     def test_axioms_on_random_triples(self, gf257, rng):
         for _ in range(200):

@@ -110,3 +110,41 @@ def test_worker_product_of_length_2_pow_22_does_not_overflow():
     field = PrimeField(q)
     col = MatrixF(field, np.full((1 << 22, 1), q - 1, dtype=np.int64))
     assert worker_multiply(col, col).data.tolist() == [[18]]
+
+
+def check_stacked(q: int, pairs):
+    """modmatmul of the stacked operands against the oracle, one product at a time."""
+    a = np.stack([x for x, _ in pairs])
+    b = np.stack([y for _, y in pairs])
+    got = modmatmul(a, b, q)
+    assert got.dtype == a.dtype
+    assert got.shape == (len(pairs), a.shape[1], b.shape[2])
+    for out, (x, y) in zip(got, pairs):
+        assert out.tolist() == naive_matmul_t(q, x.T.tolist(), y.tolist())
+
+
+def distinct_operands(q: int, rows: int, inner: int, cols: int):
+    """Three different operand pairs, the last one near-maximal."""
+    return [
+        operands(q, rows, inner, cols, seed=inner),
+        operands(q, rows, inner, cols, seed=inner + 1),
+        near_maximal(q, rows, inner, cols),
+    ]
+
+
+@pytest.mark.parametrize("q", MODULI)
+def test_stacked_matches_oracle(q):
+    check_stacked(q, distinct_operands(q, 3, 5, 2))
+
+
+@pytest.mark.parametrize("inner", [2047, 2048, 2049])
+def test_stacked_contraction_lengths_around_one_chunk(inner):
+    check_stacked(Q_INT64_MAX, distinct_operands(Q_INT64_MAX, 2, inner, 3))
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3, 5])
+def test_stacked_widths_straddling_column_tiles(monkeypatch, cols):
+    # 12 entries per tile over 3 products of 2 rows: tiles are 2 columns wide
+    monkeypatch.setattr(field_module, "_TILE_ELEMS", 12)
+    check_stacked(Q_INT64_MAX, distinct_operands(Q_INT64_MAX, 2, 2049, cols))
+

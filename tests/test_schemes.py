@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from codedmm.bilinear import ImprovedBilinearCode, strassen_construction
+from codedmm.bilinear import ImprovedBilinearCode, standard_construction, strassen_construction
 from codedmm.blocks import MatrixF, partition
 from codedmm.errors import (
     CodedmmError,
@@ -15,13 +15,13 @@ from codedmm.errors import (
     TooFewWorkers,
     UnknownWorker,
 )
+from codedmm.field import PrimeField
 from codedmm.schemes import (
     EntangledCode,
     GeneralPolynomialCode,
     PolynomialCodeSpec,
     RandomLinearCode,
     UncodedRepetitionCode,
-    entangled_decode,
     entangled_spec,
     general_poly_encode,
     worker_multiply,
@@ -115,6 +115,34 @@ class TestWorkerMultiply:
         assert worker_multiply(eye, eye) == eye
 
 
+BATCHED = {
+    "entangled": lambda f: EntangledCode(2, 2, 1, 6, f),
+    "general-poly": lambda f: GeneralPolynomialCode(PolynomialCodeSpec(
+        p=2, m=2, n=1, N=6, alpha=2, beta=1, theta=6, x_points=tuple(range(6)), field=f,
+    )),
+    "uncoded": lambda f: UncodedRepetitionCode(2, 2, 1, 6, f),
+    "random-linear": lambda f: RandomLinearCode(2, 2, 1, 8, f, seed=3),
+    "improved": lambda f: ImprovedBilinearCode(standard_construction(2, 1, 1), 5, f),
+}
+
+
+class TestWorkerProducts:
+    @pytest.mark.parametrize("q", [7, 65537, 2097143, (1 << 61) - 1])
+    @pytest.mark.parametrize("name", sorted(BATCHED))
+    def test_equals_per_worker_loop(self, name, q, rng):
+        # 5 x 3 and 5 x 2 inputs leave every block grid padded
+        field = PrimeField(q)
+        scheme = BATCHED[name](field)
+        a, b = random_matrix(field, 5, 3, rng), random_matrix(field, 5, 2, rng)
+        got = scheme.worker_products(a, b)
+        want = [worker_multiply(ca, cb) for ca, cb in scheme.encode_all(a, b)]
+        assert len(got) == len(want) == scheme.N
+        for g, w in zip(got, want):
+            assert g == w
+            assert g.data.dtype == w.data.dtype
+            assert [type(v) for v in g.data.flat] == [type(v) for v in w.data.flat]
+
+
 class TestEntangledDecode:
     def test_worked_example_all_subsets(self, gf7):
         code = EntangledCode(2, 1, 1, 5, gf7)
@@ -132,7 +160,7 @@ class TestEntangledDecode:
         a = MatrixF(gf7, [[1], [2]])
         b = MatrixF(gf7, [[3], [4]])
         results = run_workers(code, a, b)
-        got = entangled_decode(spec, results, (0, 3, 4), dims=(1, 1))
+        got = GeneralPolynomialCode(spec).decode(results, (0, 3, 4), dims=(1, 1))
         assert got.data.tolist() == [[4]]
 
     def test_all_zero_inputs(self, gf65537):
