@@ -171,13 +171,19 @@ def combine_blocks(field: PrimeField, weights: np.ndarray, blocks: np.ndarray) -
 def assemble(blocks: Sequence[Sequence[MatrixF]]) -> MatrixF:
     """Concatenate a grid of equal-shape blocks into one matrix."""
     first = blocks[0][0]
-    for row in blocks:
+    for i, row in enumerate(blocks):
+        if len(row) != len(blocks[0]):
+            raise BlockShapeMismatch(f"grid row {i} has {len(row)} blocks, row 0 has {len(blocks[0])}")
         for blk in row:
             if blk.shape != first.shape:
                 raise BlockShapeMismatch(f"{blk.shape} vs {first.shape}")
             if blk.field != first.field:
                 raise FieldMismatch("blocks over different fields")
-    data = np.block([[blk.data for blk in row] for row in blocks])
+    br, bc = first.shape
+    data = np.empty((len(blocks) * br, len(blocks[0]) * bc), dtype=first.field.array_dtype)
+    for i, row in enumerate(blocks):
+        for j, blk in enumerate(row):
+            data[i * br:(i + 1) * br, j * bc:(j + 1) * bc] = blk.data
     return MatrixF._wrap(first.field, data)
 
 

@@ -55,3 +55,7 @@ class UnknownWorker(CodedmmError):
 
 class MissingResult(CodedmmError):
     """A worker named in a decode subset has no result."""
+
+
+class UnsupportedScheme(CodedmmError):
+    """The operation is not defined for this coding scheme."""

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .blocks import MatrixF, combine_blocks, interpolate_block_polynomial
-from .errors import TooManyErrors
+from .errors import TooManyErrors, UnsupportedScheme
 from .field import FieldPolynomial, PrimeField, vandermonde
 from .linalg import solve_linear_system
 from .schemes import GeneralPolynomialCode
@@ -80,6 +80,21 @@ def _eval_coeff_blocks(
     return combine_blocks(field, vandermonde(field, xs, len(coeffs)), stack)
 
 
+def _repair_threshold(code, results: Sequence[MatrixF]) -> int:
+    """Check that code is a polynomial code and results cover all N workers; returns K.
+
+    Detection and repair interpolate through the workers' evaluation points,
+    which only polynomial codes have.
+    """
+    if not isinstance(code, GeneralPolynomialCode):
+        raise UnsupportedScheme(
+            f"error detection and correction need a polynomial code, got {type(code).__name__}"
+        )
+    if len(results) != code.N:
+        raise ValueError(f"need all {code.N} results, got {len(results)}")
+    return code.recovery_threshold()
+
+
 def detect_errors(
     code: GeneralPolynomialCode,
     results: Sequence[MatrixF],
@@ -92,9 +107,7 @@ def detect_errors(
     a wrong Clean: the fit would disagree with some uncorrupted worker.
     """
     N = code.N
-    if len(results) != N:
-        raise ValueError(f"need all {N} results, got {len(results)}")
-    k_need = code.recovery_threshold()
+    k_need = _repair_threshold(code, results)
     xs = code.spec.x_points
     coeffs = interpolate_block_polynomial([(xs[w], results[w]) for w in range(k_need)])
     rest = list(range(k_need, N))
@@ -173,9 +186,7 @@ def correct_errors(
     TooManyErrors when no pilot produces a verified decode.
     """
     N = code.N
-    if len(results) != N:
-        raise ValueError(f"need all {N} results, got {len(results)}")
-    k_need = code.recovery_threshold()
+    k_need = _repair_threshold(code, results)
     xs = code.spec.x_points
     e_max = (N - k_need) // 2
     shape = results[0].shape

@@ -361,9 +361,15 @@ class RandomLinearCode(CodingScheme):
     """Uniformly random linear combinations on both sides.
 
     Each result is a random combination of all p^2·mn pairwise block
-    products, so decoding solves a linear system; any p^2·mn results
-    suffice with high probability, and a singular draw is reported rather
-    than hidden (callers wait for one more worker and retry).
+    products, so any p^2·mn results suffice with high probability, and a
+    singular draw is reported rather than hidden (callers wait for one more
+    worker and retry).
+
+    The results form a linear code: R = G X, with G the N x p^2mn product
+    generator and X the stacked pairwise products.  Decoding is erasure
+    decoding through parity checks H (H G = 0): the missing results solve
+    H[:, E] R_E = -H[:, S] R_S, an elimination over the erased workers E
+    only, and X = L R for a left inverse L of G (L G = I).
     """
 
     def __init__(self, p: int, m: int, n: int, N: int, field: PrimeField, seed: int = 0):
@@ -381,6 +387,16 @@ class RandomLinearCode(CodingScheme):
         self.gen_b = np.array(
             rng.integers(0, q, size=(N, p * n)), dtype=field.array_dtype
         )
+        # row w: result_w = sum over pairs ((j,k),(j',k')) of
+        #        gen_a[w,(j,k)] * gen_b[w,(j',k')] * (A[j,k]^T B[j',k'])
+        gen = (self.gen_a[:, :, None] * self.gen_b[:, None, :] % q).reshape(N, -1)
+        # G^T Y = I gives the left inverse L = Y^T; None when rank(G) < p^2mn
+        inverse_t = solve_linear_system(field, gen.T, np.eye(unknowns, dtype=np.int64))
+        if inverse_t is None:
+            self._left_inverse = self._parity = None
+        else:
+            self._left_inverse = inverse_t.T
+            self._parity = (np.eye(N, dtype=field.array_dtype) - modmatmul(gen, inverse_t.T, q)) % q
 
     def recovery_threshold(self) -> int:
         return self.p * self.p * self.m * self.n
@@ -394,25 +410,36 @@ class RandomLinearCode(CodingScheme):
         unknowns = self.recovery_threshold()
         if len(subset) < unknowns:
             raise InsufficientResults(f"got {len(subset)} results, need {unknowns}")
+        got = dict(zip(subset, gather_results(results, subset, self.N)))
+        if self._left_inverse is None:
+            raise SingularDecodeSystem("the product generator matrix has rank below p^2mn")
         q = self.field.modulus
-        use = list(subset)
-        # row w: result_w = sum over pairs ((j,k),(j',k')) of
-        #        gen_a[w,(j,k)] * gen_b[w,(j',k')] * (A[j,k]^T B[j',k'])
-        rhs = np.stack([r.data for r in gather_results(results, use, self.N)])
-        rows = (self.gen_a[use, :, None] * self.gen_b[use, None, :] % q).reshape(len(use), -1)
-        solved = solve_linear_system(self.field, rows, rhs, require_full_column_rank=True)
-        if solved is None:
+        known = sorted(got)
+        erased = [w for w in range(self.N) if w not in got]
+        received = np.stack([got[w].data for w in known])
+        br, bc = received.shape[1:]
+        flat = received.reshape(len(known), -1)
+        # R_E is unique exactly when G's rows at the known workers have full
+        # column rank; there is none when the known results fit no codeword
+        filled = solve_linear_system(
+            self.field,
+            self._parity[:, erased],
+            -modmatmul(self._parity[:, known], flat, q),
+            require_full_column_rank=True,
+        )
+        if filled is None:
             raise SingularDecodeSystem(
-                f"coefficient matrix is rank-deficient for this subset of {len(use)} workers"
+                f"no unique decode from this subset of {len(subset)} workers: "
+                "the coefficient matrix is rank-deficient or the results are inconsistent"
             )
-        products = solved.reshape(self.p * self.m, self.p * self.n, *rhs.shape[1:])
-        grid = []
-        for k in range(self.m):
-            row = []
-            for kp in range(self.n):
-                acc = np.zeros(rhs.shape[1:], dtype=self.field.array_dtype)
-                for j in range(self.p):
-                    acc = acc + products[j * self.m + k, j * self.n + kp]
-                row.append(MatrixF(self.field, acc))
-            grid.append(row)
-        return assemble_product(grid, dims)
+        full = np.empty((self.N, br * bc), dtype=self.field.array_dtype)
+        full[known] = flat
+        full[erased] = filled
+        p, m, n = self.p, self.m, self.n
+        products = modmatmul(self._left_inverse, full, q).reshape(p, m, p, n, br, bc)
+        # output block (k, k') sums the aligned products A[j,k]^T B[j,k'] over j
+        blocks = products[range(p), :, range(p)].sum(axis=0) % q
+        return assemble_product(
+            [[MatrixF._wrap(self.field, blocks[k, kp]) for kp in range(n)] for k in range(m)],
+            dims,
+        )

@@ -50,3 +50,21 @@ def random_matrix(field: PrimeField, rows: int, cols: int, rng) -> MatrixF:
         field,
         [[rng.randrange(field.modulus) for _ in range(cols)] for _ in range(rows)],
     )
+
+
+def rank_mod(q: int, rows) -> int:
+    """Rank over GF(q) of a list-of-lists matrix, by Gaussian elimination on ints."""
+    m = [[x % q for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], q - 2, q)
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c] * inv % q
+                m[r] = [(x - f * y) % q for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank

@@ -15,7 +15,7 @@ from codedmm.blocks import (
     write_matrix_text,
 )
 from codedmm.errors import BlockShapeMismatch, FieldMismatch
-from codedmm.field import lagrange_interpolate
+from codedmm.field import PrimeField, lagrange_interpolate
 
 from oracles import direct_convolution, oracle_product, random_matrix
 
@@ -113,6 +113,21 @@ class TestAssembleProduct:
                 row.append(acc)
             grid.append(row)
         assert assemble_product(grid, (4, 4)) == oracle_product(a, b)
+
+    @pytest.mark.parametrize("q", [7, 2**61 - 1])
+    def test_matches_np_block(self, q, rng):
+        field = PrimeField(q)
+        for rows, cols, br, bc in ((1, 1, 1, 1), (3, 1, 1, 1), (2, 3, 2, 1), (2, 2, 3, 4)):
+            grid = [[random_matrix(field, br, bc, rng) for _ in range(cols)] for _ in range(rows)]
+            want = np.block([[blk.data for blk in row] for row in grid])
+            got = assemble(grid).data
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tolist() == want.tolist()
+
+    def test_ragged_grid(self, gf7):
+        blk = MatrixF(gf7, [[1]])
+        with pytest.raises(BlockShapeMismatch):
+            assemble([[blk, blk], [blk]])
 
 
 class TestPartitionVector:

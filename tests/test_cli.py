@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +171,34 @@ class TestSimulate:
         assert code == 0
         _, rows = parse_csv(out)
         assert all(row[4] == "1.000000" for row in rows)
+
+
+class TestModuleEntryPoint:
+    """`python -m codedmm` runs in a fresh interpreter and exits with main's code."""
+
+    SIMULATE = ("simulate", "--scheme", "random-linear", "--p", "2", "--m", "1",
+                "--n", "1", "--N", "6", "--seed", "3")
+
+    def run_module(self, *argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-m", "codedmm", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_simulate_exits_zero(self):
+        proc = self.run_module(*self.SIMULATE, "--trials", "3")
+        assert proc.returncode == 0, proc.stderr
+        header, rows = parse_csv(proc.stdout)
+        assert header == ["trial", "scheme", "N", "K", "completion_time", "waited", "success"]
+        assert len(rows) == 3
+
+    def test_usage_error_exits_two(self):
+        proc = self.run_module(*self.SIMULATE, "--trials", "0")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "must be at least 1" in proc.stderr
 
 
 class TestValidateConstruction:

@@ -3,8 +3,9 @@ relations."""
 
 import pytest
 
+from codedmm.bilinear import ImprovedBilinearCode, strassen_construction
 from codedmm.blocks import MatrixF
-from codedmm.errors import TooManyErrors
+from codedmm.errors import CodedmmError, TooManyErrors
 from codedmm.robust import (
     Clean,
     ErrorDetected,
@@ -13,7 +14,12 @@ from codedmm.robust import (
     detect_errors,
     hamming_relations,
 )
-from codedmm.schemes import EntangledCode, worker_multiply
+from codedmm.schemes import (
+    EntangledCode,
+    RandomLinearCode,
+    UncodedRepetitionCode,
+    worker_multiply,
+)
 
 from oracles import oracle_product, random_matrix
 
@@ -149,6 +155,22 @@ class TestCorrect:
                 corrupted, _ = FaultModel(budget, seed).inject(results)
                 got = correct_errors(code, corrupted, dims=(2 * m, 2 * n))
                 assert got == oracle
+
+
+class TestNonPolynomialSchemes:
+    """Repair needs evaluation points; other schemes get a typed refusal."""
+
+    @pytest.mark.parametrize("make_code", [
+        lambda f: RandomLinearCode(1, 2, 1, 4, f, seed=3),
+        lambda f: UncodedRepetitionCode(2, 1, 1, 4, f),
+        lambda f: ImprovedBilinearCode(strassen_construction(), 13, f),
+    ], ids=["random-linear", "uncoded", "improved"])
+    @pytest.mark.parametrize("repair", [detect_errors, correct_errors])
+    def test_typed_error_names_the_scheme(self, make_code, repair, gf65537, rng):
+        code = make_code(gf65537)
+        results = make_results(code, random_matrix(gf65537, 4, 4, rng), random_matrix(gf65537, 4, 4, rng))
+        with pytest.raises(CodedmmError, match=type(code).__name__):
+            repair(code, results)
 
 
 class TestConsistencyTriangle:

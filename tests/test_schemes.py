@@ -12,6 +12,7 @@ from codedmm.errors import (
     FieldTooSmall,
     InsufficientResults,
     MissingResult,
+    SingularDecodeSystem,
     TooFewWorkers,
     UnknownWorker,
 )
@@ -27,7 +28,7 @@ from codedmm.schemes import (
     worker_multiply,
 )
 
-from oracles import oracle_product, random_matrix
+from oracles import oracle_product, random_matrix, rank_mod
 
 
 def run_workers(scheme, a, b):
@@ -293,8 +294,6 @@ class TestRandomLinear:
 
     def test_singular_system_reported(self, gf7):
         # tiny field makes singular draws likely; scan seeds for one
-        from codedmm.errors import SingularDecodeSystem
-
         hit = False
         for seed in range(40):
             code = RandomLinearCode(2, 1, 1, 6, gf7, seed=seed)
@@ -307,6 +306,71 @@ class TestRandomLinear:
             except SingularDecodeSystem:
                 hit = True
         assert hit, "expected at least one singular subset over GF(7)"
+
+
+def product_generator_rows(code, workers):
+    """Rows of G at the given workers, as Python ints: gen_a[w] (x) gen_b[w] mod q."""
+    q = code.field.modulus
+    ga, gb = code.gen_a.tolist(), code.gen_b.tolist()
+    return [[x * y % q for x in ga[w] for y in gb[w]] for w in workers]
+
+
+class TestRandomLinearErasureDecode:
+    """Decoding through parity checks against the rank of G on the subset."""
+
+    @pytest.mark.parametrize("q", [7, 11, 65537, 2097143, 2**61 - 1])
+    def test_every_subset_decodes_exactly_when_full_rank(self, q, rng):
+        field = PrimeField(q)
+        outcomes = {"decoded": 0, "singular": 0}
+        for seed in range(4):
+            code = RandomLinearCode(2, 1, 1, 6, field, seed=seed)
+            k = code.recovery_threshold()
+            a = random_matrix(field, 4, 2, rng)
+            b = random_matrix(field, 4, 3, rng)
+            oracle = oracle_product(a, b)
+            results = run_workers(code, a, b)
+            for size in range(k, code.N + 1):
+                for sub in combinations(range(code.N), size):
+                    full_rank = rank_mod(q, product_generator_rows(code, sub)) == k
+                    try:
+                        got = code.decode(results, list(sub), dims=(2, 3))
+                    except SingularDecodeSystem:
+                        assert not full_rank, (seed, sub)
+                        outcomes["singular"] += 1
+                    else:
+                        assert full_rank, (seed, sub)
+                        assert got == oracle, (seed, sub)
+                        outcomes["decoded"] += 1
+        assert outcomes["decoded"] > 0
+        if q < 12:
+            assert outcomes["singular"] > 0
+
+    @pytest.mark.parametrize("q", [65537, 2**61 - 1])
+    def test_corrupted_result_with_all_workers_raises(self, q, rng):
+        field = PrimeField(q)
+        code = RandomLinearCode(2, 1, 1, 6, field, seed=1)
+        a = random_matrix(field, 4, 2, rng)
+        b = random_matrix(field, 4, 3, rng)
+        results = run_workers(code, a, b)
+        assert code.decode(results, list(range(code.N)), dims=(2, 3)) == oracle_product(a, b)
+        for w in range(code.N):
+            # a corruption fits some codeword only if G without row w loses rank
+            rest = [v for v in range(code.N) if v != w]
+            assert rank_mod(q, product_generator_rows(code, rest)) == code.recovery_threshold()
+            bad = dict(results)
+            bad[w] = MatrixF(field, results[w].data + 1)
+            with pytest.raises(SingularDecodeSystem):
+                code.decode(bad, list(range(code.N)), dims=(2, 3))
+
+    def test_repeated_workers(self, gf65537, rng):
+        code = RandomLinearCode(2, 1, 1, 6, gf65537, seed=0)
+        assert rank_mod(65537, product_generator_rows(code, range(4))) == 4
+        a = random_matrix(gf65537, 4, 2, rng)
+        b = random_matrix(gf65537, 4, 3, rng)
+        results = run_workers(code, a, b)
+        with pytest.raises(SingularDecodeSystem):
+            code.decode(results, [0, 0, 1, 2], dims=(2, 3))
+        assert code.decode(results, [0, 1, 2, 3, 3], dims=(2, 3)) == oracle_product(a, b)
 
 
 SCHEMES = {
