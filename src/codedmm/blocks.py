@@ -173,7 +173,7 @@ def assemble(blocks: Sequence[Sequence[MatrixF]]) -> MatrixF:
     first = blocks[0][0]
     for i, row in enumerate(blocks):
         if len(row) != len(blocks[0]):
-            raise BlockShapeMismatch(f"grid row {i} has {len(row)} blocks, row 0 has {len(blocks[0])}")
+            raise ValueError(f"grid row {i} has {len(row)} blocks, row 0 has {len(blocks[0])}")
         for blk in row:
             if blk.shape != first.shape:
                 raise BlockShapeMismatch(f"{blk.shape} vs {first.shape}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -366,10 +367,13 @@ class RandomLinearCode(CodingScheme):
     worker and retry).
 
     The results form a linear code: R = G X, with G the N x p^2mn product
-    generator and X the stacked pairwise products.  Decoding is erasure
-    decoding through parity checks H (H G = 0): the missing results solve
-    H[:, E] R_E = -H[:, S] R_S, an elimination over the erased workers E
-    only, and X = L R for a left inverse L of G (L G = I).
+    generator and X the stacked pairwise products.  A decode from the
+    workers S either solves G[S] X = R_S directly (p^2mn pivots over |S|
+    rows) or, when few workers are missing, decodes erasures through parity
+    checks H (H G = 0): the missing results solve H[:, E] R_E = -H[:, S] R_S,
+    an elimination with |E| pivots over N rows, and X = L R for a left
+    inverse L of G (L G = I).  Both give the same product and fail on the
+    same subsets; decode picks one by counting the row updates each makes.
     """
 
     def __init__(self, p: int, m: int, n: int, N: int, field: PrimeField, seed: int = 0):
@@ -389,14 +393,24 @@ class RandomLinearCode(CodingScheme):
         )
         # row w: result_w = sum over pairs ((j,k),(j',k')) of
         #        gen_a[w,(j,k)] * gen_b[w,(j',k')] * (A[j,k]^T B[j',k'])
-        gen = (self.gen_a[:, :, None] * self.gen_b[:, None, :] % q).reshape(N, -1)
-        # G^T Y = I gives the left inverse L = Y^T; None when rank(G) < p^2mn
-        inverse_t = solve_linear_system(field, gen.T, np.eye(unknowns, dtype=np.int64))
+        self._gen = (self.gen_a[:, :, None] * self.gen_b[:, None, :] % q).reshape(N, -1)
+
+    @cached_property
+    def _parity_decoder(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(L, H) with L G = I and H = I - G L, or None when rank(G) < p^2mn.
+
+        Built on the first erasure decode: H is N x N, and a code with many
+        more workers than unknowns may never need it.
+        """
+        gen, q = self._gen, self.field.modulus
+        unknowns = gen.shape[1]
+        # G^T Y = I gives the left inverse L = Y^T
+        inverse_t = solve_linear_system(self.field, gen.T, np.eye(unknowns, dtype=np.int64))
         if inverse_t is None:
-            self._left_inverse = self._parity = None
-        else:
-            self._left_inverse = inverse_t.T
-            self._parity = (np.eye(N, dtype=field.array_dtype) - modmatmul(gen, inverse_t.T, q)) % q
+            return None
+        left_inverse = inverse_t.T
+        parity = (np.eye(self.N, dtype=self.field.array_dtype) - modmatmul(gen, left_inverse, q)) % q
+        return left_inverse, parity
 
     def recovery_threshold(self) -> int:
         return self.p * self.p * self.m * self.n
@@ -411,35 +425,55 @@ class RandomLinearCode(CodingScheme):
         if len(subset) < unknowns:
             raise InsufficientResults(f"got {len(subset)} results, need {unknowns}")
         got = dict(zip(subset, gather_results(results, subset, self.N)))
-        if self._left_inverse is None:
-            raise SingularDecodeSystem("the product generator matrix has rank below p^2mn")
-        q = self.field.modulus
         known = sorted(got)
         erased = [w for w in range(self.N) if w not in got]
         received = np.stack([got[w].data for w in known])
         br, bc = received.shape[1:]
         flat = received.reshape(len(known), -1)
-        # R_E is unique exactly when G's rows at the known workers have full
+        # each pivot updates every row of its system: |E| pivots over N rows
+        # for the erasures against p^2mn pivots over |S| rows for G[S]; the
+        # erasure system's row updates, with its two modmatmuls, measured up
+        # to twice as costly as the direct solve's
+        if 2 * len(erased) * self.N < unknowns * len(known):
+            solved = self._decode_erasures(known, erased, flat)
+        else:
+            solved = solve_linear_system(
+                self.field, self._gen[known], flat, require_full_column_rank=True
+            )
+        # X is unique exactly when G's rows at the known workers have full
         # column rank; there is none when the known results fit no codeword
-        filled = solve_linear_system(
-            self.field,
-            self._parity[:, erased],
-            -modmatmul(self._parity[:, known], flat, q),
-            require_full_column_rank=True,
-        )
-        if filled is None:
+        if solved is None:
             raise SingularDecodeSystem(
                 f"no unique decode from this subset of {len(subset)} workers: "
                 "the coefficient matrix is rank-deficient or the results are inconsistent"
             )
-        full = np.empty((self.N, br * bc), dtype=self.field.array_dtype)
-        full[known] = flat
-        full[erased] = filled
         p, m, n = self.p, self.m, self.n
-        products = modmatmul(self._left_inverse, full, q).reshape(p, m, p, n, br, bc)
+        products = solved.reshape(p, m, p, n, br, bc)
         # output block (k, k') sums the aligned products A[j,k]^T B[j,k'] over j
-        blocks = products[range(p), :, range(p)].sum(axis=0) % q
+        blocks = products[range(p), :, range(p)].sum(axis=0) % self.field.modulus
         return assemble_product(
             [[MatrixF._wrap(self.field, blocks[k, kp]) for kp in range(n)] for k in range(m)],
             dims,
         )
+
+    def _decode_erasures(
+        self, known: list[int], erased: list[int], received: np.ndarray
+    ) -> np.ndarray | None:
+        """X = L R with R_E filled in from H[:, E] R_E = -H[:, S] R_S; None if not unique."""
+        decoder = self._parity_decoder
+        if decoder is None:
+            return None
+        left_inverse, parity = decoder
+        q = self.field.modulus
+        filled = solve_linear_system(
+            self.field,
+            parity[:, erased],
+            -modmatmul(parity[:, known], received, q),
+            require_full_column_rank=True,
+        )
+        if filled is None:
+            return None
+        full = np.empty((self.N, received.shape[1]), dtype=self.field.array_dtype)
+        full[known] = received
+        full[erased] = filled
+        return modmatmul(left_inverse, full, q)

@@ -2,6 +2,7 @@
 
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from codedmm.bilinear import ImprovedBilinearCode, standard_construction, strassen_construction
@@ -17,6 +18,7 @@ from codedmm.errors import (
     UnknownWorker,
 )
 from codedmm.field import PrimeField
+from codedmm.linalg import solve_linear_system
 from codedmm.schemes import (
     EntangledCode,
     GeneralPolynomialCode,
@@ -361,6 +363,53 @@ class TestRandomLinearErasureDecode:
             bad[w] = MatrixF(field, results[w].data + 1)
             with pytest.raises(SingularDecodeSystem):
                 code.decode(bad, list(range(code.N)), dims=(2, 3))
+
+    @pytest.mark.parametrize("q", [7, 65537, 2**61 - 1])
+    def test_erasure_and_direct_solves_agree(self, q, rng):
+        """decode picks its elimination by size; both agree on every subset."""
+        field = PrimeField(q)
+        taken = {"erasure": 0, "direct": 0}
+        # K = 4 of N = 6 and K = 2 of N = 7: both paths occur in each
+        for code in (RandomLinearCode(2, 1, 1, 6, field, seed=2),
+                     RandomLinearCode(1, 2, 1, 7, field, seed=2)):
+            erasure_solve = code._decode_erasures
+
+            def counted(*args, erasure_solve=erasure_solve):
+                taken["erasure"] += 1
+                return erasure_solve(*args)
+
+            code._decode_erasures = counted
+            a = random_matrix(field, 2 * code.p, 2 * code.m, rng)
+            b = random_matrix(field, 2 * code.p, 3 * code.n, rng)
+            clean = run_workers(code, a, b)
+            bad = dict(clean)
+            bad[0] = MatrixF(field, (clean[0].data + 1) % q)
+            for results in (clean, bad):
+                for size in range(code.recovery_threshold(), code.N + 1):
+                    for sub in combinations(range(code.N), size):
+                        known = list(sub)
+                        erased = [w for w in range(code.N) if w not in sub]
+                        flat = np.stack([results[w].data.reshape(-1) for w in known])
+                        direct = solve_linear_system(
+                            field, product_generator_rows(code, known), flat,
+                            require_full_column_rank=True,
+                        )
+                        erasure = erasure_solve(known, erased, flat)
+                        assert (direct is None) == (erasure is None), sub
+                        if direct is not None:
+                            assert direct.tolist() == erasure.tolist(), sub
+                        before = taken["erasure"]
+                        try:
+                            got = code.decode(results, known, dims=(a.cols, b.cols))
+                        except SingularDecodeSystem:
+                            assert direct is None, sub
+                        else:
+                            assert direct is not None, sub
+                            if results is clean:
+                                assert got == oracle_product(a, b), sub
+                        if taken["erasure"] == before:
+                            taken["direct"] += 1
+        assert taken["erasure"] > 0 and taken["direct"] > 0
 
     def test_repeated_workers(self, gf65537, rng):
         code = RandomLinearCode(2, 1, 1, 6, gf65537, seed=0)
