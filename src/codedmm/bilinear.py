@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .blocks import MatrixF, assemble_product, combine_blocks
+from .blocks import combine_blocks
 from .errors import (
     BlockShapeMismatch,
     ConstructionTooLarge,
@@ -263,29 +263,18 @@ class ImprovedBilinearCode(CodingScheme):
         """(R, br, bc) coded vector: entry r is sum_(j,k) tensor[r, j, k] * grid[j, k]."""
         return combine_blocks(self.field, tensor.reshape(len(tensor), -1), grid.stacked())
 
-    def decode(
-        self,
-        results: Mapping[int, MatrixF],
-        subset: Sequence[int],
-        dims: tuple[int, int] | None = None,
-    ) -> MatrixF:
+    def _decode_received(
+        self, received: np.ndarray, subset: Sequence[int], dims: tuple[int, int] | None
+    ) -> np.ndarray:
         k_need = self.recovery_threshold()
-        if len(subset) < k_need:
-            raise InsufficientResults(f"got {len(subset)} results, need {k_need}")
-        use = list(subset)
-        got = gather_results(results, use, self.N)[:k_need]
-        ys = [self.y_points[w] for w in use[:k_need]]
+        ys = [self.y_points[w] for w in subset[:k_need]]
         # element-wise products are the product polynomial at the x points;
         # c maps them to the output blocks, so one (mn, K) map decodes
         at_x = lagrange_matrix(self.field, ys, self.x_points)
         r = self.construction.rank
         decode_map = modmatmul(self._c.reshape(r, -1).T, at_x, self.field.modulus)
-        blocks = combine_blocks(self.field, decode_map, np.stack([g.data for g in got]))
-        grid = [
-            [MatrixF._wrap(self.field, blocks[j * self.n + k]) for k in range(self.n)]
-            for j in range(self.m)
-        ]
-        return assemble_product(grid, dims)
+        blocks = combine_blocks(self.field, decode_map, received[:k_need])
+        return self._assemble(blocks, dims)
 
 
 class ElementwiseProductCode:

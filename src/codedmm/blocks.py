@@ -168,23 +168,26 @@ def combine_blocks(field: PrimeField, weights: np.ndarray, blocks: np.ndarray) -
     return coded.reshape(len(weights), br, bc)
 
 
+def assemble_array(blocks: np.ndarray, true_dims: tuple[int, int] | None = None) -> np.ndarray:
+    """The matrix of an (m, n, br, bc) block array, cut to true_dims.
+
+    With true_dims None the padded (m*br, n*bc) matrix is returned.
+    """
+    m, n, br, bc = blocks.shape
+    full = blocks.swapaxes(1, 2).reshape(m * br, n * bc)
+    if true_dims is None:
+        return full
+    r, t = true_dims
+    if r > full.shape[0] or t > full.shape[1]:
+        raise BlockShapeMismatch(
+            f"true dims {true_dims} exceed assembled shape {full.shape}"
+        )
+    return full[:r, :t]
+
+
 def assemble(blocks: Sequence[Sequence[MatrixF]]) -> MatrixF:
     """Concatenate a grid of equal-shape blocks into one matrix."""
-    first = blocks[0][0]
-    for i, row in enumerate(blocks):
-        if len(row) != len(blocks[0]):
-            raise ValueError(f"grid row {i} has {len(row)} blocks, row 0 has {len(blocks[0])}")
-        for blk in row:
-            if blk.shape != first.shape:
-                raise BlockShapeMismatch(f"{blk.shape} vs {first.shape}")
-            if blk.field != first.field:
-                raise FieldMismatch("blocks over different fields")
-    br, bc = first.shape
-    data = np.empty((len(blocks) * br, len(blocks[0]) * bc), dtype=first.field.array_dtype)
-    for i, row in enumerate(blocks):
-        for j, blk in enumerate(row):
-            data[i * br:(i + 1) * br, j * bc:(j + 1) * bc] = blk.data
-    return MatrixF._wrap(first.field, data)
+    return assemble_product(blocks, None)
 
 
 def assemble_product(
@@ -194,15 +197,17 @@ def assemble_product(
 
     With true_dims None the padded product is returned.
     """
-    full = assemble(blocks)
-    if true_dims is None:
-        return full
-    r, t = true_dims
-    if r > full.rows or t > full.cols:
-        raise BlockShapeMismatch(
-            f"true dims {true_dims} exceed assembled shape {full.shape}"
-        )
-    return MatrixF._wrap(full.field, full.data[:r, :t])
+    first = blocks[0][0]
+    for i, row in enumerate(blocks):
+        if len(row) != len(blocks[0]):
+            raise ValueError(f"grid row {i} has {len(row)} blocks, row 0 has {len(blocks[0])}")
+        for blk in row:
+            if blk.shape != first.shape:
+                raise BlockShapeMismatch(f"{blk.shape} vs {first.shape}")
+            if blk.field != first.field:
+                raise FieldMismatch("blocks over different fields")
+    data = np.stack([np.stack([blk.data for blk in row]) for row in blocks])
+    return MatrixF._wrap(first.field, assemble_array(data, true_dims))
 
 
 def partition_vector(field: PrimeField, vec, parts: int, block_len: int | None = None) -> list[np.ndarray]:

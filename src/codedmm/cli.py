@@ -94,8 +94,8 @@ def _verify_scheme(scheme, args, label: str) -> int:
         s, r, t = 2 * scheme.p, 2 * scheme.m, 2 * scheme.n
         a, b = _random_inputs(scheme.field, rng, s, r, t)
     r, t = a.cols, b.cols
-    oracle = a.transpose() @ b
-    results = dict(enumerate(scheme.worker_products(a, b)))
+    oracle = (a.transpose() @ b).data
+    products = scheme.worker_products(a, b)
     k = scheme.recovery_threshold()
     exhaustive = args.exhaustive and comb(scheme.N, k) <= MAX_EXHAUSTIVE_SUBSETS
     if args.exhaustive and not exhaustive:
@@ -103,7 +103,7 @@ def _verify_scheme(scheme, args, label: str) -> int:
     subsets = _subset_iter(scheme.N, k, exhaustive, rng, args.samples)
     failures = 0
     for sub in subsets:
-        if scheme.decode(results, sub, dims=(r, t)) != oracle:
+        if not np.array_equal(scheme.decode_received(products[list(sub)], sub, dims=(r, t)), oracle):
             failures += 1
     mode = "exhaustive" if exhaustive else "sampled"
     _emit(
@@ -166,7 +166,7 @@ def _cmd_fault(args) -> int:
     for trial in range(args.trials):
         a, b = _random_inputs(field, rng, s, r, t)
         oracle = a.transpose() @ b
-        results = code.worker_products(a, b)
+        results = [MatrixF._wrap(field, block) for block in code.worker_products(a, b)]
         corrupted, _ = FaultModel(args.errors, seed=int(rng.integers(1 << 62))).inject(results)
         if args.mode == "detect":
             outcome = detect_errors(code, corrupted, dims=(r, t))
@@ -244,13 +244,18 @@ def _count(text: str) -> int:
 
 def _parse_latency(text: str):
     name, _, rest = text.partition(":")
-    params = [float(v) for v in rest.split(",") if v] if rest else []
-    if name in ("shifted-exp", "exp"):
-        return ShiftedExponential(*params)
+    try:
+        params = [float(v) for v in rest.split(",") if v] if rest else []
+        if name in ("shifted-exp", "exp"):
+            return ShiftedExponential(*params)
+        if name in ("stragglers", "fixed-stragglers") and params:
+            if not params[0].is_integer():
+                raise ValueError(f"straggler count must be an integer, got {params[0]}")
+            return FixedStragglers(int(params[0]), *params[1:])
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if name in ("stragglers", "fixed-stragglers"):
-        if not params:
-            raise argparse.ArgumentTypeError("stragglers latency needs a count, e.g. stragglers:3,10")
-        return FixedStragglers(int(params[0]), *params[1:])
+        raise argparse.ArgumentTypeError("stragglers latency needs a count, e.g. stragglers:3,10")
     raise argparse.ArgumentTypeError(
         f"unknown latency model {name!r}; use shifted-exp:shift,rate or stragglers:count,slowdown"
     )

@@ -33,8 +33,9 @@ _INT64_SAFE_MODULUS = 1 << 21
 # Integers up to this bound are exact in float64.
 _FLOAT_EXACT = 1 << 53
 
-# modmatmul computes about this many output entries per dgemm call, which
-# bounds its float64 temporaries.
+# modmatmul does an exact product with at most this many output entries in
+# one dgemm call; larger ones go in tiles whose float64 operands and product
+# hold about this many entries.
 _TILE_ELEMS = 1 << 18
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -449,11 +450,14 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Canonical (a @ b) mod q for arrays of canonical entries.
 
     Operands are matrices or equal-length stacks of them, (..., rows, inner)
-    @ (..., inner, cols), one product per stack entry.  Object operands
-    multiply as Python ints.  int64 operands run on float64 BLAS, in chunks
-    of the contraction that float64 sums exactly, reduced with an int64
-    ``%`` between chunks; output columns are done in tiles of about
-    _TILE_ELEMS entries across the whole stack.  The result has the
+    @ (..., inner, cols), one product per stack entry; one operand may be a
+    single matrix, shared by every entry.  Object operands multiply as
+    Python ints.  int64 operands run on float64 BLAS, in chunks of the
+    contraction that float64 sums exactly, reduced with an int64 ``%``
+    between chunks.  An output of at most _TILE_ELEMS entries that needs one
+    chunk is a single matmul.  Larger products go in tiles whose float64
+    operands and product hold about _TILE_ELEMS entries: whole stack entries
+    when one fits, else column slices of one entry.  The result has the
     operands' dtype.
     """
     if a.dtype == object or b.dtype == object:
@@ -463,18 +467,31 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
         return modmatmul(a.astype(object), b.astype(object), q).astype(np.int64)
     rows, inner = a.shape[-2:]
     cols = b.shape[-1]
-    out = np.zeros((*np.broadcast_shapes(a.shape[:-2], b.shape[:-2]), rows, cols), dtype=np.int64)
-    af = a.astype(np.float64)
-    width = max(1, _TILE_ELEMS // max(prod(out.shape[:-1]), 1))
-    for c0 in range(0, cols, width):
-        tile = out[..., c0:c0 + width]
-        for k0 in range(0, inner, step):
-            part = af[..., k0:k0 + step] @ b[..., k0:k0 + step, c0:c0 + width].astype(np.float64)
-            if k0:
-                tile += part.astype(np.int64)
-            else:
-                tile[...] = part
-            np.remainder(tile, q, out=tile)
+    stack = a.shape[:-2] if a.ndim >= b.ndim else b.shape[:-2]
+    size = prod(stack) * rows * cols
+    if size == 0 or (inner <= step and size <= _TILE_ELEMS):
+        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+        return np.remainder(out, q, out=out)
+    out = np.empty((*stack, rows, cols), dtype=np.int64)
+    entries = out.reshape(-1, rows, cols)
+    a_s = np.broadcast_to(a.reshape(-1, rows, inner), (len(entries), rows, inner))
+    b_s = np.broadcast_to(b.reshape(-1, inner, cols), (len(entries), inner, cols))
+    chunk = min(inner, step)
+    entry = rows * chunk + chunk * cols + rows * cols
+    group = max(1, _TILE_ELEMS // entry)
+    width = cols if entry <= _TILE_ELEMS else max(1, (_TILE_ELEMS - rows * chunk) // (chunk + rows))
+    for s0 in range(0, len(entries), group):
+        for c0 in range(0, cols, width):
+            tile = entries[s0:s0 + group, :, c0:c0 + width]
+            for k0 in range(0, inner, step):
+                part = a_s[s0:s0 + group, :, k0:k0 + step].astype(np.float64) @ b_s[
+                    s0:s0 + group, k0:k0 + step, c0:c0 + width
+                ].astype(np.float64)
+                if k0:
+                    tile += part.astype(np.int64)
+                else:
+                    tile[...] = part
+                np.remainder(tile, q, out=tile)
     return out
 
 

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .blocks import BlockGrid, MatrixF, assemble_product, combine_blocks, padded_blocks
+from .blocks import BlockGrid, MatrixF, assemble_array, combine_blocks, padded_blocks
 from .errors import (
     BlockShapeMismatch,
     DegreeCollision,
@@ -46,17 +46,16 @@ def worker_multiply(coded_a: MatrixF, coded_b: MatrixF) -> MatrixF:
 def gather_results(results: Mapping, subset: Sequence[int], N: int) -> list:
     """The results of the workers in subset, in order.
 
-    Raises UnknownWorker for an index outside [0, N) and MissingResult for a
-    worker with no entry in results.
+    Raises UnknownWorker for an index outside [0, N), checked over the whole
+    subset first, then MissingResult for a worker with no entry in results.
     """
-    out = []
     for w in subset:
         if not 0 <= w < N:
             raise UnknownWorker(f"worker index {w} out of range for N={N}")
+    for w in subset:
         if w not in results:
             raise MissingResult(f"no result from worker {w}")
-        out.append(results[w])
-    return out
+    return [results[w] for w in subset]
 
 
 @dataclass(frozen=True)
@@ -223,7 +222,10 @@ class CodingScheme(ABC):
         (coded,) = self._encode(b, self.n, self._worker_rows(self.gen_b, i))
         return MatrixF._wrap(self.field, coded)
 
-    @abstractmethod
+    def fewest_results(self) -> int:
+        """Smallest subset size that can decode at all."""
+        return self.recovery_threshold()
+
     def decode(
         self,
         results: Mapping[int, MatrixF],
@@ -233,8 +235,44 @@ class CodingScheme(ABC):
         """Recover A^T B from the results of the workers in `subset`.
 
         dims, when given, is the true (rows, cols) of A^T B used to strip
-        padding; otherwise the padded product is returned.
+        padding; otherwise the padded product is returned.  Raises
+        InsufficientResults for a subset below fewest_results(), then
+        UnknownWorker or MissingResult for a bad worker index.
         """
+        self._check_count(subset)
+        received = np.stack([r.data for r in gather_results(results, subset, self.N)])
+        return MatrixF._wrap(self.field, self._decode_received(received, subset, dims))
+
+    def decode_received(
+        self,
+        received: np.ndarray,
+        subset: Sequence[int],
+        dims: tuple[int, int] | None = None,
+    ) -> np.ndarray:
+        """A^T B as an array, from received[i], the result of worker subset[i].
+
+        received is the (len(subset), br, bc) stack of results, such as
+        worker_products(a, b)[subset]; subset holds valid worker indices.
+        """
+        self._check_count(subset)
+        if len(received) != len(subset):
+            raise BlockShapeMismatch(f"{len(received)} results for {len(subset)} workers")
+        return self._decode_received(received, subset, dims)
+
+    def _check_count(self, subset: Sequence[int]):
+        need = self.fewest_results()
+        if len(subset) < need:
+            raise InsufficientResults(f"got {len(subset)} results, need {need}")
+
+    @abstractmethod
+    def _decode_received(
+        self, received: np.ndarray, subset: Sequence[int], dims: tuple[int, int] | None
+    ) -> np.ndarray:
+        """decode_received once its arguments are checked."""
+
+    def _assemble(self, blocks: np.ndarray, dims: tuple[int, int] | None) -> np.ndarray:
+        """A^T B from its m x n output blocks, in row-major order, cut to dims."""
+        return assemble_array(blocks.reshape(self.m, self.n, *blocks.shape[-2:]), dims)
 
     def encode_all(self, a: MatrixF, b: MatrixF) -> list[tuple[MatrixF, MatrixF]]:
         """Coded pairs for every worker (partitions the inputs only once)."""
@@ -242,14 +280,13 @@ class CodingScheme(ABC):
         return [(MatrixF._wrap(self.field, ca), MatrixF._wrap(self.field, cb))
                 for ca, cb in zip(coded_a, coded_b)]
 
-    def worker_products(self, a: MatrixF, b: MatrixF) -> list[MatrixF]:
-        """Every worker's result, in worker order, from one stacked modmatmul.
+    def worker_products(self, a: MatrixF, b: MatrixF) -> np.ndarray:
+        """Every worker's result as one (N, br, bc) stack, from one modmatmul.
 
-        Entry i equals worker_multiply(*self.encode_all(a, b)[i]).
+        Entry i equals worker_multiply(*self.encode_all(a, b)[i]).data.
         """
         coded_a, coded_b = self._encode(a, self.m, self.gen_a), self._encode(b, self.n, self.gen_b)
-        products = modmatmul(coded_a.swapaxes(1, 2), coded_b, self.field.modulus)
-        return [MatrixF._wrap(self.field, block) for block in products]
+        return modmatmul(coded_a.swapaxes(1, 2), coded_b, self.field.modulus)
 
 
 class GeneralPolynomialCode(CodingScheme):
@@ -265,39 +302,28 @@ class GeneralPolynomialCode(CodingScheme):
         self.p, self.m, self.n, self.N = spec.p, spec.m, spec.n, spec.N
         self.field = spec.field
         self.gen_a, self.gen_b = spec.generators()
+        # output block (k, k') is the coefficient of degree _degrees[k*n + k']
+        self._degrees = [spec.output_degree(k, kp) for k in range(self.m) for kp in range(self.n)]
 
     def recovery_threshold(self) -> int:
         return self.spec.product_degree() + 1
 
-    def decode(
-        self,
-        results: Mapping[int, MatrixF],
-        subset: Sequence[int],
-        dims: tuple[int, int] | None = None,
-    ) -> MatrixF:
+    def _decode_received(
+        self, received: np.ndarray, subset: Sequence[int], dims: tuple[int, int] | None
+    ) -> np.ndarray:
         k_need = self.recovery_threshold()
-        if len(subset) < k_need:
-            raise InsufficientResults(f"got {len(subset)} results, need {k_need}")
-        use = list(subset)
-        got = gather_results(results, use, self.N)[:k_need]
-        xs = [self.spec.x_points[w] for w in use[:k_need]]
+        xs = [self.spec.x_points[w] for w in subset[:k_need]]
         basis = np.array(lagrange_basis(self.field, xs), dtype=self.field.array_dtype)
         # only the output degrees' coefficients: coeff[d] = sum_i basis[i][d] * result_i
-        degrees = [self.spec.output_degree(k, kp) for k in range(self.m) for kp in range(self.n)]
-        blocks = combine_blocks(self.field, basis.T[degrees], np.stack([r.data for r in got]))
-        return self.assemble_from_coefficients(
-            {d: MatrixF._wrap(self.field, blk) for d, blk in zip(degrees, blocks)}, dims
-        )
+        blocks = combine_blocks(self.field, basis.T[self._degrees], received[:k_need])
+        return self._assemble(blocks, dims)
 
     def assemble_from_coefficients(
         self, coeffs: Sequence[MatrixF] | Mapping[int, MatrixF], dims: tuple[int, int] | None
     ) -> MatrixF:
         """Pick each output block's degree out of the coefficients, indexed by degree."""
-        grid = [
-            [coeffs[self.spec.output_degree(k, kp)] for kp in range(self.n)]
-            for k in range(self.m)
-        ]
-        return assemble_product(grid, dims)
+        blocks = np.stack([coeffs[d].data for d in self._degrees])
+        return MatrixF._wrap(self.field, self._assemble(blocks, dims))
 
 
 class EntangledCode(GeneralPolynomialCode):
@@ -334,28 +360,24 @@ class UncodedRepetitionCode(CodingScheme):
     def recovery_threshold(self) -> int:
         return self.N - self.N // self.num_tasks + 1
 
-    def decode(
-        self,
-        results: Mapping[int, MatrixF],
-        subset: Sequence[int],
-        dims: tuple[int, int] | None = None,
-    ) -> MatrixF:
-        by_task: dict[int, MatrixF] = {}
-        for w, res in zip(subset, gather_results(results, subset, self.N)):
-            by_task.setdefault(w % self.num_tasks, res)
-        missing = self.num_tasks - len(by_task)
+    def fewest_results(self) -> int:
+        return self.num_tasks
+
+    def _decode_received(
+        self, received: np.ndarray, subset: Sequence[int], dims: tuple[int, int] | None
+    ) -> np.ndarray:
+        first: dict[int, int] = {}  # task -> row of its first result
+        for row, w in enumerate(subset):
+            first.setdefault(int(w) % self.num_tasks, row)
+        missing = self.num_tasks - len(first)
         if missing:
             raise InsufficientResults(f"{missing} of {self.num_tasks} sub-products missing")
-        grid = []
-        for k in range(self.m):
-            row = []
-            for kp in range(self.n):
-                acc = by_task[k * self.p + kp * self.p * self.m]  # j = 0
-                for j in range(1, self.p):
-                    acc = acc + by_task[j + k * self.p + kp * self.p * self.m]
-                row.append(acc)
-            grid.append(row)
-        return assemble_product(grid, dims)
+        # task (j, k, k') is j + k*p + k'*pm; output block (k, k') sums over j
+        by_task = received[[first[t] for t in range(self.num_tasks)]].reshape(
+            self.n, self.m, self.p, *received.shape[1:]
+        )
+        blocks = by_task.sum(axis=2).swapaxes(0, 1) % self.field.modulus
+        return self._assemble(blocks, dims)
 
 
 class RandomLinearCode(CodingScheme):
@@ -415,21 +437,17 @@ class RandomLinearCode(CodingScheme):
     def recovery_threshold(self) -> int:
         return self.p * self.p * self.m * self.n
 
-    def decode(
-        self,
-        results: Mapping[int, MatrixF],
-        subset: Sequence[int],
-        dims: tuple[int, int] | None = None,
-    ) -> MatrixF:
+    def _decode_received(
+        self, received: np.ndarray, subset: Sequence[int], dims: tuple[int, int] | None
+    ) -> np.ndarray:
         unknowns = self.recovery_threshold()
-        if len(subset) < unknowns:
-            raise InsufficientResults(f"got {len(subset)} results, need {unknowns}")
-        got = dict(zip(subset, gather_results(results, subset, self.N)))
-        known = sorted(got)
-        erased = [w for w in range(self.N) if w not in got]
-        received = np.stack([got[w].data for w in known])
+        first: dict[int, int] = {}  # worker -> row of its first result
+        for row, w in enumerate(subset):
+            first.setdefault(int(w), row)
+        known = sorted(first)
+        erased = [w for w in range(self.N) if w not in first]
         br, bc = received.shape[1:]
-        flat = received.reshape(len(known), -1)
+        flat = received[[first[w] for w in known]].reshape(len(known), -1)
         # each pivot updates every row of its system: |E| pivots over N rows
         # for the erasures against p^2mn pivots over |S| rows for G[S]; the
         # erasure system's row updates, with its two modmatmuls, measured up
@@ -451,10 +469,7 @@ class RandomLinearCode(CodingScheme):
         products = solved.reshape(p, m, p, n, br, bc)
         # output block (k, k') sums the aligned products A[j,k]^T B[j,k'] over j
         blocks = products[range(p), :, range(p)].sum(axis=0) % self.field.modulus
-        return assemble_product(
-            [[MatrixF._wrap(self.field, blocks[k, kp]) for kp in range(n)] for k in range(m)],
-            dims,
-        )
+        return self._assemble(blocks, dims)
 
     def _decode_erasures(
         self, known: list[int], erased: list[int], received: np.ndarray

@@ -9,6 +9,7 @@ so two runs with the same configuration produce bit-identical reports.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Sequence
@@ -36,6 +37,12 @@ class ShiftedExponential:
     shift: float = 1.0
     rate: float = 1.0
 
+    def __post_init__(self):
+        if not math.isfinite(self.shift):
+            raise ValueError(f"latency shift must be finite, got {self.shift}")
+        if not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError(f"latency rate must be finite and > 0, got {self.rate}")
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.shift + rng.exponential(1.0 / self.rate, size=n)
 
@@ -49,6 +56,12 @@ class FixedStragglers:
 
     count: int
     slowdown: float = 10.0
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ValueError(f"straggler count must be >= 0, got {self.count}")
+        if not (math.isfinite(self.slowdown) and self.slowdown > 0):
+            raise ValueError(f"straggler slowdown must be finite and > 0, got {self.slowdown}")
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         times = np.ones(n)
@@ -79,16 +92,14 @@ class SimulationConfig:
     theta: int | None = None
     construction: str | None = None  # improved only
 
+    def __post_init__(self):
+        if not 0 <= self.faults <= self.N:
+            raise ValueError(f"faults must be in 0..N={self.N}, got {self.faults}")
+        if isinstance(self.latency, FixedStragglers) and self.latency.count > self.N:
+            raise ValueError(f"{self.latency.count} stragglers exceed N={self.N} workers")
+
     def dims(self) -> tuple[int, int, int]:
         return self.input_dims or (2 * self.p, 2 * self.m, 2 * self.n)
-
-
-@dataclass(frozen=True)
-class WorkerOutcome:
-    worker: int
-    block: MatrixF
-    arrival: float
-    corrupted: bool
 
 
 @dataclass(frozen=True)
@@ -172,38 +183,33 @@ def run_trial(
         a, b = inputs
         r, t = a.cols, b.cols
     latencies = config.latency.sample(rng, config.N)
-    victims: set[int] = set()
-    if config.faults:
-        victims = set(rng.choice(config.N, size=config.faults, replace=False).tolist())
+    victims = rng.choice(config.N, size=config.faults, replace=False) if config.faults else []
 
-    outcomes = []
-    for i, block in enumerate(scheme.worker_products(a, b)):
-        if i in victims:
-            while True:
-                delta = rng.integers(0, q, size=block.shape)
-                if delta.any():
-                    break
-            block = MatrixF(scheme.field, block.data + delta.astype(scheme.field.array_dtype))
-        outcomes.append(WorkerOutcome(i, block, float(latencies[i]), i in victims))
-    outcomes.sort(key=lambda o: (o.arrival, o.worker))
+    products = scheme.worker_products(a, b)
+    for i in sorted(victims):  # one nonzero delta per victim, drawn in worker order
+        while True:
+            delta = rng.integers(0, q, size=products.shape[1:])
+            if delta.any():
+                break
+        products[i] = (products[i] + delta.astype(scheme.field.array_dtype)) % q
+    # stable: tied arrivals keep worker order
+    order = np.argsort(latencies, kind="stable")
 
     threshold = scheme.recovery_threshold()
-    oracle = a.transpose() @ b
-    results = {o.worker: o.block for o in outcomes}
+    oracle = (a.transpose() @ b).data
     waited = threshold
     success = False
     while waited <= config.N:
-        subset = [o.worker for o in outcomes[:waited]]
+        subset = order[:waited]
         try:
-            success = scheme.decode(results, subset, dims=(r, t)) == oracle
+            decoded = scheme.decode_received(products[subset], subset, dims=(r, t))
+            success = np.array_equal(decoded, oracle)
             break
-        except SingularDecodeSystem:
+        except (SingularDecodeSystem, InsufficientResults):
             waited += 1  # wait for one more arrival and retry
-        except InsufficientResults:
-            waited += 1
     if not success:
         waited = config.N
-    completion = outcomes[waited - 1].arrival if success else float("inf")
+    completion = float(latencies[order[waited - 1]]) if success else float("inf")
     return TrialReport(
         trial=trial,
         scheme=config.scheme,

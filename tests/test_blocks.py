@@ -6,6 +6,7 @@ import pytest
 from codedmm.blocks import (
     MatrixF,
     assemble,
+    assemble_array,
     assemble_product,
     interpolate_block_polynomial,
     overlap_add,
@@ -123,6 +124,18 @@ class TestAssembleProduct:
             got = assemble(grid).data
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("q", [7, 2**61 - 1])
+    def test_array_form_matches_grid_form(self, q, rng):
+        field = PrimeField(q)
+        grid = [[random_matrix(field, 3, 2, rng) for _ in range(3)] for _ in range(2)]
+        stacked = np.stack([np.stack([blk.data for blk in row]) for row in grid])
+        for dims in (None, (6, 6), (5, 4)):
+            want = assemble_product(grid, dims).data
+            got = assemble_array(stacked, dims)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        with pytest.raises(BlockShapeMismatch):
+            assemble_array(stacked, (7, 6))
 
     def test_ragged_grid(self, gf7):
         # the ValueError np.block raised for a ragged grid

@@ -263,6 +263,38 @@ class TestUsageErrors:
         assert "must be at least 1" in err
         assert "Traceback" not in err
 
+    SIMULATE = ("simulate", "--scheme", "entangled", "--p", "2", "--m", "1", "--n", "1",
+                "--N", "9", "--trials", "2")
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (("--latency", "shifted-exp:1,0"), "rate"),
+            (("--latency", "shifted-exp:1,-2"), "rate"),
+            (("--latency", "shifted-exp:1,inf"), "rate"),
+            (("--latency", "shifted-exp:nan,1"), "shift"),
+            (("--latency", "shifted-exp:inf,1"), "shift"),
+            (("--latency", "stragglers:-1,10"), "count"),
+            (("--latency", "stragglers:2.5,10"), "count"),
+            (("--latency", "stragglers:nan"), "count"),
+            (("--latency", "stragglers:3,0"), "slowdown"),
+            (("--latency", "stragglers:3,nan"), "slowdown"),
+            (("--latency", "stragglers:10,2"), "stragglers"),
+            (("--faults", "10"), "faults"),
+            (("--faults", "-1"), "faults"),
+        ],
+        ids=["rate-zero", "rate-negative", "rate-inf", "shift-nan", "shift-inf",
+             "count-negative", "count-fractional", "count-nan", "slowdown-zero",
+             "slowdown-nan", "stragglers-over-N", "faults-over-N", "faults-negative"],
+    )
+    def test_bad_simulation_values_are_usage_errors(self, capsys, extra, message):
+        code, out, err = run_cli(capsys, *self.SIMULATE, *extra)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+        assert "larger sample" not in err
+
     def test_table_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--fig2", "--Nmax", "12", "--format", "table"

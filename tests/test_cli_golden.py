@@ -44,6 +44,11 @@ CASES = {
         for faults in (0, 1)
     },
     "simulate-entangled-f1-q2p61": _simulate("entangled", 1, "--q", str(2**61 - 1)),
+    # unit latencies tie, so the arrival order among them picks the subset
+    **{
+        f"simulate-{scheme}-f1-stragglers": _simulate(scheme, 1, "--latency", "stragglers:3,10")
+        for scheme in ("uncoded", "random-linear")
+    },
     "verify-exhaustive": ("verify", "--p", "2", "--m", "2", "--n", "1", "--N", "7",
                           "--exhaustive", "--seed", "3"),
     "verify-improved-exhaustive": ("verify-improved", "--construction", "strassen",

@@ -144,7 +144,54 @@ def test_stacked_contraction_lengths_around_one_chunk(inner):
 
 @pytest.mark.parametrize("cols", [1, 2, 3, 5])
 def test_stacked_widths_straddling_column_tiles(monkeypatch, cols):
-    # 12 entries per tile over 3 products of 2 rows: tiles are 2 columns wide
+    # a 2049-term contraction needs two chunks, so every product is tiled;
+    # 12 entries per tile cannot hold one chunk's operands: 1-column tiles
     monkeypatch.setattr(field_module, "_TILE_ELEMS", 12)
     check_stacked(Q_INT64_MAX, distinct_operands(Q_INT64_MAX, 2, 2049, cols))
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_output_at_and_past_the_single_matmul_bound(extra):
+    # _TILE_ELEMS output entries take one matmul, one more goes in tiles
+    q = Q_INT64_MAX
+    check(q, *operands(q, 1, 3, field_module._TILE_ELEMS + extra, seed=extra))
+
+
+@pytest.mark.parametrize("stack", [3, 4])
+def test_stacked_output_at_and_past_the_single_matmul_bound(monkeypatch, stack):
+    # 12 entries: three 2 x 2 products take one matmul, four go in tiles
+    monkeypatch.setattr(field_module, "_TILE_ELEMS", 12)
+    q = Q_INT64_MAX
+    pairs = [operands(q, 2, 5, 2, seed=s) for s in range(stack - 1)] + [near_maximal(q, 2, 5, 2)]
+    check_stacked(q, pairs)
+
+
+@pytest.mark.parametrize("q", [1048573, Q_INT64_MAX])
+@pytest.mark.parametrize("past", [0, 1])
+def test_contraction_at_and_past_one_chunk(q, past):
+    # inner == step is exact in one float64 pass; step + 1 needs a second chunk
+    inner = exact_float_terms(q) + past
+    check(q, *near_maximal(q, 2, inner, 3))
+    check_stacked(q, [near_maximal(q, 2, inner, 3), operands(q, 2, inner, 3, seed=past)])
+
+
+def test_stacked_entries_larger_than_a_tile(monkeypatch):
+    # each 3 x 5 product alone exceeds 12 entries: its columns are split
+    monkeypatch.setattr(field_module, "_TILE_ELEMS", 12)
+    q = 65537
+    check_stacked(q, [operands(q, 3, 2, 5, seed=s) for s in range(3)] + [near_maximal(q, 3, 2, 5)])
+
+
+def test_shared_matrix_times_stack(monkeypatch):
+    # a 2-D operand multiplies every entry of the other's stack, tiled or not
+    q = Q_INT64_MAX
+    w, _ = near_maximal(q, 3, 4, 1)
+    blocks = np.stack([operands(q, 4, 5, 1, seed=s)[0] for s in range(3)])
+    want = [modmatmul(w, blk, q).tolist() for blk in blocks]
+    for tile in (field_module._TILE_ELEMS, 12):
+        monkeypatch.setattr(field_module, "_TILE_ELEMS", tile)
+        got = modmatmul(w, blocks, q)
+        assert got.shape == (3, 3, 5)
+        assert [g.tolist() for g in got] == want
+        assert want == [naive_matmul_t(q, w.T.tolist(), blk.tolist()) for blk in blocks]
 

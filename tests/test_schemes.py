@@ -8,6 +8,7 @@ import pytest
 from codedmm.bilinear import ImprovedBilinearCode, standard_construction, strassen_construction
 from codedmm.blocks import MatrixF, partition
 from codedmm.errors import (
+    BlockShapeMismatch,
     CodedmmError,
     DegreeCollision,
     FieldTooSmall,
@@ -138,12 +139,68 @@ class TestWorkerProducts:
         scheme = BATCHED[name](field)
         a, b = random_matrix(field, 5, 3, rng), random_matrix(field, 5, 2, rng)
         got = scheme.worker_products(a, b)
-        want = [worker_multiply(ca, cb) for ca, cb in scheme.encode_all(a, b)]
-        assert len(got) == len(want) == scheme.N
+        want = [worker_multiply(ca, cb).data for ca, cb in scheme.encode_all(a, b)]
+        assert isinstance(got, np.ndarray)
+        assert got.shape == (scheme.N, *want[0].shape)
         for g, w in zip(got, want):
-            assert g == w
-            assert g.data.dtype == w.data.dtype
-            assert [type(v) for v in g.data.flat] == [type(v) for v in w.data.flat]
+            assert np.array_equal(g, w)
+            assert g.dtype == w.dtype
+            assert [type(v) for v in g.flat] == [type(v) for v in w.flat]
+
+
+class TestDecodeEntryPoint:
+    """decode checks the count, gathers and stacks once, then calls decode_received."""
+
+    @pytest.mark.parametrize("q", [7, 65537, (1 << 61) - 1])
+    @pytest.mark.parametrize("name", sorted(BATCHED))
+    def test_decode_equals_decode_received(self, name, q, rng):
+        field = PrimeField(q)
+        scheme = BATCHED[name](field)
+        a, b = random_matrix(field, 5, 3, rng), random_matrix(field, 5, 2, rng)
+        stack = scheme.worker_products(a, b)
+        results = {w: MatrixF._wrap(field, blk) for w, blk in enumerate(stack)}
+        k, n = scheme.recovery_threshold(), scheme.N
+        subsets = [tuple(range(k)), tuple(range(n - 1, n - 1 - k, -1)), tuple(range(n)),
+                   tuple(range(k)) + (0,)]
+        for sub in subsets:
+            for index in (sub, np.array(sub)):
+                try:
+                    want = scheme.decode(results, sub, dims=(3, 2))
+                except SingularDecodeSystem:
+                    with pytest.raises(SingularDecodeSystem):
+                        scheme.decode_received(stack[list(sub)], index, dims=(3, 2))
+                    continue
+                got = scheme.decode_received(stack[list(sub)], index, dims=(3, 2))
+                assert isinstance(got, np.ndarray)
+                assert got.dtype == want.data.dtype
+                assert np.array_equal(got, want.data)
+                assert want == oracle_product(a, b)
+
+    @pytest.mark.parametrize("name", sorted(BATCHED))
+    def test_decode_received_checks_its_stack(self, name, gf65537, rng):
+        # too few rows would fit a lower-degree polynomial: refused, not decoded
+        scheme = BATCHED[name](gf65537)
+        stack = scheme.worker_products(random_matrix(gf65537, 5, 3, rng), random_matrix(gf65537, 5, 2, rng))
+        short = list(range(scheme.fewest_results() - 1))
+        with pytest.raises(InsufficientResults):
+            scheme.decode_received(stack[short], short)
+        full = list(range(scheme.N))
+        with pytest.raises(BlockShapeMismatch):
+            scheme.decode_received(stack[full[:-1]], full)
+
+    @pytest.mark.parametrize("name", sorted(BATCHED))
+    def test_error_order(self, name, gf65537, rng):
+        scheme = BATCHED[name](gf65537)
+        results = run_workers(scheme, random_matrix(gf65537, 5, 3, rng), random_matrix(gf65537, 5, 2, rng))
+        del results[1]
+        unknown = scheme.N + 3
+        with pytest.raises(InsufficientResults):
+            scheme.decode(results, [1, unknown])
+        # worker 1 has no result, but the unknown index is reported first
+        with pytest.raises(UnknownWorker):
+            scheme.decode(results, list(range(scheme.N)) + [unknown])
+        with pytest.raises(MissingResult):
+            scheme.decode(results, list(range(scheme.N)))
 
 
 class TestEntangledDecode:

@@ -1,5 +1,6 @@
 """Tests for the master-worker simulator."""
 
+import numpy as np
 import pytest
 
 from codedmm.sim import (
@@ -60,6 +61,63 @@ class TestLatencyModels:
             assert rep.success
             assert rep.completion_time == 1.0
             assert rep.waited == rep.threshold
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ShiftedExponential(shift=1.0, rate=0.0),
+            lambda: ShiftedExponential(shift=1.0, rate=-1.0),
+            lambda: ShiftedExponential(shift=1.0, rate=float("inf")),
+            lambda: ShiftedExponential(shift=float("nan"), rate=1.0),
+            lambda: ShiftedExponential(shift=float("-inf"), rate=1.0),
+            lambda: FixedStragglers(count=-1),
+            lambda: FixedStragglers(count=2, slowdown=0.0),
+            lambda: FixedStragglers(count=2, slowdown=float("nan")),
+            lambda: FixedStragglers(count=2, slowdown=float("inf")),
+        ],
+        ids=["rate-zero", "rate-negative", "rate-inf", "shift-nan", "shift-inf",
+             "count-negative", "slowdown-zero", "slowdown-nan", "slowdown-inf"],
+    )
+    def test_bad_parameters_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("faults", [-1, 7])
+    def test_faults_outside_zero_to_n_rejected(self, faults):
+        with pytest.raises(ValueError, match="faults"):
+            config(N=6, faults=faults)
+
+    def test_more_stragglers_than_workers_rejected(self):
+        with pytest.raises(ValueError, match="stragglers"):
+            config(N=6, latency=FixedStragglers(count=7))
+
+    def test_faults_bounds_inclusive(self):
+        assert config(N=6, faults=6).faults == 6
+        assert config(N=6, faults=0, latency=FixedStragglers(count=6)).faults == 0
+
+    def test_tied_arrivals_keep_worker_order(self, gf65537):
+        # 24 of 30 workers tie at unit latency; the entangled code decodes from
+        # the first K = 11 arrivals, which must be the 11 lowest of those
+        # indices, so one corrupted worker breaks the decode exactly when it
+        # is among them
+        from codedmm.blocks import MatrixF
+        from codedmm.sim import _trial_rng
+
+        cfg = config(p=3, m=3, n=1, N=30, faults=1, latency=FixedStragglers(count=6))
+        scheme = build_scheme(cfg)
+        draw = np.random.default_rng(5)
+        a = MatrixF(gf65537, draw.integers(0, 65537, size=(6, 6)))
+        b = MatrixF(gf65537, draw.integers(0, 65537, size=(6, 2)))
+        outcomes = set()
+        for trial in range(60):
+            # with inputs given, the trial draws the latencies, then the victim
+            rng = _trial_rng(cfg.seed, trial)
+            on_time = np.flatnonzero(cfg.latency.sample(rng, cfg.N) == 1.0)
+            (victim,) = rng.choice(cfg.N, size=1, replace=False)
+            rep = run_trial(cfg, scheme, trial, inputs=(a, b))
+            assert rep.success == (victim not in on_time[:11]), (trial, victim)
+            outcomes.add(rep.success)
+        assert outcomes == {True, False}
 
     def test_shifted_exponential_floor(self):
         cfg = config(latency=ShiftedExponential(shift=2.5, rate=1.0), trials=10)
