@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .blocks import combine_blocks
 from .errors import (
     BlockShapeMismatch,
     ConstructionTooLarge,
@@ -30,8 +29,8 @@ from .errors import (
     InsufficientResults,
     TooFewWorkers,
 )
-from .field import PrimeField, lagrange_basis_values, lagrange_matrix, modmatmul
-from .schemes import CodingScheme, gather_results
+from .field import PrimeField, lagrange_matrix, modmatmul, vandermonde
+from .schemes import InterpolationCode, gather_results
 
 _RANK_BUDGET = 10**6
 _TENSOR_ELEMENT_BUDGET = 10**7
@@ -221,12 +220,14 @@ def tensor_power(bc: BilinearConstruction, k: int) -> BilinearConstruction:
     return out
 
 
-class ImprovedBilinearCode(CodingScheme):
+class ImprovedBilinearCode(InterpolationCode):
     """The 2R - 1 threshold code driven by a rank-R construction.
 
     Encoding points x_0..x_{R-1} are 0..R-1 and worker points y_i are
     0..N-1; the overlap for i < R is deliberate (those workers store the
-    coded vectors themselves).
+    coded vectors themselves).  Worker i's result is the degree 2R - 2
+    product polynomial at y_i; its values at the x points are the R
+    element-wise products, which c maps to the output blocks.
     """
 
     def __init__(self, bc: BilinearConstruction, N: int, field: PrimeField):
@@ -241,40 +242,21 @@ class ImprovedBilinearCode(CodingScheme):
         self.p, self.m, self.n, self.N = bc.p, bc.m, bc.n, N
         self.field = field
         self.x_points = tuple(range(r))
-        self.y_points = tuple(range(N))
+        self.points = tuple(range(N))
         q = field.modulus
-        self._a = bc.a.astype(field.array_dtype, copy=True) % q
-        self._b = bc.b.astype(field.array_dtype, copy=True) % q
-        self._c = bc.c.astype(field.array_dtype, copy=True) % q
+        self._a, self._b, c = (t.astype(field.array_dtype) % q for t in (bc.a, bc.b, bc.c))
         # weights[i][j] = l_j(y_i) over the x points: worker i stores
         # sum_j weights[i][j] * (coded vector)_j, so its weights on the blocks
         # themselves are the rows of weights @ a (and weights @ b)
-        weights = np.array(
-            [lagrange_basis_values(field, self.x_points, y) for y in self.y_points],
-            dtype=field.array_dtype,
-        )
+        weights = lagrange_matrix(field, self.x_points, self.points)
         self.gen_a = modmatmul(weights, self._a.reshape(r, -1), q)
         self.gen_b = modmatmul(weights, self._b.reshape(r, -1), q)
+        # output block (j, k) is sum_r c[r, j, k] h(x_r), and h(x_r) is the
+        # Vandermonde row at x_r times h's coefficients
+        self.output_map = modmatmul(c.reshape(r, -1).T, vandermonde(field, self.x_points, 2 * r - 1), q)
 
     def recovery_threshold(self) -> int:
         return 2 * self.construction.rank - 1
-
-    def _coded_vector(self, grid, tensor: np.ndarray) -> np.ndarray:
-        """(R, br, bc) coded vector: entry r is sum_(j,k) tensor[r, j, k] * grid[j, k]."""
-        return combine_blocks(self.field, tensor.reshape(len(tensor), -1), grid.stacked())
-
-    def _decode_received(
-        self, received: np.ndarray, subset: Sequence[int], dims: tuple[int, int] | None
-    ) -> np.ndarray:
-        k_need = self.recovery_threshold()
-        ys = [self.y_points[w] for w in subset[:k_need]]
-        # element-wise products are the product polynomial at the x points;
-        # c maps them to the output blocks, so one (mn, K) map decodes
-        at_x = lagrange_matrix(self.field, ys, self.x_points)
-        r = self.construction.rank
-        decode_map = modmatmul(self._c.reshape(r, -1).T, at_x, self.field.modulus)
-        blocks = combine_blocks(self.field, decode_map, received[:k_need])
-        return self._assemble(blocks, dims)
 
 
 class ElementwiseProductCode:
@@ -299,10 +281,7 @@ class ElementwiseProductCode:
         self.N = N
         self.field = field
         self.x_points = tuple(range(length))
-        self._weights = np.array(
-            [lagrange_basis_values(field, self.x_points, y) for y in range(N)],
-            dtype=field.array_dtype,
-        )
+        self._weights = lagrange_matrix(field, self.x_points, range(N))
 
     def recovery_threshold(self) -> int:
         return min(self.N, 2 * self.length - 1)

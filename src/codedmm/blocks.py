@@ -3,8 +3,7 @@
 Inputs are split into a p-by-m (or p-by-n) grid of equally sized submatrices,
 zero-padding whenever the dimensions do not divide evenly; the padding is
 remembered so decoded outputs can be truncated back to the true shape.
-Also hosts the matrix-valued interpolation used by every polynomial decoder,
-and the overlap-add reassembly for block convolution.
+Also hosts the overlap-add reassembly for block convolution.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BlockShapeMismatch, FieldMismatch
-from .field import FieldElement, PrimeField, interpolate_arrays, modmatmul
+from .field import FieldElement, PrimeField, modmatmul
 
 
 class MatrixF:
@@ -131,10 +130,6 @@ class BlockGrid:
     def field(self) -> PrimeField:
         return self.blocks[0][0].field
 
-    def stacked(self) -> np.ndarray:
-        """The blocks as one (row_parts * col_parts, br, bc) array, row-major."""
-        return np.stack([blk.data for row in self.blocks for blk in row])
-
 
 def padded_blocks(matrix: MatrixF, row_parts: int, col_parts: int) -> np.ndarray:
     """The zero-padded blocks as one (row_parts, col_parts, br, bc) array view."""
@@ -248,31 +243,6 @@ def overlap_add(field: PrimeField, block_convs: Sequence[np.ndarray], block_len:
     for d, blk in enumerate(block_convs):
         out[d * s: d * s + expect] += np.asarray(blk)
     return out % field.modulus
-
-
-def interpolate_block_polynomial(points: Sequence[tuple]) -> list[MatrixF]:
-    """Coefficient blocks of the matrix-valued polynomial through the points.
-
-    points: (x, block) pairs with distinct x (FieldElement or int) and
-    equal-shape MatrixF blocks.  Coefficient-wise this is plain Lagrange
-    interpolation, so the result has one block per point (degree < K).
-    """
-    pts = list(points)
-    if not pts:
-        raise ValueError("need at least one point")
-    field = pts[0][1].field
-    shape = pts[0][1].shape
-    xs = []
-    vals = []
-    for x, blk in pts:
-        if blk.field != field:
-            raise FieldMismatch("blocks over different fields")
-        if blk.shape != shape:
-            raise BlockShapeMismatch(f"{blk.shape} vs {shape}")
-        xs.append(x.value if isinstance(x, FieldElement) else x % field.modulus)
-        vals.append(blk.data)
-    coeffs = interpolate_arrays(field, xs, vals)
-    return [MatrixF._wrap(field, c) for c in coeffs]
 
 
 # -- text fixtures: first line "rows cols q", then row-major entries --

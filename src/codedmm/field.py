@@ -391,27 +391,6 @@ def lagrange_basis(field: PrimeField, xs: Sequence[int]) -> list[list[int]]:
     return basis
 
 
-def lagrange_basis_values(field: PrimeField, xs: Sequence[int], y: int) -> list[int]:
-    """Values l_j(y) of the Lagrange basis over xs, at a single point y.
-
-    Exact when y coincides with one of the xs (the basis collapses to an
-    indicator there).  O(K^2).
-    """
-    q = field.modulus
-    y %= q
-    vals = []
-    for j, xj in enumerate(xs):
-        num = 1
-        den = 1
-        for t, xt in enumerate(xs):
-            if t == j:
-                continue
-            num = num * (y - xt) % q
-            den = den * (xj - xt) % q
-        vals.append(num * field.inv(den) % q)
-    return vals
-
-
 def lagrange_interpolate(points) -> FieldPolynomial:
     """The unique polynomial of degree < len(points) through the given points.
 

@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocks import MatrixF, combine_blocks, interpolate_block_polynomial
-from .errors import TooManyErrors, UnsupportedScheme
-from .field import FieldPolynomial, PrimeField, vandermonde
+from .blocks import MatrixF, combine_blocks
+from .errors import BlockShapeMismatch, TooManyErrors, UnsupportedScheme
+from .field import FieldPolynomial, PrimeField, lagrange_matrix
 from .linalg import solve_linear_system
 from .schemes import GeneralPolynomialCode
 
@@ -72,19 +72,30 @@ class FaultModel:
         return out, victims
 
 
-def _eval_coeff_blocks(
-    field: PrimeField, coeffs: Sequence[MatrixF], xs: Sequence[int]
-) -> np.ndarray:
-    """Evaluate a coefficient-block polynomial at many points; (len(xs), *shape)."""
-    stack = np.stack([c.data for c in coeffs])
-    return combine_blocks(field, vandermonde(field, xs, len(coeffs)), stack)
+def _mismatches(
+    code: GeneralPolynomialCode,
+    results: Sequence[MatrixF],
+    fit: Sequence[int],
+    others: Sequence[int],
+) -> list[int]:
+    """The workers in others whose results are off the polynomial through fit's results."""
+    xs = code.points
+    at_others = lagrange_matrix(code.field, [xs[w] for w in fit], [xs[w] for w in others])
+    predicted = combine_blocks(code.field, at_others, np.stack([results[w].data for w in fit]))
+    return [w for w, blk in zip(others, predicted) if not np.array_equal(blk, results[w].data)]
+
+
+def _decode(code: GeneralPolynomialCode, results: Sequence[MatrixF], fit: Sequence[int], dims):
+    """The product decoded from the results of the workers in fit."""
+    received = np.stack([results[w].data for w in fit])
+    return MatrixF._wrap(code.field, code.decode_received(received, fit, dims))
 
 
 def _repair_threshold(code, results: Sequence[MatrixF]) -> int:
-    """Check that code is a polynomial code and results cover all N workers; returns K.
+    """Check that code is a polynomial code and results are N blocks of one shape; returns K.
 
-    Detection and repair interpolate through the workers' evaluation points,
-    which only polynomial codes have.
+    Detection and repair interpolate through the workers' evaluation points;
+    they are supported for the polynomial codes only.
     """
     if not isinstance(code, GeneralPolynomialCode):
         raise UnsupportedScheme(
@@ -92,6 +103,8 @@ def _repair_threshold(code, results: Sequence[MatrixF]) -> int:
         )
     if len(results) != code.N:
         raise ValueError(f"need all {code.N} results, got {len(results)}")
+    if len({r.shape for r in results}) > 1:
+        raise BlockShapeMismatch("worker results differ in shape")
     return code.recovery_threshold()
 
 
@@ -106,17 +119,12 @@ def detect_errors(
     ErrorDetected.  With at most N - K corrupted workers this never returns
     a wrong Clean: the fit would disagree with some uncorrupted worker.
     """
-    N = code.N
     k_need = _repair_threshold(code, results)
-    xs = code.spec.x_points
-    coeffs = interpolate_block_polynomial([(xs[w], results[w]) for w in range(k_need)])
-    rest = list(range(k_need, N))
-    if rest:
-        predicted = _eval_coeff_blocks(code.field, coeffs, [xs[w] for w in rest])
-        for idx, w in enumerate(rest):
-            if not np.array_equal(predicted[idx], results[w].data):
-                return ErrorDetected(worker=w)
-    return Clean(code.assemble_from_coefficients(coeffs, dims))
+    fit = range(k_need)
+    wrong = _mismatches(code, results, fit, range(k_need, code.N))
+    if wrong:
+        return ErrorDetected(worker=wrong[0])
+    return Clean(_decode(code, results, fit, dims))
 
 
 def _berlekamp_welch(
@@ -187,7 +195,7 @@ def correct_errors(
     """
     N = code.N
     k_need = _repair_threshold(code, results)
-    xs = code.spec.x_points
+    xs = code.points
     e_max = (N - k_need) // 2
     shape = results[0].shape
 
@@ -210,11 +218,8 @@ def correct_errors(
                 gone = set(located)
                 remaining = [w for w in remaining if w not in gone]
             fit = remaining[:k_need]
-            coeffs = interpolate_block_polynomial([(xs[w], results[w]) for w in fit])
-            predicted = _eval_coeff_blocks(code.field, coeffs, [xs[w] for w in remaining])
-            stack = np.stack([results[w].data for w in remaining])
-            if np.array_equal(predicted, stack):
-                return code.assemble_from_coefficients(coeffs, dims)
+            if not _mismatches(code, results, fit, remaining[k_need:]):
+                return _decode(code, results, fit, dims)
     raise TooManyErrors(
         f"no pilot coordinate yields a consistent decode within {e_max} errors"
     )

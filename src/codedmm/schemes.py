@@ -6,7 +6,8 @@ decodes the full product from any recovery_threshold() many results.
 
 Schemes here: the exponent-parameterized polynomial code family, its
 (1, p, pm) instantiation that hits threshold pmn + p - 1, uncoded
-round-robin repetition, and random linear combinations.
+round-robin repetition, and random linear combinations.  The polynomial
+codes and the bilinear improved code share one interpolation decoder.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .blocks import BlockGrid, MatrixF, assemble_array, combine_blocks, padded_blocks
+from .blocks import MatrixF, assemble_array, combine_blocks, padded_blocks
 from .errors import (
     BlockShapeMismatch,
     DegreeCollision,
@@ -148,26 +149,6 @@ class PolynomialCodeSpec:
                             )
 
 
-def general_poly_encode(
-    spec: PolynomialCodeSpec, a_grid: BlockGrid, b_grid: BlockGrid, i: int
-) -> tuple[MatrixF, MatrixF]:
-    """Coded pair for worker i under the given exponent choice."""
-    if not 0 <= i < spec.N:
-        raise ValueError(f"worker index {i} out of range for N={spec.N}")
-    if (a_grid.row_parts, a_grid.col_parts) != (spec.p, spec.m):
-        raise BlockShapeMismatch(
-            f"A grid is {a_grid.row_parts}x{a_grid.col_parts}, spec wants {spec.p}x{spec.m}"
-        )
-    if (b_grid.row_parts, b_grid.col_parts) != (spec.p, spec.n):
-        raise BlockShapeMismatch(
-            f"B grid is {b_grid.row_parts}x{b_grid.col_parts}, spec wants {spec.p}x{spec.n}"
-        )
-    gen_a, gen_b = spec.generators()
-    (coded_a,) = combine_blocks(spec.field, gen_a[i:i + 1], a_grid.stacked())
-    (coded_b,) = combine_blocks(spec.field, gen_b[i:i + 1], b_grid.stacked())
-    return MatrixF._wrap(spec.field, coded_a), MatrixF._wrap(spec.field, coded_b)
-
-
 def entangled_spec(p: int, m: int, n: int, N: int, field: PrimeField) -> PolynomialCodeSpec:
     """The (1, p, pm) polynomial code over x_i = i, threshold pmn + p - 1.
 
@@ -252,11 +233,17 @@ class CodingScheme(ABC):
         """A^T B as an array, from received[i], the result of worker subset[i].
 
         received is the (len(subset), br, bc) stack of results, such as
-        worker_products(a, b)[subset]; subset holds valid worker indices.
+        worker_products(a, b)[subset]; its entries may be any integer
+        representatives of their field elements.  subset holds valid
+        worker indices.
         """
         self._check_count(subset)
         if len(received) != len(subset):
             raise BlockShapeMismatch(f"{len(received)} results for {len(subset)} workers")
+        q = self.field.modulus
+        # the float64 kernel is exact only on canonical int64 entries
+        if received.dtype != object and received.size and (received.min() < 0 or received.max() >= q):
+            received = received % q
         return self._decode_received(received, subset, dims)
 
     def _check_count(self, subset: Sequence[int]):
@@ -289,7 +276,31 @@ class CodingScheme(ABC):
         return modmatmul(coded_a.swapaxes(1, 2), coded_b, self.field.modulus)
 
 
-class GeneralPolynomialCode(CodingScheme):
+class InterpolationCode(CodingScheme):
+    """A code whose results are one product polynomial at the workers' points.
+
+    Worker w returns h(points[w]) for a matrix-valued polynomial h of degree
+    < K = recovery_threshold(), and the row-major output blocks are
+    output_map @ (h's coefficients), with output_map an mn x K matrix.  The
+    results of any K workers S therefore decode through the one map
+    output_map V_S^-1, V_S being the Vandermonde matrix at their points.
+    """
+
+    points: tuple[int, ...]
+    output_map: np.ndarray
+
+    def _decode_received(
+        self, received: np.ndarray, subset: Sequence[int], dims: tuple[int, int] | None
+    ) -> np.ndarray:
+        k_need = self.recovery_threshold()
+        xs = [self.points[w] for w in subset[:k_need]]
+        # basis[i][d] is the degree-d coefficient of l_i, so basis^T = V_S^-1
+        basis = np.array(lagrange_basis(self.field, xs), dtype=self.field.array_dtype)
+        decode_map = modmatmul(self.output_map, basis.T, self.field.modulus)
+        return self._assemble(combine_blocks(self.field, decode_map, received[:k_need]), dims)
+
+
+class GeneralPolynomialCode(InterpolationCode):
     """Polynomial code for an arbitrary valid exponent choice."""
 
     def __init__(self, spec: PolynomialCodeSpec):
@@ -302,28 +313,13 @@ class GeneralPolynomialCode(CodingScheme):
         self.p, self.m, self.n, self.N = spec.p, spec.m, spec.n, spec.N
         self.field = spec.field
         self.gen_a, self.gen_b = spec.generators()
-        # output block (k, k') is the coefficient of degree _degrees[k*n + k']
-        self._degrees = [spec.output_degree(k, kp) for k in range(self.m) for kp in range(self.n)]
+        self.points = spec.x_points
+        # output block (k, k') is the product polynomial's coefficient at its output degree
+        degrees = [spec.output_degree(k, kp) for k in range(self.m) for kp in range(self.n)]
+        self.output_map = np.eye(spec.product_degree() + 1, dtype=self.field.array_dtype)[degrees]
 
     def recovery_threshold(self) -> int:
         return self.spec.product_degree() + 1
-
-    def _decode_received(
-        self, received: np.ndarray, subset: Sequence[int], dims: tuple[int, int] | None
-    ) -> np.ndarray:
-        k_need = self.recovery_threshold()
-        xs = [self.spec.x_points[w] for w in subset[:k_need]]
-        basis = np.array(lagrange_basis(self.field, xs), dtype=self.field.array_dtype)
-        # only the output degrees' coefficients: coeff[d] = sum_i basis[i][d] * result_i
-        blocks = combine_blocks(self.field, basis.T[self._degrees], received[:k_need])
-        return self._assemble(blocks, dims)
-
-    def assemble_from_coefficients(
-        self, coeffs: Sequence[MatrixF] | Mapping[int, MatrixF], dims: tuple[int, int] | None
-    ) -> MatrixF:
-        """Pick each output block's degree out of the coefficients, indexed by degree."""
-        blocks = np.stack([coeffs[d].data for d in self._degrees])
-        return MatrixF._wrap(self.field, self._assemble(blocks, dims))
 
 
 class EntangledCode(GeneralPolynomialCode):

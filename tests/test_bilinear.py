@@ -125,9 +125,10 @@ class TestImprovedCode:
         code = ImprovedBilinearCode(bc, 15, gf65537)
         a = random_matrix(gf65537, 4, 4, rng)
         a_grid = partition(a, 2, 2)
-        vec = code._coded_vector(a_grid, code._a)
         for i in range(bc.rank):
-            assert code.encode_a(a, i).data.tolist() == (vec[i] % 65537).tolist()
+            # coded vector entry i: sum over (j, k) of a[i, j, k] * A[j, k]
+            vec = sum(int(code._a[i, j, k]) * a_grid[j, k].data for j in range(2) for k in range(2))
+            assert code.encode_a(a, i).data.tolist() == (vec % 65537).tolist()
 
     def test_zero_inputs_zero_blocks(self, gf65537):
         code = ImprovedBilinearCode(strassen_construction(), 13, gf65537)

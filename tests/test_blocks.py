@@ -1,4 +1,4 @@
-"""Tests for partitioning, reassembly, block interpolation, and overlap-add."""
+"""Tests for partitioning, reassembly, array interpolation, and overlap-add."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from codedmm.blocks import (
     assemble,
     assemble_array,
     assemble_product,
-    interpolate_block_polynomial,
     overlap_add,
     partition,
     partition_vector,
@@ -16,7 +15,7 @@ from codedmm.blocks import (
     write_matrix_text,
 )
 from codedmm.errors import BlockShapeMismatch, FieldMismatch
-from codedmm.field import PrimeField, lagrange_interpolate
+from codedmm.field import PrimeField, interpolate_arrays, lagrange_interpolate
 
 from oracles import direct_convolution, oracle_product, random_matrix
 
@@ -200,38 +199,34 @@ class TestBlockInterpolation:
     def test_one_by_one_reduces_to_scalar(self, gf7, rng):
         xs = [0, 1, 2, 4]
         ys = [rng.randrange(7) for _ in xs]
-        blocks = interpolate_block_polynomial(
-            [(x, MatrixF(gf7, [[y]])) for x, y in zip(xs, ys)]
-        )
+        coeffs = interpolate_arrays(gf7, xs, [np.array([[y]]) for y in ys])
         scalar = lagrange_interpolate([(gf7(x), gf7(y)) for x, y in zip(xs, ys)])
-        got = [int(b.data[0, 0]) for b in blocks]
+        got = [int(c[0, 0]) for c in coeffs]
         want = list(scalar.coeffs) + [0] * (len(xs) - len(scalar.coeffs))
         assert got == want
 
     def test_constant_polynomial(self, gf7):
         m = MatrixF(gf7, [[1, 2], [3, 4]])
-        blocks = interpolate_block_polynomial([(0, m), (1, m), (2, m)])
-        assert blocks[0] == m
-        assert all(not blocks[d].data.any() for d in (1, 2))
+        coeffs = interpolate_arrays(gf7, [0, 1, 2], [m.data] * 3)
+        assert np.array_equal(coeffs[0], m.data)
+        assert not coeffs[1:].any()
 
     def test_commutes_with_entry_selection(self, gf257, rng):
         pts = []
         for x in (0, 1, 2, 3, 5):
             pts.append((x, random_matrix(gf257, 2, 3, rng)))
-        blocks = interpolate_block_polynomial(pts)
+        coeffs = interpolate_arrays(gf257, [x for x, _ in pts], [blk.data for _, blk in pts])
         for u in range(2):
             for v in range(3):
                 scalar = lagrange_interpolate(
                     [(gf257(x), blk.entry(u, v)) for x, blk in pts]
                 )
-                for d, blk in enumerate(blocks):
-                    assert blk.entry(u, v).value == scalar.coefficient(d)
+                for d, coeff in enumerate(coeffs):
+                    assert int(coeff[u, v]) == scalar.coefficient(d)
 
     def test_shape_mismatch(self, gf7):
-        with pytest.raises(BlockShapeMismatch):
-            interpolate_block_polynomial(
-                [(0, MatrixF(gf7, [[1]])), (1, MatrixF(gf7, [[1, 2]]))]
-            )
+        with pytest.raises(ValueError):
+            interpolate_arrays(gf7, [0, 1], [np.array([[1]]), np.array([[1, 2]])])
 
 
 class TestMatrixText:

@@ -5,7 +5,7 @@ import pytest
 
 from codedmm.bilinear import ImprovedBilinearCode, strassen_construction
 from codedmm.blocks import MatrixF
-from codedmm.errors import CodedmmError, TooManyErrors
+from codedmm.errors import BlockShapeMismatch, CodedmmError, TooManyErrors
 from codedmm.robust import (
     Clean,
     ErrorDetected,
@@ -102,6 +102,17 @@ class TestDetect:
         out = detect_errors(code, make_results(code, a, b), dims=(2, 2))
         assert isinstance(out, Clean)
         assert out.matrix == oracle_product(a, b)
+
+
+@pytest.mark.parametrize("repair", [detect_errors, correct_errors])
+@pytest.mark.parametrize("worker", [0, 8])
+def test_result_of_another_shape_is_refused(repair, worker, setup_9_workers):
+    # inside the fit (worker 0) or outside it (worker 8), one typed error
+    code, _, _, _, results = setup_9_workers
+    results = list(results)
+    results[worker] = MatrixF.zeros(code.field, *(d + 1 for d in results[worker].shape))
+    with pytest.raises(BlockShapeMismatch):
+        repair(code, results, dims=(4, 2))
 
 
 class TestCorrect:

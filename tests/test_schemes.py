@@ -18,7 +18,7 @@ from codedmm.errors import (
     TooFewWorkers,
     UnknownWorker,
 )
-from codedmm.field import PrimeField
+from codedmm.field import PrimeField, interpolate_arrays, modmatmul
 from codedmm.linalg import solve_linear_system
 from codedmm.schemes import (
     EntangledCode,
@@ -27,7 +27,6 @@ from codedmm.schemes import (
     RandomLinearCode,
     UncodedRepetitionCode,
     entangled_spec,
-    general_poly_encode,
     worker_multiply,
 )
 
@@ -42,19 +41,18 @@ class TestGeneralPolyEncode:
     def test_half_split_formulas(self, gf7):
         # (alpha, beta, theta) = (1, p, pm) with p=2, m=n=1:
         # A~_i = A0 + i A1 and B~_i = i B0 + B1
-        spec = entangled_spec(2, 1, 1, 5, gf7)
-        a_grid = partition(MatrixF(gf7, [[1], [2]]), 2, 1)
-        b_grid = partition(MatrixF(gf7, [[3], [4]]), 2, 1)
+        code = EntangledCode(2, 1, 1, 5, gf7)
+        a, b = MatrixF(gf7, [[1], [2]]), MatrixF(gf7, [[3], [4]])
         for i in range(5):
-            ca, cb = general_poly_encode(spec, a_grid, b_grid, i)
+            ca, cb = code.encode_a(a, i), code.encode_b(b, i)
             assert int(ca.data[0, 0]) == (1 + i * 2) % 7
             assert int(cb.data[0, 0]) == (i * 3 + 4) % 7
 
     def test_x_zero_keeps_only_corner_block(self, gf65537, rng):
-        spec = entangled_spec(2, 2, 2, 11, gf65537)
+        code = EntangledCode(2, 2, 2, 11, gf65537)
         a = random_matrix(gf65537, 4, 4, rng)
         b = random_matrix(gf65537, 4, 4, rng)
-        ca, cb = general_poly_encode(spec, partition(a, 2, 2), partition(b, 2, 2), 0)
+        ca, cb = code.encode_a(a, 0), code.encode_b(b, 0)
         assert ca == partition(a, 2, 2)[0, 0]
         # B's exponent (p-1-j) vanishes at j = p-1 instead
         assert cb == partition(b, 2, 2)[1, 0]
@@ -102,10 +100,8 @@ class TestEntangledSpec:
 class TestWorkerMultiply:
     def test_worked_example(self, gf7):
         # A blocks [1],[2], B blocks [3],[4], worker 2: A~=5, B~=3, product 1
-        spec = entangled_spec(2, 1, 1, 5, gf7)
-        a_grid = partition(MatrixF(gf7, [[1], [2]]), 2, 1)
-        b_grid = partition(MatrixF(gf7, [[3], [4]]), 2, 1)
-        ca, cb = general_poly_encode(spec, a_grid, b_grid, 2)
+        code = EntangledCode(2, 1, 1, 5, gf7)
+        ca, cb = code.encode_a(MatrixF(gf7, [[1], [2]]), 2), code.encode_b(MatrixF(gf7, [[3], [4]]), 2)
         assert (int(ca.data[0, 0]), int(cb.data[0, 0])) == (5, 3)
         assert int(worker_multiply(ca, cb).data[0, 0]) == 1
 
@@ -203,6 +199,46 @@ class TestDecodeEntryPoint:
             scheme.decode(results, list(range(scheme.N)))
 
 
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_decode_received_takes_any_representative(name, gf65537, rng):
+    # results shifted by multiples of q up to 2^30 q (entries near 2^46, both
+    # signs) are the same field elements and must decode to the same product
+    scheme = BATCHED[name](gf65537)
+    a, b = random_matrix(gf65537, 5, 3, rng), random_matrix(gf65537, 5, 2, rng)
+    stack = scheme.worker_products(a, b)
+    draw = np.random.default_rng(5)
+    shifted = stack + 65537 * draw.integers(-(1 << 30), 1 << 30, size=stack.shape)
+    subset = sorted(draw.choice(scheme.N, scheme.recovery_threshold(), replace=False).tolist())
+    got = scheme.decode_received(shifted[subset], subset, dims=(3, 2))
+    assert np.array_equal(got, oracle_product(a, b).data)
+
+
+INTERPOLATION = {
+    "entangled": lambda f: EntangledCode(2, 2, 1, 8, f),
+    "general-poly": BATCHED["general-poly"],
+    "improved-strassen": lambda f: ImprovedBilinearCode(strassen_construction(), 15, f),
+    "improved-standard": lambda f: ImprovedBilinearCode(standard_construction(2, 1, 2), 8, f),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERPOLATION))
+def test_output_map_takes_coefficients_to_output_blocks(name, gf65537, rng):
+    # the results are one polynomial at the workers' points; output_map takes
+    # its coefficients, interpolated from any K of them, to the blocks of A^T B
+    code = INTERPOLATION[name](gf65537)
+    p, m, n, k = code.p, code.m, code.n, code.recovery_threshold()
+    assert code.output_map.shape == (m * n, k)
+    a, b = random_matrix(gf65537, 2 * p, 2 * m, rng), random_matrix(gf65537, 2 * p, 2 * n, rng)
+    stack = code.worker_products(a, b)
+    subset = sorted(rng.sample(range(code.N), k))
+    coeffs = interpolate_arrays(gf65537, [code.points[w] for w in subset], stack[subset])
+    blocks = modmatmul(code.output_map, coeffs.reshape(k, -1), 65537).reshape(m, n, 2, 2)
+    want = partition(oracle_product(a, b), m, n)
+    for j in range(m):
+        for kp in range(n):
+            assert np.array_equal(blocks[j, kp], want[j, kp].data)
+
+
 class TestEntangledDecode:
     def test_worked_example_all_subsets(self, gf7):
         code = EntangledCode(2, 1, 1, 5, gf7)
@@ -245,15 +281,15 @@ class TestEntangledDecode:
     def test_h_coefficient_structure(self, gf65537, rng):
         # interpolated coefficient at degree p-1+kp+k'pm equals the direct
         # block sum over j of A[j,k]^T B[j,k']
-        from codedmm.blocks import interpolate_block_polynomial
-
         p, m, n = 2, 2, 2
         code = EntangledCode(p, m, n, 12, gf65537)
         a = random_matrix(gf65537, 4, 4, rng)
         b = random_matrix(gf65537, 4, 4, rng)
         results = run_workers(code, a, b)
-        pts = [(code.spec.x_points[w], results[w]) for w in range(code.recovery_threshold())]
-        coeffs = interpolate_block_polynomial(pts)
+        fit = range(code.recovery_threshold())
+        coeffs = interpolate_arrays(
+            gf65537, [code.spec.x_points[w] for w in fit], [results[w].data for w in fit]
+        )
         a_grid = partition(a, p, m)
         b_grid = partition(b, p, n)
         for k in range(m):
@@ -261,7 +297,7 @@ class TestEntangledDecode:
                 acc = a_grid[0, k].transpose() @ b_grid[0, kp]
                 for j in range(1, p):
                     acc = acc + (a_grid[j, k].transpose() @ b_grid[j, kp])
-                assert coeffs[(p - 1) + k * p + kp * p * m] == acc
+                assert np.array_equal(coeffs[(p - 1) + k * p + kp * p * m], acc.data)
 
     def test_insufficient_results(self, gf65537, rng):
         code = EntangledCode(2, 2, 2, 12, gf65537)
