@@ -128,7 +128,8 @@ def conv_decode(
     """Recover a * b from any m + n - 1 worker results.
 
     true_lens, when given, is (len(a), len(b)) before padding and the output
-    is truncated to the true convolution length.
+    is truncated to the true convolution length; lengths beyond the padded
+    m*s and n*s raise BlockShapeMismatch.
     """
     k_need = spec.recovery_threshold()
     if len(subset) < k_need:
@@ -145,5 +146,7 @@ def conv_decode(
     full = overlap_add(spec.field, [coeffs[d] for d in range(k_need)], spec.s)
     if true_lens is not None:
         la, lb = true_lens
+        if la > spec.m * spec.s or lb > spec.n * spec.s:
+            raise BlockShapeMismatch(f"true lengths {true_lens} exceed the padded m*s, n*s")
         full = full[: la + lb - 1]
     return full

@@ -98,27 +98,12 @@ class PrimeField:
 
     # -- integer arithmetic on canonical representatives --
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.modulus
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.modulus
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.modulus
-
-    def neg(self, a: int) -> int:
-        return -a % self.modulus
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse, ``pow(a, -1, q)``; DivisionByZero for 0."""
         a = int(a) % self.modulus
         if a == 0:
             raise DivisionByZero(f"0 has no inverse in GF({self.modulus})")
         return pow(a, -1, self.modulus)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -129,12 +114,6 @@ class PrimeField:
 
     def __call__(self, value: int) -> "FieldElement":
         return FieldElement(self, value)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
 
     def random(self, rng) -> int:
         """Uniform canonical element; rng is a random.Random or numpy Generator."""

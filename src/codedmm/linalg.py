@@ -9,6 +9,8 @@ update, leaving M in reduced row echelon form.
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 from .field import PrimeField
@@ -29,7 +31,7 @@ def solve_linear_system(
     m = np.array(coeffs, dtype=field.array_dtype) % q
     b = np.array(rhs, dtype=field.array_dtype) % q
     rows, cols = m.shape
-    aug = np.concatenate([m, b.reshape(rows, -1)], axis=1)
+    aug = np.concatenate([m, b.reshape(rows, prod(b.shape[1:]))], axis=1)
 
     pivot_cols: list[int] = []
     for col in range(cols):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -24,6 +23,7 @@ from .errors import (
     BlockShapeMismatch,
     DegreeCollision,
     DuplicateEvaluationPoint,
+    FieldMismatch,
     FieldTooSmall,
     InsufficientResults,
     MissingResult,
@@ -188,6 +188,8 @@ class CodingScheme(ABC):
 
     def _encode(self, matrix: MatrixF, parts: int, weights: np.ndarray) -> np.ndarray:
         """(len(weights), br, bc) stack whose [i] is sum_t weights[i, t] * (block t)."""
+        if matrix.field != self.field:
+            raise FieldMismatch(f"input over {matrix.field}, code over {self.field}")
         return combine_blocks(self.field, weights, padded_blocks(matrix, self.p, parts))
 
     def _worker_rows(self, gen: np.ndarray, i: int) -> np.ndarray:
@@ -234,15 +236,22 @@ class CodingScheme(ABC):
 
         received is the (len(subset), br, bc) stack of results, such as
         worker_products(a, b)[subset]; its entries may be any integer
-        representatives of their field elements.  subset holds valid
-        worker indices.
+        representatives of their field elements.  Raises UnknownWorker for a
+        worker index outside [0, N).
         """
         self._check_count(subset)
+        index = np.asarray(subset)
+        if index.dtype.kind not in "iu" or index.min() < 0 or index.max() >= self.N:
+            raise UnknownWorker(f"worker index out of range for N={self.N} in {list(subset)}")
         if len(received) != len(subset):
             raise BlockShapeMismatch(f"{len(received)} results for {len(subset)} workers")
         q = self.field.modulus
-        # the float64 kernel is exact only on canonical int64 entries
-        if received.dtype != object and received.size and (received.min() < 0 or received.max() >= q):
+        # the float64 kernel is exact only on canonical int64 entries; as
+        # unsigned, a negative entry reads as at least 2^63
+        if received.dtype == np.int64:
+            if received.size and received.view(np.uint64).max() >= q:
+                received = received % q
+        elif received.dtype != object:
             received = received % q
         return self._decode_received(received, subset, dims)
 
@@ -384,14 +393,17 @@ class RandomLinearCode(CodingScheme):
     singular draw is reported rather than hidden (callers wait for one more
     worker and retry).
 
-    The results form a linear code: R = G X, with G the N x p^2mn product
-    generator and X the stacked pairwise products.  A decode from the
-    workers S either solves G[S] X = R_S directly (p^2mn pivots over |S|
-    rows) or, when few workers are missing, decodes erasures through parity
-    checks H (H G = 0): the missing results solve H[:, E] R_E = -H[:, S] R_S,
-    an elimination with |E| pivots over N rows, and X = L R for a left
-    inverse L of G (L G = I).  Both give the same product and fail on the
-    same subsets; decode picks one by counting the row updates each makes.
+    The results form a linear code, R = G X, with G the N x p^2mn product
+    generator and X the stacked pairwise products, decoded in systematic
+    form.  The information set I is the first p^2mn linearly independent
+    rows of G; in the variables Y = G[I] X the results are R = G' Y with
+    G' = G G[I]^-1, whose rows at I are the identity, and the output blocks
+    are Omega' Y.  The workers S give Y at I & S outright, and Y at I - S
+    solves G'[S - I, I - S] Y[I - S] = R[S - I] - G'[S - I, I & S] R[I & S]:
+    |I - S| <= N - |S| pivots over |S - I| <= N - p^2mn rows.  That is the
+    system G[S] X = R_S after an invertible change of variables, so it fails
+    on the same subsets (G[S] below rank p^2mn, or results that fit no
+    codeword) and otherwise gives the same product.
     """
 
     def __init__(self, p: int, m: int, n: int, N: int, field: PrimeField, seed: int = 0):
@@ -411,24 +423,21 @@ class RandomLinearCode(CodingScheme):
         )
         # row w: result_w = sum over pairs ((j,k),(j',k')) of
         #        gen_a[w,(j,k)] * gen_b[w,(j',k')] * (A[j,k]^T B[j',k'])
-        self._gen = (self.gen_a[:, :, None] * self.gen_b[:, None, :] % q).reshape(N, -1)
-
-    @cached_property
-    def _parity_decoder(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(L, H) with L G = I and H = I - G L, or None when rank(G) < p^2mn.
-
-        Built on the first erasure decode: H is N x N, and a code with many
-        more workers than unknowns may never need it.
-        """
-        gen, q = self._gen, self.field.modulus
-        unknowns = gen.shape[1]
-        # G^T Y = I gives the left inverse L = Y^T
-        inverse_t = solve_linear_system(self.field, gen.T, np.eye(unknowns, dtype=np.int64))
-        if inverse_t is None:
-            return None
-        left_inverse = inverse_t.T
-        parity = (np.eye(self.N, dtype=self.field.array_dtype) - modmatmul(gen, left_inverse, q)) % q
-        return left_inverse, parity
+        gen = (self.gen_a[:, :, None] * self.gen_b[:, None, :] % q).reshape(N, -1)
+        # G^T Z = I is solvable exactly when rank G = p^2mn; free variables
+        # come back zero, so Z's nonzero rows are I and Z[I]^T = G[I]^-1
+        solved = solve_linear_system(field, gen.T, np.eye(unknowns, dtype=np.int64))
+        self._info_pos = None  # worker -> its position in I, or -1
+        if solved is None:
+            return
+        info = np.flatnonzero(solved.any(axis=1))
+        inverse = solved[info].T
+        self._info_pos = np.full(N, -1)
+        self._info_pos[info] = np.arange(unknowns)
+        self._systematic = modmatmul(gen, inverse, q)
+        # output block (k, k') sums the aligned products A[j,k]^T B[j,k'] over j
+        aligned = inverse.reshape(p, m, p, n, unknowns)[range(p), :, range(p)]
+        self._output_map = aligned.sum(axis=0).reshape(m * n, unknowns) % q
 
     def recovery_threshold(self) -> int:
         return self.p * self.p * self.m * self.n
@@ -436,55 +445,32 @@ class RandomLinearCode(CodingScheme):
     def _decode_received(
         self, received: np.ndarray, subset: Sequence[int], dims: tuple[int, int] | None
     ) -> np.ndarray:
-        unknowns = self.recovery_threshold()
-        first: dict[int, int] = {}  # worker -> row of its first result
-        for row, w in enumerate(subset):
-            first.setdefault(int(w), row)
-        known = sorted(first)
-        erased = [w for w in range(self.N) if w not in first]
+        if self._info_pos is None:
+            raise SingularDecodeSystem("G has rank below p^2mn: no subset decodes")
+        # each worker with the row of its first result
+        workers, rows = np.unique(subset, return_index=True)
+        where = self._info_pos[workers]
+        inside = where >= 0
         br, bc = received.shape[1:]
-        flat = received[[first[w] for w in known]].reshape(len(known), -1)
-        # each pivot updates every row of its system: |E| pivots over N rows
-        # for the erasures against p^2mn pivots over |S| rows for G[S]; the
-        # erasure system's row updates, with its two modmatmuls, measured up
-        # to twice as costly as the direct solve's
-        if 2 * len(erased) * self.N < unknowns * len(known):
-            solved = self._decode_erasures(known, erased, flat)
-        else:
-            solved = solve_linear_system(
-                self.field, self._gen[known], flat, require_full_column_rank=True
-            )
-        # X is unique exactly when G's rows at the known workers have full
-        # column rank; there is none when the known results fit no codeword
+        flat = received.reshape(len(received), -1)
+        q = self.field.modulus
+        # Y is R at I & S, and zero at I - S until solved for
+        y = np.zeros((self.recovery_threshold(), br * bc), dtype=self.field.array_dtype)
+        y[where[inside]] = flat[rows[inside]]
+        absent = np.ones(len(y), dtype=bool)
+        absent[where[inside]] = False
+        coeffs = self._systematic[workers[~inside]]
+        solved = solve_linear_system(
+            self.field,
+            coeffs[:, absent],
+            flat[rows[~inside]] - modmatmul(coeffs, y, q),
+            require_full_column_rank=True,
+        )
         if solved is None:
             raise SingularDecodeSystem(
                 f"no unique decode from this subset of {len(subset)} workers: "
                 "the coefficient matrix is rank-deficient or the results are inconsistent"
             )
-        p, m, n = self.p, self.m, self.n
-        products = solved.reshape(p, m, p, n, br, bc)
-        # output block (k, k') sums the aligned products A[j,k]^T B[j,k'] over j
-        blocks = products[range(p), :, range(p)].sum(axis=0) % self.field.modulus
-        return self._assemble(blocks, dims)
-
-    def _decode_erasures(
-        self, known: list[int], erased: list[int], received: np.ndarray
-    ) -> np.ndarray | None:
-        """X = L R with R_E filled in from H[:, E] R_E = -H[:, S] R_S; None if not unique."""
-        decoder = self._parity_decoder
-        if decoder is None:
-            return None
-        left_inverse, parity = decoder
-        q = self.field.modulus
-        filled = solve_linear_system(
-            self.field,
-            parity[:, erased],
-            -modmatmul(parity[:, known], received, q),
-            require_full_column_rank=True,
-        )
-        if filled is None:
-            return None
-        full = np.empty((self.N, received.shape[1]), dtype=self.field.array_dtype)
-        full[known] = received
-        full[erased] = filled
-        return modmatmul(left_inverse, full, q)
+        y[absent] = solved
+        blocks = modmatmul(self._output_map, y, q)
+        return self._assemble(blocks.reshape(-1, br, bc), dims)

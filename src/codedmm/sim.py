@@ -46,9 +46,6 @@ class ShiftedExponential:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.shift + rng.exponential(1.0 / self.rate, size=n)
 
-    def describe(self) -> str:
-        return f"shifted-exp:{self.shift},{self.rate}"
-
 
 @dataclass(frozen=True)
 class FixedStragglers:
@@ -69,9 +66,6 @@ class FixedStragglers:
             laggards = rng.choice(n, size=self.count, replace=False)
             times[laggards] = self.slowdown
         return times
-
-    def describe(self) -> str:
-        return f"stragglers:{self.count},{self.slowdown}"
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import pytest
 from codedmm.blocks import partition_vector
 from codedmm.convolution import conv_decode, conv_encode, conv_spec, conv_worker, field_convolve
 from codedmm.errors import (
+    BlockShapeMismatch,
     FieldTooSmall,
     InsufficientResults,
     MissingResult,
@@ -145,6 +146,15 @@ class TestConvDecode:
         results = encode_all(spec, a, b)
         got = conv_decode(spec, results, [6, 2, 0, 3], true_lens=(7, 10))
         assert got.tolist() == direct_convolution(257, a, b)
+
+    def test_true_lens_beyond_padded_length(self, gf257):
+        # a and b pad to m*s = n*s = 6 entries: 7 would ask for more than was encoded
+        spec = conv_spec(2, 2, 5, 3, gf257)
+        results = encode_all(spec, [1] * 6, [2] * 6)
+        for lens in ((7, 6), (6, 7)):
+            with pytest.raises(BlockShapeMismatch):
+                conv_decode(spec, results, [0, 1, 2], true_lens=lens)
+        assert len(conv_decode(spec, results, [0, 1, 2], true_lens=(6, 6))) == 11
 
     def test_product_coefficient_structure(self, gf257, rng):
         # coefficient d of the interpolated polynomial is the anti-diagonal

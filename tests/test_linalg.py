@@ -116,6 +116,15 @@ def test_inconsistent_system_has_no_solution(q, rhs_shape):
     assert solve(q, square, rhs, rhs_shape) is None
 
 
+@pytest.mark.parametrize("q", MODULI)
+def test_system_without_equations(q):
+    # no rows: solvable only with no unknowns, the solution then being empty
+    field = PrimeField(q)
+    assert solve_linear_system(field, np.zeros((0, 2)), np.zeros((0, 3)), True) is None
+    got = solve_linear_system(field, np.zeros((0, 0)), np.zeros((0, 3, 4)), True)
+    assert got.shape == (0, 3, 4)
+
+
 def test_random_linear_decode_at_largest_int64_field():
     # q = 2097143 is the largest prime below 2^21, so int64 arrays; the
     # elimination's outer products reach just below 2^42

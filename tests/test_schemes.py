@@ -11,6 +11,7 @@ from codedmm.errors import (
     BlockShapeMismatch,
     CodedmmError,
     DegreeCollision,
+    FieldMismatch,
     FieldTooSmall,
     InsufficientResults,
     MissingResult,
@@ -142,6 +143,19 @@ class TestWorkerProducts:
             assert np.array_equal(g, w)
             assert g.dtype == w.dtype
             assert [type(v) for v in g.flat] == [type(v) for v in w.flat]
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_inputs_over_another_field_rejected(name, gf7, gf65537, rng):
+    # GF(7) inputs to a GF(65537) code would decode to their product mod 65537
+    scheme = BATCHED[name](gf65537)
+    a, b = random_matrix(gf7, 5, 3, rng), random_matrix(gf7, 5, 2, rng)
+    good_a, good_b = random_matrix(gf65537, 5, 3, rng), random_matrix(gf65537, 5, 2, rng)
+    for call in (lambda: scheme.encode_a(a, 0), lambda: scheme.encode_b(b, 0),
+                 lambda: scheme.encode_all(a, good_b), lambda: scheme.encode_all(good_a, b),
+                 lambda: scheme.worker_products(a, b)):
+        with pytest.raises(FieldMismatch):
+            call()
 
 
 class TestDecodeEntryPoint:
@@ -411,7 +425,7 @@ def product_generator_rows(code, workers):
 
 
 class TestRandomLinearErasureDecode:
-    """Decoding through parity checks against the rank of G on the subset."""
+    """Decoding from any subset against the rank of G on the subset."""
 
     @pytest.mark.parametrize("q", [7, 11, 65537, 2097143, 2**61 - 1])
     def test_every_subset_decodes_exactly_when_full_rank(self, q, rng):
@@ -458,22 +472,17 @@ class TestRandomLinearErasureDecode:
                 code.decode(bad, list(range(code.N)), dims=(2, 3))
 
     @pytest.mark.parametrize("q", [7, 65537, 2**61 - 1])
-    def test_erasure_and_direct_solves_agree(self, q, rng):
-        """decode picks its elimination by size; both agree on every subset."""
+    def test_systematic_and_direct_solves_agree(self, q, rng):
+        """decode fails exactly where solving G[S] X = R_S directly fails,
+        and otherwise returns the product of that solution."""
         field = PrimeField(q)
-        taken = {"erasure": 0, "direct": 0}
-        # K = 4 of N = 6 and K = 2 of N = 7: both paths occur in each
+        outcomes = {"decoded": 0, "singular": 0}
+        # K = 4 of N = 6 and K = 2 of N = 7
         for code in (RandomLinearCode(2, 1, 1, 6, field, seed=2),
                      RandomLinearCode(1, 2, 1, 7, field, seed=2)):
-            erasure_solve = code._decode_erasures
-
-            def counted(*args, erasure_solve=erasure_solve):
-                taken["erasure"] += 1
-                return erasure_solve(*args)
-
-            code._decode_erasures = counted
-            a = random_matrix(field, 2 * code.p, 2 * code.m, rng)
-            b = random_matrix(field, 2 * code.p, 3 * code.n, rng)
+            p, m, n = code.p, code.m, code.n
+            a = random_matrix(field, 2 * p, 2 * m, rng)
+            b = random_matrix(field, 2 * p, 3 * n, rng)
             clean = run_workers(code, a, b)
             bad = dict(clean)
             bad[0] = MatrixF(field, (clean[0].data + 1) % q)
@@ -481,28 +490,34 @@ class TestRandomLinearErasureDecode:
                 for size in range(code.recovery_threshold(), code.N + 1):
                     for sub in combinations(range(code.N), size):
                         known = list(sub)
-                        erased = [w for w in range(code.N) if w not in sub]
                         flat = np.stack([results[w].data.reshape(-1) for w in known])
                         direct = solve_linear_system(
                             field, product_generator_rows(code, known), flat,
                             require_full_column_rank=True,
                         )
-                        erasure = erasure_solve(known, erased, flat)
-                        assert (direct is None) == (erasure is None), sub
-                        if direct is not None:
-                            assert direct.tolist() == erasure.tolist(), sub
-                        before = taken["erasure"]
-                        try:
-                            got = code.decode(results, known, dims=(a.cols, b.cols))
-                        except SingularDecodeSystem:
-                            assert direct is None, sub
-                        else:
-                            assert direct is not None, sub
-                            if results is clean:
-                                assert got == oracle_product(a, b), sub
-                        if taken["erasure"] == before:
-                            taken["direct"] += 1
-        assert taken["erasure"] > 0 and taken["direct"] > 0
+                        if direct is None:
+                            with pytest.raises(SingularDecodeSystem):
+                                code.decode(results, known, dims=(a.cols, b.cols))
+                            outcomes["singular"] += 1
+                            continue
+                        got = code.decode(results, known, dims=(a.cols, b.cols))
+                        # output block (k, k') sums the aligned products over j
+                        pairs = direct.reshape(p, m, p, n, 2, 3)
+                        blocks = sum(pairs[j, :, j] for j in range(p)) % q
+                        want = blocks.swapaxes(1, 2).reshape(2 * m, 3 * n)
+                        assert np.array_equal(got.data, want), sub
+                        if results is clean:
+                            assert got == oracle_product(a, b), sub
+                        outcomes["decoded"] += 1
+        assert outcomes["decoded"] > 0 and outcomes["singular"] > 0
+
+    def test_rank_deficient_generator_never_decodes(self, gf7, rng):
+        code = RandomLinearCode(2, 1, 1, 6, gf7, seed=0)
+        everyone = list(range(code.N))
+        assert rank_mod(7, product_generator_rows(code, everyone)) < code.recovery_threshold()
+        results = run_workers(code, random_matrix(gf7, 4, 2, rng), random_matrix(gf7, 4, 3, rng))
+        with pytest.raises(SingularDecodeSystem):
+            code.decode(results, everyone, dims=(2, 3))
 
     def test_repeated_workers(self, gf65537, rng):
         code = RandomLinearCode(2, 1, 1, 6, gf65537, seed=0)
@@ -531,10 +546,16 @@ class TestDecodeSubsetErrors:
         scheme = SCHEMES[name](gf65537)
         results = run_workers(scheme, random_matrix(gf65537, 4, 4, rng), random_matrix(gf65537, 4, 4, rng))
         k = scheme.recovery_threshold()
+        stack = np.stack([results[w].data for w in [0] + list(range(k))])
         assert issubclass(UnknownWorker, CodedmmError)
-        for bad in (scheme.N, scheme.N + 7, -1):
+        for bad in (scheme.N, scheme.N + 7, -1, 1 << 64):
+            subset = [bad] + list(range(k))
             with pytest.raises(UnknownWorker):
-                scheme.decode(results, [bad] + list(range(k)))
+                scheme.decode(results, subset)
+            # decode_received with a bad label, as a list or an array
+            for index in (subset, np.array(subset)):
+                with pytest.raises(UnknownWorker):
+                    scheme.decode_received(stack, index)
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_subset_worker_without_result(self, name, gf65537, rng):
