@@ -132,15 +132,22 @@ class BlockGrid:
 
 
 def padded_blocks(matrix: MatrixF, row_parts: int, col_parts: int) -> np.ndarray:
-    """The zero-padded blocks as one (row_parts, col_parts, br, bc) array view."""
+    """The zero-padded blocks as one read-only (row_parts, col_parts, br, bc) array.
+
+    An evenly partitioned matrix is not copied: the blocks view its data.
+    """
     if row_parts < 1 or col_parts < 1:
         raise ValueError("partition counts must be >= 1")
     s, r = matrix.shape
     br = -(-s // row_parts)
     bc = -(-r // col_parts)
-    padded = np.zeros((br * row_parts, bc * col_parts), dtype=matrix.field.array_dtype)
-    padded[:s, :r] = matrix.data
-    return padded.reshape(row_parts, br, col_parts, bc).swapaxes(1, 2)
+    padded = matrix.data
+    if padded.shape != (br * row_parts, bc * col_parts):
+        padded = np.zeros((br * row_parts, bc * col_parts), dtype=matrix.field.array_dtype)
+        padded[:s, :r] = matrix.data
+    view = padded.reshape(row_parts, br, col_parts, bc).swapaxes(1, 2)
+    view.flags.writeable = False
+    return view
 
 
 def partition(matrix: MatrixF, row_parts: int, col_parts: int) -> BlockGrid:

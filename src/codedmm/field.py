@@ -12,8 +12,9 @@ reduction (Dumas, Giorgi & Pernet, FFLAS-FFPACK): a sum of k products of
 canonical entries is an integer of at most k*(q-1)^2, which float64 holds
 exactly while it stays below 2^53, so contractions are split into chunks of
 at most (2^53 - 1) // (q-1)^2 terms (2048 or more for q < 2^21) and reduced
-between chunks.  Larger moduli use Python-int (object) arrays, exact at any
-length.
+between chunks.  Large products run in cache-sized tiles that reuse one
+product and one scratch buffer and reduce by integer floor division.  Larger
+moduli use Python-int (object) arrays, exact at any length.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ _INT64_SAFE_MODULUS = 1 << 21
 # Integers up to this bound are exact in float64.
 _FLOAT_EXACT = 1 << 53
 
-# modmatmul does an exact product with at most this many output entries in
-# one dgemm call; larger ones go in tiles whose float64 operands and product
-# hold about this many entries.
+# modmatmul's memory budget, in 8-byte entries (2 MB).  A product whose
+# float64 result and int64 copy fit it is one dgemm call; larger ones go in
+# tiles whose float64 operand slices, float64 product and int64 scratch fit.
 _TILE_ELEMS = 1 << 18
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -411,12 +412,16 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     @ (..., inner, cols), one product per stack entry; one operand may be a
     single matrix, shared by every entry.  Object operands multiply as
     Python ints.  int64 operands run on float64 BLAS, in chunks of the
-    contraction that float64 sums exactly, reduced with an int64 ``%``
-    between chunks.  An output of at most _TILE_ELEMS entries that needs one
-    chunk is a single matmul.  Larger products go in tiles whose float64
-    operands and product hold about _TILE_ELEMS entries: whole stack entries
-    when one fits, else column slices of one entry.  The result has the
-    operands' dtype.
+    contraction that float64 sums exactly, reduced mod q between chunks.
+    The memory budget is _TILE_ELEMS 8-byte entries.  A one-chunk product
+    whose float64 result and int64 copy fit it is a single matmul reduced
+    with ``%``.  Larger products go in tiles whose float64 operand slices,
+    float64 product and int64 scratch fit it: whole stack entries when one
+    fits, else column slices of one entry, which share one float64 copy of
+    the entry's a chunk.  Every tile reuses one product buffer and one
+    scratch buffer and is reduced in place as x - (x // q) * q, a division
+    by a constant that numpy runs without hardware divides.  The result has
+    the operands' dtype.
     """
     if a.dtype == object or b.dtype == object:
         return (a @ b) % q
@@ -427,7 +432,7 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     cols = b.shape[-1]
     stack = a.shape[:-2] if a.ndim >= b.ndim else b.shape[:-2]
     size = prod(stack) * rows * cols
-    if size == 0 or (inner <= step and size <= _TILE_ELEMS):
+    if size == 0 or inner == 0 or (inner <= step and 2 * size <= _TILE_ELEMS):
         out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
         return np.remainder(out, q, out=out)
     out = np.empty((*stack, rows, cols), dtype=np.int64)
@@ -435,21 +440,26 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     a_s = np.broadcast_to(a.reshape(-1, rows, inner), (len(entries), rows, inner))
     b_s = np.broadcast_to(b.reshape(-1, inner, cols), (len(entries), inner, cols))
     chunk = min(inner, step)
-    entry = rows * chunk + chunk * cols + rows * cols
+    per_col = chunk + 2 * rows  # a float64 b column, product column and scratch column
+    entry = rows * chunk + cols * per_col
     group = max(1, _TILE_ELEMS // entry)
-    width = cols if entry <= _TILE_ELEMS else max(1, (_TILE_ELEMS - rows * chunk) // (chunk + rows))
+    width = cols if entry <= _TILE_ELEMS else max(1, _TILE_ELEMS // per_col)
+    product = np.empty(group * rows * width)
+    scratch = np.empty(group * rows * width, dtype=np.int64)
     for s0 in range(0, len(entries), group):
-        for c0 in range(0, cols, width):
-            tile = entries[s0:s0 + group, :, c0:c0 + width]
-            for k0 in range(0, inner, step):
-                part = a_s[s0:s0 + group, :, k0:k0 + step].astype(np.float64) @ b_s[
-                    s0:s0 + group, k0:k0 + step, c0:c0 + width
-                ].astype(np.float64)
+        for k0 in range(0, inner, step):
+            a_part = a_s[s0:s0 + group, :, k0:k0 + step].astype(np.float64)
+            for c0 in range(0, cols, width):
+                tile = entries[s0:s0 + group, :, c0:c0 + width]
+                p = product[:tile.size].reshape(tile.shape)
+                s = scratch[:tile.size].reshape(tile.shape)
+                np.matmul(a_part, b_s[s0:s0 + group, k0:k0 + step, c0:c0 + width].astype(np.float64), out=p)
+                np.copyto(s, p, casting="unsafe")
                 if k0:
-                    tile += part.astype(np.int64)
-                else:
-                    tile[...] = part
-                np.remainder(tile, q, out=tile)
+                    s += tile
+                np.floor_divide(s, q, out=tile)
+                tile *= q
+                np.subtract(s, tile, out=tile)
     return out
 
 

@@ -55,6 +55,20 @@ class TestPartition:
         assert grid[0, 0].data.tolist() == [[1, 2], [4, 5]]
         assert grid[1, 1].data.tolist() == [[2, 0], [0, 0]]  # zero padded row/col
 
+    @pytest.mark.parametrize("rows, cols, even", [(4, 6, True), (3, 5, False)])
+    def test_blocks_are_read_only(self, gf257, rng, rows, cols, even):
+        # an even 2 x 3 split views the input, an uneven one pads a copy
+        m = random_matrix(gf257, rows, cols, rng)
+        before = m.data.copy()
+        grid = partition(m, 2, 3)
+        assert np.shares_memory(grid[0, 0].data, m.data) == even
+        for row in grid.blocks:
+            for blk in row:
+                with pytest.raises(ValueError):
+                    blk.data[0, 0] = 1
+        assert np.array_equal(m.data, before)
+        assert m.data.flags.writeable
+
     def test_roundtrip_exhaustive_small(self, gf7, rng):
         for s in range(1, 9):
             for r in range(1, 9):

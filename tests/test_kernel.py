@@ -2,9 +2,12 @@
 
 modmatmul runs int64 operands on float64 BLAS, which is exact only while a
 dot product of canonical entries stays below 2^53; these tests sit on both
-sides of that chunk boundary, on output-column tiles, and on the worst-case
-entry q - 1.
+sides of that chunk boundary, on output-column tiles and stack groups that
+reuse one set of buffers, and on the worst-case entry q - 1.  One test
+bounds the kernel's scratch memory.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,7 +89,7 @@ def test_contraction_lengths_around_one_chunk(inner):
 
 @pytest.mark.parametrize("cols", [1, 2, 3, 5, 7])
 def test_output_widths_straddling_column_tiles(monkeypatch, cols):
-    # 6 entries per tile over 3 rows: tiles are 2 columns wide
+    # a 6-entry budget cannot hold one column of a 2049-term chunk: 1-column tiles
     monkeypatch.setattr(field_module, "_TILE_ELEMS", 6)
     for q in (7, Q_INT64_MAX):
         check(q, *operands(q, 3, 2049, cols, seed=cols))
@@ -95,13 +98,20 @@ def test_output_widths_straddling_column_tiles(monkeypatch, cols):
 
 def test_real_tile_width_straddled():
     q = 65537
-    cols = field_module._TILE_ELEMS // 2 + 1  # with two rows, one column past a tile
+    cols = field_module._TILE_ELEMS // 4 + 1  # with two rows, one column past one matmul
     check(q, *operands(q, 2, 3, cols, seed=2))
 
 
 def test_empty_contraction_is_zero():
     got = modmatmul(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64), 7)
     assert got.tolist() == [[0, 0, 0], [0, 0, 0]]
+
+
+def test_empty_contraction_past_the_single_matmul_bound():
+    # an output too large for one matmul, but with no terms to tile
+    cols = field_module._TILE_ELEMS + 1
+    got = modmatmul(np.zeros((1, 0), dtype=np.int64), np.zeros((0, cols), dtype=np.int64), 7)
+    assert got.shape == (1, cols) and not got.any()
 
 
 def test_worker_product_of_length_2_pow_22_does_not_overflow():
@@ -152,15 +162,17 @@ def test_stacked_widths_straddling_column_tiles(monkeypatch, cols):
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_output_at_and_past_the_single_matmul_bound(extra):
-    # _TILE_ELEMS output entries take one matmul, one more goes in tiles
+    # _TILE_ELEMS / 2 output entries, as float64 and as int64, take one
+    # matmul; one more goes in tiles
     q = Q_INT64_MAX
-    check(q, *operands(q, 1, 3, field_module._TILE_ELEMS + extra, seed=extra))
+    check(q, *operands(q, 1, 3, field_module._TILE_ELEMS // 2 + extra, seed=extra))
 
 
 @pytest.mark.parametrize("stack", [3, 4])
 def test_stacked_output_at_and_past_the_single_matmul_bound(monkeypatch, stack):
-    # 12 entries: three 2 x 2 products take one matmul, four go in tiles
-    monkeypatch.setattr(field_module, "_TILE_ELEMS", 12)
+    # 24 entries: three 2 x 2 products, as float64 and as int64, take one
+    # matmul; four go in tiles
+    monkeypatch.setattr(field_module, "_TILE_ELEMS", 24)
     q = Q_INT64_MAX
     pairs = [operands(q, 2, 5, 2, seed=s) for s in range(stack - 1)] + [near_maximal(q, 2, 5, 2)]
     check_stacked(q, pairs)
@@ -195,3 +207,52 @@ def test_shared_matrix_times_stack(monkeypatch):
         assert [g.tolist() for g in got] == want
         assert want == [naive_matmul_t(q, w.T.tolist(), blk.tolist()) for blk in blocks]
 
+
+def shared_and_stacked(q: int, rows: int, inner: int, cols: int):
+    """(a, b) layouts of a 5-entry stack: both stacked, a shared, b shared."""
+    pairs = [operands(q, rows, inner, cols, seed=inner + s) for s in range(4)]
+    pairs.append(near_maximal(q, rows, inner, cols))
+    a = np.stack([x for x, _ in pairs])
+    b = np.stack([y for _, y in pairs])
+    return [(a, b), (a[-1], b), (a, b[-1])]
+
+
+@pytest.mark.parametrize("tile", [6, 12, 40])
+@pytest.mark.parametrize("inner", [1, 2, 2047, 2048, 2049])
+def test_reused_tile_buffers(monkeypatch, tile, inner):
+    # Every tile reuses one product and one scratch buffer sized for the
+    # largest tile.  With 2 rows and 1 term, a 12-entry budget cuts 5 columns
+    # into tiles of 2, 2 and 1, and a 40-entry budget groups two 2 x 3
+    # entries, so a 5-entry stack ends in a group of one.  At 2049 terms two
+    # chunks accumulate into each 1-column tile.
+    monkeypatch.setattr(field_module, "_TILE_ELEMS", tile)
+    q = Q_INT64_MAX
+    for cols in (3, 5):
+        for a, b in shared_and_stacked(q, 2, inner, cols):
+            got = modmatmul(a, b, q)
+            a_s = np.broadcast_to(a, got.shape[:1] + a.shape[-2:])
+            b_s = np.broadcast_to(b, got.shape[:1] + b.shape[-2:])
+            assert got.shape == (5, 2, cols)
+            for out, x, y in zip(got, a_s, b_s):
+                assert out.tolist() == naive_matmul_t(q, x.T.tolist(), y.tolist())
+
+
+@pytest.mark.parametrize("rows, inner", [(12, 4), (4, 9)])
+def test_scratch_does_not_grow_with_output_width(rows, inner):
+    # the encode (12, 4) @ (4, W) and decode (4, 9) @ (9, W) shapes of a
+    # 2 x 2 x 2 entangled code: tiles bound the scratch beyond the output
+    q = 65537
+    rng = np.random.default_rng(rows)
+    a = rng.integers(0, q, size=(rows, inner))
+
+    def scratch(width: int) -> int:
+        b = rng.integers(0, q, size=(inner, width))
+        tracemalloc.start()
+        try:
+            out = modmatmul(a, b, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - out.nbytes
+
+    assert scratch(1 << 20) <= scratch(1 << 16) + (64 << 10)

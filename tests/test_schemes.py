@@ -145,6 +145,22 @@ class TestWorkerProducts:
             assert [type(v) for v in g.flat] == [type(v) for v in w.flat]
 
 
+@pytest.mark.parametrize("q", [65537, (1 << 61) - 1])
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_encoding_leaves_the_inputs_alone(name, q, rng):
+    # 4 x 4 and 4 x 2 inputs split evenly, so the blocks encoded are views of them
+    field = PrimeField(q)
+    scheme = BATCHED[name](field)
+    a, b = random_matrix(field, 4, 4, rng), random_matrix(field, 4, 2, rng)
+    a_before, b_before = a.data.copy(), b.data.copy()
+    outputs = [scheme.worker_products(a, b)]
+    outputs += [m.data for pair in scheme.encode_all(a, b) for m in pair]
+    for out in outputs:
+        assert not np.shares_memory(out, a.data)
+        assert not np.shares_memory(out, b.data)
+    assert np.array_equal(a.data, a_before) and np.array_equal(b.data, b_before)
+
+
 @pytest.mark.parametrize("name", sorted(BATCHED))
 def test_inputs_over_another_field_rejected(name, gf7, gf65537, rng):
     # GF(7) inputs to a GF(65537) code would decode to their product mod 65537
