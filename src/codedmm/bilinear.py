@@ -296,11 +296,6 @@ class ElementwiseProductCode:
             )
         return stack
 
-    def encode_a(self, vec, i: int) -> np.ndarray:
-        return self.encode(vec, i)
-
-    encode_b = encode_a
-
     def encode(self, vec, i: int) -> np.ndarray:
         if not 0 <= i < self.N:
             raise ValueError(f"worker index {i} out of range for N={self.N}")

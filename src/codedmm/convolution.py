@@ -26,7 +26,7 @@ from .errors import (
     InsufficientResults,
     TooFewWorkers,
 )
-from .field import PrimeField, exact_float_terms, interpolate_arrays, modmatmul
+from .field import PrimeField, exact_float_terms, interpolate_arrays, modmatmul, vandermonde
 from .schemes import gather_results
 
 
@@ -104,9 +104,7 @@ def conv_encode(
             raise BlockShapeMismatch(f"block of length {len(blk)}, expected {spec.s}")
     q = spec.field.modulus
     dtype = spec.field.array_dtype
-    powers = np.array(
-        [[pow(spec.x_points[i], d, q) for d in range(max(spec.m, spec.n))]], dtype=dtype
-    )
+    powers = vandermonde(spec.field, spec.x_points[i:i + 1], max(spec.m, spec.n))
     coded_a = modmatmul(powers[:, :spec.m], np.array(a_blocks, dtype=dtype), q)
     coded_b = modmatmul(powers[:, :spec.n], np.array(b_blocks, dtype=dtype), q)
     return coded_a[0], coded_b[0]

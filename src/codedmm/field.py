@@ -35,8 +35,9 @@ _INT64_SAFE_MODULUS = 1 << 21
 _FLOAT_EXACT = 1 << 53
 
 # modmatmul's memory budget, in 8-byte entries (2 MB).  A product whose
-# float64 result and int64 copy fit it is one dgemm call; larger ones go in
-# tiles whose float64 operand slices, float64 product and int64 scratch fit.
+# float64 operand copies, float64 result and int64 copy fit it is one dgemm
+# call; larger ones go in tiles whose float64 operand slices, float64 product
+# and int64 scratch fit.
 _TILE_ELEMS = 1 << 18
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -336,11 +337,12 @@ def _as_point(field: PrimeField | None, x) -> tuple[PrimeField, int]:
     return field, x % field.modulus
 
 
-def lagrange_basis(field: PrimeField, xs: Sequence[int]) -> list[list[int]]:
-    """Coefficient vectors of the Lagrange basis through distinct points xs.
+def lagrange_basis(field: PrimeField, xs: Sequence[int]) -> np.ndarray:
+    """V_xs^-1, the inverse of the Vandermonde matrix at distinct points xs.
 
-    basis[i][d] is the degree-d coefficient of l_i, the unique degree<K
-    polynomial with l_i(xs[i]) = 1 and l_i(xs[j]) = 0 for j != i.  O(K^2).
+    Column i holds the coefficients of l_i, the unique degree<K polynomial
+    with l_i(xs[i]) = 1 and l_i(xs[j]) = 0 for j != i, so entry [d, i] is
+    l_i's degree-d coefficient.  O(K^2).
     """
     q = field.modulus
     k = len(xs)
@@ -368,7 +370,7 @@ def lagrange_basis(field: PrimeField, xs: Sequence[int]) -> list[list[int]]:
             denom = (denom * x + c) % q
         scale = field.inv(denom)
         basis.append([c * scale % q for c in quot])
-    return basis
+    return np.array(basis, dtype=field.array_dtype).reshape(k, k).T
 
 
 def lagrange_interpolate(points) -> FieldPolynomial:
@@ -389,15 +391,8 @@ def lagrange_interpolate(points) -> FieldPolynomial:
         field, yv = _as_point(field, y)
         xs.append(xv)
         ys.append(yv)
-    q = field.modulus
-    basis = lagrange_basis(field, xs)
-    out = [0] * len(pts)
-    for yv, b in zip(ys, basis):
-        if yv == 0:
-            continue
-        for d, c in enumerate(b):
-            out[d] = (out[d] + yv * c) % q
-    return FieldPolynomial(field, out)
+    coeffs = interpolate_arrays(field, xs, np.array(ys, dtype=field.array_dtype))
+    return FieldPolynomial(field, coeffs.tolist())
 
 
 def exact_float_terms(q: int) -> int:
@@ -414,14 +409,15 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     Python ints.  int64 operands run on float64 BLAS, in chunks of the
     contraction that float64 sums exactly, reduced mod q between chunks.
     The memory budget is _TILE_ELEMS 8-byte entries.  A one-chunk product
-    whose float64 result and int64 copy fit it is a single matmul reduced
-    with ``%``.  Larger products go in tiles whose float64 operand slices,
-    float64 product and int64 scratch fit it: whole stack entries when one
-    fits, else column slices of one entry, which share one float64 copy of
-    the entry's a chunk.  Every tile reuses one product buffer and one
-    scratch buffer and is reduced in place as x - (x // q) * q, a division
-    by a constant that numpy runs without hardware divides.  The result has
-    the operands' dtype.
+    whose float64 operand copies, float64 result and int64 copy fit it
+    ((rows + cols) * inner + 2 * rows * cols entries for two matrices) is a
+    single matmul reduced with ``%``.  Others go in tiles whose float64
+    operand slices, float64 product and int64 scratch fit it: whole stack
+    entries when one fits, else column slices of one entry, which share one
+    float64 copy of the entry's a chunk.  Every tile reuses one product
+    buffer and one scratch buffer and is reduced in place as
+    x - (x // q) * q, a division by a constant that numpy runs without
+    hardware divides.  The result has the operands' dtype.
     """
     if a.dtype == object or b.dtype == object:
         return (a @ b) % q
@@ -432,7 +428,7 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     cols = b.shape[-1]
     stack = a.shape[:-2] if a.ndim >= b.ndim else b.shape[:-2]
     size = prod(stack) * rows * cols
-    if size == 0 or inner == 0 or (inner <= step and 2 * size <= _TILE_ELEMS):
+    if size == 0 or inner == 0 or (inner <= step and a.size + b.size + 2 * size <= _TILE_ELEMS):
         out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
         return np.remainder(out, q, out=out)
     out = np.empty((*stack, rows, cols), dtype=np.int64)
@@ -470,10 +466,9 @@ def interpolate_arrays(field: PrimeField, xs: Sequence[int], values: Sequence[np
     (len(xs), *value_shape) whose [d] slice is the degree-d coefficient.
     Equivalent to running lagrange_interpolate entry-wise.
     """
-    basis = np.array(lagrange_basis(field, xs), dtype=field.array_dtype)
     stack = np.stack(values)
-    # coeff[d] = sum_i basis[i][d] * values[i]
-    flat = modmatmul(basis.T, stack.reshape(len(stack), -1), field.modulus)
+    # coeff[d] = sum_i V^-1[d, i] * values[i]
+    flat = modmatmul(lagrange_basis(field, xs), stack.reshape(len(stack), -1), field.modulus)
     return flat.reshape(stack.shape)
 
 
@@ -483,17 +478,14 @@ def lagrange_matrix(field: PrimeField, xs: Sequence[int], ys: Sequence[int]) -> 
     M @ values maps a degree < len(xs) polynomial's values at xs to its
     values at ys.
     """
-    basis = np.array(lagrange_basis(field, xs), dtype=field.array_dtype)
-    return modmatmul(vandermonde(field, ys, len(xs)), basis.T, field.modulus)
+    return modmatmul(vandermonde(field, ys, len(xs)), lagrange_basis(field, xs), field.modulus)
 
 
 def vandermonde(field: PrimeField, xs: Sequence[int], n_cols: int) -> np.ndarray:
     """Matrix V with V[i, d] = xs[i]^d, canonical, shape (len(xs), n_cols)."""
     q = field.modulus
-    out = np.ones((len(xs), n_cols), dtype=field.array_dtype)
-    for i, x in enumerate(xs):
-        acc = 1
+    rows = [[1] * n_cols for _ in xs]
+    for row, x in zip(rows, xs):
         for d in range(1, n_cols):
-            acc = acc * x % q
-            out[i, d] = acc
-    return out
+            row[d] = row[d - 1] * x % q
+    return np.array(rows, dtype=field.array_dtype).reshape(len(xs), n_cols)

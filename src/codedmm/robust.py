@@ -18,7 +18,7 @@ import numpy as np
 
 from .blocks import MatrixF, combine_blocks
 from .errors import BlockShapeMismatch, TooManyErrors, UnsupportedScheme
-from .field import FieldPolynomial, PrimeField, lagrange_matrix
+from .field import FieldPolynomial, PrimeField, lagrange_matrix, modmatmul, vandermonde
 from .linalg import solve_linear_system
 from .schemes import GeneralPolynomialCode
 
@@ -47,6 +47,24 @@ class ErrorDetected:
     worker: int
 
 
+def inject_faults(rng: np.random.Generator, stack, errors: int, q: int) -> list[int]:
+    """Add a random nonzero block to `errors` seeded rows of stack, in place.
+
+    stack holds N canonical blocks, as one array or a list.  The victims are
+    drawn first, then one delta per victim in worker order; returns them sorted.
+    """
+    if not 0 <= errors <= len(stack):
+        raise ValueError(f"cannot corrupt {errors} of {len(stack)} workers")
+    victims = sorted(rng.choice(len(stack), size=errors, replace=False).tolist()) if errors else []
+    for w in victims:
+        while True:
+            delta = rng.integers(0, q, size=stack[w].shape)
+            if delta.any():
+                break
+        stack[w] = (stack[w] + delta.astype(stack[w].dtype)) % q
+    return victims
+
+
 @dataclass(frozen=True)
 class FaultModel:
     """Corrupts `errors` workers by adding a random nonzero block each."""
@@ -56,43 +74,27 @@ class FaultModel:
 
     def inject(self, results: Sequence[MatrixF]) -> tuple[list[MatrixF], list[int]]:
         """Returns (results with corruption applied, corrupted worker indices)."""
-        if self.errors > len(results):
-            raise ValueError(f"cannot corrupt {self.errors} of {len(results)} workers")
-        rng = np.random.default_rng(self.seed)
-        victims = sorted(rng.choice(len(results), size=self.errors, replace=False).tolist())
-        out = list(results)
-        for w in victims:
-            blk = results[w]
-            q = blk.field.modulus
-            while True:
-                delta = rng.integers(0, q, size=blk.shape)
-                if delta.any():
-                    break
-            out[w] = MatrixF(blk.field, blk.data + delta.astype(blk.field.array_dtype))
-        return out, victims
+        data = [r.data for r in results]
+        q = results[0].field.modulus if results else 1  # no victims to corrupt without results
+        victims = inject_faults(np.random.default_rng(self.seed), data, self.errors, q)
+        return [MatrixF._wrap(r.field, d) for r, d in zip(results, data)], victims
 
 
 def _mismatches(
     code: GeneralPolynomialCode,
-    results: Sequence[MatrixF],
+    stack: np.ndarray,
     fit: Sequence[int],
     others: Sequence[int],
 ) -> list[int]:
     """The workers in others whose results are off the polynomial through fit's results."""
     xs = code.points
     at_others = lagrange_matrix(code.field, [xs[w] for w in fit], [xs[w] for w in others])
-    predicted = combine_blocks(code.field, at_others, np.stack([results[w].data for w in fit]))
-    return [w for w, blk in zip(others, predicted) if not np.array_equal(blk, results[w].data)]
+    predicted = combine_blocks(code.field, at_others, stack[fit])
+    return [w for w, blk in zip(others, predicted) if not np.array_equal(blk, stack[w])]
 
 
-def _decode(code: GeneralPolynomialCode, results: Sequence[MatrixF], fit: Sequence[int], dims):
-    """The product decoded from the results of the workers in fit."""
-    received = np.stack([results[w].data for w in fit])
-    return MatrixF._wrap(code.field, code.decode_received(received, fit, dims))
-
-
-def _repair_threshold(code, results: Sequence[MatrixF]) -> int:
-    """Check that code is a polynomial code and results are N blocks of one shape; returns K.
+def _stacked_results(code, results: Sequence[MatrixF]) -> tuple[int, np.ndarray]:
+    """Check that code is a polynomial code and results are N blocks of one shape; returns (K, stack).
 
     Detection and repair interpolate through the workers' evaluation points;
     they are supported for the polynomial codes only.
@@ -105,7 +107,7 @@ def _repair_threshold(code, results: Sequence[MatrixF]) -> int:
         raise ValueError(f"need all {code.N} results, got {len(results)}")
     if len({r.shape for r in results}) > 1:
         raise BlockShapeMismatch("worker results differ in shape")
-    return code.recovery_threshold()
+    return code.recovery_threshold(), np.stack([r.data for r in results])
 
 
 def detect_errors(
@@ -119,48 +121,35 @@ def detect_errors(
     ErrorDetected.  With at most N - K corrupted workers this never returns
     a wrong Clean: the fit would disagree with some uncorrupted worker.
     """
-    k_need = _repair_threshold(code, results)
+    k_need, stack = _stacked_results(code, results)
     fit = range(k_need)
-    wrong = _mismatches(code, results, fit, range(k_need, code.N))
+    wrong = _mismatches(code, stack, fit, range(k_need, code.N))
     if wrong:
         return ErrorDetected(worker=wrong[0])
-    return Clean(_decode(code, results, fit, dims))
+    return Clean(MatrixF._wrap(code.field, code.decode_received(stack[fit], fit, dims)))
 
 
 def _berlekamp_welch(
     field: PrimeField,
     xs: Sequence[int],
-    ys: Sequence[int],
+    ys: np.ndarray,
     msg_len: int,
     max_errors: int,
-) -> tuple[FieldPolynomial, list[int]] | None:
-    """Decode a degree < msg_len polynomial from values with some errors.
+) -> list[int] | None:
+    """Locate the errors in values of a degree < msg_len polynomial.
 
     Solves Q(x_i) = y_i * E(x_i) with E monic of degree e, trying
     e = 0..max_errors and keeping the first e whose solution divides cleanly
     and mismatches the stream in at most e places; those mismatch positions
-    are exactly the error locations.  Returns None if no e works.
+    are exactly the error locations, and are returned.  Returns None if no e
+    works.
     """
     q = field.modulus
-    npts = len(xs)
+    powers = vandermonde(field, xs, msg_len + max_errors)
     for e in range(max_errors + 1):
-        q_len = msg_len + e
-        rows = []
-        rhs = []
-        for x, y in zip(xs, ys):
-            row = [0] * (e + q_len)
-            xp = 1
-            for d in range(e):
-                row[d] = y * xp % q
-                xp = xp * x % q
-            # xp is now x^e
-            rhs.append(-y * xp % q)
-            xp = 1
-            for d in range(q_len):
-                row[e + d] = -xp % q
-                xp = xp * x % q
-            rows.append(row)
-        sol = solve_linear_system(field, rows, rhs)
+        # row i: y_i x_i^d for d < e, then -x_i^d for d < msg_len + e; rhs -y_i x_i^e
+        rows = np.concatenate([ys[:, None] * powers[:, :e] % q, -powers[:, :msg_len + e] % q], axis=1)
+        sol = solve_linear_system(field, rows, -ys * powers[:, e] % q)
         if sol is None:
             continue
         locator = FieldPolynomial(field, [int(v) for v in sol[:e]] + [1])
@@ -170,12 +159,11 @@ def _berlekamp_welch(
             continue
         if candidate.degree is not None and candidate.degree >= msg_len:
             continue
-        mismatches = [
-            i for i, (x, y) in enumerate(zip(xs, ys))
-            if candidate.evaluate(x).value != y
-        ]
-        if len(mismatches) <= e and msg_len + 2 * len(mismatches) <= npts:
-            return candidate, mismatches
+        coeffs = np.array([candidate.coefficient(d) for d in range(msg_len)], dtype=field.array_dtype)
+        at_xs = modmatmul(powers[:, :msg_len], coeffs[:, None], q)[:, 0]
+        mismatches = np.flatnonzero(at_xs != ys).tolist()
+        if len(mismatches) <= e and msg_len + 2 * len(mismatches) <= len(xs):
+            return mismatches
     return None
 
 
@@ -194,32 +182,27 @@ def correct_errors(
     TooManyErrors when no pilot produces a verified decode.
     """
     N = code.N
-    k_need = _repair_threshold(code, results)
+    k_need, stack = _stacked_results(code, results)
     xs = code.points
     e_max = (N - k_need) // 2
-    shape = results[0].shape
 
     remaining = list(range(N))
     erased = 0
-    for u in range(shape[0]):
-        for v in range(shape[1]):
+    for u in range(stack.shape[1]):
+        for v in range(stack.shape[2]):
             budget = (len(remaining) - k_need) // 2
             stream_x = [xs[w] for w in remaining]
-            stream_y = [int(results[w].data[u, v]) for w in remaining]
-            decoded = _berlekamp_welch(code.field, stream_x, stream_y, k_need, budget)
-            if decoded is None:
+            mismatches = _berlekamp_welch(code.field, stream_x, stack[remaining, u, v], k_need, budget)
+            if mismatches is None:
                 continue
-            _, mismatches = decoded
-            located = [remaining[i] for i in mismatches]
-            if located:
-                if erased + len(located) > e_max:
+            if mismatches:
+                if erased + len(mismatches) > e_max:
                     continue
-                erased += len(located)
-                gone = set(located)
-                remaining = [w for w in remaining if w not in gone]
+                erased += len(mismatches)
+                remaining = [w for i, w in enumerate(remaining) if i not in mismatches]
             fit = remaining[:k_need]
-            if not _mismatches(code, results, fit, remaining[k_need:]):
-                return _decode(code, results, fit, dims)
+            if not _mismatches(code, stack, fit, remaining[k_need:]):
+                return MatrixF._wrap(code.field, code.decode_received(stack[fit], fit, dims))
     raise TooManyErrors(
         f"no pilot coordinate yields a consistent decode within {e_max} errors"
     )

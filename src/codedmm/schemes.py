@@ -31,7 +31,7 @@ from .errors import (
     TooFewWorkers,
     UnknownWorker,
 )
-from .field import PrimeField, lagrange_basis, modmatmul
+from .field import PrimeField, lagrange_basis, modmatmul, vandermonde
 from .linalg import solve_linear_system
 
 
@@ -108,14 +108,11 @@ class PolynomialCodeSpec:
         G_A[i, j*m + k] = x_i^(j*alpha + k*beta) and
         G_B[i, j*n + k] = x_i^((p-1-j)*alpha + k*theta).
         """
-        q = self.field.modulus
         p, a, b, t = self.p, self.alpha, self.beta, self.theta
-        gen_a = [[pow(x, j * a + k * b, q) for j in range(p) for k in range(self.m)]
-                 for x in self.x_points]
-        gen_b = [[pow(x, (p - 1 - j) * a + k * t, q) for j in range(p) for k in range(self.n)]
-                 for x in self.x_points]
-        dtype = self.field.array_dtype
-        return np.array(gen_a, dtype=dtype), np.array(gen_b, dtype=dtype)
+        powers = vandermonde(self.field, self.x_points, self.product_degree() + 1)
+        gen_a = powers[:, [j * a + k * b for j in range(p) for k in range(self.m)]]
+        gen_b = powers[:, [(p - 1 - j) * a + k * t for j in range(p) for k in range(self.n)]]
+        return gen_a, gen_b
 
     def check_degree_separation(self):
         """Verify each needed degree is hit only by its aligned product terms.
@@ -303,9 +300,7 @@ class InterpolationCode(CodingScheme):
     ) -> np.ndarray:
         k_need = self.recovery_threshold()
         xs = [self.points[w] for w in subset[:k_need]]
-        # basis[i][d] is the degree-d coefficient of l_i, so basis^T = V_S^-1
-        basis = np.array(lagrange_basis(self.field, xs), dtype=self.field.array_dtype)
-        decode_map = modmatmul(self.output_map, basis.T, self.field.modulus)
+        decode_map = modmatmul(self.output_map, lagrange_basis(self.field, xs), self.field.modulus)
         return self._assemble(combine_blocks(self.field, decode_map, received[:k_need]), dims)
 
 

@@ -20,6 +20,7 @@ from .bilinear import ImprovedBilinearCode, load_construction
 from .blocks import MatrixF
 from .errors import InsufficientResults, SingularDecodeSystem
 from .field import PrimeField
+from .robust import inject_faults
 from .schemes import (
     CodingScheme,
     EntangledCode,
@@ -89,6 +90,8 @@ class SimulationConfig:
     def __post_init__(self):
         if not 0 <= self.faults <= self.N:
             raise ValueError(f"faults must be in 0..N={self.N}, got {self.faults}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if isinstance(self.latency, FixedStragglers) and self.latency.count > self.N:
             raise ValueError(f"{self.latency.count} stragglers exceed N={self.N} workers")
 
@@ -177,15 +180,8 @@ def run_trial(
         a, b = inputs
         r, t = a.cols, b.cols
     latencies = config.latency.sample(rng, config.N)
-    victims = rng.choice(config.N, size=config.faults, replace=False) if config.faults else []
-
     products = scheme.worker_products(a, b)
-    for i in sorted(victims):  # one nonzero delta per victim, drawn in worker order
-        while True:
-            delta = rng.integers(0, q, size=products.shape[1:])
-            if delta.any():
-                break
-        products[i] = (products[i] + delta.astype(scheme.field.array_dtype)) % q
+    inject_faults(rng, products, config.faults, q)
     # stable: tied arrivals keep worker order
     order = np.argsort(latencies, kind="stable")
 

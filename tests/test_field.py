@@ -7,9 +7,13 @@ from codedmm.field import (
     FieldPolynomial,
     PrimeField,
     is_prime,
+    lagrange_basis,
     lagrange_interpolate,
     lagrange_matrix,
+    vandermonde,
 )
+
+from oracles import naive_matmul_t
 
 
 class TestPrimeField:
@@ -169,3 +173,19 @@ class TestLagrange:
         vals = lagrange_matrix(gf257, xs, [y])[0].tolist()
         combined = sum(v * yv for v, yv in zip(vals, ys)) % 257
         assert combined == p.evaluate(y).value
+
+    @pytest.mark.parametrize("q, xs", [
+        (7, [3, 0, 6, 1, 5]),
+        (65537, [65536, 0, 1, 40000, 2, 12345, 65535, 7]),
+        ((1 << 61) - 1, [(1 << 61) - 2, 0, 1 << 40, 3, 123456789, 2]),
+    ])
+    def test_basis_inverts_the_vandermonde_matrix(self, q, xs):
+        field = PrimeField(q)
+        inverse = lagrange_basis(field, xs)
+        table = vandermonde(field, xs, len(xs))
+        assert inverse.shape == table.shape == (len(xs), len(xs))
+        assert inverse.dtype == table.dtype == field.array_dtype
+        identity = [[int(i == j) for j in range(len(xs))] for i in range(len(xs))]
+        # naive_matmul_t(q, a, b) is a^T b
+        assert naive_matmul_t(q, inverse.T.tolist(), table.tolist()) == identity
+        assert naive_matmul_t(q, table.T.tolist(), inverse.tolist()) == identity

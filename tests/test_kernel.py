@@ -256,3 +256,41 @@ def test_scratch_does_not_grow_with_output_width(rows, inner):
         return peak - out.nbytes
 
     assert scratch(1 << 20) <= scratch(1 << 16) + (64 << 10)
+
+
+@pytest.mark.parametrize("budget", [37, 36])
+def test_operand_copies_at_and_past_the_single_matmul_bound(monkeypatch, budget):
+    # (2 x 5) @ (5 x 3): float64 copies of both operands (25 entries), the
+    # float64 result and its int64 copy (12) take one matmul in a 37-entry
+    # budget and go in tiles in a 36-entry one; both are exact
+    monkeypatch.setattr(field_module, "_TILE_ELEMS", budget)
+    q = Q_INT64_MAX
+    check(q, *operands(q, 2, 5, 3, seed=budget))
+    check(q, *near_maximal(q, 2, 5, 3))
+
+
+@pytest.mark.parametrize("budget", [84, 83])
+def test_stacked_operand_copies_at_and_past_the_single_matmul_bound(monkeypatch, budget):
+    # three stacked (2 x 5) @ (5 x 2) products: 60 operand entries, 24 of
+    # float64 and int64 output, one matmul in 84 entries, tiles in 83
+    monkeypatch.setattr(field_module, "_TILE_ELEMS", budget)
+    q = Q_INT64_MAX
+    check_stacked(q, [operands(q, 2, 5, 2, seed=s) for s in range(2)] + [near_maximal(q, 2, 5, 2)])
+
+
+def test_long_contraction_scratch_fits_the_budget():
+    # a 900-entry output of a 5000-term contraction: the float64 copies of
+    # the whole operands would take 12 MB, so it goes in column tiles whose
+    # scratch is the budget plus the one float64 copy of a they share
+    q = 65537
+    rows, inner, cols = 3, 5000, 300
+    a, b = operands(q, rows, inner, cols, seed=3)
+    tracemalloc.start()
+    try:
+        out = modmatmul(a, b, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 8 * (field_module._TILE_ELEMS + rows * inner) + (64 << 10)
+    # every 7th column reaches each tile of at most 52 columns
+    assert out[:, ::7].tolist() == naive_matmul_t(q, a.T.tolist(), b[:, ::7].tolist())

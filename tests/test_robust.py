@@ -1,6 +1,7 @@
 """Tests for error detection, Berlekamp-Welch correction, and the distance
 relations."""
 
+import numpy as np
 import pytest
 
 from codedmm.bilinear import ImprovedBilinearCode, strassen_construction
@@ -13,6 +14,7 @@ from codedmm.robust import (
     correct_errors,
     detect_errors,
     hamming_relations,
+    inject_faults,
 )
 from codedmm.schemes import (
     EntangledCode,
@@ -71,6 +73,29 @@ class TestFaultModel:
         _, _, _, _, results = setup_9_workers
         with pytest.raises(ValueError):
             FaultModel(10).inject(results)
+
+
+@pytest.mark.parametrize("q, dtype", [(65537, np.int64), ((1 << 61) - 1, object)])
+@pytest.mark.parametrize("errors", [0, 1, 3, 6])
+def test_injector_changes_exactly_the_victims(q, dtype, errors):
+    # one stack shared by the simulator and FaultModel: each victim's block
+    # moves by a nonzero canonical delta, every other block is untouched
+    clean = np.random.default_rng(errors).integers(0, min(q, 1 << 62), size=(6, 2, 3)).astype(dtype)
+    for seed in range(20):
+        stack = clean.copy()
+        victims = inject_faults(np.random.default_rng(seed), stack, errors, q)
+        assert victims == sorted(set(victims)) and len(victims) == errors
+        assert stack.dtype == clean.dtype
+        for w in range(6):
+            delta = (stack[w] - clean[w]) % q
+            assert delta.any() == (w in victims)
+            assert all(0 <= int(v) < q for v in stack[w].flat)
+
+
+def test_injector_refuses_more_victims_than_blocks():
+    for errors in (-1, 4):
+        with pytest.raises(ValueError):
+            inject_faults(np.random.default_rng(0), np.zeros((3, 1, 1), dtype=np.int64), errors, 7)
 
 
 class TestDetect:

@@ -87,6 +87,12 @@ class TestLatencyModels:
         with pytest.raises(ValueError, match="faults"):
             config(N=6, faults=faults)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_below_one_rejected(self, trials):
+        # with no reports, success_rate would divide by zero
+        with pytest.raises(ValueError, match="trials"):
+            run_experiment(config(trials=trials))
+
     def test_more_stragglers_than_workers_rejected(self):
         with pytest.raises(ValueError, match="stragglers"):
             config(N=6, latency=FixedStragglers(count=7))
