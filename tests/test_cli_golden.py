@@ -2,9 +2,9 @@
 
 Each case runs one CLI command in-process and compares its stdout and
 stderr with tests/golden/<name>.out and .err.  The fixtures pin the
-simulator's trial rng stream (latencies, fault victims, corruption deltas)
-and the verify / fault drivers, so a refactor of the worker step cannot
-change any reported number unnoticed.
+simulator's trial rng stream (latencies, fault victims, corruption deltas),
+the verify / fault / conv drivers and the bounds tables, so a refactor of
+the worker step or the decoders cannot change any reported number unnoticed.
 
 After a deliberate output change, regenerate with
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -57,6 +57,12 @@ CASES = {
                       "--errors", "2", "--trials", "10", "--mode", "correct", "--seed", "5"),
     "fault-detect": ("fault", "--p", "2", "--m", "2", "--n", "1", "--N", "9",
                      "--errors", "3", "--trials", "10", "--mode", "detect", "--seed", "5"),
+    "conv": ("conv", "--m", "3", "--n", "2", "--N", "6", "--len", "4", "--seed", "3"),
+    # q >= 2^21 takes the object-dtype path
+    "conv-q2p61": ("conv", "--m", "2", "--n", "2", "--N", "5", "--len", "3",
+                   "--q", "2305843009213693951", "--seed", "3"),
+    "bounds": ("bounds", "--Nmax", "14"),
+    "bounds-fig2": ("bounds", "--fig2", "--Nmax", "14"),
 }
 
 
