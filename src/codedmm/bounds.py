@@ -1,6 +1,7 @@
 """Closed-form recovery-threshold and cost formulas.
 
 Everything here is exact integer (or Fraction) arithmetic; nothing simulates.
+Partition counts p, m, n below 1 raise ValueError.
 """
 
 from __future__ import annotations
@@ -9,13 +10,22 @@ from fractions import Fraction
 from typing import Iterable
 
 
+def _positive(**counts: int) -> None:
+    """Raise ValueError for a partition count below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def threshold_entangled(p: int, m: int, n: int) -> int:
     """pmn + p - 1."""
+    _positive(p=p, m=m, n=n)
     return p * m * n + p - 1
 
 
 def threshold_uncoded(p: int, m: int, n: int, N: int) -> int:
     """N - floor(N / pmn) + 1; requires N >= pmn."""
+    _positive(p=p, m=m, n=n)
     tasks = p * m * n
     if N < tasks:
         raise ValueError(f"N={N} < pmn={tasks}")
@@ -24,11 +34,13 @@ def threshold_uncoded(p: int, m: int, n: int, N: int) -> int:
 
 def threshold_random_linear(p: int, m: int, n: int) -> int:
     """p^2 * m * n (achieved with high probability)."""
+    _positive(p=p, m=m, n=n)
     return p * p * m * n
 
 
 def threshold_short_mds(p: int, m: int, N: int) -> int:
     """N - floor(N / p) + m; requires N >= p."""
+    _positive(p=p, m=m)
     if N < p:
         raise ValueError(f"N={N} < p={p}")
     return N - N // p + m
@@ -36,11 +48,13 @@ def threshold_short_mds(p: int, m: int, N: int) -> int:
 
 def converse_linear(p: int, m: int, n: int, N: int) -> int:
     """Lower bound on every linear code's threshold: min(N, pm + pn - 1)."""
+    _positive(p=p, m=m, n=n)
     return min(N, p * m + p * n - 1)
 
 
 def converse_nonlinear(p: int, m: int, n: int) -> int:
     """Lower bound over all codes (finite fields): max(pm, pn)."""
+    _positive(p=p, m=m, n=n)
     return max(p * m, p * n)
 
 
@@ -59,6 +73,7 @@ def cost_model(p: int, m: int, n: int, s: int, r: int, t: int) -> dict:
     fractions are normalized by the sizes of C, A, and B respectively.
     Their product depends on pmn only, so fixing the compute load pins it.
     """
+    _positive(p=p, m=m, n=n)
     return {
         "compute": Fraction(s * r * t, p * m * n),
         "communication": Fraction(1, m * n),

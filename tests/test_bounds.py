@@ -132,3 +132,26 @@ class TestFigure2:
 class TestCrossover:
     def test_first_win_at_k6(self):
         assert strassen_crossover() == 6
+
+
+# each formula with the partition counts it reads
+FORMULAS = {
+    "entangled": (lambda p, m, n: threshold_entangled(p, m, n), "pmn"),
+    "uncoded": (lambda p, m, n: threshold_uncoded(p, m, n, 30), "pmn"),
+    "random-linear": (lambda p, m, n: threshold_random_linear(p, m, n), "pmn"),
+    "short-mds": (lambda p, m, n: threshold_short_mds(p, m, 30), "pm"),
+    "converse-linear": (lambda p, m, n: converse_linear(p, m, n, 30), "pmn"),
+    "converse-nonlinear": (lambda p, m, n: converse_nonlinear(p, m, n), "pmn"),
+    "cost-model": (lambda p, m, n: cost_model(p, m, n, 4, 4, 4), "pmn"),
+}
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+@pytest.mark.parametrize(
+    "name, dim", [(name, dim) for name, (_, dims) in FORMULAS.items() for dim in dims]
+)
+def test_partition_counts_below_one_are_refused(name, dim, bad):
+    formula, _ = FORMULAS[name]
+    dims = {"p": 2, "m": 2, "n": 2, dim: bad}
+    with pytest.raises(ValueError, match=f"{dim} must be >= 1"):
+        formula(**dims)

@@ -234,6 +234,62 @@ class TestValidateConstruction:
         assert "error:" in err
 
 
+# every subcommand with a valid argument set, and each of its integer options
+INTEGER_OPTIONS = {
+    "verify": (("--p", "2", "--m", "2", "--n", "1", "--N", "9", "--samples", "5"),
+               ("p", "m", "n", "N", "samples", "q", "seed")),
+    "verify-improved": (("--construction", "strassen", "--N", "13", "--samples", "2"),
+                        ("N", "samples", "q", "seed")),
+    "conv": (("--m", "2", "--n", "2", "--N", "5", "--len", "2", "--samples", "5"),
+             ("m", "n", "N", "len", "samples", "q", "seed")),
+    "fault": (("--p", "2", "--m", "2", "--n", "1", "--N", "9", "--errors", "1", "--trials", "2",
+               "--mode", "correct"),
+              ("p", "m", "n", "N", "errors", "trials", "q", "seed")),
+    "bounds": (("--Nmax", "14"), ("p", "m", "n", "Nmax", "q")),
+    "simulate": (("--scheme", "general-poly", "--p", "2", "--m", "2", "--n", "1", "--N", "12",
+                  "--alpha", "2", "--beta", "1", "--theta", "6", "--trials", "2"),
+                 ("p", "m", "n", "N", "trials", "faults", "alpha", "beta", "theta", "q", "seed")),
+    "validate-construction": (("strassen",), ("q",)),
+}
+
+
+def _with_option(argv, option, value):
+    argv = list(argv)
+    flag = f"--{option}"
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    return argv
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command, option",
+    [(command, option) for command, (_, options) in INTEGER_OPTIONS.items() for option in options],
+)
+def test_integer_options_at_zero_and_below_keep_the_exit_contract(capsys, command, option, value):
+    # 0 ok, 1 a verification failure (a result row was printed), 2 a usage
+    # error with one error line; an escaped exception fails the call itself
+    base, _ = INTEGER_OPTIONS[command]
+    code, out, err = run_cli(capsys, command, *_with_option(base, option, value))
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert len(parse_csv(out)[1]) == 1
+    if code == 2:
+        assert out == ""
+        assert err.count("error:") == 1
+
+
+@pytest.mark.parametrize("option", ["p", "m", "n"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_bounds_refuses_partitions_below_one(capsys, option, value):
+    code, out, err = run_cli(capsys, "bounds", "--Nmax", "14", f"--{option}", value)
+    assert code == 2
+    assert out == ""
+    assert f"{option} must be >= 1" in err
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
