@@ -2,10 +2,12 @@
 
 A construction is a tensor triple (a, b, c) of rank R that rewrites the
 p x m by p x n block product as R element-wise multiplications.  Any such
-triple yields a straggler code with recovery threshold 2R - 1: view the two
-length-R coded vectors as evaluations of degree R-1 polynomials, hand each
-worker one evaluation of each at a fresh point, and interpolate the product
-polynomial from any 2R - 1 results.
+triple yields a straggler code with recovery threshold 2R - 1: the
+element-wise product code of length R views the two length-R coded vectors
+as evaluations of degree R-1 polynomials, hands each worker one evaluation
+of each at a fresh point, and interpolates the product polynomial from any
+2R - 1 results.  Both codes are InterpolationCodes and decode through the
+shared decoder in schemes.
 
 Tensor entries are kept as small centered integers (e.g. -1) and mapped into
 the working field at the point of use, so one construction serves every
@@ -26,11 +28,10 @@ from .errors import (
     BlockShapeMismatch,
     ConstructionTooLarge,
     FieldTooSmall,
-    InsufficientResults,
     TooFewWorkers,
 )
-from .field import PrimeField, lagrange_matrix, modmatmul, vandermonde
-from .schemes import InterpolationCode, gather_results
+from .field import PrimeField, combine, lagrange_matrix, modmatmul, vandermonde
+from .schemes import CodingScheme, InterpolationCode, gather_results
 
 _RANK_BUDGET = 10**6
 _TENSOR_ELEMENT_BUDGET = 10**7
@@ -220,52 +221,15 @@ def tensor_power(bc: BilinearConstruction, k: int) -> BilinearConstruction:
     return out
 
 
-class ImprovedBilinearCode(InterpolationCode):
-    """The 2R - 1 threshold code driven by a rank-R construction.
-
-    Encoding points x_0..x_{R-1} are 0..R-1 and worker points y_i are
-    0..N-1; the overlap for i < R is deliberate (those workers store the
-    coded vectors themselves).  Worker i's result is the degree 2R - 2
-    product polynomial at y_i; its values at the x points are the R
-    element-wise products, which c maps to the output blocks.
-    """
-
-    def __init__(self, bc: BilinearConstruction, N: int, field: PrimeField):
-        r = bc.rank
-        if N < 2 * r - 1:
-            raise TooFewWorkers(f"N={N} < 2R-1={2 * r - 1}")
-        if field.modulus <= max(N, r):
-            raise FieldTooSmall(
-                f"need q > max(N, R) = {max(N, r)}, got q={field.modulus}"
-            )
-        self.construction = bc
-        self.p, self.m, self.n, self.N = bc.p, bc.m, bc.n, N
-        self.field = field
-        self.x_points = tuple(range(r))
-        self.points = tuple(range(N))
-        q = field.modulus
-        self._a, self._b, c = (t.astype(field.array_dtype) % q for t in (bc.a, bc.b, bc.c))
-        # weights[i][j] = l_j(y_i) over the x points: worker i stores
-        # sum_j weights[i][j] * (coded vector)_j, so its weights on the blocks
-        # themselves are the rows of weights @ a (and weights @ b)
-        weights = lagrange_matrix(field, self.x_points, self.points)
-        self.gen_a = modmatmul(weights, self._a.reshape(r, -1), q)
-        self.gen_b = modmatmul(weights, self._b.reshape(r, -1), q)
-        # output block (j, k) is sum_r c[r, j, k] h(x_r), and h(x_r) is the
-        # Vandermonde row at x_r times h's coefficients
-        self.output_map = modmatmul(c.reshape(r, -1).T, vandermonde(field, self.x_points, 2 * r - 1), q)
-
-    def recovery_threshold(self) -> int:
-        return 2 * self.construction.rank - 1
-
-
-class ElementwiseProductCode:
+class ElementwiseProductCode(InterpolationCode):
     """Straggler code for the element-wise product of two length-R vectors.
 
-    Same polynomial trick as the improved code, exposed directly: threshold
-    min(N, 2R - 1).  When N < 2R - 1 the all-workers subset decodes by
-    reading the first R workers, whose storage points coincide with the
-    encoding points.  Entries may be field scalars or equal-shape blocks.
+    Worker i stores the values at y_i = i of the degree R-1 polynomials that
+    take each vector's entries at x_j = j, j < R.  Its result is h(y_i) for
+    their product h, and output_map, the Vandermonde matrix at the x points,
+    maps h's coefficients to the R products.  Threshold min(N, 2R - 1): when
+    N < 2R - 1 the all-workers subset reads the first R workers, whose
+    points are the x points.  Entries may be field scalars or equal blocks.
     """
 
     def __init__(self, length: int, N: int, field: PrimeField):
@@ -274,34 +238,27 @@ class ElementwiseProductCode:
         if N < length:
             raise TooFewWorkers(f"N={N} < R={length}")
         if field.modulus <= max(N, length):
-            raise FieldTooSmall(
-                f"need q > max(N, R) = {max(N, length)}, got q={field.modulus}"
-            )
+            raise FieldTooSmall(f"need q > max(N, R) = {max(N, length)}, got q={field.modulus}")
         self.length = length
         self.N = N
         self.field = field
         self.x_points = tuple(range(length))
-        self._weights = lagrange_matrix(field, self.x_points, range(N))
+        self.points = tuple(range(N))
+        # weights[i, j] = l_j(y_i) over the x points: worker i stores
+        # sum_j weights[i, j] * vec[j]
+        self.weights = lagrange_matrix(field, self.x_points, self.points)
+        self.output_map = vandermonde(field, self.x_points, 2 * length - 1)
 
     def recovery_threshold(self) -> int:
-        return min(self.N, 2 * self.length - 1)
-
-    def _normalize(self, vec) -> np.ndarray:
-        stack = np.stack(
-            [np.asarray(v, dtype=self.field.array_dtype) for v in vec]
-        ) % self.field.modulus
-        if stack.shape[0] != self.length:
-            raise BlockShapeMismatch(
-                f"vector has {stack.shape[0]} entries, expected {self.length}"
-            )
-        return stack
+        return min(self.N, super().recovery_threshold())
 
     def encode(self, vec, i: int) -> np.ndarray:
         if not 0 <= i < self.N:
             raise ValueError(f"worker index {i} out of range for N={self.N}")
-        stack = self._normalize(vec)
-        flat = modmatmul(self._weights[i:i + 1], stack.reshape(self.length, -1), self.field.modulus)
-        return flat.reshape(stack.shape[1:])
+        stack = np.stack([np.asarray(v, dtype=self.field.array_dtype) for v in vec]) % self.field.modulus
+        if len(stack) != self.length:
+            raise BlockShapeMismatch(f"vector has {len(stack)} entries, expected {self.length}")
+        return combine(self.field, self.weights[i:i + 1], stack).reshape(stack.shape[1:])
 
     @staticmethod
     def worker(coded_a, coded_b):
@@ -310,25 +267,41 @@ class ElementwiseProductCode:
 
     def decode(self, results: Mapping[int, np.ndarray], subset: Sequence[int]) -> list:
         """Recover all R element-wise products from the given subset."""
-        q = self.field.modulus
-        k_need = 2 * self.length - 1
-        if len(subset) >= k_need:
-            use = list(subset)[:k_need]
-            got = gather_results(results, subset, self.N)[:k_need]
-            stack = np.stack([np.asarray(v) % q for v in got])
-            at_x = lagrange_matrix(self.field, use, self.x_points)
-            products = modmatmul(at_x, stack.reshape(k_need, -1), q).reshape(
-                self.length, *stack.shape[1:]
-            )
-        elif len(subset) >= self.recovery_threshold() and set(subset) >= set(self.x_points):
-            # y_i = x_i for i < R: those workers hold the products directly
+        if self.N <= len(subset) < self.output_map.shape[1] and set(subset) >= set(self.x_points):
+            # N < 2R - 1, and y_i = x_i for i < R: those workers hold the products directly
             got = gather_results(results, self.x_points, self.N)
-            products = np.stack([np.asarray(v) % q for v in got])
-        else:
-            raise InsufficientResults(
-                f"got {len(subset)} results, need {self.recovery_threshold()}"
-            )
-        return [products[i] for i in range(self.length)]
+            return [np.asarray(v) % self.field.modulus for v in got]
+        return self._decode_results(results, subset, None)
+
+    def _assemble(self, parts: np.ndarray, dims) -> list:
+        return list(parts)
+
+
+class ImprovedBilinearCode(InterpolationCode, CodingScheme):
+    """The 2R - 1 threshold code driven by a rank-R construction.
+
+    It is the element-wise product code of length R applied to the
+    construction's coded vectors: worker i stores the element-wise code's
+    combination of the R coded A-blocks sum_{j,k} a[r, j, k] A[j, k] (and
+    likewise of the B-blocks), its result is the product polynomial at
+    y_i = i, and c maps the R decoded products to the output blocks.
+    """
+
+    def __init__(self, bc: BilinearConstruction, N: int, field: PrimeField):
+        r = bc.rank
+        if N < 2 * r - 1:
+            raise TooFewWorkers(f"N={N} < 2R-1={2 * r - 1}")
+        elementwise = ElementwiseProductCode(r, N, field)
+        self.construction = bc
+        self.p, self.m, self.n, self.N = bc.p, bc.m, bc.n, N
+        self.field = field
+        self.points = elementwise.points
+        q = field.modulus
+        a, b, c = (t.astype(field.array_dtype).reshape(r, -1) % q for t in (bc.a, bc.b, bc.c))
+        self.gen_a = modmatmul(elementwise.weights, a, q)
+        self.gen_b = modmatmul(elementwise.weights, b, q)
+        # output block (j, k) is sum_r c[r, j, k] * (product r)
+        self.output_map = modmatmul(c.T, elementwise.output_map, q)
 
 
 # -- on-disk registry -------------------------------------------------------

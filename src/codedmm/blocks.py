@@ -159,17 +159,6 @@ def partition(matrix: MatrixF, row_parts: int, col_parts: int) -> BlockGrid:
     return BlockGrid(rows, row_parts, col_parts, view.shape[2:], matrix.shape)
 
 
-def combine_blocks(field: PrimeField, weights: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """(len(weights), br, bc) array whose [i] is sum_t weights[i, t] * blocks[t].
-
-    blocks is a (..., br, bc) stack of T canonical blocks, such as the view
-    from padded_blocks, so every combination comes from one modmatmul.
-    """
-    br, bc = blocks.shape[-2:]
-    coded = modmatmul(weights, blocks.reshape(-1, br * bc), field.modulus)
-    return coded.reshape(len(weights), br, bc)
-
-
 def assemble_array(blocks: np.ndarray, true_dims: tuple[int, int] | None = None) -> np.ndarray:
     """The matrix of an (m, n, br, bc) block array, cut to true_dims.
 

@@ -8,7 +8,9 @@ stores the two block combinations
 and returns their full convolution.  That result is the evaluation at x_i of
 a degree m+n-2 polynomial whose x^d coefficient is the anti-diagonal sum
 over j+k = d of a_j * b_k, exactly the blocks overlap-add needs, so any
-m+n-1 workers decode and no product coefficient is wasted.
+m+n-1 workers decode and no product coefficient is wasted.  ConvCodeSpec is
+therefore an InterpolationCode whose output map is the identity: conv_decode
+runs the shared interpolation decoder, then overlap-adds the coefficients.
 """
 
 from __future__ import annotations
@@ -23,16 +25,20 @@ from .errors import (
     BlockShapeMismatch,
     DuplicateEvaluationPoint,
     FieldTooSmall,
-    InsufficientResults,
     TooFewWorkers,
 )
-from .field import PrimeField, exact_float_terms, interpolate_arrays, modmatmul, vandermonde
-from .schemes import gather_results
+from .field import PrimeField, combine, exact_float_terms, vandermonde
+from .schemes import InterpolationCode
 
 
 @dataclass(frozen=True)
-class ConvCodeSpec:
-    """Parameters of the convolution code; workers store length-s vectors."""
+class ConvCodeSpec(InterpolationCode):
+    """Parameters of the convolution code; workers store length-s vectors.
+
+    Its product polynomial's K = m + n - 1 coefficients are the block
+    convolutions overlap-add needs, so output_map is the K x K identity.
+    The generators, worker i's powers x_i^j, are built once here.
+    """
 
     m: int
     n: int
@@ -44,16 +50,29 @@ class ConvCodeSpec:
     def __post_init__(self):
         if min(self.m, self.n, self.N, self.s) < 1:
             raise ValueError("m, n, N, s must all be >= 1")
-        if self.N < self.recovery_threshold():
-            raise TooFewWorkers(f"N={self.N} < m+n-1={self.recovery_threshold()}")
+        k = self.m + self.n - 1
+        if self.N < k:
+            raise TooFewWorkers(f"N={self.N} < m+n-1={k}")
         if len(self.x_points) != self.N:
             raise ValueError(f"need {self.N} evaluation points")
         q = self.field.modulus
         if len({x % q for x in self.x_points}) != self.N:
             raise DuplicateEvaluationPoint("evaluation points must be distinct mod q")
+        powers = vandermonde(self.field, self.x_points, max(self.m, self.n))
+        object.__setattr__(self, "gen_a", powers[:, :self.m])
+        object.__setattr__(self, "gen_b", powers[:, :self.n])
+        object.__setattr__(self, "points", self.x_points)
+        object.__setattr__(self, "output_map", np.eye(k, dtype=self.field.array_dtype))
 
-    def recovery_threshold(self) -> int:
-        return self.m + self.n - 1
+    def _assemble(self, parts: np.ndarray, true_lens: tuple[int, int] | None) -> np.ndarray:
+        """a * b from its K per-diagonal block convolutions, cut to the true length."""
+        full = overlap_add(self.field, parts, self.s)
+        if true_lens is not None:
+            la, lb = true_lens
+            if la > self.m * self.s or lb > self.n * self.s:
+                raise BlockShapeMismatch(f"true lengths {true_lens} exceed the padded m*s, n*s")
+            full = full[: la + lb - 1]
+        return full
 
 
 def conv_spec(m: int, n: int, N: int, s: int, field: PrimeField) -> ConvCodeSpec:
@@ -102,11 +121,9 @@ def conv_encode(
     for blk in (*a_blocks, *b_blocks):
         if len(blk) != spec.s:
             raise BlockShapeMismatch(f"block of length {len(blk)}, expected {spec.s}")
-    q = spec.field.modulus
     dtype = spec.field.array_dtype
-    powers = vandermonde(spec.field, spec.x_points[i:i + 1], max(spec.m, spec.n))
-    coded_a = modmatmul(powers[:, :spec.m], np.array(a_blocks, dtype=dtype), q)
-    coded_b = modmatmul(powers[:, :spec.n], np.array(b_blocks, dtype=dtype), q)
+    coded_a = combine(spec.field, spec.gen_a[i:i + 1], np.array(a_blocks, dtype=dtype))
+    coded_b = combine(spec.field, spec.gen_b[i:i + 1], np.array(b_blocks, dtype=dtype))
     return coded_a[0], coded_b[0]
 
 
@@ -127,24 +144,6 @@ def conv_decode(
 
     true_lens, when given, is (len(a), len(b)) before padding and the output
     is truncated to the true convolution length; lengths beyond the padded
-    m*s and n*s raise BlockShapeMismatch.
+    m*s and n*s raise BlockShapeMismatch, as do results not 2s - 1 long.
     """
-    k_need = spec.recovery_threshold()
-    if len(subset) < k_need:
-        raise InsufficientResults(f"got {len(subset)} results, need {k_need}")
-    use = list(subset)[:k_need]
-    expect = 2 * spec.s - 1
-    vals = []
-    for v in gather_results(results, subset, spec.N)[:k_need]:
-        v = np.asarray(v)
-        if len(v) != expect:
-            raise BlockShapeMismatch(f"result of length {len(v)}, expected {expect}")
-        vals.append(v % spec.field.modulus)
-    coeffs = interpolate_arrays(spec.field, [spec.x_points[w] for w in use], vals)
-    full = overlap_add(spec.field, [coeffs[d] for d in range(k_need)], spec.s)
-    if true_lens is not None:
-        la, lb = true_lens
-        if la > spec.m * spec.s or lb > spec.n * spec.s:
-            raise BlockShapeMismatch(f"true lengths {true_lens} exceed the padded m*s, n*s")
-        full = full[: la + lb - 1]
-    return full
+    return spec._decode_results(results, subset, true_lens)

@@ -459,17 +459,22 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def interpolate_arrays(field: PrimeField, xs: Sequence[int], values: Sequence[np.ndarray]) -> np.ndarray:
-    """Coefficient stack of the array-valued polynomial through (xs, values).
+def combine(field: PrimeField, weights: np.ndarray, parts) -> np.ndarray:
+    """Array whose [i] is sum_t weights[i, t] * parts[t], of shape (len(weights), *shape).
 
-    values are equal-shaped canonical arrays; returns an array of shape
-    (len(xs), *value_shape) whose [d] slice is the degree-d coefficient.
-    Equivalent to running lagrange_interpolate entry-wise.
+    parts is a stack of T = weights.shape[1] equal-shape canonical arrays
+    (scalars, vectors or blocks), as one (T, *shape) array or a sequence of
+    arrays, so every combination comes from one modmatmul.  Encoding,
+    decoding and fault prediction all combine through here.
     """
-    stack = np.stack(values)
-    # coeff[d] = sum_i V^-1[d, i] * values[i]
-    flat = modmatmul(lagrange_basis(field, xs), stack.reshape(len(stack), -1), field.modulus)
-    return flat.reshape(stack.shape)
+    stack = np.asarray(parts)
+    flat = modmatmul(weights, stack.reshape(len(stack), -1), field.modulus)
+    return flat.reshape(len(weights), *stack.shape[1:])
+
+
+def interpolate_arrays(field: PrimeField, xs: Sequence[int], values) -> np.ndarray:
+    """Coefficients, [d] of degree d, of the polynomial through (xs, equal-shape values)."""
+    return combine(field, lagrange_basis(field, xs), values)
 
 
 def lagrange_matrix(field: PrimeField, xs: Sequence[int], ys: Sequence[int]) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Fault-tolerant decoding: arbitrary worker errors instead of stragglers.
 
-With all N results present and the polynomial code's threshold K, up to
-N - K corrupted results are detectable and up to floor((N-K)/2) are
+With all N results of a matrix evaluation code present (a polynomial or
+improved code, whose results lie on one product polynomial of degree < K),
+up to N - K corrupted results are detectable and up to floor((N-K)/2) are
 correctable.  Corruption is per worker (a whole result block is perturbed),
 so error positions located on one scalar coordinate apply to the entire
 block; a corrupted block that happens to leave the pilot coordinate
@@ -16,11 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocks import MatrixF, combine_blocks
+from .blocks import MatrixF
 from .errors import BlockShapeMismatch, TooManyErrors, UnsupportedScheme
-from .field import FieldPolynomial, PrimeField, lagrange_matrix, modmatmul, vandermonde
+from .field import FieldPolynomial, PrimeField, combine, lagrange_matrix, modmatmul, vandermonde
 from .linalg import solve_linear_system
-from .schemes import GeneralPolynomialCode
+from .schemes import CodingScheme, InterpolationCode
 
 
 def hamming_relations(N: int, d: int) -> tuple[int, int, int]:
@@ -81,7 +82,7 @@ class FaultModel:
 
 
 def _mismatches(
-    code: GeneralPolynomialCode,
+    code: InterpolationCode,
     stack: np.ndarray,
     fit: Sequence[int],
     others: Sequence[int],
@@ -89,19 +90,19 @@ def _mismatches(
     """The workers in others whose results are off the polynomial through fit's results."""
     xs = code.points
     at_others = lagrange_matrix(code.field, [xs[w] for w in fit], [xs[w] for w in others])
-    predicted = combine_blocks(code.field, at_others, stack[fit])
+    predicted = combine(code.field, at_others, stack[fit])
     return [w for w, blk in zip(others, predicted) if not np.array_equal(blk, stack[w])]
 
 
 def _stacked_results(code, results: Sequence[MatrixF]) -> tuple[int, np.ndarray]:
-    """Check that code is a polynomial code and results are N blocks of one shape; returns (K, stack).
+    """Check the code and the results; return K and the N results as one stack.
 
-    Detection and repair interpolate through the workers' evaluation points;
-    they are supported for the polynomial codes only.
+    Detection and repair interpolate through the workers' evaluation points,
+    so they need an InterpolationCode whose results are N equal-shape matrices.
     """
-    if not isinstance(code, GeneralPolynomialCode):
+    if not (isinstance(code, InterpolationCode) and isinstance(code, CodingScheme)):
         raise UnsupportedScheme(
-            f"error detection and correction need a polynomial code, got {type(code).__name__}"
+            f"error detection and correction need a matrix evaluation code, got {type(code).__name__}"
         )
     if len(results) != code.N:
         raise ValueError(f"need all {code.N} results, got {len(results)}")
@@ -111,7 +112,7 @@ def _stacked_results(code, results: Sequence[MatrixF]) -> tuple[int, np.ndarray]
 
 
 def detect_errors(
-    code: GeneralPolynomialCode,
+    code: InterpolationCode,
     results: Sequence[MatrixF],
     dims: tuple[int, int] | None = None,
 ):
@@ -168,7 +169,7 @@ def _berlekamp_welch(
 
 
 def correct_errors(
-    code: GeneralPolynomialCode,
+    code: InterpolationCode,
     results: Sequence[MatrixF],
     dims: tuple[int, int] | None = None,
 ) -> MatrixF:

@@ -6,8 +6,10 @@ decodes the full product from any recovery_threshold() many results.
 
 Schemes here: the exponent-parameterized polynomial code family, its
 (1, p, pm) instantiation that hits threshold pmn + p - 1, uncoded
-round-robin repetition, and random linear combinations.  The polynomial
-codes and the bilinear improved code share one interpolation decoder.
+round-robin repetition, and random linear combinations.  InterpolationCode
+is the one evaluation-code core: the polynomial codes, the bilinear improved
+code, the element-wise product code and the convolution code all decode
+through it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .blocks import MatrixF, assemble_array, combine_blocks, padded_blocks
+from .blocks import MatrixF, assemble_array, padded_blocks
 from .errors import (
     BlockShapeMismatch,
     DegreeCollision,
@@ -31,7 +33,7 @@ from .errors import (
     TooFewWorkers,
     UnknownWorker,
 )
-from .field import PrimeField, lagrange_basis, modmatmul, vandermonde
+from .field import PrimeField, combine, lagrange_basis, modmatmul, vandermonde
 from .linalg import solve_linear_system
 
 
@@ -187,7 +189,8 @@ class CodingScheme(ABC):
         """(len(weights), br, bc) stack whose [i] is sum_t weights[i, t] * (block t)."""
         if matrix.field != self.field:
             raise FieldMismatch(f"input over {matrix.field}, code over {self.field}")
-        return combine_blocks(self.field, weights, padded_blocks(matrix, self.p, parts))
+        blocks = padded_blocks(matrix, self.p, parts)
+        return combine(self.field, weights, blocks.reshape(-1, *blocks.shape[2:]))
 
     def _worker_rows(self, gen: np.ndarray, i: int) -> np.ndarray:
         if not 0 <= i < self.N:
@@ -282,29 +285,44 @@ class CodingScheme(ABC):
         return modmatmul(coded_a.swapaxes(1, 2), coded_b, self.field.modulus)
 
 
-class InterpolationCode(CodingScheme):
-    """A code whose results are one product polynomial at the workers' points.
+class InterpolationCode:
+    """An evaluation code: worker w returns h(points[w]) for one product polynomial h.
 
-    Worker w returns h(points[w]) for a matrix-valued polynomial h of degree
-    < K = recovery_threshold(), and the row-major output blocks are
-    output_map @ (h's coefficients), with output_map an mn x K matrix.  The
-    results of any K workers S therefore decode through the one map
-    output_map V_S^-1, V_S being the Vandermonde matrix at their points.
+    h has degree < K, the number of columns of output_map, and the product's
+    parts are output_map @ (h's coefficients), so the results of any K
+    workers S, of any shape, decode through the one map output_map V_S^-1,
+    V_S being the Vandermonde matrix at their points.  _assemble(parts, dims)
+    then builds the product: A^T B from its mn blocks, the list of R
+    element-wise products, or the overlap-add of K block convolutions.
     """
 
+    field: PrimeField
+    N: int
     points: tuple[int, ...]
     output_map: np.ndarray
 
-    def _decode_received(
-        self, received: np.ndarray, subset: Sequence[int], dims: tuple[int, int] | None
-    ) -> np.ndarray:
-        k_need = self.recovery_threshold()
+    def recovery_threshold(self) -> int:
+        return self.output_map.shape[1]
+
+    def _decode_received(self, received: np.ndarray, subset: Sequence[int], dims):
+        """The product from received[i], the result of worker subset[i]."""
+        k_need = self.output_map.shape[1]
         xs = [self.points[w] for w in subset[:k_need]]
         decode_map = modmatmul(self.output_map, lagrange_basis(self.field, xs), self.field.modulus)
-        return self._assemble(combine_blocks(self.field, decode_map, received[:k_need]), dims)
+        return self._assemble(combine(self.field, decode_map, received[:k_need]), dims)
+
+    def _decode_results(self, results: Mapping, subset: Sequence[int], dims):
+        """_decode_received from a worker -> array mapping, such as the vector codes take."""
+        k_need = self.output_map.shape[1]
+        if len(subset) < k_need:
+            raise InsufficientResults(f"got {len(subset)} results, need {self.recovery_threshold()}")
+        got = [np.asarray(v) % self.field.modulus for v in gather_results(results, subset, self.N)[:k_need]]
+        if len({v.shape for v in got}) > 1:
+            raise BlockShapeMismatch("worker results differ in shape")
+        return self._decode_received(np.stack(got), list(subset), dims)
 
 
-class GeneralPolynomialCode(InterpolationCode):
+class GeneralPolynomialCode(InterpolationCode, CodingScheme):
     """Polynomial code for an arbitrary valid exponent choice."""
 
     def __init__(self, spec: PolynomialCodeSpec):
@@ -321,9 +339,6 @@ class GeneralPolynomialCode(InterpolationCode):
         # output block (k, k') is the product polynomial's coefficient at its output degree
         degrees = [spec.output_degree(k, kp) for k in range(self.m) for kp in range(self.n)]
         self.output_map = np.eye(spec.product_degree() + 1, dtype=self.field.array_dtype)[degrees]
-
-    def recovery_threshold(self) -> int:
-        return self.spec.product_degree() + 1
 
 
 class EntangledCode(GeneralPolynomialCode):

@@ -19,7 +19,13 @@ from codedmm.bilinear import (
     validate_construction,
 )
 from codedmm.blocks import MatrixF, partition
-from codedmm.errors import ConstructionTooLarge, FieldTooSmall, InsufficientResults, TooFewWorkers
+from codedmm.errors import (
+    BlockShapeMismatch,
+    ConstructionTooLarge,
+    FieldTooSmall,
+    InsufficientResults,
+    TooFewWorkers,
+)
 from codedmm.schemes import worker_multiply
 
 from oracles import elementwise_product, oracle_product, random_matrix
@@ -127,8 +133,24 @@ class TestImprovedCode:
         a_grid = partition(a, 2, 2)
         for i in range(bc.rank):
             # coded vector entry i: sum over (j, k) of a[i, j, k] * A[j, k]
-            vec = sum(int(code._a[i, j, k]) * a_grid[j, k].data for j in range(2) for k in range(2))
+            vec = sum(int(bc.a[i, j, k]) * a_grid[j, k].data for j in range(2) for k in range(2))
             assert code.encode_a(a, i).data.tolist() == (vec % 65537).tolist()
+
+    def test_is_the_elementwise_code_on_the_coded_vectors(self, gf65537, rng):
+        # worker i stores the element-wise code's encoding of the R coded
+        # A-blocks sum_{j,k} a[r, j, k] A[j, k], and likewise for B
+        bc = strassen_construction()
+        code = ImprovedBilinearCode(bc, 15, gf65537)
+        elementwise = ElementwiseProductCode(bc.rank, 15, gf65537)
+        for tensor, encode in ((bc.a, code.encode_a), (bc.b, code.encode_b)):
+            matrix = random_matrix(gf65537, 4, 4, rng)
+            grid = partition(matrix, 2, 2)
+            vectors = [
+                sum(int(tensor[r, j, k]) * grid[j, k].data for j in range(2) for k in range(2)) % 65537
+                for r in range(bc.rank)
+            ]
+            for i in range(15):
+                assert encode(matrix, i).data.tolist() == elementwise.encode(vectors, i).tolist()
 
     def test_zero_inputs_zero_blocks(self, gf65537):
         code = ImprovedBilinearCode(strassen_construction(), 13, gf65537)
@@ -220,6 +242,13 @@ class TestElementwiseProduct:
         got = code.decode(results, list(range(7)))
         for i in range(3):
             assert np.array_equal(got[i], a[i] * b[i] % 257)
+
+    def test_results_of_mixed_shapes(self, gf257):
+        code = ElementwiseProductCode(2, 3, gf257)
+        results = {w: np.zeros((2, 2), dtype=np.int64) for w in range(3)}
+        results[2] = np.zeros((2, 3), dtype=np.int64)
+        with pytest.raises(BlockShapeMismatch):
+            code.decode(results, [0, 1, 2])
 
 
 class TestRegistry:

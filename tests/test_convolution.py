@@ -139,6 +139,16 @@ class TestConvDecode:
         with pytest.raises(MissingResult):
             conv_decode(spec, results, [0, 1, 2])
 
+    @pytest.mark.parametrize("wrong", [[1], [0, 1, 2]], ids=["one-result", "every-result"])
+    def test_results_of_the_wrong_length(self, gf257, wrong):
+        # each result is 2s - 1 = 5 long; a shorter one is a typed refusal
+        spec = conv_spec(2, 2, 5, 3, gf257)
+        results = encode_all(spec, [1] * 6, [2] * 6)
+        for w in wrong:
+            results[w] = results[w][:4]
+        with pytest.raises(BlockShapeMismatch):
+            conv_decode(spec, results, [0, 1, 2])
+
     def test_padded_lengths(self, gf257, rng):
         spec = conv_spec(2, 3, 7, 4, gf257)
         a = [rng.randrange(257) for _ in range(7)]   # pads to 8

@@ -4,7 +4,8 @@ modmatmul runs int64 operands on float64 BLAS, which is exact only while a
 dot product of canonical entries stays below 2^53; these tests sit on both
 sides of that chunk boundary, on output-column tiles and stack groups that
 reuse one set of buffers, and on the worst-case entry q - 1.  One test
-bounds the kernel's scratch memory.
+bounds the kernel's scratch memory.  The combiner that every encoder and
+decoder runs on top of it is checked on parts of every shape.
 """
 
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 
 from codedmm import field as field_module
 from codedmm.blocks import MatrixF
-from codedmm.field import PrimeField, exact_float_terms, modmatmul
+from codedmm.field import PrimeField, combine, exact_float_terms, modmatmul
 from codedmm.schemes import worker_multiply
 
 from oracles import naive_matmul_t
@@ -161,17 +162,18 @@ def test_stacked_widths_straddling_column_tiles(monkeypatch, cols):
 
 
 @pytest.mark.parametrize("extra", [0, 1])
-def test_output_at_and_past_the_single_matmul_bound(extra):
-    # _TILE_ELEMS / 2 output entries, as float64 and as int64, take one
-    # matmul; one more goes in tiles
+def test_output_row_wider_than_a_tile(extra):
+    # (1 x 3) @ (3 x (2^17 + extra)) needs over 5 * 2^17 entries for its
+    # operand copies and output, above the 2^18-entry budget, so its columns
+    # go in tiles of 2^18 // 5, the last one narrower
     q = Q_INT64_MAX
     check(q, *operands(q, 1, 3, field_module._TILE_ELEMS // 2 + extra, seed=extra))
 
 
 @pytest.mark.parametrize("stack", [3, 4])
-def test_stacked_output_at_and_past_the_single_matmul_bound(monkeypatch, stack):
-    # 24 entries: three 2 x 2 products, as float64 and as int64, take one
-    # matmul; four go in tiles
+def test_stacked_entries_tiled_one_at_a_time(monkeypatch, stack):
+    # one (2 x 5) @ (5 x 2) product needs 28 entries of tile scratch, above
+    # the 24-entry budget, so every stack entry is a tile of its own
     monkeypatch.setattr(field_module, "_TILE_ELEMS", 24)
     q = Q_INT64_MAX
     pairs = [operands(q, 2, 5, 2, seed=s) for s in range(stack - 1)] + [near_maximal(q, 2, 5, 2)]
@@ -294,3 +296,21 @@ def test_long_contraction_scratch_fits_the_budget():
     assert peak - out.nbytes <= 8 * (field_module._TILE_ELEMS + rows * inner) + (64 << 10)
     # every 7th column reaches each tile of at most 52 columns
     assert out[:, ::7].tolist() == naive_matmul_t(q, a.T.tolist(), b[:, ::7].tolist())
+
+
+@pytest.mark.parametrize("q", [65537, (1 << 61) - 1])
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)], ids=["scalar", "vector", "block"])
+def test_combine_parts_of_any_shape(q, shape):
+    # output [i] is sum_t weights[i, t] * parts[t], entry by entry, on the
+    # int64 path (q = 65537) and the object path (q = 2^61 - 1)
+    field = PrimeField(q)
+    weights, _ = operands(q, 3, 4, 1, seed=len(shape))
+    parts = np.random.default_rng(len(shape)).integers(0, q, size=(4, *shape)).astype(field.array_dtype)
+    parts.flat[::3] = q - 1
+    got = combine(field, weights, parts)
+    assert got.dtype == field.array_dtype
+    assert got.shape == (3, *shape)
+    want = naive_matmul_t(q, weights.T.tolist(), parts.reshape(4, -1).tolist())
+    assert got.reshape(3, -1).tolist() == want
+    # a sequence of parts combines like their stack
+    assert combine(field, weights, list(parts)).tolist() == got.tolist()

@@ -4,8 +4,9 @@ relations."""
 import numpy as np
 import pytest
 
-from codedmm.bilinear import ImprovedBilinearCode, strassen_construction
+from codedmm.bilinear import ElementwiseProductCode, ImprovedBilinearCode, strassen_construction
 from codedmm.blocks import MatrixF
+from codedmm.convolution import conv_spec
 from codedmm.errors import BlockShapeMismatch, CodedmmError, TooManyErrors
 from codedmm.robust import (
     Clean,
@@ -17,6 +18,7 @@ from codedmm.robust import (
     inject_faults,
 )
 from codedmm.schemes import (
+    CodingScheme,
     EntangledCode,
     RandomLinearCode,
     UncodedRepetitionCode,
@@ -193,18 +195,55 @@ class TestCorrect:
                 assert got == oracle
 
 
+class TestImprovedCodeRepair:
+    """The improved code is a matrix evaluation code: strassen at N = 19 has K = 13."""
+
+    @pytest.fixture
+    def setup_19_workers(self, gf65537, rng):
+        code = ImprovedBilinearCode(strassen_construction(), 19, gf65537)
+        a = random_matrix(gf65537, 4, 4, rng)
+        b = random_matrix(gf65537, 4, 4, rng)
+        return code, oracle_product(a, b), make_results(code, a, b)
+
+    @pytest.mark.parametrize("errors", [0, 1, 2, 3])
+    def test_correction_within_budget(self, setup_19_workers, errors):
+        code, oracle, results = setup_19_workers
+        assert (code.N - code.recovery_threshold()) // 2 == 3
+        for seed in range(10):
+            corrupted, _ = FaultModel(errors, seed).inject(results)
+            assert correct_errors(code, corrupted, dims=(4, 4)) == oracle
+
+    @pytest.mark.parametrize("errors", range(7))
+    def test_detection_never_silently_wrong(self, setup_19_workers, errors):
+        code, oracle, results = setup_19_workers
+        assert code.N - code.recovery_threshold() == 6
+        for seed in range(10):
+            corrupted, _ = FaultModel(errors, seed).inject(results)
+            out = detect_errors(code, corrupted, dims=(4, 4))
+            if isinstance(out, Clean):
+                assert out.matrix == oracle
+            else:
+                assert errors and isinstance(out, ErrorDetected)
+
+
 class TestNonPolynomialSchemes:
-    """Repair needs evaluation points; other schemes get a typed refusal."""
+    """Repair needs a matrix evaluation code; other schemes get a typed refusal."""
 
     @pytest.mark.parametrize("make_code", [
         lambda f: RandomLinearCode(1, 2, 1, 4, f, seed=3),
         lambda f: UncodedRepetitionCode(2, 1, 1, 4, f),
-        lambda f: ImprovedBilinearCode(strassen_construction(), 13, f),
-    ], ids=["random-linear", "uncoded", "improved"])
+        lambda f: ElementwiseProductCode(3, 5, f),
+        lambda f: conv_spec(2, 2, 5, 3, f),
+    ], ids=["random-linear", "uncoded", "elementwise", "convolution"])
     @pytest.mark.parametrize("repair", [detect_errors, correct_errors])
     def test_typed_error_names_the_scheme(self, make_code, repair, gf65537, rng):
         code = make_code(gf65537)
-        results = make_results(code, random_matrix(gf65537, 4, 4, rng), random_matrix(gf65537, 4, 4, rng))
+        if isinstance(code, CodingScheme):
+            a, b = random_matrix(gf65537, 4, 4, rng), random_matrix(gf65537, 4, 4, rng)
+            results = make_results(code, a, b)
+        else:
+            # the element-wise and convolution codes return vectors
+            results = [np.zeros(5, dtype=np.int64)] * code.N
         with pytest.raises(CodedmmError, match=type(code).__name__):
             repair(code, results)
 
