@@ -209,7 +209,7 @@ class TestImprovedCodeRepair:
     def test_correction_within_budget(self, setup_19_workers, errors):
         code, oracle, results = setup_19_workers
         assert (code.N - code.recovery_threshold()) // 2 == 3
-        for seed in range(10):
+        for seed in range(20):
             corrupted, _ = FaultModel(errors, seed).inject(results)
             assert correct_errors(code, corrupted, dims=(4, 4)) == oracle
 
@@ -217,7 +217,7 @@ class TestImprovedCodeRepair:
     def test_detection_never_silently_wrong(self, setup_19_workers, errors):
         code, oracle, results = setup_19_workers
         assert code.N - code.recovery_threshold() == 6
-        for seed in range(10):
+        for seed in range(20):
             corrupted, _ = FaultModel(errors, seed).inject(results)
             out = detect_errors(code, corrupted, dims=(4, 4))
             if isinstance(out, Clean):
