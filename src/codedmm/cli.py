@@ -198,6 +198,7 @@ def _cmd_fault(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    PrimeField(args.q)  # the tables need no field, but --q is refused like elsewhere
     out = open(args.out, "w", newline="") if args.out else None
     try:
         if args.fig2:

@@ -4,10 +4,14 @@ With all N results of a matrix evaluation code present (a polynomial or
 improved code, whose results lie on one product polynomial of degree < K),
 up to N - K corrupted results are detectable and up to floor((N-K)/2) are
 correctable.  Corruption is per worker (a whole result block is perturbed),
-so error positions located on one scalar coordinate apply to the entire
-block; a corrupted block that happens to leave the pilot coordinate
-unchanged is caught by full-block verification, after which the next
-coordinate serves as pilot.
+so error positions located on one scalar stream apply to the entire block.
+Correction locates them on projections of the blocks: each worker's block
+is reduced to one field element by a seeded random linear combination of its
+entries (the interleaved Reed-Solomon technique of Bleichenbacher, Kiayias
+and Yung), and the decode from the survivors is then verified against every
+surviving block.  A corrupted block whose delta is orthogonal to one
+projection (probability 1/q) is caught by that verification, and the next
+projection serves as pilot; correction refuses when none is left.
 """
 
 from __future__ import annotations
@@ -168,6 +172,39 @@ def _berlekamp_welch(
     return None
 
 
+# Fixed, so repeated runs pick the same projections and report the same outcomes.
+_PROJECTION_SEED = 0x5EED_C0DE
+# Every pilot misses some within-budget corrupted worker with probability below 2**-_MISS_BITS.
+_MISS_BITS = 40
+
+
+def _pilot_vectors(field: PrimeField, e_max: int, coords: int):
+    """Yield the projections that correct_errors reduces each block with.
+
+    A random projection misses a given corrupted worker (its delta is
+    orthogonal to the vector) with probability 1/q, so t seeded random
+    vectors, t the least count with (e_max / q)^t < 2^-40, locate every one
+    of up to e_max errors unless that small chance hits.  When t would
+    reach the coordinate count, or q <= e_max makes no t enough, the unit
+    vectors are cheaper and exact: they scan every coordinate in row-major
+    order.
+    """
+    # numpy draws int64 entries; drawn below span, a projection misses with chance 1/span
+    span = min(field.modulus, 1 << 62)
+    t = 1
+    while t < coords and e_max**t << _MISS_BITS >= span**t:
+        t += 1
+    if t >= coords or span <= e_max:
+        for j in range(coords):
+            unit = np.zeros(coords, dtype=field.array_dtype)
+            unit[j] = 1
+            yield unit
+        return
+    rng = np.random.default_rng(_PROJECTION_SEED)
+    for _ in range(t):
+        yield rng.integers(0, span, size=coords).astype(field.array_dtype)
+
+
 def correct_errors(
     code: InterpolationCode,
     results: Sequence[MatrixF],
@@ -175,35 +212,42 @@ def correct_errors(
 ) -> MatrixF:
     """Recover the exact product despite up to floor((N-K)/2) corrupted workers.
 
-    One scalar coordinate at a time serves as the pilot: Berlekamp-Welch on
-    the pilot stream locates the workers corrupted there, those are erased
-    everywhere, and the decode from the survivors is verified against every
-    surviving block.  A corruption invisible on the pilot fails that
-    verification and the scan moves to the next coordinate.  Raises
-    TooManyErrors when no pilot produces a verified decode.
+    Each pilot projects every surviving block onto one vector (see
+    _pilot_vectors: t seeded random vectors, t the least count with
+    (e_max / q)^t < 2^-40, or the unit vectors when t would reach the block
+    size).  Berlekamp-Welch on the projected stream locates the workers
+    corrupted there, those are erased everywhere, and the decode from the
+    survivors is verified against every surviving block.  A corruption
+    invisible on one pilot fails that verification and the next pilot
+    takes over.  The projection seed is a fixed constant, so repeated runs
+    agree.  A within-budget corruption independent of that seed is refused
+    with probability below 2^-40; one crafted against the seed can at worst
+    be refused.  No product is returned unverified, so the answer is never
+    wrong.  Raises TooManyErrors when no pilot produces a verified decode.
     """
     N = code.N
     k_need, stack = _stacked_results(code, results)
     xs = code.points
     e_max = (N - k_need) // 2
+    flat = stack.reshape(N, -1)
 
     remaining = list(range(N))
     erased = 0
-    for u in range(stack.shape[1]):
-        for v in range(stack.shape[2]):
-            budget = (len(remaining) - k_need) // 2
-            stream_x = [xs[w] for w in remaining]
-            mismatches = _berlekamp_welch(code.field, stream_x, stack[remaining, u, v], k_need, budget)
-            if mismatches is None:
+    for pilot in _pilot_vectors(code.field, e_max, flat.shape[1]):
+        budget = (len(remaining) - k_need) // 2
+        stream_x = [xs[w] for w in remaining]
+        stream = modmatmul(flat[remaining], pilot[:, None], code.field.modulus)[:, 0]
+        mismatches = _berlekamp_welch(code.field, stream_x, stream, k_need, budget)
+        if mismatches is None:
+            continue
+        if mismatches:
+            if erased + len(mismatches) > e_max:
                 continue
-            if mismatches:
-                if erased + len(mismatches) > e_max:
-                    continue
-                erased += len(mismatches)
-                remaining = [w for i, w in enumerate(remaining) if i not in mismatches]
-            fit = remaining[:k_need]
-            if not _mismatches(code, stack, fit, remaining[k_need:]):
-                return MatrixF._wrap(code.field, code.decode_received(stack[fit], fit, dims))
+            erased += len(mismatches)
+            remaining = [w for i, w in enumerate(remaining) if i not in mismatches]
+        fit = remaining[:k_need]
+        if not _mismatches(code, stack, fit, remaining[k_need:]):
+            return MatrixF._wrap(code.field, code.decode_received(stack[fit], fit, dims))
     raise TooManyErrors(
-        f"no pilot coordinate yields a consistent decode within {e_max} errors"
+        f"no pilot projection yields a consistent decode within {e_max} errors"
     )

@@ -88,6 +88,8 @@ class SimulationConfig:
     construction: str | None = None  # improved only
 
     def __post_init__(self):
+        if self.N < 1:
+            raise ValueError(f"N must be >= 1, got {self.N}")
         if not 0 <= self.faults <= self.N:
             raise ValueError(f"faults must be in 0..N={self.N}, got {self.faults}")
         if self.trials < 1:

@@ -187,6 +187,18 @@ def test_criterion_6_fault_tolerance():
             except TooManyErrors:
                 pass
 
+    with criterion(6, "repair one wrong entry of a 256x256 block, N=12 K=5", 2.0):
+        code = EntangledCode(2, 2, 1, 12, GF65537)
+        a = MatrixF(GF65537, rng.integers(0, 65537, size=(2, 512)))
+        b = MatrixF(GF65537, rng.integers(0, 65537, size=(2, 256)))
+        oracle = oracle_product(a, b)
+        results = [worker_multiply(ca, cb) for ca, cb in code.encode_all(a, b)]
+        assert results[7].shape == (256, 256)
+        data = results[7].data.copy()
+        data[-1, -1] = (data[-1, -1] + 1) % 65537
+        results[7] = MatrixF(GF65537, data)
+        assert correct_errors(code, results, dims=(512, 256)) == oracle
+
 
 def test_criterion_7_figure2_table(capsys):
     with criterion(7, "threshold comparison table p=m=3 n=1", 5.0):

@@ -290,6 +290,16 @@ def test_bounds_refuses_partitions_below_one(capsys, option, value):
     assert f"{option} must be >= 1" in err
 
 
+@pytest.mark.parametrize("q", ["0", "-1", "4"])
+def test_bounds_refuses_a_non_prime_modulus(capsys, tmp_path, q):
+    path = tmp_path / "table.csv"
+    code, out, err = run_cli(capsys, "bounds", "--Nmax", "14", "--q", q, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and "prime" in err
+    assert not path.exists()
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -338,10 +348,13 @@ class TestUsageErrors:
             (("--latency", "stragglers:10,2"), "stragglers"),
             (("--faults", "10"), "faults"),
             (("--faults", "-1"), "faults"),
+            (("--N", "0"), "N must be >= 1"),
+            (("--N", "-1"), "N must be >= 1"),
         ],
         ids=["rate-zero", "rate-negative", "rate-inf", "shift-nan", "shift-inf",
              "count-negative", "count-fractional", "count-nan", "slowdown-zero",
-             "slowdown-nan", "stragglers-over-N", "faults-over-N", "faults-negative"],
+             "slowdown-nan", "stragglers-over-N", "faults-over-N", "faults-negative",
+             "N-zero", "N-negative"],
     )
     def test_bad_simulation_values_are_usage_errors(self, capsys, extra, message):
         code, out, err = run_cli(capsys, *self.SIMULATE, *extra)

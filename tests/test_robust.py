@@ -1,17 +1,27 @@
 """Tests for error detection, Berlekamp-Welch correction, and the distance
 relations."""
 
+import random
+import time
+
 import numpy as np
 import pytest
 
-from codedmm.bilinear import ElementwiseProductCode, ImprovedBilinearCode, strassen_construction
+from codedmm.bilinear import (
+    ElementwiseProductCode,
+    ImprovedBilinearCode,
+    load_construction,
+    strassen_construction,
+)
 from codedmm.blocks import MatrixF
 from codedmm.convolution import conv_spec
 from codedmm.errors import BlockShapeMismatch, CodedmmError, TooManyErrors
+from codedmm.field import PrimeField
 from codedmm.robust import (
     Clean,
     ErrorDetected,
     FaultModel,
+    _pilot_vectors,
     correct_errors,
     detect_errors,
     hamming_relations,
@@ -171,8 +181,9 @@ class TestCorrect:
         assert refused > 0
 
     def test_pilot_invisible_corruption(self, setup_9_workers):
-        # corrupt only entry (1, 1) of two workers: the (0, 0) pilot stream
-        # is clean, so location must come from a later coordinate
+        # corrupt only entry (1, 1) of two workers: a pilot that ignores
+        # that entry, such as the (0, 0) coordinate, sees a clean stream, so
+        # location must come from projections that weigh every entry
         code, _, _, oracle, results = setup_9_workers
         corrupted = list(results)
         for w in (2, 6):
@@ -193,6 +204,142 @@ class TestCorrect:
                 corrupted, _ = FaultModel(budget, seed).inject(results)
                 got = correct_errors(code, corrupted, dims=(2 * m, 2 * n))
                 assert got == oracle
+
+
+M61 = (1 << 61) - 1
+
+
+def _bump_last_entry(results, workers, q):
+    """Results with 1 added to the last entry of each listed worker's block."""
+    out = list(results)
+    for w in workers:
+        data = out[w].data.copy()
+        data[-1, -1] = (data[-1, -1] + 1) % q
+        out[w] = MatrixF._wrap(out[w].field, data)
+    return out
+
+
+class TestRepairBudget:
+    """One wrong entry in a large block: the pilots look at every entry at once."""
+
+    BUDGET_S = 2.0
+
+    def _setup(self, q, side, rng):
+        # s = 2 keeps the inputs thin: each worker's block is side x side
+        field = PrimeField(q)
+        code = EntangledCode(2, 2, 1, 12, field)  # K = 5, corrects 3
+        a = random_matrix(field, 2, 2 * side, rng)
+        b = random_matrix(field, 2, side, rng)
+        results = make_results(code, a, b)
+        assert results[0].shape == (side, side)
+        return code, results, a, b
+
+    @pytest.mark.parametrize("q, side", [(65537, 256), (M61, 64)])
+    def test_single_entry_repair_within_budget(self, q, side, rng):
+        code, results, a, b = self._setup(q, side, rng)
+        corrupted = _bump_last_entry(results, [7], q)
+        start = time.perf_counter()
+        got = correct_errors(code, corrupted, dims=(2 * side, side))
+        elapsed = time.perf_counter() - start
+        assert got == oracle_product(a, b)
+        assert elapsed < self.BUDGET_S, f"repair took {elapsed:.2f}s"
+
+    def test_over_budget_refusal_within_budget(self, rng):
+        code, results, _, _ = self._setup(65537, 256, rng)
+        corrupted = _bump_last_entry(results, [1, 4, 7, 10], 65537)
+        start = time.perf_counter()
+        with pytest.raises(TooManyErrors):
+            correct_errors(code, corrupted, dims=(512, 256))
+        elapsed = time.perf_counter() - start
+        assert elapsed < self.BUDGET_S, f"refusal took {elapsed:.2f}s"
+
+
+class TestPilotVectors:
+    @pytest.mark.parametrize("q, e_max, t", [
+        (M61, 3, 1), (65537, 1, 3), (65537, 2, 3), (65537, 6, 3), (65537, 7, 4), (7, 1, 15),
+    ])
+    def test_count_is_the_least_below_the_miss_bound(self, q, e_max, t):
+        pilots = list(_pilot_vectors(PrimeField(q), e_max, 1000))
+        assert len(pilots) == t
+        assert (e_max / q) ** t < 2**-40 <= (e_max / q) ** (t - 1)
+        assert all(p.shape == (1000,) and 0 <= min(p) and max(p) < q for p in pilots)
+
+    @pytest.mark.parametrize("q, e_max, coords", [(M61, 3, 1), (65537, 2, 3), (7, 1, 15), (7, 7, 64)])
+    def test_unit_vectors_when_random_ones_would_not_be_fewer(self, q, e_max, coords):
+        pilots = np.array(list(_pilot_vectors(PrimeField(q), e_max, coords)))
+        assert np.array_equal(pilots, np.eye(coords, dtype=pilots.dtype))
+
+    def test_seed_is_fixed(self):
+        field = PrimeField(65537)
+        first, again = (list(_pilot_vectors(field, 2, 50)) for _ in range(2))
+        assert all(np.array_equal(u, v) for u, v in zip(first, again))
+
+    def test_field_past_int64_draws(self, rng):
+        # numpy cannot draw below 2^89 - 1; the pilots draw below 2^62 and
+        # still repair a single wrong entry
+        field = PrimeField((1 << 89) - 1)
+        code = EntangledCode(2, 2, 1, 9, field)
+        a = random_matrix(field, 4, 8, rng)
+        b = random_matrix(field, 4, 4, rng)
+        corrupted = _bump_last_entry(make_results(code, a, b), [3], field.modulus)
+        assert correct_errors(code, corrupted, dims=(8, 4)) == oracle_product(a, b)
+
+
+def _entangled(field):
+    return EntangledCode(2, 1, 1, min(field.modulus - 1, 9), field)
+
+
+def _improved(field):
+    if field.modulus < 20:
+        return ImprovedBilinearCode(load_construction("standard-2x1x1"), field.modulus - 1, field)
+    return ImprovedBilinearCode(strassen_construction(), 19, field)
+
+
+@pytest.mark.parametrize("q", [7, 11, 65537, M61])
+@pytest.mark.parametrize("make_code", [_entangled, _improved], ids=["entangled", "improved"])
+@pytest.mark.parametrize("block", [1, 5], ids=["1x1", "5x5"])
+def test_correction_returns_the_oracle_within_budget(q, make_code, block):
+    # 1x1 blocks take the unit-vector pilots, 5x5 blocks the random ones
+    # (t <= 22 here, below 25 entries)
+    field = PrimeField(q)
+    code = make_code(field)
+    e_max = (code.N - code.recovery_threshold()) // 2
+    r, t = code.m * block, code.n * block
+    rng = random.Random(q)
+    a = random_matrix(field, code.p, r, rng)
+    b = random_matrix(field, code.p, t, rng)
+    oracle = oracle_product(a, b)
+    results = make_results(code, a, b)
+    assert results[0].shape == (block, block)
+    for errors in range(e_max + 1):
+        for seed in range(20):
+            corrupted, _ = FaultModel(errors, seed).inject(results)
+            assert correct_errors(code, corrupted, dims=(r, t)) == oracle, (errors, seed)
+
+
+def test_corruption_orthogonal_to_the_first_projection_is_never_silently_wrong(rng):
+    # at q = 2^61 - 1 one projection is the whole pilot set: a delta crafted
+    # orthogonal to it leaves every pilot stream clean, so verification
+    # must catch it
+    field = PrimeField(M61)
+    code = EntangledCode(2, 2, 1, 9, field)
+    a = random_matrix(field, 4, 8, rng)
+    b = random_matrix(field, 4, 4, rng)
+    oracle = oracle_product(a, b)
+    results = make_results(code, a, b)
+    (pilot,) = _pilot_vectors(field, 2, 16)
+    delta = [rng.randrange(1, M61) for _ in range(16)]
+    rest = sum(d * int(p) for d, p in zip(delta[1:], pilot[1:]))
+    delta[0] = -rest * pow(int(pilot[0]), -1, M61) % M61
+    assert sum(d * int(p) for d, p in zip(delta, pilot)) % M61 == 0
+    corrupted = list(results)
+    data = (corrupted[4].data + np.array(delta, dtype=object).reshape(4, 4)) % M61
+    corrupted[4] = MatrixF._wrap(field, data)
+    assert corrupted[4] != results[4]
+    try:
+        assert correct_errors(code, corrupted, dims=(8, 4)) == oracle
+    except TooManyErrors:
+        pass
 
 
 class TestImprovedCodeRepair:
