@@ -273,8 +273,8 @@ class ElementwiseProductCode(InterpolationCode):
             return [np.asarray(v) % self.field.modulus for v in got]
         return self._decode_results(results, subset, None)
 
-    def _assemble(self, parts: np.ndarray, dims) -> list:
-        return list(parts)
+    def _assemble(self, weights: np.ndarray, parts, dims) -> list:
+        return list(combine(self.field, weights, parts))
 
 
 class ImprovedBilinearCode(InterpolationCode, CodingScheme):

@@ -150,6 +150,18 @@ def padded_blocks(matrix: MatrixF, row_parts: int, col_parts: int) -> np.ndarray
     return view
 
 
+def grid_blocks(grid: np.ndarray):
+    """The blocks of a (rows, cols, br, bc) grid view in row-major order, uncopied.
+
+    One (rows * cols, br, bc) view when the grid flattens in place (one grid
+    row or column, or blocks one row high), else a list of the block views.
+    """
+    rows, cols = grid.shape[:2]
+    if rows == 1 or cols == 1 or grid.strides[0] == cols * grid.strides[1]:
+        return grid.reshape(-1, *grid.shape[2:])
+    return [blk for row in grid for blk in row]
+
+
 def partition(matrix: MatrixF, row_parts: int, col_parts: int) -> BlockGrid:
     """Split into row_parts x col_parts equal blocks, zero-padding as needed."""
     view = padded_blocks(matrix, row_parts, col_parts)

@@ -21,7 +21,7 @@ from .bilinear import ImprovedBilinearCode, load_construction, registry_names, v
 from .blocks import MatrixF, partition_vector, read_matrix_text
 from .convolution import conv_decode, conv_encode, conv_spec, conv_worker, field_convolve
 from .errors import CodedmmError, TooManyErrors
-from .field import PrimeField
+from .field import PrimeField, random_elements
 from .robust import Clean, FaultModel, correct_errors, detect_errors
 from .schemes import EntangledCode
 from .sim import (
@@ -55,8 +55,8 @@ def _note(msg: str) -> None:
 
 def _random_inputs(field, rng, s, r, t):
     q = field.modulus
-    a = MatrixF(field, rng.integers(0, q, size=(s, r)))
-    b = MatrixF(field, rng.integers(0, q, size=(s, t)))
+    a = MatrixF(field, random_elements(rng, q, (s, r)))
+    b = MatrixF(field, random_elements(rng, q, (s, t)))
     return a, b
 
 
@@ -132,8 +132,8 @@ def _cmd_conv(args) -> int:
     field = PrimeField(args.q)
     spec = conv_spec(args.m, args.n, args.N, args.len, field)
     rng = np.random.default_rng(args.seed)
-    a = rng.integers(0, args.q, size=args.m * args.len)
-    b = rng.integers(0, args.q, size=args.n * args.len)
+    a = random_elements(rng, args.q, args.m * args.len)
+    b = random_elements(rng, args.q, args.n * args.len)
     a_blocks = partition_vector(field, a, args.m, block_len=args.len)
     b_blocks = partition_vector(field, b, args.n, block_len=args.len)
     results = {}

@@ -64,9 +64,9 @@ class ConvCodeSpec(InterpolationCode):
         object.__setattr__(self, "points", self.x_points)
         object.__setattr__(self, "output_map", np.eye(k, dtype=self.field.array_dtype))
 
-    def _assemble(self, parts: np.ndarray, true_lens: tuple[int, int] | None) -> np.ndarray:
-        """a * b from its K per-diagonal block convolutions, cut to the true length."""
-        full = overlap_add(self.field, parts, self.s)
+    def _assemble(self, weights: np.ndarray, parts, true_lens: tuple[int, int] | None) -> np.ndarray:
+        """a * b from its K per-diagonal block convolutions, combine(weights, parts), cut to the true length."""
+        full = overlap_add(self.field, combine(self.field, weights, parts), self.s)
         if true_lens is not None:
             la, lb = true_lens
             if la > self.m * self.s or lb > self.n * self.s:

@@ -12,13 +12,21 @@ reduction (Dumas, Giorgi & Pernet, FFLAS-FFPACK): a sum of k products of
 canonical entries is an integer of at most k*(q-1)^2, which float64 holds
 exactly while it stays below 2^53, so contractions are split into chunks of
 at most (2^53 - 1) // (q-1)^2 terms (2048 or more for q < 2^21) and reduced
-between chunks.  Large products run in cache-sized tiles that reuse one
-product and one scratch buffer and reduce by integer floor division.  Larger
-moduli use Python-int (object) arrays, exact at any length.
+between chunks.  Tiny products are one matmul reduced with one ``%``.  Every
+larger product, and every larger weighted sum formed by ``combine``, touches
+fresh memory only for the array it returns: its float64 operand copies,
+float64 product and int64 scratch live in one per-thread workspace of
+_TILE_ELEMS entries, it is reduced there by floor division, x - (x // q) * q,
+and copied into the result once.  ``combine`` reads its parts where they lie,
+strided views included, and can write into the caller's array or views
+(``out``).  No kernel function calls another while it holds the workspace.
+Larger moduli use Python-int (object) arrays, exact at any length.
 """
 
 from __future__ import annotations
 
+import random
+import threading
 from math import prod
 from typing import Iterable, Sequence
 
@@ -34,11 +42,17 @@ _INT64_SAFE_MODULUS = 1 << 21
 # Integers up to this bound are exact in float64.
 _FLOAT_EXACT = 1 << 53
 
-# modmatmul's memory budget, in 8-byte entries (2 MB).  A product whose
-# float64 operand copies, float64 result and int64 copy fit it is one dgemm
-# call; larger ones go in tiles whose float64 operand slices, float64 product
-# and int64 scratch fit.
+# The size of each thread's workspace, in 8-byte entries (2 MB): a tile's
+# float64 operand slices, float64 product and int64 scratch fit it.
 _TILE_ELEMS = 1 << 18
+
+# Products of at most this many 8-byte operand, product and result entries
+# take one matmul on fresh copies and one %, which at this size costs less
+# than slicing the workspace and three floor-division passes.
+_SMALL_ELEMS = 1 << 15
+
+# Per-thread state of the kernel: its workspace (see _workspace).
+_local = threading.local()
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -120,7 +134,7 @@ class PrimeField:
     def random(self, rng) -> int:
         """Uniform canonical element; rng is a random.Random or numpy Generator."""
         if hasattr(rng, "integers"):
-            return int(rng.integers(0, self.modulus))
+            return int(random_elements(rng, self.modulus))
         return rng.randrange(self.modulus)
 
 
@@ -395,9 +409,68 @@ def lagrange_interpolate(points) -> FieldPolynomial:
     return FieldPolynomial(field, coeffs.tolist())
 
 
+def random_elements(rng: np.random.Generator, q: int, size=None):
+    """Uniform draws from [0, q) by a numpy Generator: an int, or an array of shape size.
+
+    Below 2^63 this is exactly rng.integers(0, q, size), so seeded streams
+    keep their values.  Larger moduli, past numpy's int64 draws, take one
+    seed from rng for a random.Random that draws Python ints, returned as
+    an object array when size is given.
+    """
+    if q <= 1 << 63:
+        return rng.integers(0, q, size=size)
+    draw = random.Random(int(rng.integers(1 << 63))).randrange
+    if size is None:
+        return draw(q)
+    out = np.empty(size, dtype=object)
+    out.flat = [draw(q) for _ in range(out.size)]
+    return out
+
+
 def exact_float_terms(q: int) -> int:
     """Longest dot product of canonical entries that float64 sums exactly."""
     return (_FLOAT_EXACT - 1) // (q - 1) ** 2
+
+
+def _workspace(n: int) -> np.ndarray:
+    """The first n float64 entries of this thread's workspace.
+
+    The workspace is one buffer of _TILE_ELEMS 8-byte entries per thread,
+    made on first use.  A request past it, which only a budget too small
+    for one row or column of a tile makes, gets fresh memory instead.
+    """
+    buf = getattr(_local, "workspace", None)
+    if buf is None or len(buf) < _TILE_ELEMS:
+        buf = _local.workspace = np.empty(_TILE_ELEMS)
+    return buf[:n] if n <= len(buf) else np.empty(n)
+
+
+def _fill(buf: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x copied to float64 at the head of buf, in C order."""
+    dst = buf[:x.size].reshape(x.shape)
+    np.copyto(dst, x)
+    return dst
+
+
+def _reduce(product: np.ndarray, scratch: np.ndarray, q: int, out: np.ndarray, accumulate: bool):
+    """out = (product + out if accumulate else product) mod q, through int64 scratch.
+
+    product is a float64 workspace tile holding exact integers below 2^53
+    and out canonical entries, so the int64 sum cannot overflow.  It is
+    reduced as x - (x // q) * q, numpy dividing int64 by a constant without
+    hardware divides, which % does not.  The spent product holds the
+    quotient, so the passes run on contiguous workspace and out, which may
+    be a strided view, is written once: a ufunc writing a strided view
+    with short rows goes through buffers of its own.
+    """
+    np.copyto(scratch, product, casting="unsafe")
+    if accumulate:
+        scratch += out
+    quotient = product.view(np.int64)
+    np.floor_divide(scratch, q, out=quotient)
+    quotient *= q
+    scratch -= quotient
+    np.copyto(out, scratch)
 
 
 def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -408,16 +481,16 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     single matrix, shared by every entry.  Object operands multiply as
     Python ints.  int64 operands run on float64 BLAS, in chunks of the
     contraction that float64 sums exactly, reduced mod q between chunks.
-    The memory budget is _TILE_ELEMS 8-byte entries.  A one-chunk product
-    whose float64 operand copies, float64 result and int64 copy fit it
-    ((rows + cols) * inner + 2 * rows * cols entries for two matrices) is a
-    single matmul reduced with ``%``.  Others go in tiles whose float64
-    operand slices, float64 product and int64 scratch fit it: whole stack
-    entries when one fits, else column slices of one entry, which share one
-    float64 copy of the entry's a chunk.  Every tile reuses one product
-    buffer and one scratch buffer and is reduced in place as
-    x - (x // q) * q, a division by a constant that numpy runs without
-    hardware divides.  The result has the operands' dtype.
+    A one-chunk product of at most _SMALL_ELEMS operand, product and result
+    entries ((rows + cols) * inner + 2 * rows * cols for two matrices) is
+    one matmul on fresh float64 copies, reduced with one ``%``.  Every other
+    product touches fresh memory only for the result: it runs in tiles in
+    this thread's workspace of _TILE_ELEMS 8-byte entries, which holds a
+    tile's float64 operand slices, its float64 product and its int64
+    scratch.  A tile is as many whole stack entries as fit, else column
+    slices of one entry, which share the float64 copy of the entry's a
+    chunk.  Each tile is reduced into the result by floor division
+    (_reduce).  The result has the operands' dtype.
     """
     if a.dtype == object or b.dtype == object:
         return (a @ b) % q
@@ -428,48 +501,110 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     cols = b.shape[-1]
     stack = a.shape[:-2] if a.ndim >= b.ndim else b.shape[:-2]
     size = prod(stack) * rows * cols
-    if size == 0 or inner == 0 or (inner <= step and a.size + b.size + 2 * size <= _TILE_ELEMS):
+    if size == 0 or inner == 0 or (inner <= step and a.size + b.size + 2 * size <= _SMALL_ELEMS):
         out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
         return np.remainder(out, q, out=out)
     out = np.empty((*stack, rows, cols), dtype=np.int64)
     entries = out.reshape(-1, rows, cols)
-    a_s = np.broadcast_to(a.reshape(-1, rows, inner), (len(entries), rows, inner))
-    b_s = np.broadcast_to(b.reshape(-1, inner, cols), (len(entries), inner, cols))
+    # a shared operand is one stack entry, which matmul broadcasts
+    a_s, b_s = a.reshape(-1, rows, inner), b.reshape(-1, inner, cols)
     chunk = min(inner, step)
     per_col = chunk + 2 * rows  # a float64 b column, product column and scratch column
     entry = rows * chunk + cols * per_col
-    group = max(1, _TILE_ELEMS // entry)
-    width = cols if entry <= _TILE_ELEMS else max(1, _TILE_ELEMS // per_col)
-    product = np.empty(group * rows * width)
-    scratch = np.empty(group * rows * width, dtype=np.int64)
+    if entry <= _TILE_ELEMS:
+        group, width = min(len(entries), _TILE_ELEMS // entry), cols
+    else:
+        group, width = 1, max(1, (_TILE_ELEMS - rows * chunk) // per_col)
+    a_len, b_len, t_len = group * rows * chunk, group * chunk * width, group * rows * width
+    ws = _workspace(a_len + b_len + 2 * t_len)
+    a_buf, b_buf = ws[:a_len], ws[a_len:a_len + b_len]
+    product = ws[a_len + b_len:a_len + b_len + t_len]
+    scratch = ws[a_len + b_len + t_len:].view(np.int64)
     for s0 in range(0, len(entries), group):
+        a_g = a_s if len(a_s) == 1 else a_s[s0:s0 + group]
+        b_g = b_s if len(b_s) == 1 else b_s[s0:s0 + group]
         for k0 in range(0, inner, step):
-            a_part = a_s[s0:s0 + group, :, k0:k0 + step].astype(np.float64)
+            a_part = _fill(a_buf, a_g[:, :, k0:k0 + step])
             for c0 in range(0, cols, width):
                 tile = entries[s0:s0 + group, :, c0:c0 + width]
                 p = product[:tile.size].reshape(tile.shape)
-                s = scratch[:tile.size].reshape(tile.shape)
-                np.matmul(a_part, b_s[s0:s0 + group, k0:k0 + step, c0:c0 + width].astype(np.float64), out=p)
-                np.copyto(s, p, casting="unsafe")
-                if k0:
-                    s += tile
-                np.floor_divide(s, q, out=tile)
-                tile *= q
-                np.subtract(s, tile, out=tile)
+                np.matmul(a_part, _fill(b_buf, b_g[:, k0:k0 + step, c0:c0 + width]), out=p)
+                _reduce(p, scratch[:tile.size].reshape(tile.shape), q, tile, k0 > 0)
     return out
 
 
-def combine(field: PrimeField, weights: np.ndarray, parts) -> np.ndarray:
+def combine(field: PrimeField, weights: np.ndarray, parts, out=None) -> np.ndarray:
     """Array whose [i] is sum_t weights[i, t] * parts[t], of shape (len(weights), *shape).
 
     parts is a stack of T = weights.shape[1] equal-shape canonical arrays
-    (scalars, vectors or blocks), as one (T, *shape) array or a sequence of
-    arrays, so every combination comes from one modmatmul.  Encoding,
-    decoding and fault prediction all combine through here.
+    (scalars, vectors or blocks): one (T, *shape) array or a sequence of
+    arrays, such as strided block views or gathered worker results.
+    Encoding, decoding and fault prediction all combine through here.
+    out, when given, receives the result and is returned: one array of the
+    result's shape, or a sequence of len(weights) arrays of the parts'
+    shape, such as the block views of an assembled product.
+
+    Combinations that modmatmul would take as one small matmul are one
+    modmatmul of the stacked parts.  Larger int64 ones read the parts
+    where they lie: each slab of rows of every part is gathered straight
+    into this thread's workspace, multiplied by the weights in one float64
+    matmul, and reduced by floor division into the result, so the result
+    is the only fresh memory they touch.
     """
-    stack = np.asarray(parts)
-    flat = modmatmul(weights, stack.reshape(len(stack), -1), field.modulus)
-    return flat.reshape(len(weights), *stack.shape[1:])
+    k, t = weights.shape
+    first = np.asarray(parts[0])
+    size = first.size
+    stacked_out = isinstance(out, np.ndarray)
+    if out is not None:
+        shapes = {out.shape[1:]} if stacked_out else {np.shape(o) for o in out}
+        if len(out) != k or shapes != {first.shape}:
+            raise ValueError(f"out needs {k} arrays of shape {first.shape}")
+    if (weights.size + (t + 2 * k) * size <= _SMALL_ELEMS or weights.dtype == object
+            or first.dtype == object or first.ndim == 0 or size == 0):
+        stack = np.asarray(parts)
+        flat = modmatmul(weights, stack.reshape(len(stack), -1), field.modulus)
+        if stacked_out:
+            out[...] = flat.reshape(out.shape)
+            return out
+        result = flat.reshape(k, *stack.shape[1:])
+        if out is None:
+            return result
+        for o, r in zip(out, result):
+            o[...] = r
+        return out
+    if len(parts) != t or any(np.shape(p) != first.shape for p in parts):
+        raise ValueError(f"{t} weights per row need {t} parts of one shape")
+    q = field.modulus
+    if out is None:
+        out, stacked_out = np.empty((k, *first.shape), dtype=np.int64), True
+    rows, rest = first.shape[0], first.shape[1:]
+    row = size // rows  # entries per row of a part
+    step = exact_float_terms(q)
+    chunk = min(t, step)
+    slab = max(1, (_TILE_ELEMS - k * chunk) // (row * (chunk + 2 * k)))
+    w_len, in_len, t_len = k * chunk, chunk * slab * row, k * slab * row
+    ws = _workspace(w_len + in_len + 2 * t_len)
+    w_buf, in_buf = ws[:w_len], ws[w_len:w_len + in_len]
+    product = ws[w_len + in_len:w_len + in_len + t_len]
+    scratch = ws[w_len + in_len + t_len:].view(np.int64)
+    for k0 in range(0, t, step):
+        w = _fill(w_buf, weights[:, k0:k0 + step])
+        terms = w.shape[1]
+        for r0 in range(0, rows, slab):
+            h = min(slab, rows - r0)
+            gathered = in_buf[:terms * h * row].reshape(terms, h, *rest)
+            for j, g in enumerate(gathered):
+                np.copyto(g, parts[k0 + j][r0:r0 + h])
+            p = product[:k * h * row].reshape(k, h * row)
+            np.matmul(w, gathered.reshape(terms, -1), out=p)
+            p = p.reshape(k, h, *rest)
+            s = scratch[:k * h * row].reshape(k, h, *rest)
+            if stacked_out:
+                _reduce(p, s, q, out[:, r0:r0 + h], k0 > 0)
+            else:
+                for i, o in enumerate(out):
+                    _reduce(p[i], s[i], q, o[r0:r0 + h], k0 > 0)
+    return out
 
 
 def interpolate_arrays(field: PrimeField, xs: Sequence[int], values) -> np.ndarray:

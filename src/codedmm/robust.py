@@ -23,7 +23,7 @@ import numpy as np
 
 from .blocks import MatrixF
 from .errors import BlockShapeMismatch, TooManyErrors, UnsupportedScheme
-from .field import FieldPolynomial, PrimeField, combine, lagrange_matrix, modmatmul, vandermonde
+from .field import FieldPolynomial, PrimeField, combine, lagrange_matrix, modmatmul, random_elements, vandermonde
 from .linalg import solve_linear_system
 from .schemes import CodingScheme, InterpolationCode
 
@@ -63,7 +63,7 @@ def inject_faults(rng: np.random.Generator, stack, errors: int, q: int) -> list[
     victims = sorted(rng.choice(len(stack), size=errors, replace=False).tolist()) if errors else []
     for w in victims:
         while True:
-            delta = rng.integers(0, q, size=stack[w].shape)
+            delta = random_elements(rng, q, stack[w].shape)
             if delta.any():
                 break
         stack[w] = (stack[w] + delta.astype(stack[w].dtype)) % q

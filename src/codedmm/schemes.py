@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .blocks import MatrixF, assemble_array, padded_blocks
+from .blocks import MatrixF, assemble_array, grid_blocks, padded_blocks
 from .errors import (
     BlockShapeMismatch,
     DegreeCollision,
@@ -33,7 +33,7 @@ from .errors import (
     TooFewWorkers,
     UnknownWorker,
 )
-from .field import PrimeField, combine, lagrange_basis, modmatmul, vandermonde
+from .field import PrimeField, combine, lagrange_basis, modmatmul, random_elements, vandermonde
 from .linalg import solve_linear_system
 
 
@@ -189,8 +189,7 @@ class CodingScheme(ABC):
         """(len(weights), br, bc) stack whose [i] is sum_t weights[i, t] * (block t)."""
         if matrix.field != self.field:
             raise FieldMismatch(f"input over {matrix.field}, code over {self.field}")
-        blocks = padded_blocks(matrix, self.p, parts)
-        return combine(self.field, weights, blocks.reshape(-1, *blocks.shape[2:]))
+        return combine(self.field, weights, grid_blocks(padded_blocks(matrix, self.p, parts)))
 
     def _worker_rows(self, gen: np.ndarray, i: int) -> np.ndarray:
         if not 0 <= i < self.N:
@@ -223,7 +222,7 @@ class CodingScheme(ABC):
         UnknownWorker or MissingResult for a bad worker index.
         """
         self._check_count(subset)
-        received = np.stack([r.data for r in gather_results(results, subset, self.N)])
+        received = [r.data for r in gather_results(results, subset, self.N)]
         return MatrixF._wrap(self.field, self._decode_received(received, subset, dims))
 
     def decode_received(
@@ -262,13 +261,22 @@ class CodingScheme(ABC):
 
     @abstractmethod
     def _decode_received(
-        self, received: np.ndarray, subset: Sequence[int], dims: tuple[int, int] | None
+        self, received, subset: Sequence[int], dims: tuple[int, int] | None
     ) -> np.ndarray:
-        """decode_received once its arguments are checked."""
+        """decode_received once its arguments are checked.
 
-    def _assemble(self, blocks: np.ndarray, dims: tuple[int, int] | None) -> np.ndarray:
-        """A^T B from its m x n output blocks, in row-major order, cut to dims."""
-        return assemble_array(blocks.reshape(self.m, self.n, *blocks.shape[-2:]), dims)
+        received is one stack of results or a sequence of equal-shape arrays.
+        """
+
+    def _assemble(self, weights: np.ndarray, parts, dims: tuple[int, int] | None) -> np.ndarray:
+        """A^T B cut to dims, whose m x n output blocks, in row-major order, are combine(weights, parts).
+
+        The blocks are combined straight into the assembled product.
+        """
+        br, bc = parts[0].shape
+        blocks = np.empty((self.m, br, self.n, bc), dtype=self.field.array_dtype).swapaxes(1, 2)
+        combine(self.field, weights, parts, out=grid_blocks(blocks))
+        return assemble_array(blocks, dims)
 
     def encode_all(self, a: MatrixF, b: MatrixF) -> list[tuple[MatrixF, MatrixF]]:
         """Coded pairs for every worker (partitions the inputs only once)."""
@@ -291,9 +299,10 @@ class InterpolationCode:
     h has degree < K, the number of columns of output_map, and the product's
     parts are output_map @ (h's coefficients), so the results of any K
     workers S, of any shape, decode through the one map output_map V_S^-1,
-    V_S being the Vandermonde matrix at their points.  _assemble(parts, dims)
-    then builds the product: A^T B from its mn blocks, the list of R
-    element-wise products, or the overlap-add of K block convolutions.
+    V_S being the Vandermonde matrix at their points.  _assemble(weights,
+    parts, dims) then builds the product from the parts' combination: A^T B
+    from its mn blocks, written in place, the list of R element-wise
+    products, or the overlap-add of K block convolutions.
     """
 
     field: PrimeField
@@ -304,12 +313,12 @@ class InterpolationCode:
     def recovery_threshold(self) -> int:
         return self.output_map.shape[1]
 
-    def _decode_received(self, received: np.ndarray, subset: Sequence[int], dims):
+    def _decode_received(self, received, subset: Sequence[int], dims):
         """The product from received[i], the result of worker subset[i]."""
         k_need = self.output_map.shape[1]
         xs = [self.points[w] for w in subset[:k_need]]
         decode_map = modmatmul(self.output_map, lagrange_basis(self.field, xs), self.field.modulus)
-        return self._assemble(combine(self.field, decode_map, received[:k_need]), dims)
+        return self._assemble(decode_map, received[:k_need], dims)
 
     def _decode_results(self, results: Mapping, subset: Sequence[int], dims):
         """_decode_received from a worker -> array mapping, such as the vector codes take."""
@@ -319,7 +328,7 @@ class InterpolationCode:
         got = [np.asarray(v) % self.field.modulus for v in gather_results(results, subset, self.N)[:k_need]]
         if len({v.shape for v in got}) > 1:
             raise BlockShapeMismatch("worker results differ in shape")
-        return self._decode_received(np.stack(got), list(subset), dims)
+        return self._decode_received(got, list(subset), dims)
 
 
 class GeneralPolynomialCode(InterpolationCode, CodingScheme):
@@ -388,11 +397,12 @@ class UncodedRepetitionCode(CodingScheme):
         if missing:
             raise InsufficientResults(f"{missing} of {self.num_tasks} sub-products missing")
         # task (j, k, k') is j + k*p + k'*pm; output block (k, k') sums over j
+        received = np.asarray(received)
         by_task = received[[first[t] for t in range(self.num_tasks)]].reshape(
             self.n, self.m, self.p, *received.shape[1:]
         )
         blocks = by_task.sum(axis=2).swapaxes(0, 1) % self.field.modulus
-        return self._assemble(blocks, dims)
+        return assemble_array(blocks, dims)
 
 
 class RandomLinearCode(CodingScheme):
@@ -425,12 +435,8 @@ class RandomLinearCode(CodingScheme):
         self.seed = seed
         rng = np.random.default_rng(seed)
         q = field.modulus
-        self.gen_a = np.array(
-            rng.integers(0, q, size=(N, p * m)), dtype=field.array_dtype
-        )
-        self.gen_b = np.array(
-            rng.integers(0, q, size=(N, p * n)), dtype=field.array_dtype
-        )
+        self.gen_a = np.array(random_elements(rng, q, (N, p * m)), dtype=field.array_dtype)
+        self.gen_b = np.array(random_elements(rng, q, (N, p * n)), dtype=field.array_dtype)
         # row w: result_w = sum over pairs ((j,k),(j',k')) of
         #        gen_a[w,(j,k)] * gen_b[w,(j',k')] * (A[j,k]^T B[j',k'])
         gen = (self.gen_a[:, :, None] * self.gen_b[:, None, :] % q).reshape(N, -1)
@@ -461,6 +467,7 @@ class RandomLinearCode(CodingScheme):
         workers, rows = np.unique(subset, return_index=True)
         where = self._info_pos[workers]
         inside = where >= 0
+        received = np.asarray(received)
         br, bc = received.shape[1:]
         flat = received.reshape(len(received), -1)
         q = self.field.modulus
@@ -483,4 +490,4 @@ class RandomLinearCode(CodingScheme):
             )
         y[absent] = solved
         blocks = modmatmul(self._output_map, y, q)
-        return self._assemble(blocks.reshape(-1, br, bc), dims)
+        return assemble_array(blocks.reshape(self.m, self.n, br, bc), dims)

@@ -19,7 +19,7 @@ import numpy as np
 from .bilinear import ImprovedBilinearCode, load_construction
 from .blocks import MatrixF
 from .errors import InsufficientResults, SingularDecodeSystem
-from .field import PrimeField
+from .field import PrimeField, random_elements
 from .robust import inject_faults
 from .schemes import (
     CodingScheme,
@@ -176,8 +176,8 @@ def run_trial(
     q = scheme.field.modulus
     if inputs is None:
         s, r, t = config.dims()
-        a = MatrixF(scheme.field, rng.integers(0, q, size=(s, r)))
-        b = MatrixF(scheme.field, rng.integers(0, q, size=(s, t)))
+        a = MatrixF(scheme.field, random_elements(rng, q, (s, r)))
+        b = MatrixF(scheme.field, random_elements(rng, q, (s, t)))
     else:
         a, b = inputs
         r, t = a.cols, b.cols

@@ -94,6 +94,21 @@ def test_criterion_2_exhaustive_thresholds():
                 assert code.decode(results, sub, dims=(r, t)) == oracle, (p, m, n, sub)
 
 
+def test_criterion_2_bulk_round_trip():
+    # the bulk path: 256 x 256 blocks through the workspace kernel, timed on every run
+    with criterion(2, "512x512 entangled (2,2,2) N=12 round trip from a seeded 9-subset", 5.0):
+        q = GF65537.modulus
+        code = EntangledCode(2, 2, 2, 12, GF65537)
+        rng = np.random.default_rng(512)
+        a_np, b_np = rng.integers(0, q, size=(2, 512, 512))
+        results = all_results(code, MatrixF(GF65537, a_np), MatrixF(GF65537, b_np))
+        subset = sorted(rng.choice(code.N, code.recovery_threshold(), replace=False).tolist())
+        got = code.decode(results, subset, dims=(512, 512))
+        # exact in float64: an entry sums 512 products below 2^32
+        want = (a_np.T.astype(np.float64) @ b_np.astype(np.float64)) % q
+        assert np.array_equal(got.data, want.astype(np.int64))
+
+
 def test_criterion_3_strassen_code():
     with criterion(3, "rank-7 code, all 105 subsets of size 13", 30.0):
         rng = np.random.default_rng(3)

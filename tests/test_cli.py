@@ -12,6 +12,8 @@ import pytest
 
 from codedmm.cli import main
 
+Q_PAST_INT64 = (1 << 89) - 1  # a Mersenne prime
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -113,6 +115,17 @@ class TestFault:
         row = dict(zip(header, rows[0]))
         assert row["exact"] == "20" and row["silent_wrong"] == "0"
 
+    def test_modulus_past_int64(self, capsys):
+        # 2^89 - 1: the inputs and the corruption are drawn past int64
+        code, out, err = run_cli(
+            capsys, "fault", "--p", "2", "--m", "1", "--n", "1", "--N", "6",
+            "--errors", "1", "--trials", "1", "--mode", "correct", "--q", str(Q_PAST_INT64),
+        )
+        assert code == 0, err
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert row["exact"] == "1" and row["silent_wrong"] == "0"
+
 
 class TestBounds:
     def test_fig2_row_30(self, capsys):
@@ -161,6 +174,15 @@ class TestSimulate:
         assert header == ["trial", "scheme", "N", "K", "completion_time", "waited", "success"]
         assert len(rows) == 3
         assert all(row[6] == "1" for row in rows)
+
+    def test_modulus_past_int64(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--scheme", "entangled", "--p", "2", "--m", "1",
+            "--n", "1", "--N", "6", "--trials", "2", "--q", str(Q_PAST_INT64),
+        )
+        assert code == 0, err
+        _, rows = parse_csv(out)
+        assert [row[6] for row in rows] == ["1", "1"]
 
     def test_latency_flag_parsing(self, capsys):
         code, out, _ = run_cli(

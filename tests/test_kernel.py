@@ -3,20 +3,25 @@
 modmatmul runs int64 operands on float64 BLAS, which is exact only while a
 dot product of canonical entries stays below 2^53; these tests sit on both
 sides of that chunk boundary, on output-column tiles and stack groups that
-reuse one set of buffers, and on the worst-case entry q - 1.  One test
-bounds the kernel's scratch memory.  The combiner that every encoder and
-decoder runs on top of it is checked on parts of every shape.
+reuse one set of buffers, and on the worst-case entry q - 1.  The combiner
+that every encoder and decoder runs on top of it is checked on parts of
+every shape, read in place from strided views, and written into the block
+views of an assembled product.  Allocation guards bound the fresh memory
+of the kernel, the encoder and the decoder by their results, and one test
+runs the kernel in two threads at once.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from codedmm import field as field_module
-from codedmm.blocks import MatrixF
+from codedmm.blocks import MatrixF, padded_blocks
 from codedmm.field import PrimeField, combine, exact_float_terms, modmatmul
-from codedmm.schemes import worker_multiply
+from codedmm.schemes import EntangledCode, worker_multiply
 
 from oracles import naive_matmul_t
 
@@ -246,6 +251,7 @@ def test_scratch_does_not_grow_with_output_width(rows, inner):
     q = 65537
     rng = np.random.default_rng(rows)
     a = rng.integers(0, q, size=(rows, inner))
+    modmatmul(a, a.T, q)  # makes this thread's workspace, which every later tile reuses
 
     def scratch(width: int) -> int:
         b = rng.integers(0, q, size=(inner, width))
@@ -314,3 +320,196 @@ def test_combine_parts_of_any_shape(q, shape):
     assert got.reshape(3, -1).tolist() == want
     # a sequence of parts combines like their stack
     assert combine(field, weights, list(parts)).tolist() == got.tolist()
+
+
+def combined_by_oracle(q: int, weights, parts) -> list:
+    """sum_t weights[i, t] * parts[t] for every i, as nested lists of the result's shape."""
+    flat = [np.reshape(p, -1).tolist() for p in parts]
+    rows = naive_matmul_t(q, np.asarray(weights).T.tolist(), flat)
+    return np.array(rows, dtype=object).reshape(len(weights), *np.shape(parts[0])).tolist()
+
+
+@pytest.fixture
+def slabs(monkeypatch):
+    """Send every int64 combination, however small, through the slab path."""
+    monkeypatch.setattr(field_module, "_SMALL_ELEMS", 0)
+
+
+def near_maximal_weights(q: int, rows: int, cols: int) -> np.ndarray:
+    return near_maximal(q, rows, cols, 1)[0]
+
+
+@pytest.mark.parametrize("dims", [(8, 6), (7, 5), (130, 130)], ids=["even", "padded", "large"])
+def test_combine_reads_padded_block_views(dims, request):
+    # the 2 x 3 blocks of a matrix are strided views of it (of its padded
+    # copy when the dimensions do not divide); the large case takes the
+    # slab path at the real bound, the small ones are sent there
+    if dims != (130, 130):
+        request.getfixturevalue("slabs")
+    q = Q_INT64_MAX
+    field = PrimeField(q)
+    matrix = MatrixF(field, operands(q, *dims, 1, seed=dims[0])[0])
+    blocks = padded_blocks(matrix, 2, 3)
+    parts = [blk for row in blocks for blk in row]
+    assert not parts[1].flags.c_contiguous
+    weights = near_maximal_weights(q, 4, 6)
+    got = combine(field, weights, parts)
+    assert got.dtype == np.int64 and got.shape == (4, *blocks.shape[2:])
+    assert got.tolist() == combined_by_oracle(q, weights, parts)
+    assert combine(field, weights, np.stack(parts)).tolist() == got.tolist()
+
+
+@pytest.mark.parametrize("path", ["small", "slabs"])
+def test_combine_into_the_block_views_of_an_assembled_matrix(path, request):
+    # out is the m x n grid of block views of one (m*br, n*bc) matrix, in
+    # row-major order; every entry of the matrix is written
+    if path == "slabs":
+        request.getfixturevalue("slabs")
+    q = Q_INT64_MAX
+    field = PrimeField(q)
+    m, n, br, bc = 2, 3, 5, 4
+    parts = [near_maximal(q, br, bc, 1)[0]] + [operands(q, br, bc, 1, seed=s)[0] for s in range(4)]
+    weights = near_maximal_weights(q, m * n, len(parts))
+    full = np.full((m * br, n * bc), -1, dtype=np.int64)
+    grid = full.reshape(m, br, n, bc).swapaxes(1, 2)
+    out = [blk for row in grid for blk in row]
+    assert combine(field, weights, parts, out=out) is out
+    want = combined_by_oracle(q, weights, parts)
+    assert [blk.tolist() for blk in out] == want
+    assert full.min() >= 0
+    # an array out is filled the same way
+    stacked = np.empty((m * n, br, bc), dtype=np.int64)
+    assert combine(field, weights, parts, out=stacked).tolist() == want
+
+
+def test_combine_refuses_an_out_of_the_wrong_shape():
+    field = PrimeField(65537)
+    weights = np.ones((2, 3), dtype=np.int64)
+    parts = np.ones((3, 4, 4), dtype=np.int64)
+    with pytest.raises(ValueError):
+        combine(field, weights, parts, out=[np.empty((4, 4), dtype=np.int64)])
+    with pytest.raises(ValueError):
+        combine(field, weights, parts, out=np.empty((2, 4, 5), dtype=np.int64))
+
+
+@pytest.mark.parametrize("tile", [24 + 70, 24 + 70 * 2, 24 + 70 * 3, 24 + 70 * 5])
+def test_slab_heights_that_do_not_divide_the_block_rows(monkeypatch, slabs, tile):
+    # 4 x 6 weights on 7 x 5 parts: a row of the six parts, the product and
+    # the scratch takes 5 * (6 + 2 * 4) = 70 entries past the 24 weights, so
+    # the slabs are 1, 2, 3 and 5 rows high, the last one shorter
+    monkeypatch.setattr(field_module, "_TILE_ELEMS", tile)
+    q = Q_INT64_MAX
+    field = PrimeField(q)
+    parts = [operands(q, 7, 5, 1, seed=s)[0] for s in range(5)] + [near_maximal(q, 7, 5, 1)[0]]
+    weights = near_maximal_weights(q, 4, 6)
+    want = combined_by_oracle(q, weights, parts)
+    assert combine(field, weights, parts).tolist() == want
+    out = [np.empty((7, 5), dtype=np.int64) for _ in range(4)]
+    assert [o.tolist() for o in combine(field, weights, parts, out=out)] == want
+
+
+@pytest.mark.parametrize("terms", [2048, 2049])
+def test_combine_near_maximal_entries_at_the_largest_int64_prime(slabs, terms):
+    # at Q_INT64_MAX one float64 pass sums at most 2048 products: 2049
+    # parts take two chunks, the second accumulated into the first
+    q = Q_INT64_MAX
+    field = PrimeField(q)
+    weights = near_maximal(q, 2, terms, 1)[0]
+    parts = list(near_maximal(q, terms, 6, 1)[0].reshape(terms, 2, 3))
+    assert combine(field, weights, parts).tolist() == combined_by_oracle(q, weights, parts)
+
+
+@pytest.mark.parametrize("shape", [(), (9,)], ids=["scalar", "vector"])
+def test_combine_scalar_and_vector_parts(slabs, shape):
+    # the element-wise code combines scalars or vectors, the convolution
+    # code vectors of length 2s - 1, as lists or stacks; vectors go in
+    # slabs of entries, scalars always take the one-matmul path
+    q = Q_INT64_MAX
+    field = PrimeField(q)
+    rng = np.random.default_rng(len(shape))
+    parts = [rng.integers(0, q, size=shape) for _ in range(5)] + [np.full(shape, q - 1)]
+    weights = near_maximal_weights(q, 4, len(parts))
+    want = combined_by_oracle(q, weights, parts)
+    assert combine(field, weights, parts).tolist() == want
+    assert combine(field, weights, np.stack(parts)).tolist() == want
+
+
+def traced_peak(call):
+    """(result, peak bytes) of call(), traced after one untraced warm-up call."""
+    call()  # the warm-up makes this thread's workspace
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_worker_product_allocates_only_its_result():
+    q = 65537
+    rng = np.random.default_rng(256)
+    a, b = rng.integers(0, q, size=(2, 256, 256))
+    out, peak = traced_peak(lambda: modmatmul(a.T, b, q))
+    assert peak <= out.nbytes + (64 << 10)
+
+
+def bulk_entangled():
+    field = PrimeField(65537)
+    code = EntangledCode(2, 2, 2, N=12, field=field)
+    rng = np.random.default_rng(512)
+    a, b = (MatrixF(field, rng.integers(0, field.modulus, size=(512, 512))) for _ in range(2))
+    return code, a, b
+
+
+def test_encode_allocates_only_its_coded_stacks():
+    code, a, b = bulk_entangled()
+    pairs, peak = traced_peak(lambda: code.encode_all(a, b))
+    assert peak <= 2 * 12 * 256 * 256 * 8 + (64 << 10)
+    assert pairs[5][0] == code.encode_a(a, 5) and pairs[5][1] == code.encode_b(b, 5)
+
+
+def test_decode_allocates_only_the_product():
+    # no stack of the K results and no copy to assemble the blocks
+    code, a, b = bulk_entangled()
+    results = {i: worker_multiply(ca, cb) for i, (ca, cb) in enumerate(code.encode_all(a, b))}
+    subset = [0, 2, 3, 4, 5, 7, 8, 10, 11]
+    got, peak = traced_peak(lambda: code.decode(results, subset, dims=(512, 512)))
+    assert peak <= 512 * 512 * 8 + (64 << 10)
+    want = (a.data.T.astype(np.float64) @ b.data.astype(np.float64)) % 65537
+    assert np.array_equal(got.data, want.astype(np.int64))
+
+
+def test_threads_use_their_own_workspace():
+    # a tiled product and a slab combination of other shapes, run at once in
+    # two threads, each match their single-threaded results
+    q = Q_INT64_MAX
+    field = PrimeField(q)
+    a, b = operands(q, 3, 2049, 40, seed=1)
+    weights = near_maximal_weights(q, 12, 4)
+    parts = list(operands(q, 4 * 96, 96, 1, seed=2)[0].reshape(4, 96, 96))
+    calls = [lambda: modmatmul(a, b, q), lambda: combine(field, weights, parts)]
+    want = [call() for call in calls]
+    wrong = []
+
+    def run(order):
+        try:
+            for _ in range(30):
+                for i in order:
+                    if not np.array_equal(calls[i](), want[i]):
+                        wrong.append(i)
+        except Exception as exc:  # a clash can also break a shape: report it here
+            wrong.append(repr(exc))
+
+    threads = [threading.Thread(target=run, args=(order,)) for order in ([0, 1], [1, 0])]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

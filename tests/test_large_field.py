@@ -11,7 +11,7 @@ import pytest
 from codedmm.bilinear import ImprovedBilinearCode, strassen_construction, validate_construction
 from codedmm.blocks import MatrixF, partition_vector
 from codedmm.convolution import conv_decode, conv_encode, conv_spec, conv_worker
-from codedmm.field import PrimeField
+from codedmm.field import PrimeField, random_elements
 from codedmm.robust import FaultModel, correct_errors
 from codedmm.schemes import EntangledCode, worker_multiply
 
@@ -28,6 +28,24 @@ def big_setup():
         return MatrixF(BIG, [[int(v) for v in row] for row in rng.integers(0, BIG.modulus, size=(r, c))])
 
     return rng, randm
+
+
+@pytest.mark.parametrize("q", [65537, (1 << 61) - 1, 1 << 63])
+def test_draws_below_2_pow_63_keep_numpys_stream(q):
+    want = np.random.default_rng(5).integers(0, q, size=(3, 4))
+    assert np.array_equal(random_elements(np.random.default_rng(5), q, (3, 4)), want)
+    assert random_elements(np.random.default_rng(5), q) == np.random.default_rng(5).integers(0, q)
+
+
+def test_draws_past_int64():
+    # 2^89 - 1: Python ints below q, repeatable from the generator's seed
+    q = (1 << 89) - 1
+    draws = random_elements(np.random.default_rng(5), q, (40, 5))
+    assert draws.dtype == object and draws.shape == (40, 5)
+    assert all(0 <= v < q for v in draws.flat)
+    assert max(draws.flat) >= 1 << 64
+    assert draws.tolist() == random_elements(np.random.default_rng(5), q, (40, 5)).tolist()
+    assert 0 <= PrimeField(q).random(np.random.default_rng(5)) < q
 
 
 def test_object_dtype_selected():
