@@ -25,6 +25,7 @@ Larger moduli use Python-int (object) arrays, exact at any length.
 
 from __future__ import annotations
 
+import functools
 import random
 import threading
 from math import prod
@@ -50,6 +51,10 @@ _TILE_ELEMS = 1 << 18
 # take one matmul on fresh copies and one %, which at this size costs less
 # than slicing the workspace and three floor-division passes.
 _SMALL_ELEMS = 1 << 15
+
+# Decoding, detection and repair interpolate through the same few point
+# sets job after job; lagrange_basis keeps this many recent bases.
+_BASIS_CACHE = 64
 
 # Per-thread state of the kernel: its workspace (see _workspace).
 _local = threading.local()
@@ -356,12 +361,18 @@ def lagrange_basis(field: PrimeField, xs: Sequence[int]) -> np.ndarray:
 
     Column i holds the coefficients of l_i, the unique degree<K polynomial
     with l_i(xs[i]) = 1 and l_i(xs[j]) = 0 for j != i, so entry [d, i] is
-    l_i's degree-d coefficient.  O(K^2).
+    l_i's degree-d coefficient.  O(K^2) the first time; the bases of the
+    last _BASIS_CACHE point sets are kept, so the array is read-only.
     """
+    return _cached_basis(field, tuple(int(x) for x in xs))
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE)
+def _cached_basis(field: PrimeField, xs: tuple[int, ...]) -> np.ndarray:
     q = field.modulus
     k = len(xs)
     if len({x % q for x in xs}) != k:
-        raise DuplicateEvaluationPoint(f"points {xs} are not distinct mod {q}")
+        raise DuplicateEvaluationPoint(f"points {list(xs)} are not distinct mod {q}")
     # master(x) = prod_j (x - xs[j]), low-to-high coefficients
     master = [1] + [0] * k
     deg = 0
@@ -384,7 +395,9 @@ def lagrange_basis(field: PrimeField, xs: Sequence[int]) -> np.ndarray:
             denom = (denom * x + c) % q
         scale = field.inv(denom)
         basis.append([c * scale % q for c in quot])
-    return np.array(basis, dtype=field.array_dtype).reshape(k, k).T
+    inverse = np.array(basis, dtype=field.array_dtype).reshape(k, k).T
+    inverse.flags.writeable = False
+    return inverse
 
 
 def lagrange_interpolate(points) -> FieldPolynomial:

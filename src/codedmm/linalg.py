@@ -1,10 +1,11 @@
 """Gauss-Jordan elimination over GF(q).
 
-One solver covers both uses in the package: scalar systems (Berlekamp-Welch)
-and systems whose right-hand sides are whole matrix blocks (random linear
-decoding).  The right-hand sides are carried as extra columns, [M | b], and
-each pivot clears its column in every other row with one vectorized rank-1
-update, leaving M in reduced row echelon form.
+One solver covers every linear system in the package, all of them the
+random linear code's: its construction, whose right-hand side is an
+identity, and its decode, whose right-hand sides are whole matrix blocks.
+The right-hand sides are carried as extra columns, [M | b], and each pivot
+clears its column in every other row with one vectorized rank-1 update,
+leaving M in reduced row echelon form.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ so error positions located on one scalar stream apply to the entire block.
 Correction locates them on projections of the blocks: each worker's block
 is reduced to one field element by a seeded random linear combination of its
 entries (the interleaved Reed-Solomon technique of Bleichenbacher, Kiayias
-and Yung), and the decode from the survivors is then verified against every
+and Yung), the errors on that stream are located by Gao's Reed-Solomon
+decoder, and the decode from the survivors is then verified against every
 surviving block.  A corrupted block whose delta is orthogonal to one
 projection (probability 1/q) is caught by that verification, and the next
 projection serves as pilot; correction refuses when none is left.
@@ -22,9 +23,16 @@ from typing import Sequence
 import numpy as np
 
 from .blocks import MatrixF
-from .errors import BlockShapeMismatch, TooManyErrors, UnsupportedScheme
-from .field import FieldPolynomial, PrimeField, combine, lagrange_matrix, modmatmul, random_elements, vandermonde
-from .linalg import solve_linear_system
+from .errors import BlockShapeMismatch, FieldMismatch, TooManyErrors, UnsupportedScheme
+from .field import (
+    FieldPolynomial,
+    PrimeField,
+    combine,
+    interpolate_arrays,
+    lagrange_matrix,
+    modmatmul,
+    random_elements,
+)
 from .schemes import CodingScheme, InterpolationCode
 
 
@@ -110,6 +118,8 @@ def _stacked_results(code, results: Sequence[MatrixF]) -> tuple[int, np.ndarray]
         )
     if len(results) != code.N:
         raise ValueError(f"need all {code.N} results, got {len(results)}")
+    if any(r.field != code.field for r in results):
+        raise FieldMismatch(f"a result is not over the code's {code.field}")
     if len({r.shape for r in results}) > 1:
         raise BlockShapeMismatch("worker results differ in shape")
     return code.recovery_threshold(), np.stack([r.data for r in results])
@@ -134,7 +144,7 @@ def detect_errors(
     return Clean(MatrixF._wrap(code.field, code.decode_received(stack[fit], fit, dims)))
 
 
-def _berlekamp_welch(
+def _locate_errors(
     field: PrimeField,
     xs: Sequence[int],
     ys: np.ndarray,
@@ -143,33 +153,32 @@ def _berlekamp_welch(
 ) -> list[int] | None:
     """Locate the errors in values of a degree < msg_len polynomial.
 
-    Solves Q(x_i) = y_i * E(x_i) with E monic of degree e, trying
-    e = 0..max_errors and keeping the first e whose solution divides cleanly
-    and mismatches the stream in at most e places; those mismatch positions
-    are exactly the error locations, and are returned.  Returns None if no e
-    works.
+    Gao's decoder (S. Gao, "A New Algorithm for Decoding Reed-Solomon
+    Codes", 2003): with g0 = prod_i (x - xs[i]) and g1 the interpolant of
+    the stream, the extended Euclidean algorithm on (g0, g1) stops at the
+    first remainder g with 2 deg g < n + msg_len, where g = u g0 + v g1.
+    When the stream is within floor((n - msg_len)/2) of a codeword f, v
+    divides g and f = g / v.  Returns the positions where f disagrees with
+    the stream if the division is exact, f has degree < msg_len and there
+    are at most max_errors of them (the unique codeword within that
+    radius); otherwise None.
     """
-    q = field.modulus
-    powers = vandermonde(field, xs, msg_len + max_errors)
-    for e in range(max_errors + 1):
-        # row i: y_i x_i^d for d < e, then -x_i^d for d < msg_len + e; rhs -y_i x_i^e
-        rows = np.concatenate([ys[:, None] * powers[:, :e] % q, -powers[:, :msg_len + e] % q], axis=1)
-        sol = solve_linear_system(field, rows, -ys * powers[:, e] % q)
-        if sol is None:
-            continue
-        locator = FieldPolynomial(field, [int(v) for v in sol[:e]] + [1])
-        quotient = FieldPolynomial(field, [int(v) for v in sol[e:]])
-        candidate, rem = divmod(quotient, locator)
-        if not rem.is_zero():
-            continue
-        if candidate.degree is not None and candidate.degree >= msg_len:
-            continue
-        coeffs = np.array([candidate.coefficient(d) for d in range(msg_len)], dtype=field.array_dtype)
-        at_xs = modmatmul(powers[:, :msg_len], coeffs[:, None], q)[:, 0]
-        mismatches = np.flatnonzero(at_xs != ys).tolist()
-        if len(mismatches) <= e and msg_len + 2 * len(mismatches) <= len(xs):
-            return mismatches
-    return None
+    n = len(xs)
+    g0 = FieldPolynomial(field, [1])
+    for x in xs:
+        g0 = g0 * FieldPolynomial(field, [-x, 1])
+    r0, r1 = g0, FieldPolynomial(field, interpolate_arrays(field, xs, ys).tolist())
+    v0, v1 = FieldPolynomial(field, []), FieldPolynomial(field, [1])
+    while not r1.is_zero() and 2 * r1.degree >= n + msg_len:
+        quotient, remainder = divmod(r0, r1)
+        r0, r1 = r1, remainder
+        v0, v1 = v1, v0 - quotient * v1
+    codeword, remainder = divmod(r1, v1)
+    if not remainder.is_zero() or len(codeword.coeffs) > msg_len:
+        return None
+    # the mismatches are roots of v, so there are at most floor((n - msg_len)/2)
+    mismatches = [i for i, (x, y) in enumerate(zip(xs, ys)) if codeword.evaluate(x) != int(y)]
+    return mismatches if len(mismatches) <= max_errors else None
 
 
 # Fixed, so repeated runs pick the same projections and report the same outcomes.
@@ -215,15 +224,16 @@ def correct_errors(
     Each pilot projects every surviving block onto one vector (see
     _pilot_vectors: t seeded random vectors, t the least count with
     (e_max / q)^t < 2^-40, or the unit vectors when t would reach the block
-    size).  Berlekamp-Welch on the projected stream locates the workers
-    corrupted there, those are erased everywhere, and the decode from the
-    survivors is verified against every surviving block.  A corruption
-    invisible on one pilot fails that verification and the next pilot
-    takes over.  The projection seed is a fixed constant, so repeated runs
-    agree.  A within-budget corruption independent of that seed is refused
-    with probability below 2^-40; one crafted against the seed can at worst
-    be refused.  No product is returned unverified, so the answer is never
-    wrong.  Raises TooManyErrors when no pilot produces a verified decode.
+    size).  Gao's decoder on the projected stream (_locate_errors) locates
+    the workers corrupted there, those are erased everywhere, and the
+    decode from the survivors is verified against every surviving block.
+    A corruption invisible on one pilot fails that verification and the
+    next pilot takes over.  The projection seed is a fixed constant, so
+    repeated runs agree.  A within-budget corruption independent of that
+    seed is refused with probability below 2^-40; one crafted against the
+    seed can at worst be refused.  No product is returned unverified, so
+    the answer is never wrong.  Raises TooManyErrors when no pilot produces a verified decode,
+    and FieldMismatch for results over another field.
     """
     N = code.N
     k_need, stack = _stacked_results(code, results)
@@ -237,7 +247,7 @@ def correct_errors(
         budget = (len(remaining) - k_need) // 2
         stream_x = [xs[w] for w in remaining]
         stream = modmatmul(flat[remaining], pilot[:, None], code.field.modulus)[:, 0]
-        mismatches = _berlekamp_welch(code.field, stream_x, stream, k_need, budget)
+        mismatches = _locate_errors(code.field, stream_x, stream, k_need, budget)
         if mismatches is None:
             continue
         if mismatches:

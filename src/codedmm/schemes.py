@@ -219,10 +219,14 @@ class CodingScheme(ABC):
         dims, when given, is the true (rows, cols) of A^T B used to strip
         padding; otherwise the padded product is returned.  Raises
         InsufficientResults for a subset below fewest_results(), then
-        UnknownWorker or MissingResult for a bad worker index.
+        UnknownWorker or MissingResult for a bad worker index, then
+        FieldMismatch for a result over another field.
         """
         self._check_count(subset)
-        received = [r.data for r in gather_results(results, subset, self.N)]
+        gathered = gather_results(results, subset, self.N)
+        if any(r.field != self.field for r in gathered):
+            raise FieldMismatch(f"a result is not over the code's {self.field}")
+        received = [r.data for r in gathered]
         return MatrixF._wrap(self.field, self._decode_received(received, subset, dims))
 
     def decode_received(

@@ -5,6 +5,8 @@ no package internals, so a bug in the library's fast paths cannot leak into
 the expected values.
 """
 
+from itertools import combinations
+
 from codedmm.blocks import MatrixF
 from codedmm.field import PrimeField
 
@@ -68,3 +70,31 @@ def rank_mod(q: int, rows) -> int:
                 m[r] = [(x - f * y) % q for x, y in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+def nearest_codeword_errors(q: int, xs, ys, k: int):
+    """Where ys differs from the unique degree < k codeword within floor((n-k)/2).
+
+    Brute force: the polynomial through every k-subset of the points,
+    evaluated at every point in Lagrange form.  A codeword that close agrees
+    with ys on at least k points, so some subset finds it, and no other
+    codeword is that close.  Returns the sorted mismatch positions, or None
+    when no codeword lies within the radius.
+    """
+    n = len(xs)
+    for subset in combinations(range(n), k):
+        wrong = []
+        for i, x in enumerate(xs):
+            value = 0
+            for a in subset:
+                num, den = 1, 1
+                for b in subset:
+                    if b != a:
+                        num = num * (x - xs[b]) % q
+                        den = den * (xs[a] - xs[b]) % q
+                value += ys[a] * num * pow(den, -1, q)
+            if (value - ys[i]) % q:
+                wrong.append(i)
+        if k + 2 * len(wrong) <= n:
+            return wrong
+    return None

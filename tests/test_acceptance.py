@@ -35,6 +35,7 @@ from oracles import direct_convolution, elementwise_product, oracle_product
 GF7 = PrimeField(7)
 GF257 = PrimeField(257)
 GF65537 = PrimeField(65537)
+GF_M61 = PrimeField((1 << 61) - 1)
 
 
 @contextmanager
@@ -213,6 +214,22 @@ def test_criterion_6_fault_tolerance():
         data[-1, -1] = (data[-1, -1] + 1) % 65537
         results[7] = MatrixF(GF65537, data)
         assert correct_errors(code, results, dims=(512, 256)) == oracle
+
+    with criterion(6, "correct e=2 / over-budget e=3 at q=2^61-1, 200 trials each", 5.0):
+        code = EntangledCode(2, 2, 1, 9, GF_M61)
+        a = MatrixF(GF_M61, rng.integers(0, GF_M61.modulus, size=(16, 16)))
+        b = MatrixF(GF_M61, rng.integers(0, GF_M61.modulus, size=(16, 8)))
+        oracle = oracle_product(a, b)
+        clean = [worker_multiply(ca, cb) for ca, cb in code.encode_all(a, b)]
+        for seed in range(200):
+            corrupted, _ = FaultModel(2, seed).inject(clean)
+            assert correct_errors(code, corrupted, dims=(16, 8)) == oracle
+        for seed in range(200):
+            corrupted, _ = FaultModel(3, seed).inject(clean)
+            try:
+                assert correct_errors(code, corrupted, dims=(16, 8)) == oracle
+            except TooManyErrors:
+                pass
 
 
 def test_criterion_7_figure2_table(capsys):

@@ -1,19 +1,24 @@
 """Tests for prime-field arithmetic, polynomials, and interpolation."""
 
+import random
+
+import numpy as np
 import pytest
 
 from codedmm.errors import DivisionByZero, DuplicateEvaluationPoint, FieldMismatch
 from codedmm.field import (
     FieldPolynomial,
     PrimeField,
+    interpolate_arrays,
     is_prime,
     lagrange_basis,
     lagrange_interpolate,
     lagrange_matrix,
     vandermonde,
 )
+from codedmm.schemes import EntangledCode
 
-from oracles import naive_matmul_t
+from oracles import naive_matmul_t, random_matrix
 
 
 class TestPrimeField:
@@ -189,3 +194,50 @@ class TestLagrange:
         # naive_matmul_t(q, a, b) is a^T b
         assert naive_matmul_t(q, inverse.T.tolist(), table.tolist()) == identity
         assert naive_matmul_t(q, table.T.tolist(), inverse.tolist()) == identity
+
+
+@pytest.mark.parametrize("q", [65537, (1 << 61) - 1])
+class TestBasisCache:
+    """lagrange_basis keeps recent bases, so what it returns is read-only;
+    everything built from a basis is a fresh array the caller owns."""
+
+    def test_repeated_calls_are_equal_and_read_only(self, q):
+        field = PrimeField(q)
+        first, again = lagrange_basis(field, [3, 1, 4]), lagrange_basis(field, [3, 1, 4])
+        assert first.tolist() == again.tolist()
+        for basis in (first, again):
+            assert not basis.flags.writeable
+            with pytest.raises(ValueError):
+                basis[0, 0] = 1
+
+    def test_duplicate_points_raise_on_every_call(self, q):
+        for _ in range(3):
+            with pytest.raises(DuplicateEvaluationPoint):
+                lagrange_basis(PrimeField(q), [1, 2, 1 + q])
+
+    def test_numpy_points_give_the_python_points_basis(self, q):
+        field = PrimeField(q)
+        from_numpy = lagrange_basis(field, np.array([5, 9, 2]))
+        from_ints = lagrange_basis(field, [5, 9, 2])
+        assert from_numpy.dtype == from_ints.dtype == field.array_dtype
+        assert from_numpy.tolist() == from_ints.tolist()
+        mixed = [np.int32(7), 11, np.uint8(6)]
+        assert lagrange_basis(field, mixed).tolist() == lagrange_basis(field, [7, 11, 6]).tolist()
+
+    def test_arrays_built_from_a_basis_are_fresh_and_writeable(self, q):
+        field = PrimeField(q)
+        code = EntangledCode(2, 1, 1, 5, field)
+        rng = random.Random(q)
+        stack = code.worker_products(random_matrix(field, 2, 3, rng), random_matrix(field, 2, 2, rng))
+        values = np.array([[1, 2], [3, 4], [5, 6]], dtype=field.array_dtype)
+        builders = [
+            lambda: lagrange_matrix(field, [0, 1, 2], [5, 6]),
+            lambda: interpolate_arrays(field, [0, 1, 2], values),
+            lambda: code.decode_received(stack[[4, 0, 2]], [4, 0, 2]),
+        ]
+        for build in builders:
+            first = build()
+            expected = first.tolist()
+            assert first.flags.writeable
+            first[...] = 0
+            assert build().tolist() == expected

@@ -1,5 +1,6 @@
-"""Tests for error detection, Berlekamp-Welch correction, and the distance
-relations."""
+"""Tests for error detection, correction (Gao's decoder on pilot
+projections, checked against a brute-force nearest-codeword oracle), and
+the distance relations."""
 
 import random
 import time
@@ -15,12 +16,13 @@ from codedmm.bilinear import (
 )
 from codedmm.blocks import MatrixF
 from codedmm.convolution import conv_spec
-from codedmm.errors import BlockShapeMismatch, CodedmmError, TooManyErrors
+from codedmm.errors import BlockShapeMismatch, CodedmmError, FieldMismatch, TooManyErrors
 from codedmm.field import PrimeField
 from codedmm.robust import (
     Clean,
     ErrorDetected,
     FaultModel,
+    _locate_errors,
     _pilot_vectors,
     correct_errors,
     detect_errors,
@@ -35,7 +37,7 @@ from codedmm.schemes import (
     worker_multiply,
 )
 
-from oracles import oracle_product, random_matrix
+from oracles import nearest_codeword_errors, oracle_product, random_matrix
 
 
 def make_results(code, a, b):
@@ -152,6 +154,20 @@ def test_result_of_another_shape_is_refused(repair, worker, setup_9_workers):
         repair(code, results, dims=(4, 2))
 
 
+def _decode_all(code, results, dims):
+    return code.decode(dict(enumerate(results)), range(code.N), dims=dims)
+
+
+@pytest.mark.parametrize("use", [_decode_all, detect_errors, correct_errors])
+def test_results_over_another_field_are_refused(use, setup_9_workers, gf257):
+    # GF(257) results handed to a GF(65537) code: one typed error, not a
+    # product, a verdict or a refusal computed from the wrong field
+    code, _, _, _, results = setup_9_workers
+    foreign = [MatrixF(gf257, r.data % 257) for r in results]
+    with pytest.raises(FieldMismatch):
+        use(code, foreign, (4, 2))
+
+
 class TestCorrect:
     def test_no_errors_equals_plain_decode(self, setup_9_workers):
         code, _, _, oracle, results = setup_9_workers
@@ -252,6 +268,34 @@ class TestRepairBudget:
             correct_errors(code, corrupted, dims=(512, 256))
         elapsed = time.perf_counter() - start
         assert elapsed < self.BUDGET_S, f"refusal took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("q", [7, 11, 65537, M61])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_locator_agrees_with_the_nearest_codeword_oracle(q, k):
+    # every error count from 0 to n - k, so streams one error past the
+    # radius and the locator's refusals are covered, plus the all-zero
+    # stream and a clean codeword of degree exactly k - 1
+    field = PrimeField(q)
+    rng = random.Random(q * 10 + k)
+    for n in range(k + 1, min(9, q) + 1):
+        for _ in range(3):
+            xs = rng.sample(range(q), n)
+            coeffs = [rng.randrange(q) for _ in range(k - 1)] + [rng.randrange(1, q)]
+            codeword = [sum(c * pow(x, d, q) for d, c in enumerate(coeffs)) % q for x in xs]
+            streams = [[0] * n, codeword]
+            for errors in range(n - k + 1):
+                ys = list(codeword)
+                for i in rng.sample(range(n), errors):
+                    ys[i] = (ys[i] + rng.randrange(1, q)) % q
+                streams.append(ys)
+            for ys in streams:
+                expected = nearest_codeword_errors(q, xs, ys, k)
+                stream = np.array(ys, dtype=field.array_dtype)
+                assert _locate_errors(field, xs, stream, k, (n - k) // 2) == expected, (xs, ys)
+                # a smaller budget refuses the codewords past it
+                if expected:
+                    assert _locate_errors(field, xs, stream, k, len(expected) - 1) is None
 
 
 class TestPilotVectors:
