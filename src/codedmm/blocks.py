@@ -14,20 +14,23 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BlockShapeMismatch, FieldMismatch
-from .field import FieldElement, PrimeField, modmatmul
+from .field import FieldElement, PrimeField, canonical_array, modmatmul
 
 
 class MatrixF:
-    """Dense matrix with entries in GF(q), stored as canonical ints."""
+    """Dense matrix with entries in GF(q), stored as canonical ints.
+
+    Non-integer entries raise NonIntegerEntry (see field.canonical_array).
+    """
 
     __slots__ = ("field", "data")
 
     def __init__(self, field: PrimeField, data):
-        arr = np.array(data, dtype=field.array_dtype)
+        arr = canonical_array(field, data)
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "data", arr % field.modulus)
+        object.__setattr__(self, "data", arr)
 
     @classmethod
     def _wrap(cls, field: PrimeField, data: np.ndarray) -> "MatrixF":
@@ -217,11 +220,12 @@ def partition_vector(field: PrimeField, vec, parts: int, block_len: int | None =
     """Split a vector into `parts` equal-length pieces, zero-padding the tail.
 
     block_len forces the piece length (it must cover ceil(len/parts)); by
-    default the smallest length that fits is used.
+    default the smallest length that fits is used.  Non-integer entries
+    raise NonIntegerEntry.
     """
     if parts < 1:
         raise ValueError("parts must be >= 1")
-    v = np.array(vec, dtype=field.array_dtype) % field.modulus
+    v = canonical_array(field, vec)
     if v.ndim != 1:
         raise ValueError("expected a 1-D vector")
     piece = -(-len(v) // parts)

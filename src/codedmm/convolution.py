@@ -11,11 +11,42 @@ over j+k = d of a_j * b_k, exactly the blocks overlap-add needs, so any
 m+n-1 workers decode and no product coefficient is wasted.  ConvCodeSpec is
 therefore an InterpolationCode whose output map is the identity: conv_decode
 runs the shared interpolation decoder, then overlap-adds the coefficients.
+
+Each worker's convolution (field_convolve) runs, for q < 2^21, as an exact
+float64 FFT product in O(s log s).  A canonical entry splits into an 11-bit
+low limb and a high limb below 2^10, and np.fft.rfft transforms each limb.
+The three limb products lo*lo, cross and hi*hi come back through one
+np.fft.irfft and are rounded with np.rint; cross is Karatsuba's middle term
+(lo+hi)*(lo+hi) - lo*lo - hi*hi, which equals lo*hi + hi*lo, so it is formed
+from the spectra before the inverse transform and no lo+hi limb is
+transformed.  lo*lo + cross * 2^11 + hi*hi * 2^22 stays below 2^56 in int64
+for pieces of at most 2^13 entries and is reduced mod q once.  The limbs,
+spectra, products and rounded products live, when the shorter operand fits
+one piece, in the thread's kernel workspace (field._workspace), so a worker's
+convolution allocates only its operand copies and its result.
+
+Rounding is exact while the FFT errs by less than 1/2.  C. Percival ("Rapid
+multiplication modulo the sum and difference of highly composite numbers",
+Math. Comp. 72, 2003) bounds the error of a length-2^k FFT product of x and
+y by
+
+    |x| |y| ((1+e)^3k (1+e sqrt5)^(3k+1) (1+b)^3k - 1),
+
+e = 2^-53 and b the error of the roots of unity, |.| the Euclidean norm;
+cross, a sum of two products, errs by at most the sum of their bounds.
+Operands are cut into pieces of at most _FFT_PIECE = 2^13 entries, which
+overlap-add, so products have length at most 2^14 and the largest bound,
+2^13 * 2047^2 * (that factor at k = 14, b = e), is about 2^-10.5, below
+1/4.  The bound is proved for a radix-2 transform; the factor of about 2^9
+between it and 1/2 covers the constant-factor differences of numpy's
+pocketfft and its real-input packing.  Larger moduli convolve Python ints
+directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,8 +58,16 @@ from .errors import (
     FieldTooSmall,
     TooFewWorkers,
 )
-from .field import PrimeField, combine, exact_float_terms, vandermonde
+from .field import PrimeField, _workspace, canonical_array, combine, vandermonde
 from .schemes import InterpolationCode
+
+# int64-path entries, below 2^21, split into a low limb of this many bits
+# and a high limb below 2^10.
+_LIMB_BITS = 11
+
+# The longest operand piece one FFT product takes; 2^13 keeps Percival's
+# bound near 2^-10.5 (see the module docstring), below 1/4.
+_FFT_PIECE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -85,24 +124,84 @@ def conv_spec(m: int, n: int, N: int, s: int, field: PrimeField) -> ConvCodeSpec
 def field_convolve(field: PrimeField, a, b) -> np.ndarray:
     """Full linear convolution over GF(q), length len(a) + len(b) - 1.
 
-    int64 operands convolve in float64, which is exact while an output entry
-    sums at most exact_float_terms(q) products, so the shorter operand is
-    cut into pieces of that length, each reduced before the overlap-add.
+    Operands must be non-empty 1-D vectors (else ValueError) of integers
+    (else NonIntegerEntry).  For q < 2^21 both are cut into pieces of at
+    most _FFT_PIECE entries, each pair of pieces is one exact float64 FFT
+    product of 11-bit and 10-bit limbs (see the module docstring for the
+    error bound), and the pair products, recombined in int64 and reduced
+    mod q, overlap-add.  Larger moduli convolve Python ints with np.convolve.
     """
     q = field.modulus
-    av = np.asarray(a, dtype=field.array_dtype) % q
-    bv = np.asarray(b, dtype=field.array_dtype) % q
+    av, bv = canonical_array(field, a), canonical_array(field, b)
+    if av.ndim != 1 or bv.ndim != 1 or not len(av) or not len(bv):
+        raise ValueError(f"operands must be non-empty 1-D vectors, got shapes {av.shape} and {bv.shape}")
     if av.dtype == object:
         return np.convolve(av, bv) % q
     if len(av) > len(bv):
         av, bv = bv, av
-    step = exact_float_terms(q)
-    bf = bv.astype(np.float64)
-    out = np.zeros(len(av) + len(bv) - 1, dtype=np.int64)
-    for i0 in range(0, len(av), step):
-        part = np.convolve(av[i0:i0 + step].astype(np.float64), bf)
-        out[i0:i0 + len(part)] += part.astype(np.int64) % q
-    return out % q
+    pa, pb = min(len(av), _FFT_PIECE), min(len(bv), _FFT_PIECE)
+    a_pieces, b_pieces = _pieces(av, pa), _pieces(bv, pb)
+    width = pa + pb - 1
+    size = 1 << (width - 1).bit_length()
+    bins = size // 2 + 1
+    limbs, a_spectra, b_spectrum, products, inverse, rounded = _buffers(
+        ((2, pb), float), ((len(a_pieces), 2, bins), complex), ((2, bins), complex),
+        ((3, bins), complex), ((3, size), float), ((3, width), np.int64),
+    )
+    for piece, spectrum in zip(a_pieces, a_spectra):
+        _limb_spectra(piece, limbs, size, spectrum)
+    out = np.zeros(len(a_pieces) * pa + len(b_pieces) * pb - 1, dtype=np.int64)
+    low, cross, high = rounded
+    for j, piece in enumerate(b_pieces):
+        _limb_spectra(piece, limbs, size, b_spectrum)
+        b_low, b_high = b_spectrum
+        for i, (a_low, a_high) in enumerate(a_spectra):
+            np.multiply(a_low, b_low, out=products[0])
+            np.multiply(a_low, b_high, out=products[1])
+            np.multiply(a_high, b_low, out=products[2])
+            products[1] += products[2]
+            np.multiply(a_high, b_high, out=products[2])
+            np.fft.irfft(products, size, out=inverse)
+            np.rint(inverse[:, :width], out=inverse[:, :width])
+            np.copyto(rounded, inverse[:, :width], casting="unsafe")
+            cross <<= _LIMB_BITS
+            high <<= 2 * _LIMB_BITS
+            low += cross
+            low += high
+            low %= q
+            out[i * pa + j * pb:i * pa + j * pb + width] += low
+    out %= q
+    return out[:len(av) + len(bv) - 1]
+
+
+def _buffers(*specs: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
+    """One view per (shape, dtype) spec, back to back in the thread's workspace.
+
+    field._workspace hands out fresh memory past its size, which only a
+    shorter operand cut into several pieces needs.
+    """
+    sizes = [prod(shape) * np.dtype(dtype).itemsize // 8 for shape, dtype in specs]
+    buf = _workspace(sum(sizes))
+    views, at = [], 0
+    for (shape, dtype), n in zip(specs, sizes):
+        views.append(buf[at:at + n].view(dtype).reshape(shape))
+        at += n
+    return views
+
+
+def _pieces(v: np.ndarray, piece: int) -> np.ndarray:
+    """v zero-padded to a whole number of pieces, one piece per row."""
+    rows = np.zeros((-(-len(v) // piece), piece), dtype=np.int64)
+    rows.reshape(-1)[:len(v)] = v
+    return rows
+
+
+def _limb_spectra(piece: np.ndarray, limbs: np.ndarray, size: int, out: np.ndarray):
+    """out = the length-size rffts of piece's lo and hi limbs, formed in the float rows of limbs."""
+    lo_hi = limbs[:, :len(piece)]
+    np.bitwise_and(piece, (1 << _LIMB_BITS) - 1, out=lo_hi[0], casting="unsafe")
+    np.right_shift(piece, _LIMB_BITS, out=lo_hi[1], casting="unsafe")
+    np.fft.rfft(lo_hi, size, out=out)
 
 
 def conv_encode(

@@ -59,3 +59,7 @@ class MissingResult(CodedmmError):
 
 class UnsupportedScheme(CodedmmError):
     """The operation is not defined for this coding scheme."""
+
+
+class NonIntegerEntry(CodedmmError, TypeError):
+    """An input meant for GF(q) holds a float, complex or other non-integer entry."""

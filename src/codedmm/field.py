@@ -19,7 +19,8 @@ float64 product and int64 scratch live in one per-thread workspace of
 _TILE_ELEMS entries, it is reduced there by floor division, x - (x // q) * q,
 and copied into the result once.  ``combine`` reads its parts where they lie,
 strided views included, and can write into the caller's array or views
-(``out``).  No kernel function calls another while it holds the workspace.
+(``out``).  convolution.field_convolve keeps its FFT buffers there too.
+No kernel function calls another while it holds the workspace.
 Larger moduli use Python-int (object) arrays, exact at any length.
 """
 
@@ -33,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DivisionByZero, DuplicateEvaluationPoint, FieldMismatch
+from .errors import DivisionByZero, DuplicateEvaluationPoint, FieldMismatch, NonIntegerEntry
 
 # Moduli below this get int64 arrays, whose contractions modmatmul runs on
 # float64 BLAS in chunks of at least 2048 terms; larger moduli get Python-int
@@ -422,6 +423,33 @@ def lagrange_interpolate(points) -> FieldPolynomial:
     return FieldPolynomial(field, coeffs.tolist())
 
 
+def canonical_array(field: PrimeField, data) -> np.ndarray:
+    """data as a fresh array of canonical entries in the field's dtype.
+
+    Integer, boolean and unsigned arrays, nested sequences of ints and object
+    arrays of ints are reduced exactly, whatever their size.  A float,
+    complex or other non-integer array, or an object array holding anything
+    but ints, raises NonIntegerEntry rather than being truncated.  An empty
+    array holds no entry to lose, so its dtype is not checked.
+    """
+    q = field.modulus
+    arr = np.asarray(data)
+    if arr.dtype.kind in "bi" or arr.size == 0:
+        # np.array's copy, freed at once, is deliberate: without it the 512^2
+        # products of bulk-512 that follow took about 6 % more page faults
+        return np.array(arr, dtype=field.array_dtype) % q
+    # other arrays are checked entry by entry and reduced as Python ints: a
+    # uint64 past 2^63 would wrap in int64, and a Python int past it would
+    # not convert
+    entries = arr.ravel().tolist()
+    for x in entries:
+        if not isinstance(x, (int, np.integer)):
+            raise NonIntegerEntry(f"GF({q}) entries must be integers, got {type(x).__name__} {x!r}")
+    out = np.empty(arr.shape, dtype=field.array_dtype)
+    out.flat = [int(x) % q for x in entries]
+    return out
+
+
 def random_elements(rng: np.random.Generator, q: int, size=None):
     """Uniform draws from [0, q) by a numpy Generator: an int, or an array of shape size.
 
@@ -450,7 +478,8 @@ def _workspace(n: int) -> np.ndarray:
 
     The workspace is one buffer of _TILE_ELEMS 8-byte entries per thread,
     made on first use.  A request past it, which only a budget too small
-    for one row or column of a tile makes, gets fresh memory instead.
+    for one row or column of a tile or a convolution whose shorter operand
+    spans several FFT pieces makes, gets fresh memory instead.
     """
     buf = getattr(_local, "workspace", None)
     if buf is None or len(buf) < _TILE_ELEMS:

@@ -14,10 +14,52 @@ from codedmm.blocks import (
     read_matrix_text,
     write_matrix_text,
 )
-from codedmm.errors import BlockShapeMismatch, FieldMismatch
+from codedmm.errors import BlockShapeMismatch, FieldMismatch, NonIntegerEntry
 from codedmm.field import PrimeField, interpolate_arrays, lagrange_interpolate
 
 from oracles import direct_convolution, oracle_product, random_matrix
+
+
+NON_INTEGER = [
+    [[1.5, 2.7]],
+    np.array([[1.0, 2.0]]),
+    np.array([[1 + 0j, 2]]),
+    np.array([[1, 2.5]], dtype=object),
+    np.array([[1, "2"]], dtype=object),
+]
+NON_INTEGER_IDS = ["list", "float-array", "complex-array", "object-float", "object-str"]
+
+
+@pytest.mark.parametrize("q", [65537, (1 << 61) - 1])
+class TestNonIntegerEntries:
+    @pytest.mark.parametrize("bad", NON_INTEGER, ids=NON_INTEGER_IDS)
+    def test_matrix_refuses(self, q, bad):
+        with pytest.raises(NonIntegerEntry):
+            MatrixF(PrimeField(q), bad)
+
+    @pytest.mark.parametrize("bad", NON_INTEGER, ids=NON_INTEGER_IDS)
+    def test_partition_vector_refuses(self, q, bad):
+        with pytest.raises(NonIntegerEntry):
+            partition_vector(PrimeField(q), np.asarray(bad)[0], 3)
+
+    def test_partition_vector_refuses_a_float_list(self, q):
+        with pytest.raises(NonIntegerEntry):
+            partition_vector(PrimeField(q), [1.5, 2.7, 3.2], 3)
+
+    def test_scaling_by_a_fraction_refuses(self, q):
+        with pytest.raises(NonIntegerEntry):
+            MatrixF(PrimeField(q), [[1, 2]]).scale(1.5)
+
+    def test_integer_kinds_reduce_exactly(self, q):
+        field = PrimeField(q)
+        row = [np.uint64(2**64 - 1), 2**70, np.int64(-1), True]
+        want = [(2**64 - 1) % q, 2**70 % q, q - 1, 1]
+        assert MatrixF(field, np.array([row], dtype=object)).data.tolist() == [want]
+        assert MatrixF(field, np.array([[2**64 - 1]], dtype=np.uint64)).data.tolist() == [[want[0]]]
+        assert [int(v) for v in partition_vector(field, np.array(row, dtype=object), 1)[0]] == want
+
+    def test_empty_input_is_not_a_non_integer(self, q):
+        assert MatrixF(PrimeField(q), np.zeros((2, 0))).shape == (2, 0)
 
 
 class TestMatrixF:

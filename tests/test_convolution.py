@@ -1,10 +1,14 @@
 """Tests for the coded convolution pipeline."""
 
+import math
+import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from codedmm import convolution as convolution_module
 from codedmm.blocks import partition_vector
 from codedmm.convolution import conv_decode, conv_encode, conv_spec, conv_worker, field_convolve
 from codedmm.errors import (
@@ -12,12 +16,16 @@ from codedmm.errors import (
     FieldTooSmall,
     InsufficientResults,
     MissingResult,
+    NonIntegerEntry,
     TooFewWorkers,
     UnknownWorker,
 )
 from codedmm.field import PrimeField, interpolate_arrays
 
 from oracles import direct_convolution
+
+Q_INT64_MAX = 2097143  # the largest prime of the int64 path
+Q_BIG = (1 << 61) - 1  # an object-dtype field
 
 
 def encode_all(spec, a, b):
@@ -100,6 +108,110 @@ class TestConvWorker:
         want = direct_convolution(q, a, b)
         assert field_convolve(PrimeField(q), a, b).tolist() == want
         assert field_convolve(PrimeField(q), b, a).tolist() == want
+
+
+@pytest.mark.parametrize("q", [65537, Q_BIG])
+class TestOperandChecks:
+    @pytest.mark.parametrize("a, b", [([], [1, 2]), ([1, 2], []), ([], []), (np.zeros(0, dtype=np.int64), [3])])
+    def test_empty_operands_are_refused(self, q, a, b):
+        with pytest.raises(ValueError, match="operands must be non-empty"):
+            field_convolve(PrimeField(q), a, b)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [1.5, 2.0],
+            np.array([1.0, 2.0]),
+            np.array([1 + 0j, 2]),
+            np.array([1, 2.5], dtype=object),
+            np.array([1, "2"], dtype=object),
+        ],
+        ids=["list", "float-array", "complex-array", "object-float", "object-str"],
+    )
+    def test_non_integer_entries_are_refused(self, q, bad):
+        field = PrimeField(q)
+        with pytest.raises(NonIntegerEntry):
+            field_convolve(field, bad, [1, 2])
+        with pytest.raises(NonIntegerEntry):
+            field_convolve(field, [1, 2], bad)
+
+    def test_integer_kinds_reduce_exactly(self, q):
+        field = PrimeField(q)
+        a = [np.uint64(2**64 - 1), 2**70, np.int64(-1), True]
+        want = direct_convolution(q, [(2**64 - 1) % q, 2**70 % q, q - 1, 1], [1, 2])
+        assert field_convolve(field, np.array(a, dtype=object), [1, 2]).tolist() == want
+        wide = np.array([2**64 - 1, 5], dtype=np.uint64)
+        assert field_convolve(field, wide, [1]).tolist() == [(2**64 - 1) % q, 5]
+
+
+def near_maximal(q: int, n: int, stride: int) -> list[int]:
+    """q - 1 everywhere but every stride-th entry, which is q - 2 (or 0)."""
+    return [max(q - 2, 0) if i % stride == 0 else q - 1 for i in range(n)]
+
+
+def fft_cases():
+    # output widths 2^k - 1, 2^k and 2^k + 1, split evenly and as 1 x N
+    for k in (1, 2, 5, 8, 10):
+        for width in (2**k - 1, 2**k, 2**k + 1):
+            yield (width + 1) // 2, width + 1 - (width + 1) // 2
+            yield 1, width
+    # unequal lengths, and a longer operand cut into several 2^13 pieces
+    yield from ((3, 2000), (100, 1500), (2, 1), (1, 1), (1, 3 * 8192 + 5), (7, 20000))
+
+
+class TestFFTConvolution:
+    @pytest.mark.parametrize("q", [2, 3, Q_INT64_MAX])
+    @pytest.mark.parametrize("la, lb", sorted(set(fft_cases())))
+    def test_near_maximal_entries(self, q, la, lb):
+        a, b = near_maximal(q, la, 7), near_maximal(q, lb, 5)
+        want = direct_convolution(q, a, b)
+        assert field_convolve(PrimeField(q), a, b).tolist() == want
+        assert field_convolve(PrimeField(q), b, a).tolist() == want
+
+    @pytest.mark.parametrize("piece", [1, 2, 5, 8])
+    @pytest.mark.parametrize("la, lb", [(1, 17), (8, 8), (9, 16), (23, 37), (5, 40), (40, 5)])
+    def test_operands_longer_than_the_piece_cap(self, monkeypatch, piece, la, lb):
+        monkeypatch.setattr(convolution_module, "_FFT_PIECE", piece)
+        gen = random.Random(la * 100 + lb)
+        for q in (7, 257, Q_INT64_MAX):
+            for a, b in (
+                (near_maximal(q, la, 3), near_maximal(q, lb, 4)),
+                ([gen.randrange(q) for _ in range(la)], [gen.randrange(q) for _ in range(lb)]),
+            ):
+                assert field_convolve(PrimeField(q), a, b).tolist() == direct_convolution(q, a, b)
+
+    def test_transform_buffers_come_from_the_workspace(self):
+        # after one warm-up call the spectra, products and rounded products
+        # (about 13 times the output at this size) reuse the thread's
+        # workspace; only the operand copies, their pieces and the output are new
+        field = PrimeField(65537)
+        a = np.arange(4096, dtype=np.int64) * 37 % 65537
+        b = np.arange(4096, dtype=np.int64) * 101 % 65537
+        want = field_convolve(field, a, b)
+        tracemalloc.start()
+        try:
+            got = field_convolve(field, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak <= 4 * want.nbytes + 64 * 1024
+
+    def test_piece_cap_keeps_rounding_and_recombination_exact(self):
+        # C. Percival, Math. Comp. 72 (2003): a length-2^k FFT product of x
+        # and y errs by less than |x| |y| ((1+e)^3k (1+e sqrt5)^(3k+1)
+        # (1+b)^3k - 1), e = 2^-53 and b the error of the roots of unity,
+        # taken as e here, with one more (1+e) for the spectral sum of cross
+        piece, bits = convolution_module._FFT_PIECE, convolution_module._LIMB_BITS
+        low, high = (1 << bits) - 1, Q_INT64_MAX - 1 >> bits
+        k = (2 * piece - 2).bit_length()
+        eps = 2.0**-53
+        growth = math.expm1(
+            (3 * k + 1) * math.log1p(eps) + (3 * k + 1) * math.log1p(eps * math.sqrt(5)) + 3 * k * math.log1p(eps)
+        )
+        assert piece * max(low * low, 2 * low * high, high * high) * growth < 0.25
+        # the recombined lo*lo + cross * 2^11 + hi*hi * 2^22 fits int64
+        assert piece * (low * low + (2 * low * high << bits) + (high * high << 2 * bits)) < 2**63
 
 
 class TestConvDecode:

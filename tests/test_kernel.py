@@ -8,7 +8,8 @@ that every encoder and decoder runs on top of it is checked on parts of
 every shape, read in place from strided views, and written into the block
 views of an assembled product.  Allocation guards bound the fresh memory
 of the kernel, the encoder and the decoder by their results, and one test
-runs the kernel in two threads at once.
+runs the kernel and the FFT convolution that shares its workspace in two
+threads at once.
 """
 
 import sys
@@ -20,6 +21,7 @@ import pytest
 
 from codedmm import field as field_module
 from codedmm.blocks import MatrixF, padded_blocks
+from codedmm.convolution import field_convolve
 from codedmm.field import PrimeField, combine, exact_float_terms, modmatmul
 from codedmm.schemes import EntangledCode, worker_multiply
 
@@ -481,14 +483,19 @@ def test_decode_allocates_only_the_product():
 
 
 def test_threads_use_their_own_workspace():
-    # a tiled product and a slab combination of other shapes, run at once in
-    # two threads, each match their single-threaded results
+    # a tiled product, a slab combination of other shapes and an FFT
+    # convolution, run at once in two threads, each match their
+    # single-threaded results
     q = Q_INT64_MAX
     field = PrimeField(q)
     a, b = operands(q, 3, 2049, 40, seed=1)
     weights = near_maximal_weights(q, 12, 4)
     parts = list(operands(q, 4 * 96, 96, 1, seed=2)[0].reshape(4, 96, 96))
-    calls = [lambda: modmatmul(a, b, q), lambda: combine(field, weights, parts)]
+    calls = [
+        lambda: modmatmul(a, b, q),
+        lambda: combine(field, weights, parts),
+        lambda: field_convolve(field, a[0], b[:, 0]),
+    ]
     want = [call() for call in calls]
     wrong = []
 
@@ -501,7 +508,7 @@ def test_threads_use_their_own_workspace():
         except Exception as exc:  # a clash can also break a shape: report it here
             wrong.append(repr(exc))
 
-    threads = [threading.Thread(target=run, args=(order,)) for order in ([0, 1], [1, 0])]
+    threads = [threading.Thread(target=run, args=(order,)) for order in ([0, 1, 2], [2, 1, 0])]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
