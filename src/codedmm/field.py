@@ -13,21 +13,28 @@ canonical entries is an integer of at most k*(q-1)^2, which float64 holds
 exactly while it stays below 2^53, so contractions are split into chunks of
 at most (2^53 - 1) // (q-1)^2 terms (2048 or more for q < 2^21) and reduced
 between chunks.  Tiny products are one matmul reduced with one ``%``.  Every
-larger product, and every larger weighted sum formed by ``combine``, touches
-fresh memory only for the array it returns: its float64 operand copies,
+larger product, and every larger weighted sum formed by ``combine``,
+allocates nothing but the array it returns: its float64 operand copies,
 float64 product and int64 scratch live in one per-thread workspace of
 _TILE_ELEMS entries, it is reduced there by floor division, x - (x // q) * q,
 and copied into the result once.  ``combine`` reads its parts where they lie,
 strided views included, and can write into the caller's array or views
 (``out``).  convolution.field_convolve keeps its FFT buffers there too.
 No kernel function calls another while it holds the workspace.
+Results of 64 KB or more, and the products that schemes assemble, come from
+one result pool shared by every thread (``_fresh``): a buffer that no result
+or view of one holds any longer is handed out again, so a program that takes
+results of the same shapes job after job writes into memory that is already
+mapped instead of faulting fresh pages in.
 Larger moduli use Python-int (object) arrays, exact at any length.
 """
 
 from __future__ import annotations
 
 import functools
+import mmap
 import random
+import sys
 import threading
 from math import prod
 from typing import Iterable, Sequence
@@ -53,12 +60,24 @@ _TILE_ELEMS = 1 << 18
 # than slicing the workspace and three floor-division passes.
 _SMALL_ELEMS = 1 << 15
 
+# Results of at least this many bytes come from the result pool (_fresh);
+# smaller ones cost less fresh than a scan of the pool.
+_POOL_MIN_BYTES = 1 << 16
+
+# The pool keeps buffers of at most this many bytes in all, idle and in use.
+_POOL_CAP_BYTES = 64 << 20
+
 # Decoding, detection and repair interpolate through the same few point
 # sets job after job; lagrange_basis keeps this many recent bases.
 _BASIS_CACHE = 64
 
 # Per-thread state of the kernel: its workspace (see _workspace).
 _local = threading.local()
+
+# The result pool: uint8 buffers of power-of-two sizes, shared by every
+# thread and scanned under the lock (see _fresh).
+_pool: list[np.ndarray] = []
+_pool_lock = threading.Lock()
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -435,9 +454,7 @@ def canonical_array(field: PrimeField, data) -> np.ndarray:
     q = field.modulus
     arr = np.asarray(data)
     if arr.dtype.kind in "bi" or arr.size == 0:
-        # np.array's copy, freed at once, is deliberate: without it the 512^2
-        # products of bulk-512 that follow took about 6 % more page faults
-        return np.array(arr, dtype=field.array_dtype) % q
+        return arr.astype(field.array_dtype, copy=False) % q
     # other arrays are checked entry by entry and reduced as Python ints: a
     # uint64 past 2^63 would wrap in int64, and a Python int past it would
     # not convert
@@ -487,6 +504,63 @@ def _workspace(n: int) -> np.ndarray:
     return buf[:n] if n <= len(buf) else np.empty(n)
 
 
+def _refcounts(buffers: list[np.ndarray]) -> list[int]:
+    # the baseline below and every scan of the pool count through this one
+    # function, so both include the same temporary references
+    return [sys.getrefcount(buf) for buf in buffers]
+
+
+# The reference count of a buffer that only its list holds, or None where
+# the interpreter keeps no reference counts and _fresh does not pool.
+_IDLE_REFS = _refcounts([np.empty(0, dtype=np.uint8)])[0] if hasattr(sys, "getrefcount") else None
+
+
+def _mapped(size: int) -> np.ndarray:
+    """A uint8 array over a fresh anonymous mapping of size bytes.
+
+    numpy asks for huge pages for arrays of 4 MB or more, and the kernel
+    then faults in 2 MB at a time, up to 2 MB past what a result uses of a
+    rounded-up buffer; a private mapping is faulted in 4 KB pages.
+    """
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return np.empty(size, dtype=np.uint8)
+    return np.frombuffer(mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE), dtype=np.uint8)
+
+
+def _fresh(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised C-order array of shape and dtype, for a kernel result.
+
+    Results of _POOL_MIN_BYTES or more that are not object arrays are views
+    of a buffer from the result pool, rounded up to a power-of-two size, so
+    a program that takes results of the same shapes again and again reuses
+    memory whose pages are already mapped instead of faulting fresh ones in.
+    A buffer is idle when only the pool holds it: every numpy view keeps its
+    base buffer referenced, so memory that a caller or any view of it still
+    holds is never handed out again.  A new buffer that would take the pool
+    past _POOL_CAP_BYTES first drops idle buffers; if it still does not fit,
+    the result is fresh memory outside the pool.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = prod(shape) * dtype.itemsize
+    if nbytes < _POOL_MIN_BYTES or dtype.hasobject or _IDLE_REFS is None:
+        return np.empty(shape, dtype=dtype)
+    size = 1 << (nbytes - 1).bit_length()
+    with _pool_lock:
+        idle = [i for i, refs in enumerate(_refcounts(_pool)) if refs == _IDLE_REFS]
+        fits = [i for i in idle if len(_pool[i]) == size]
+        if fits:
+            buf = _pool[fits[0]]
+        else:
+            held = sum(len(b) for b in _pool)
+            while idle and held + size > _POOL_CAP_BYTES:
+                held -= len(_pool.pop(idle.pop()))
+            if held + size > _POOL_CAP_BYTES:
+                return np.empty(shape, dtype=dtype)
+            buf = _mapped(size)
+            _pool.append(buf)
+    return buf[:nbytes].view(dtype).reshape(shape)
+
+
 def _fill(buf: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x copied to float64 at the head of buf, in C order."""
     dst = buf[:x.size].reshape(x.shape)
@@ -526,13 +600,14 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     A one-chunk product of at most _SMALL_ELEMS operand, product and result
     entries ((rows + cols) * inner + 2 * rows * cols for two matrices) is
     one matmul on fresh float64 copies, reduced with one ``%``.  Every other
-    product touches fresh memory only for the result: it runs in tiles in
-    this thread's workspace of _TILE_ELEMS 8-byte entries, which holds a
-    tile's float64 operand slices, its float64 product and its int64
-    scratch.  A tile is as many whole stack entries as fit, else column
-    slices of one entry, which share the float64 copy of the entry's a
-    chunk.  Each tile is reduced into the result by floor division
-    (_reduce).  The result has the operands' dtype.
+    product allocates nothing but its result, which comes from the result
+    pool (_fresh): it runs in tiles in this thread's workspace of
+    _TILE_ELEMS 8-byte entries, which holds a tile's float64 operand
+    slices, its float64 product and its int64 scratch.  A tile is as many
+    whole stack entries as fit, else column slices of one entry, which
+    share the float64 copy of the entry's a chunk.  Each tile is reduced
+    into the result by floor division (_reduce).  The result has the
+    operands' dtype.
     """
     if a.dtype == object or b.dtype == object:
         return (a @ b) % q
@@ -546,7 +621,7 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     if size == 0 or inner == 0 or (inner <= step and a.size + b.size + 2 * size <= _SMALL_ELEMS):
         out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
         return np.remainder(out, q, out=out)
-    out = np.empty((*stack, rows, cols), dtype=np.int64)
+    out = _fresh((*stack, rows, cols), np.int64)
     entries = out.reshape(-1, rows, cols)
     # a shared operand is one stack entry, which matmul broadcasts
     a_s, b_s = a.reshape(-1, rows, inner), b.reshape(-1, inner, cols)
@@ -590,8 +665,9 @@ def combine(field: PrimeField, weights: np.ndarray, parts, out=None) -> np.ndarr
     modmatmul of the stacked parts.  Larger int64 ones read the parts
     where they lie: each slab of rows of every part is gathered straight
     into this thread's workspace, multiplied by the weights in one float64
-    matmul, and reduced by floor division into the result, so the result
-    is the only fresh memory they touch.
+    matmul, and reduced by floor division into the result, so the result,
+    taken from the result pool (_fresh) unless out is given, is all they
+    allocate.
     """
     k, t = weights.shape
     first = np.asarray(parts[0])
@@ -618,7 +694,7 @@ def combine(field: PrimeField, weights: np.ndarray, parts, out=None) -> np.ndarr
         raise ValueError(f"{t} weights per row need {t} parts of one shape")
     q = field.modulus
     if out is None:
-        out, stacked_out = np.empty((k, *first.shape), dtype=np.int64), True
+        out, stacked_out = _fresh((k, *first.shape), np.int64), True
     rows, rest = first.shape[0], first.shape[1:]
     row = size // rows  # entries per row of a part
     step = exact_float_terms(q)

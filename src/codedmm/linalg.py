@@ -14,7 +14,7 @@ from math import prod
 
 import numpy as np
 
-from .field import PrimeField
+from .field import PrimeField, canonical_array
 
 
 def solve_linear_system(
@@ -22,15 +22,16 @@ def solve_linear_system(
 ) -> np.ndarray | None:
     """Solve M x = b over GF(q); returns None when no solution exists.
 
-    coeffs: (rows, cols) array-like of canonical ints, rows >= cols allowed.
+    coeffs: (rows, cols) array-like of integers, rows >= cols allowed.
     rhs:    (rows, ...) array-like; trailing dimensions ride along.
+    Entries are reduced mod q; a non-integer entry raises NonIntegerEntry.
     Underdetermined-but-consistent systems get the particular solution with
     free variables set to zero, unless require_full_column_rank is set, in
     which case rank < cols also returns None.
     """
     q = field.modulus
-    m = np.array(coeffs, dtype=field.array_dtype) % q
-    b = np.array(rhs, dtype=field.array_dtype) % q
+    m = canonical_array(field, coeffs)
+    b = canonical_array(field, rhs)
     rows, cols = m.shape
     aug = np.concatenate([m, b.reshape(rows, prod(b.shape[1:]))], axis=1)
 

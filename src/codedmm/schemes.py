@@ -33,7 +33,7 @@ from .errors import (
     TooFewWorkers,
     UnknownWorker,
 )
-from .field import PrimeField, combine, lagrange_basis, modmatmul, random_elements, vandermonde
+from .field import PrimeField, _fresh, combine, lagrange_basis, modmatmul, random_elements, vandermonde
 from .linalg import solve_linear_system
 
 
@@ -278,7 +278,7 @@ class CodingScheme(ABC):
         The blocks are combined straight into the assembled product.
         """
         br, bc = parts[0].shape
-        blocks = np.empty((self.m, br, self.n, bc), dtype=self.field.array_dtype).swapaxes(1, 2)
+        blocks = _fresh((self.m, br, self.n, bc), self.field.array_dtype).swapaxes(1, 2)
         combine(self.field, weights, parts, out=grid_blocks(blocks))
         return assemble_array(blocks, dims)
 

@@ -7,9 +7,11 @@ reuse one set of buffers, and on the worst-case entry q - 1.  The combiner
 that every encoder and decoder runs on top of it is checked on parts of
 every shape, read in place from strided views, and written into the block
 views of an assembled product.  Allocation guards bound the fresh memory
-of the kernel, the encoder and the decoder by their results, and one test
-runs the kernel and the FFT convolution that shares its workspace in two
-threads at once.
+of the kernel, the encoder and the decoder by their results, which a
+repeated call takes from the result pool, and one test runs the kernel and
+the FFT convolution that shares its workspace in two threads at once.  The
+pool never hands out memory that a result or any view of it still holds,
+reuses what none holds, and keeps under its byte cap, across threads too.
 """
 
 import sys
@@ -246,26 +248,41 @@ def test_reused_tile_buffers(monkeypatch, tile, inner):
                 assert out.tolist() == naive_matmul_t(q, x.T.tolist(), y.tolist())
 
 
+def pool_class(nbytes: int) -> int:
+    """The size of the pool buffer that holds a result of nbytes."""
+    return 1 << (nbytes - 1).bit_length()
+
+
 @pytest.mark.parametrize("rows, inner", [(12, 4), (4, 9)])
 def test_scratch_does_not_grow_with_output_width(rows, inner):
     # the encode (12, 4) @ (4, W) and decode (4, 9) @ (9, W) shapes of a
-    # 2 x 2 x 2 entangled code: tiles bound the scratch beyond the output
+    # 2 x 2 x 2 entangled code: tiles bound the scratch beyond the output,
+    # whose buffer a repeated product reuses once the first result is dropped
     q = 65537
     rng = np.random.default_rng(rows)
     a = rng.integers(0, q, size=(rows, inner))
-    modmatmul(a, a.T, q)  # makes this thread's workspace, which every later tile reuses
-
-    def scratch(width: int) -> int:
+    for width in (1 << 14, 1 << 18):
         b = rng.integers(0, q, size=(inner, width))
-        tracemalloc.start()
-        try:
-            out = modmatmul(a, b, q)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return peak - out.nbytes
+        _, peak = traced_peak(lambda: modmatmul(a, b, q))
+        assert peak <= 64 << 10
+        out, peak = traced_peak(lambda: modmatmul(a, b, q), hold=True)
+        assert peak <= pool_class(out.nbytes) + (64 << 10)
 
-    assert scratch(1 << 20) <= scratch(1 << 16) + (64 << 10)
+
+def test_rows_whose_a_chunk_fills_the_workspace():
+    # one 512-term chunk of a 512-row a fills the 2^18-entry workspace, so
+    # at 511, 512 and 513 rows the tiles are one column wide, their scratch
+    # lies past the workspace, and they write into pooled results of one
+    # size class, all three held at once
+    q = 65537
+    inner, cols = 512, 40
+    assert 511 * inner < field_module._TILE_ELEMS < 513 * inner
+    pairs = [operands(q, rows, inner, cols, seed=rows) for rows in (511, 512, 513)]
+    got = [modmatmul(a, b, q) for a, b in pairs]
+    for out, (a, b) in zip(got, pairs):
+        assert out.shape == (len(a), cols)
+        # every 13th column: the first, last and two between
+        assert out[:, ::13].tolist() == naive_matmul_t(q, a.T.tolist(), b[:, ::13].tolist())
 
 
 @pytest.mark.parametrize("budget", [37, 36])
@@ -436,24 +453,38 @@ def test_combine_scalar_and_vector_parts(slabs, shape):
     assert combine(field, weights, np.stack(parts)).tolist() == want
 
 
-def traced_peak(call):
-    """(result, peak bytes) of call(), traced after one untraced warm-up call."""
-    call()  # the warm-up makes this thread's workspace
+def traced_peak(call, hold: bool = False):
+    """(result, bytes) of call(), traced after one untraced warm-up call.
+
+    The bytes are tracemalloc's peak plus the buffers that the result pool
+    maps meanwhile, which tracemalloc does not see.  The warm-up makes this
+    thread's workspace and leaves the pool a buffer of each result's size
+    class.  Its result is dropped before the traced call, which can then
+    reuse those buffers, unless hold is set.
+    """
+    first = call()
+    if not hold:
+        del first
+    pooled = {id(buf) for buf in field_module._pool}
     tracemalloc.start()
     try:
         result = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return result, peak
+    return result, peak + sum(len(buf) for buf in field_module._pool if id(buf) not in pooled)
 
 
 def test_worker_product_allocates_only_its_result():
+    # a repeated product reuses its dropped result's buffer, and one whose
+    # earlier result is held takes one new buffer for its own
     q = 65537
     rng = np.random.default_rng(256)
     a, b = rng.integers(0, q, size=(2, 256, 256))
-    out, peak = traced_peak(lambda: modmatmul(a.T, b, q))
-    assert peak <= out.nbytes + (64 << 10)
+    _, peak = traced_peak(lambda: modmatmul(a.T, b, q))
+    assert peak <= 64 << 10
+    out, peak = traced_peak(lambda: modmatmul(a.T, b, q), hold=True)
+    assert peak <= pool_class(out.nbytes) + (64 << 10)
 
 
 def bulk_entangled():
@@ -467,7 +498,9 @@ def bulk_entangled():
 def test_encode_allocates_only_its_coded_stacks():
     code, a, b = bulk_entangled()
     pairs, peak = traced_peak(lambda: code.encode_all(a, b))
-    assert peak <= 2 * 12 * 256 * 256 * 8 + (64 << 10)
+    assert peak <= 64 << 10
+    pairs, peak = traced_peak(lambda: code.encode_all(a, b), hold=True)
+    assert peak <= 2 * pool_class(12 * 256 * 256 * 8) + (64 << 10)
     assert pairs[5][0] == code.encode_a(a, 5) and pairs[5][1] == code.encode_b(b, 5)
 
 
@@ -520,3 +553,123 @@ def test_threads_use_their_own_workspace():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+@pytest.fixture
+def empty_pool(monkeypatch):
+    """A result pool of this test's own, empty at the start."""
+    monkeypatch.setattr(field_module, "_pool", [])
+
+
+def in_pool(x: np.ndarray) -> bool:
+    return any(np.shares_memory(x, buf) for buf in field_module._pool)
+
+
+def pooled_operands(q: int, cols: int):
+    """A tiled (16 x 4) @ (4 x cols) product; from 512 columns its result is pooled."""
+    return operands(q, 16, 4, cols, seed=cols)
+
+
+def test_pool_keeps_a_dropped_result_that_a_view_still_holds(empty_pool):
+    # the view's entries survive products of the same size class
+    q = 65537
+    a, b = pooled_operands(q, 1000)
+    c, d = operands(q, 16, 4, 1000, seed=5)
+    kept = modmatmul(np.stack([a, a]), np.stack([b, b]), q)[1]  # the stack itself is dropped
+    want = kept.copy()
+    other = modmatmul(np.stack([c, c]), np.stack([d, d]), q)
+    assert in_pool(kept) and in_pool(other) and not np.shares_memory(kept, other)
+    assert np.array_equal(kept, want)
+    # a coded pair's MatrixF wraps one entry of encode's coded stack
+    field = PrimeField(q)
+    code = EntangledCode(2, 2, 2, N=12, field=field)
+    x, y, z, w = (MatrixF(field, operands(q, 128, 128, 1, seed=s)[0]) for s in range(4))
+    coded = code.encode_all(x, y)[3][0]
+    assert in_pool(coded.data)
+    again = code.encode_all(z, w)
+    assert not any(np.shares_memory(coded.data, m.data) for pair in again for m in pair)
+    assert coded == code.encode_a(x, 3)
+
+
+def test_pool_reuses_a_buffer_once_every_view_is_gone(empty_pool, monkeypatch):
+    # the first buffer is busy while its view lives, then handed out again
+    q = 65537
+    a, b = pooled_operands(q, 1000)
+    first = modmatmul(a, b, q)
+    view, address = first[3:], first.__array_interface__["data"][0]
+    del first
+    assert not np.shares_memory(modmatmul(a, b, q), view)
+    del view
+    again = modmatmul(a, b, q)
+    assert again.__array_interface__["data"][0] == address
+    assert len(field_module._pool) == 2
+    # small results, object results and an interpreter without reference
+    # counts take fresh memory
+    assert not in_pool(field_module._fresh((8191,), np.int64))
+    assert not in_pool(field_module._fresh((1 << 14,), object))
+    monkeypatch.setattr(field_module, "_IDLE_REFS", None)
+    assert not in_pool(modmatmul(a, b, q))
+    assert len(field_module._pool) == 2
+
+
+def test_threads_never_share_pooled_results(empty_pool):
+    # three threads take results of three size classes (128, 256 and
+    # 512 KB), holding every other one: no two held results share memory,
+    # and each one matches the oracle
+    q = Q_INT64_MAX
+    cases = [pooled_operands(q, cols) for cols in (1000, 1500, 2100)]
+    want = [np.array(naive_matmul_t(q, a.T.tolist(), b.tolist())) for a, b in cases]
+    held, errors = [], []
+
+    def run(order):
+        try:
+            for step in range(20):
+                for i in order:
+                    out = modmatmul(*cases[i], q)
+                    if step % 2:
+                        held.append((i, out))
+        except Exception as exc:  # a clash can also break a shape: report it here
+            errors.append(repr(exc))
+
+    orders = ([0, 1, 2], [2, 1, 0], [1, 2, 0])
+    threads = [threading.Thread(target=run, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and len(held) == 90
+    assert all(in_pool(out) and np.array_equal(out, want[i]) for i, out in held)
+    outs = [out for _, out in held]
+    assert not any(np.shares_memory(x, y) for j, x in enumerate(outs) for y in outs[j + 1:])
+
+
+def test_pool_stays_under_its_cap(empty_pool, monkeypatch):
+    # in a 512 KB pool two held 256 KB buffers leave no room: the next
+    # result is fresh memory, until one is dropped and its idle buffer goes
+    # to make room for a new one
+    cap = 512 << 10
+    monkeypatch.setattr(field_module, "_POOL_CAP_BYTES", cap)
+    q = 65537
+    cases = {cols: pooled_operands(q, cols) for cols in (1000, 1500)}  # 128 and 256 KB classes
+    want = {cols: naive_matmul_t(q, a.T.tolist(), b.tolist()) for cols, (a, b) in cases.items()}
+
+    def product(cols: int) -> np.ndarray:
+        out = modmatmul(*cases[cols], q)
+        assert out.tolist() == want[cols]
+        assert sum(len(buf) for buf in field_module._pool) <= cap
+        return out
+
+    x, y = product(1500), product(1500)
+    assert in_pool(x) and in_pool(y)
+    assert not in_pool(product(1000))
+    del x
+    z = product(1000)
+    assert in_pool(z) and len(field_module._pool) == 2
+    held = [product(cols) for cols in (1000, 1500, 1000)]
+    assert [in_pool(h) for h in held] == [True, False, False]

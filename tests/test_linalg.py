@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from codedmm.blocks import MatrixF
+from codedmm.errors import NonIntegerEntry
 from codedmm.field import PrimeField
 from codedmm.linalg import solve_linear_system
 from codedmm.schemes import RandomLinearCode, worker_multiply
@@ -123,6 +124,16 @@ def test_system_without_equations(q):
     assert solve_linear_system(field, np.zeros((0, 2)), np.zeros((0, 3)), True) is None
     got = solve_linear_system(field, np.zeros((0, 0)), np.zeros((0, 3, 4)), True)
     assert got.shape == (0, 3, 4)
+
+
+@pytest.mark.parametrize("q", MODULI)
+def test_non_integer_entries_are_refused(q):
+    # 1.5 x = 2.7 must not be solved as 1 x = 2 after silent truncation
+    field = PrimeField(q)
+    with pytest.raises(NonIntegerEntry):
+        solve_linear_system(field, [[1.5]], [2.7])
+    with pytest.raises(NonIntegerEntry):
+        solve_linear_system(field, [[1]], np.array([[0.5, 1.0]]))
 
 
 def test_random_linear_decode_at_largest_int64_field():
