@@ -1,7 +1,9 @@
 """Coded computation toolkit for distributed matrix multiplication and
 convolution over prime fields: straggler-tolerant polynomial codes, the
 bilinear-construction code family, fault-tolerant decoding, threshold
-calculators, and a deterministic master-worker simulator.
+calculators, and a deterministic master-worker simulator.  All seven codes,
+the element-wise and convolution codes included, are CodingSchemes that
+answer encode_all, worker_products, decode_received and decode.
 """
 
 from .bilinear import (
@@ -14,7 +16,7 @@ from .bilinear import (
     tensor_power,
     validate_construction,
 )
-from .blocks import BlockGrid, MatrixF, assemble_product, overlap_add, partition, partition_vector
+from .blocks import MatrixF, overlap_add, partition_vector
 from .convolution import ConvCodeSpec, conv_decode, conv_encode, conv_spec, conv_worker
 from .field import FieldElement, FieldPolynomial, PrimeField, lagrange_interpolate
 from .robust import FaultModel, correct_errors, detect_errors, hamming_relations
@@ -34,7 +36,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BilinearConstruction",
-    "BlockGrid",
     "CodingScheme",
     "ConvCodeSpec",
     "ElementwiseProductCode",
@@ -50,7 +51,6 @@ __all__ = [
     "RandomLinearCode",
     "SimulationConfig",
     "UncodedRepetitionCode",
-    "assemble_product",
     "conv_decode",
     "conv_encode",
     "conv_spec",
@@ -62,7 +62,6 @@ __all__ = [
     "lagrange_interpolate",
     "load_construction",
     "overlap_add",
-    "partition",
     "partition_vector",
     "run_experiment",
     "run_trial",

@@ -6,8 +6,8 @@ triple yields a straggler code with recovery threshold 2R - 1: the
 element-wise product code of length R views the two length-R coded vectors
 as evaluations of degree R-1 polynomials, hands each worker one evaluation
 of each at a fresh point, and interpolates the product polynomial from any
-2R - 1 results.  Both codes are InterpolationCodes and decode through the
-shared decoder in schemes.
+2R - 1 results.  Both codes are InterpolationCodes: they encode, run their
+workers and decode through the one CodingScheme interface in schemes.
 
 Tensor entries are kept as small centered integers (e.g. -1) and mapped into
 the working field at the point of use, so one construction serves every
@@ -28,10 +28,11 @@ from .errors import (
     BlockShapeMismatch,
     ConstructionTooLarge,
     FieldTooSmall,
+    InsufficientResults,
     TooFewWorkers,
 )
-from .field import PrimeField, combine, lagrange_matrix, modmatmul, vandermonde
-from .schemes import CodingScheme, InterpolationCode, gather_results
+from .field import PrimeField, canonical_array, combine, lagrange_matrix, modmatmul, vandermonde
+from .schemes import InterpolationCode
 
 _RANK_BUDGET = 10**6
 _TENSOR_ELEMENT_BUDGET = 10**7
@@ -244,40 +245,40 @@ class ElementwiseProductCode(InterpolationCode):
         self.field = field
         self.x_points = tuple(range(length))
         self.points = tuple(range(N))
-        # weights[i, j] = l_j(y_i) over the x points: worker i stores
-        # sum_j weights[i, j] * vec[j]
-        self.weights = lagrange_matrix(field, self.x_points, self.points)
+        # gen_a[i, j] = l_j(y_i) over the x points: worker i stores
+        # sum_j gen_a[i, j] * vec[j] of each vector
+        self.gen_a = self.gen_b = lagrange_matrix(field, self.x_points, self.points)
         self.output_map = vandermonde(field, self.x_points, 2 * length - 1)
 
     def recovery_threshold(self) -> int:
         return min(self.N, super().recovery_threshold())
 
-    def encode(self, vec, i: int) -> np.ndarray:
-        if not 0 <= i < self.N:
-            raise ValueError(f"worker index {i} out of range for N={self.N}")
-        stack = np.stack([np.asarray(v, dtype=self.field.array_dtype) for v in vec]) % self.field.modulus
-        if len(stack) != self.length:
-            raise BlockShapeMismatch(f"vector has {len(stack)} entries, expected {self.length}")
-        return combine(self.field, self.weights[i:i + 1], stack).reshape(stack.shape[1:])
+    def _split(self, vec, count: int) -> np.ndarray:
+        """The vector's entries, canonical, stacked: the parts are the entries themselves."""
+        stack = canonical_array(self.field, vec)
+        if len(stack) != count:
+            raise BlockShapeMismatch(f"vector has {len(stack)} entries, expected {count}")
+        return stack
 
-    @staticmethod
-    def worker(coded_a, coded_b):
-        """Per-worker computation: plain product of the stored pair."""
-        return np.asarray(coded_a) * np.asarray(coded_b)
+    def _work(self, coded_a: np.ndarray, coded_b: np.ndarray) -> np.ndarray:
+        """Every worker's result: the element-wise product of its stored pair."""
+        return coded_a * coded_b % self.field.modulus
 
-    def decode(self, results: Mapping[int, np.ndarray], subset: Sequence[int]) -> list:
-        """Recover all R element-wise products from the given subset."""
-        if self.N <= len(subset) < self.output_map.shape[1] and set(subset) >= set(self.x_points):
+    def _decode_received(self, received, subset: Sequence[int], dims) -> np.ndarray:
+        if len(subset) < self.output_map.shape[1]:
             # N < 2R - 1, and y_i = x_i for i < R: those workers hold the products directly
-            got = gather_results(results, self.x_points, self.N)
-            return [np.asarray(v) % self.field.modulus for v in got]
-        return self._decode_results(results, subset, None)
+            rows = {int(w): row for row, w in enumerate(subset)}
+            if not rows.keys() >= set(self.x_points):
+                raise InsufficientResults(f"the first {self.length} workers are needed below 2R - 1 results")
+            return np.asarray(received)[[rows[w] for w in self.x_points]]
+        return super()._decode_received(received, subset, dims)
 
-    def _assemble(self, weights: np.ndarray, parts, dims) -> list:
-        return list(combine(self.field, weights, parts))
+    def _assemble(self, weights: np.ndarray, parts, dims) -> np.ndarray:
+        """The R products as one (R, *entry shape) stack."""
+        return combine(self.field, weights, parts)
 
 
-class ImprovedBilinearCode(InterpolationCode, CodingScheme):
+class ImprovedBilinearCode(InterpolationCode):
     """The 2R - 1 threshold code driven by a rank-R construction.
 
     It is the element-wise product code of length R applied to the
@@ -298,8 +299,8 @@ class ImprovedBilinearCode(InterpolationCode, CodingScheme):
         self.points = elementwise.points
         q = field.modulus
         a, b, c = (t.astype(field.array_dtype).reshape(r, -1) % q for t in (bc.a, bc.b, bc.c))
-        self.gen_a = modmatmul(elementwise.weights, a, q)
-        self.gen_b = modmatmul(elementwise.weights, b, q)
+        self.gen_a = modmatmul(elementwise.gen_a, a, q)
+        self.gen_b = modmatmul(elementwise.gen_b, b, q)
         # output block (j, k) is sum_r c[r, j, k] * (product r)
         self.output_map = modmatmul(c.T, elementwise.output_map, q)
 

@@ -1,14 +1,13 @@
 """Matrices over GF(q), block partitioning, and reassembly.
 
-Inputs are split into a p-by-m (or p-by-n) grid of equally sized submatrices,
-zero-padding whenever the dimensions do not divide evenly; the padding is
-remembered so decoded outputs can be truncated back to the true shape.
-Also hosts the overlap-add reassembly for block convolution.
+Inputs are split into a p-by-m (or p-by-n) grid of equally sized submatrices
+(padded_blocks), zero-padding whenever the dimensions do not divide evenly;
+assemble_array cuts a decoded block array back to the true shape.  Also
+hosts the vector split and overlap-add reassembly for block convolution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -111,29 +110,6 @@ class MatrixF:
         return f"MatrixF(GF({self.field.modulus}), {self.data.tolist()})"
 
 
-@dataclass(frozen=True)
-class BlockGrid:
-    """A row_parts x col_parts grid of equal-shape blocks of one matrix.
-
-    original_shape keeps the pre-padding dimensions so a later reassembly can
-    truncate exactly.
-    """
-
-    blocks: tuple[tuple[MatrixF, ...], ...]
-    row_parts: int
-    col_parts: int
-    block_shape: tuple[int, int]
-    original_shape: tuple[int, int]
-
-    def __getitem__(self, jk: tuple[int, int]) -> MatrixF:
-        j, k = jk
-        return self.blocks[j][k]
-
-    @property
-    def field(self) -> PrimeField:
-        return self.blocks[0][0].field
-
-
 def padded_blocks(matrix: MatrixF, row_parts: int, col_parts: int) -> np.ndarray:
     """The zero-padded blocks as one read-only (row_parts, col_parts, br, bc) array.
 
@@ -165,15 +141,6 @@ def grid_blocks(grid: np.ndarray):
     return [blk for row in grid for blk in row]
 
 
-def partition(matrix: MatrixF, row_parts: int, col_parts: int) -> BlockGrid:
-    """Split into row_parts x col_parts equal blocks, zero-padding as needed."""
-    view = padded_blocks(matrix, row_parts, col_parts)
-    rows = tuple(
-        tuple(MatrixF._wrap(matrix.field, blk) for blk in row) for row in view
-    )
-    return BlockGrid(rows, row_parts, col_parts, view.shape[2:], matrix.shape)
-
-
 def assemble_array(blocks: np.ndarray, true_dims: tuple[int, int] | None = None) -> np.ndarray:
     """The matrix of an (m, n, br, bc) block array, cut to true_dims.
 
@@ -189,31 +156,6 @@ def assemble_array(blocks: np.ndarray, true_dims: tuple[int, int] | None = None)
             f"true dims {true_dims} exceed assembled shape {full.shape}"
         )
     return full[:r, :t]
-
-
-def assemble(blocks: Sequence[Sequence[MatrixF]]) -> MatrixF:
-    """Concatenate a grid of equal-shape blocks into one matrix."""
-    return assemble_product(blocks, None)
-
-
-def assemble_product(
-    blocks: Sequence[Sequence[MatrixF]], true_dims: tuple[int, int] | None
-) -> MatrixF:
-    """Assemble the m x n grid of product blocks and strip the padding.
-
-    With true_dims None the padded product is returned.
-    """
-    first = blocks[0][0]
-    for i, row in enumerate(blocks):
-        if len(row) != len(blocks[0]):
-            raise ValueError(f"grid row {i} has {len(row)} blocks, row 0 has {len(blocks[0])}")
-        for blk in row:
-            if blk.shape != first.shape:
-                raise BlockShapeMismatch(f"{blk.shape} vs {first.shape}")
-            if blk.field != first.field:
-                raise FieldMismatch("blocks over different fields")
-    data = np.stack([np.stack([blk.data for blk in row]) for row in blocks])
-    return MatrixF._wrap(first.field, assemble_array(data, true_dims))
 
 
 def partition_vector(field: PrimeField, vec, parts: int, block_len: int | None = None) -> list[np.ndarray]:

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .bilinear import ImprovedBilinearCode, load_construction, registry_names, validate_construction
-from .blocks import MatrixF, partition_vector, read_matrix_text
-from .convolution import conv_decode, conv_encode, conv_spec, conv_worker, field_convolve
+from .blocks import MatrixF, read_matrix_text
+from .convolution import conv_spec, field_convolve
 from .errors import CodedmmError, TooManyErrors
 from .field import PrimeField, random_elements
 from .robust import Clean, FaultModel, correct_errors, detect_errors
@@ -85,6 +85,12 @@ def _load_fixture_inputs(args):
     return a, b
 
 
+def _failed_subsets(code, products, subsets, dims, want) -> int:
+    """How many subsets' results, rows of products, decode to something other than want."""
+    decoded = (code.decode_received(products[list(sub)], sub, dims) for sub in subsets)
+    return sum(not np.array_equal(got, want) for got in decoded)
+
+
 def _verify_scheme(scheme, args, label: str) -> int:
     rng = np.random.default_rng(args.seed)
     fixtures = _load_fixture_inputs(args)
@@ -101,10 +107,7 @@ def _verify_scheme(scheme, args, label: str) -> int:
     if args.exhaustive and not exhaustive:
         _note(f"note: {comb(scheme.N, k)} subsets exceed the exhaustive cap; sampling instead")
     subsets = _subset_iter(scheme.N, k, exhaustive, rng, args.samples)
-    failures = 0
-    for sub in subsets:
-        if not np.array_equal(scheme.decode_received(products[list(sub)], sub, dims=(r, t)), oracle):
-            failures += 1
+    failures = _failed_subsets(scheme, products, subsets, (r, t), oracle)
     mode = "exhaustive" if exhaustive else "sampled"
     _emit(
         ("scheme", "N", "K", "mode", "subsets", "decoded", "failures"),
@@ -134,20 +137,12 @@ def _cmd_conv(args) -> int:
     rng = np.random.default_rng(args.seed)
     a = random_elements(rng, args.q, args.m * args.len)
     b = random_elements(rng, args.q, args.n * args.len)
-    a_blocks = partition_vector(field, a, args.m, block_len=args.len)
-    b_blocks = partition_vector(field, b, args.n, block_len=args.len)
-    results = {}
-    for i in range(args.N):
-        ca, cb = conv_encode(spec, a_blocks, b_blocks, i)
-        results[i] = conv_worker(spec, ca, cb)
+    products = spec.worker_products(a, b)
     expected = field_convolve(field, a, b)
     k = spec.recovery_threshold()
     exhaustive = comb(args.N, k) <= MAX_EXHAUSTIVE_SUBSETS
     subsets = _subset_iter(args.N, k, exhaustive, rng, args.samples)
-    failures = sum(
-        not np.array_equal(conv_decode(spec, results, sub, true_lens=(len(a), len(b))), expected)
-        for sub in subsets
-    )
+    failures = _failed_subsets(spec, products, subsets, (len(a), len(b)), expected)
     _emit(
         ("m", "n", "N", "K", "block_len", "subsets", "decoded", "failures"),
         [(args.m, args.n, args.N, k, args.len, len(subsets), len(subsets) - failures, failures)],

@@ -9,8 +9,9 @@ and returns their full convolution.  That result is the evaluation at x_i of
 a degree m+n-2 polynomial whose x^d coefficient is the anti-diagonal sum
 over j+k = d of a_j * b_k, exactly the blocks overlap-add needs, so any
 m+n-1 workers decode and no product coefficient is wasted.  ConvCodeSpec is
-therefore an InterpolationCode whose output map is the identity: conv_decode
-runs the shared interpolation decoder, then overlap-adds the coefficients.
+therefore an InterpolationCode whose output map is the identity: its parts
+are the length-s blocks, its workers convolve, and decode interpolates, then
+overlap-adds the coefficients.  conv_encode/worker/decode wrap those steps.
 
 Each worker's convolution (field_convolve) runs, for q < 2^21, as an exact
 float64 FFT product in O(s log s).  A canonical entry splits into an 11-bit
@@ -51,7 +52,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .blocks import overlap_add
+from .blocks import overlap_add, partition_vector
 from .errors import (
     BlockShapeMismatch,
     DuplicateEvaluationPoint,
@@ -102,6 +103,14 @@ class ConvCodeSpec(InterpolationCode):
         object.__setattr__(self, "gen_b", powers[:, :self.n])
         object.__setattr__(self, "points", self.x_points)
         object.__setattr__(self, "output_map", np.eye(k, dtype=self.field.array_dtype))
+
+    def _split(self, vec, count: int) -> list[np.ndarray]:
+        """The count blocks of length s of vec, zero-padded and canonical."""
+        return partition_vector(self.field, vec, count, block_len=self.s)
+
+    def _work(self, coded_a, coded_b) -> np.ndarray:
+        """Every worker's result: the full convolution of its stored pair (2s - 1 long)."""
+        return np.stack([field_convolve(self.field, ca, cb) for ca, cb in zip(coded_a, coded_b)])
 
     def _assemble(self, weights: np.ndarray, parts, true_lens: tuple[int, int] | None) -> np.ndarray:
         """a * b from its K per-diagonal block convolutions, combine(weights, parts), cut to the true length."""
@@ -209,7 +218,8 @@ def conv_encode(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The coded pair of length-s vectors stored by worker i.
 
-    Blocks are canonical, as partition_vector returns them.
+    Block entries may be any integer representatives; a non-integer entry
+    raises NonIntegerEntry.
     """
     if not 0 <= i < spec.N:
         raise ValueError(f"worker index {i} out of range for N={spec.N}")
@@ -220,9 +230,9 @@ def conv_encode(
     for blk in (*a_blocks, *b_blocks):
         if len(blk) != spec.s:
             raise BlockShapeMismatch(f"block of length {len(blk)}, expected {spec.s}")
-    dtype = spec.field.array_dtype
-    coded_a = combine(spec.field, spec.gen_a[i:i + 1], np.array(a_blocks, dtype=dtype))
-    coded_b = combine(spec.field, spec.gen_b[i:i + 1], np.array(b_blocks, dtype=dtype))
+    field = spec.field
+    coded_a = combine(field, spec.gen_a[i:i + 1], [canonical_array(field, blk) for blk in a_blocks])
+    coded_b = combine(field, spec.gen_b[i:i + 1], [canonical_array(field, blk) for blk in b_blocks])
     return coded_a[0], coded_b[0]
 
 
@@ -230,7 +240,7 @@ def conv_worker(spec: ConvCodeSpec, coded_a: np.ndarray, coded_b: np.ndarray) ->
     """Per-worker computation: full convolution of the stored pair (2s-1 long)."""
     if len(coded_a) != spec.s or len(coded_b) != spec.s:
         raise BlockShapeMismatch("coded vectors must have length s")
-    return field_convolve(spec.field, coded_a, coded_b)
+    return spec._work([coded_a], [coded_b])[0]
 
 
 def conv_decode(
@@ -239,10 +249,10 @@ def conv_decode(
     subset: Sequence[int],
     true_lens: tuple[int, int] | None = None,
 ) -> np.ndarray:
-    """Recover a * b from any m + n - 1 worker results.
+    """Recover a * b from any m + n - 1 worker results: spec.decode.
 
     true_lens, when given, is (len(a), len(b)) before padding and the output
     is truncated to the true convolution length; lengths beyond the padded
     m*s and n*s raise BlockShapeMismatch, as do results not 2s - 1 long.
     """
-    return spec._decode_results(results, subset, true_lens)
+    return spec.decode(results, subset, true_lens)

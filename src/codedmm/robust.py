@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .bilinear import ImprovedBilinearCode
 from .blocks import MatrixF
 from .errors import BlockShapeMismatch, FieldMismatch, TooManyErrors, UnsupportedScheme
 from .field import (
@@ -33,7 +34,7 @@ from .field import (
     modmatmul,
     random_elements,
 )
-from .schemes import CodingScheme, InterpolationCode
+from .schemes import GeneralPolynomialCode, InterpolationCode
 
 
 def hamming_relations(N: int, d: int) -> tuple[int, int, int]:
@@ -110,9 +111,9 @@ def _stacked_results(code, results: Sequence[MatrixF]) -> tuple[int, np.ndarray]
     """Check the code and the results; return K and the N results as one stack.
 
     Detection and repair interpolate through the workers' evaluation points,
-    so they need an InterpolationCode whose results are N equal-shape matrices.
+    so they need a polynomial or improved code, whose N results are equal-shape matrices.
     """
-    if not (isinstance(code, InterpolationCode) and isinstance(code, CodingScheme)):
+    if not isinstance(code, (GeneralPolynomialCode, ImprovedBilinearCode)):
         raise UnsupportedScheme(
             f"error detection and correction need a matrix evaluation code, got {type(code).__name__}"
         )

@@ -1,15 +1,15 @@
-"""Coding schemes for straggler-tolerant distributed A^T B.
+"""Coding schemes for straggler-tolerant distributed A^T B, and the one code interface.
 
-Every scheme maps the block grids of A and B to one coded block pair per
-worker; worker i multiplies its pair and returns the product, and the master
-decodes the full product from any recovery_threshold() many results.
+CodingScheme is the base of every code, the vector codes included: worker i
+stores one combination of each input's parts, returns the result of one
+operation on that pair, and the master decodes the product from any
+recovery_threshold() many results.
 
 Schemes here: the exponent-parameterized polynomial code family, its
 (1, p, pm) instantiation that hits threshold pmn + p - 1, uncoded
 round-robin repetition, and random linear combinations.  InterpolationCode
 is the one evaluation-code core: the polynomial codes, the bilinear improved
-code, the element-wise product code and the convolution code all decode
-through it.
+code, the element-wise product code and the convolution code all subclass it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,9 @@ from .errors import (
     TooFewWorkers,
     UnknownWorker,
 )
-from .field import PrimeField, _fresh, combine, lagrange_basis, modmatmul, random_elements, vandermonde
+from .field import (
+    PrimeField, _fresh, canonical_array, combine, lagrange_basis, modmatmul, random_elements, vandermonde,
+)
 from .linalg import solve_linear_system
 
 
@@ -44,21 +46,6 @@ def worker_multiply(coded_a: MatrixF, coded_b: MatrixF) -> MatrixF:
             f"coded blocks disagree on inner dimension: {coded_a.shape} vs {coded_b.shape}"
         )
     return coded_a.transpose() @ coded_b
-
-
-def gather_results(results: Mapping, subset: Sequence[int], N: int) -> list:
-    """The results of the workers in subset, in order.
-
-    Raises UnknownWorker for an index outside [0, N), checked over the whole
-    subset first, then MissingResult for a worker with no entry in results.
-    """
-    for w in subset:
-        if not 0 <= w < N:
-            raise UnknownWorker(f"worker index {w} out of range for N={N}")
-    for w in subset:
-        if w not in results:
-            raise MissingResult(f"no result from worker {w}")
-    return [results[w] for w in subset]
 
 
 @dataclass(frozen=True)
@@ -168,14 +155,14 @@ def entangled_spec(p: int, m: int, n: int, N: int, field: PrimeField) -> Polynom
 class CodingScheme(ABC):
     """Encode/decode bundle with the any-K-subset recovery contract.
 
-    Every scheme is linear: worker i stores sum_t gen_a[i, t] * (A block t)
-    and likewise for B, with the p x m (p x n) blocks in row-major order, so
-    encoding is one modmatmul of a generator matrix with the stacked blocks.
+    Every code is linear: worker i stores sum_t gen_a[i, t] * (part t of A)
+    and likewise for B.  Per code, _split cuts an input into the parts (by
+    default the p x m, or p x n, blocks of a MatrixF in row-major order) and
+    _work runs every worker's operation on the coded stacks (by default the
+    block products A~^T B~), so encoding is one combine of a generator with
+    the parts.
     """
 
-    p: int
-    m: int
-    n: int
     N: int
     field: PrimeField
     gen_a: np.ndarray
@@ -185,11 +172,19 @@ class CodingScheme(ABC):
     def recovery_threshold(self) -> int:
         """Minimum number of worker results that always suffices to decode."""
 
-    def _encode(self, matrix: MatrixF, parts: int, weights: np.ndarray) -> np.ndarray:
-        """(len(weights), br, bc) stack whose [i] is sum_t weights[i, t] * (block t)."""
+    def _split(self, matrix: MatrixF, count: int):
+        """The count = p x (m or n) zero-padded blocks of matrix, in row-major order."""
         if matrix.field != self.field:
             raise FieldMismatch(f"input over {matrix.field}, code over {self.field}")
-        return combine(self.field, weights, grid_blocks(padded_blocks(matrix, self.p, parts)))
+        return grid_blocks(padded_blocks(matrix, self.p, count // self.p))
+
+    def _work(self, coded_a: np.ndarray, coded_b: np.ndarray) -> np.ndarray:
+        """Every worker's result from the stacked coded pairs: the block products A~^T B~."""
+        return modmatmul(coded_a.swapaxes(1, 2), coded_b, self.field.modulus)
+
+    def _encode(self, x, weights: np.ndarray) -> np.ndarray:
+        """(len(weights), *part shape) stack whose [i] is sum_t weights[i, t] * (part t of x)."""
+        return combine(self.field, weights, self._split(x, weights.shape[1]))
 
     def _worker_rows(self, gen: np.ndarray, i: int) -> np.ndarray:
         if not 0 <= i < self.N:
@@ -197,11 +192,11 @@ class CodingScheme(ABC):
         return gen[i:i + 1]
 
     def encode_a(self, a: MatrixF, i: int) -> MatrixF:
-        (coded,) = self._encode(a, self.m, self._worker_rows(self.gen_a, i))
+        (coded,) = self._encode(a, self._worker_rows(self.gen_a, i))
         return MatrixF._wrap(self.field, coded)
 
     def encode_b(self, b: MatrixF, i: int) -> MatrixF:
-        (coded,) = self._encode(b, self.n, self._worker_rows(self.gen_b, i))
+        (coded,) = self._encode(b, self._worker_rows(self.gen_b, i))
         return MatrixF._wrap(self.field, coded)
 
     def fewest_results(self) -> int:
@@ -210,24 +205,35 @@ class CodingScheme(ABC):
 
     def decode(
         self,
-        results: Mapping[int, MatrixF],
+        results: Mapping,
         subset: Sequence[int],
         dims: tuple[int, int] | None = None,
-    ) -> MatrixF:
-        """Recover A^T B from the results of the workers in `subset`.
+    ):
+        """The product from the results of the workers in `subset`.
 
-        dims, when given, is the true (rows, cols) of A^T B used to strip
-        padding; otherwise the padded product is returned.  Raises
-        InsufficientResults for a subset below fewest_results(), then
-        UnknownWorker or MissingResult for a bad worker index, then
-        FieldMismatch for a result over another field.
+        Results are MatrixF, which decode to a MatrixF, or arrays of any
+        integer representatives.  dims, when given, is the product's true
+        size used to strip padding: (rows, cols) of A^T B, (len(a), len(b))
+        of a convolution.  Raises InsufficientResults for a subset below
+        fewest_results(), then UnknownWorker or MissingResult for a bad
+        worker index, then FieldMismatch for a result over another field.
         """
-        self._check_count(subset)
-        gathered = gather_results(results, subset, self.N)
-        if any(r.field != self.field for r in gathered):
-            raise FieldMismatch(f"a result is not over the code's {self.field}")
-        received = [r.data for r in gathered]
-        return MatrixF._wrap(self.field, self._decode_received(received, subset, dims))
+        self._check_subset(subset)
+        for w in subset:
+            if w not in results:
+                raise MissingResult(f"no result from worker {w}")
+        gathered = [results[w] for w in subset]
+        matrices = all(isinstance(r, MatrixF) for r in gathered)
+        if matrices:
+            if any(r.field != self.field for r in gathered):
+                raise FieldMismatch(f"a result is not over the code's {self.field}")
+            received = [r.data for r in gathered]
+        else:
+            received = [canonical_array(self.field, r) for r in gathered]
+        if len({r.shape for r in received}) > 1:
+            raise BlockShapeMismatch("worker results differ in shape")
+        product = self._decode_received(received, subset, dims)
+        return MatrixF._wrap(self.field, product) if matrices else product
 
     def decode_received(
         self,
@@ -235,17 +241,15 @@ class CodingScheme(ABC):
         subset: Sequence[int],
         dims: tuple[int, int] | None = None,
     ) -> np.ndarray:
-        """A^T B as an array, from received[i], the result of worker subset[i].
+        """The product as an array, from received[i], the result of worker subset[i].
 
-        received is the (len(subset), br, bc) stack of results, such as
-        worker_products(a, b)[subset]; its entries may be any integer
+        received is the (len(subset), *result shape) stack of results, such
+        as worker_products(a, b)[subset]; its entries may be any integer
         representatives of their field elements.  Raises UnknownWorker for a
-        worker index outside [0, N).
+        worker index outside [0, N) and NonIntegerEntry for a non-integer
+        entry.
         """
-        self._check_count(subset)
-        index = np.asarray(subset)
-        if index.dtype.kind not in "iu" or index.min() < 0 or index.max() >= self.N:
-            raise UnknownWorker(f"worker index out of range for N={self.N} in {list(subset)}")
+        self._check_subset(subset)
         if len(received) != len(subset):
             raise BlockShapeMismatch(f"{len(received)} results for {len(subset)} workers")
         q = self.field.modulus
@@ -255,13 +259,17 @@ class CodingScheme(ABC):
             if received.size and received.view(np.uint64).max() >= q:
                 received = received % q
         elif received.dtype != object:
-            received = received % q
+            received = canonical_array(self.field, received)
         return self._decode_received(received, subset, dims)
 
-    def _check_count(self, subset: Sequence[int]):
+    def _check_subset(self, subset: Sequence[int]):
+        """InsufficientResults below fewest_results(), then UnknownWorker for an index outside [0, N)."""
         need = self.fewest_results()
         if len(subset) < need:
             raise InsufficientResults(f"got {len(subset)} results, need {need}")
+        index = np.asarray(subset)
+        if index.dtype.kind not in "iu" or index.min() < 0 or index.max() >= self.N:
+            raise UnknownWorker(f"worker index out of range for N={self.N} in {list(subset)}")
 
     @abstractmethod
     def _decode_received(
@@ -282,22 +290,26 @@ class CodingScheme(ABC):
         combine(self.field, weights, parts, out=grid_blocks(blocks))
         return assemble_array(blocks, dims)
 
-    def encode_all(self, a: MatrixF, b: MatrixF) -> list[tuple[MatrixF, MatrixF]]:
-        """Coded pairs for every worker (partitions the inputs only once)."""
-        coded_a, coded_b = self._encode(a, self.m, self.gen_a), self._encode(b, self.n, self.gen_b)
-        return [(MatrixF._wrap(self.field, ca), MatrixF._wrap(self.field, cb))
-                for ca, cb in zip(coded_a, coded_b)]
+    def encode_all(self, a, b) -> list[tuple]:
+        """Coded pairs for every worker (splits the inputs only once).
 
-    def worker_products(self, a: MatrixF, b: MatrixF) -> np.ndarray:
-        """Every worker's result as one (N, br, bc) stack, from one modmatmul.
-
-        Entry i equals worker_multiply(*self.encode_all(a, b)[i]).data.
+        The pairs are MatrixF for MatrixF inputs, else arrays.
         """
-        coded_a, coded_b = self._encode(a, self.m, self.gen_a), self._encode(b, self.n, self.gen_b)
-        return modmatmul(coded_a.swapaxes(1, 2), coded_b, self.field.modulus)
+        coded_a, coded_b = self._encode(a, self.gen_a), self._encode(b, self.gen_b)
+        if isinstance(a, MatrixF):
+            return [(MatrixF._wrap(self.field, ca), MatrixF._wrap(self.field, cb))
+                    for ca, cb in zip(coded_a, coded_b)]
+        return list(zip(coded_a, coded_b))
+
+    def worker_products(self, a, b) -> np.ndarray:
+        """Every worker's result as one (N, *result shape) stack.
+
+        For a matrix code, entry i equals worker_multiply(*self.encode_all(a, b)[i]).data.
+        """
+        return self._work(self._encode(a, self.gen_a), self._encode(b, self.gen_b))
 
 
-class InterpolationCode:
+class InterpolationCode(CodingScheme):
     """An evaluation code: worker w returns h(points[w]) for one product polynomial h.
 
     h has degree < K, the number of columns of output_map, and the product's
@@ -305,12 +317,10 @@ class InterpolationCode:
     workers S, of any shape, decode through the one map output_map V_S^-1,
     V_S being the Vandermonde matrix at their points.  _assemble(weights,
     parts, dims) then builds the product from the parts' combination: A^T B
-    from its mn blocks, written in place, the list of R element-wise
-    products, or the overlap-add of K block convolutions.
+    from its mn blocks, written in place, the R element-wise products, or
+    the overlap-add of K block convolutions.
     """
 
-    field: PrimeField
-    N: int
     points: tuple[int, ...]
     output_map: np.ndarray
 
@@ -324,18 +334,8 @@ class InterpolationCode:
         decode_map = modmatmul(self.output_map, lagrange_basis(self.field, xs), self.field.modulus)
         return self._assemble(decode_map, received[:k_need], dims)
 
-    def _decode_results(self, results: Mapping, subset: Sequence[int], dims):
-        """_decode_received from a worker -> array mapping, such as the vector codes take."""
-        k_need = self.output_map.shape[1]
-        if len(subset) < k_need:
-            raise InsufficientResults(f"got {len(subset)} results, need {self.recovery_threshold()}")
-        got = [np.asarray(v) % self.field.modulus for v in gather_results(results, subset, self.N)[:k_need]]
-        if len({v.shape for v in got}) > 1:
-            raise BlockShapeMismatch("worker results differ in shape")
-        return self._decode_received(got, list(subset), dims)
 
-
-class GeneralPolynomialCode(InterpolationCode, CodingScheme):
+class GeneralPolynomialCode(InterpolationCode):
     """Polynomial code for an arbitrary valid exponent choice."""
 
     def __init__(self, spec: PolynomialCodeSpec):

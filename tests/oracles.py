@@ -34,6 +34,24 @@ def oracle_product(a: MatrixF, b: MatrixF) -> MatrixF:
     return MatrixF(a.field, rows)
 
 
+def block_grid(matrix: MatrixF, row_parts: int, col_parts: int) -> list[list[MatrixF]]:
+    """matrix zero-padded and cut into row_parts x col_parts equal blocks, grid[j][k]."""
+    rows, cols = matrix.shape
+    br, bc = -(-rows // row_parts), -(-cols // col_parts)
+    data = matrix.data.tolist()
+
+    def entry(r, c):
+        return data[r][c] if r < rows and c < cols else 0
+
+    return [
+        [
+            MatrixF(matrix.field, [[entry(j * br + r, k * bc + c) for c in range(bc)] for r in range(br)])
+            for k in range(col_parts)
+        ]
+        for j in range(row_parts)
+    ]
+
+
 def direct_convolution(q: int, a, b):
     """Full linear convolution mod q, O(len(a) * len(b))."""
     out = [0] * (len(a) + len(b) - 1)

@@ -21,7 +21,7 @@ from codedmm.bilinear import (
     tensor_power,
     validate_construction,
 )
-from codedmm.blocks import MatrixF, assemble, partition
+from codedmm.blocks import MatrixF, assemble_array, padded_blocks
 from codedmm.bounds import converse_linear, threshold_entangled
 from codedmm.cli import main as cli_main
 from codedmm.errors import InsufficientResults, TooManyErrors
@@ -137,10 +137,7 @@ def test_criterion_4_elementwise_product():
         a = [int(v) for v in rng.integers(0, 65537, size=4)]
         b = [int(v) for v in rng.integers(0, 65537, size=4)]
         want = elementwise_product(65537, a, b)
-        results = {
-            i: ElementwiseProductCode.worker(code.encode(a, i), code.encode(b, i)) % 65537
-            for i in range(10)
-        }
+        results = dict(enumerate(code.worker_products(a, b)))
         for sub in combinations(range(10), 7):
             assert [int(v) for v in code.decode(results, sub)] == want
         # 6 points cannot pin down the 7 coefficients of the product polynomial
@@ -317,10 +314,9 @@ def test_criterion_11_property_suites():
                 m = MatrixF(GF257, rng.integers(0, 257, size=(s, r)))
                 for p in range(1, 5):
                     for k in range(1, 5):
-                        grid = partition(m, p, k)
-                        back = assemble(grid.blocks)
-                        assert np.array_equal(back.data[:s, :r], m.data)
-                        assert int(back.data.sum()) == int(m.data.sum())
+                        back = assemble_array(padded_blocks(m, p, k))
+                        assert np.array_equal(back[:s, :r], m.data)
+                        assert int(back.sum()) == int(m.data.sum())
 
     with criterion(11, "encoding linearity under random superpositions", 60.0):
         rng = np.random.default_rng(111)

@@ -18,17 +18,18 @@ from codedmm.bilinear import (
     tensor_power,
     validate_construction,
 )
-from codedmm.blocks import MatrixF, partition
+from codedmm.blocks import MatrixF
 from codedmm.errors import (
     BlockShapeMismatch,
     ConstructionTooLarge,
     FieldTooSmall,
     InsufficientResults,
+    NonIntegerEntry,
     TooFewWorkers,
 )
 from codedmm.schemes import worker_multiply
 
-from oracles import elementwise_product, oracle_product, random_matrix
+from oracles import block_grid, elementwise_product, oracle_product, random_matrix
 
 
 class TestValidate:
@@ -70,25 +71,24 @@ class TestStrassenMultiply:
         q = 257
         a = random_matrix(gf257, 4, 4, rng)
         b = random_matrix(gf257, 4, 4, rng)
-        a_grid = partition(a, 2, 2)
-        b_grid = partition(b, 2, 2)
+        a_grid = block_grid(a, 2, 2)
+        b_grid = block_grid(b, 2, 2)
         prods = []
         for i in range(7):
             left = MatrixF.zeros(gf257, 2, 2)
             right = MatrixF.zeros(gf257, 2, 2)
             for j in range(2):
                 for k in range(2):
-                    left = left + a_grid[j, k].scale(int(s.a[i, j, k]))
-                    right = right + b_grid[j, k].scale(int(s.b[i, j, k]))
+                    left = left + a_grid[j][k].scale(int(s.a[i, j, k]))
+                    right = right + b_grid[j][k].scale(int(s.b[i, j, k]))
             prods.append(worker_multiply(left, right))
         grid = [[MatrixF.zeros(gf257, 2, 2) for _ in range(2)] for _ in range(2)]
         for i in range(7):
             for j in range(2):
                 for k in range(2):
                     grid[j][k] = grid[j][k] + prods[i].scale(int(s.c[i, j, k]))
-        from codedmm.blocks import assemble_product
-
-        assert assemble_product(grid, (4, 4)) == oracle_product(a, b)
+        assembled = np.block([[blk.data for blk in row] for row in grid])
+        assert MatrixF(gf257, assembled[:4, :4]) == oracle_product(a, b)
 
 
 class TestTensorPower:
@@ -130,10 +130,10 @@ class TestImprovedCode:
         bc = strassen_construction()
         code = ImprovedBilinearCode(bc, 15, gf65537)
         a = random_matrix(gf65537, 4, 4, rng)
-        a_grid = partition(a, 2, 2)
+        a_grid = block_grid(a, 2, 2)
         for i in range(bc.rank):
             # coded vector entry i: sum over (j, k) of a[i, j, k] * A[j, k]
-            vec = sum(int(bc.a[i, j, k]) * a_grid[j, k].data for j in range(2) for k in range(2))
+            vec = sum(int(bc.a[i, j, k]) * a_grid[j][k].data for j in range(2) for k in range(2))
             assert code.encode_a(a, i).data.tolist() == (vec % 65537).tolist()
 
     def test_is_the_elementwise_code_on_the_coded_vectors(self, gf65537, rng):
@@ -144,13 +144,14 @@ class TestImprovedCode:
         elementwise = ElementwiseProductCode(bc.rank, 15, gf65537)
         for tensor, encode in ((bc.a, code.encode_a), (bc.b, code.encode_b)):
             matrix = random_matrix(gf65537, 4, 4, rng)
-            grid = partition(matrix, 2, 2)
+            grid = block_grid(matrix, 2, 2)
             vectors = [
-                sum(int(tensor[r, j, k]) * grid[j, k].data for j in range(2) for k in range(2)) % 65537
+                sum(int(tensor[r, j, k]) * grid[j][k].data for j in range(2) for k in range(2)) % 65537
                 for r in range(bc.rank)
             ]
+            coded = elementwise.encode_all(vectors, vectors)
             for i in range(15):
-                assert encode(matrix, i).data.tolist() == elementwise.encode(vectors, i).tolist()
+                assert encode(matrix, i).data.tolist() == coded[i][0].tolist()
 
     def test_zero_inputs_zero_blocks(self, gf65537):
         code = ImprovedBilinearCode(strassen_construction(), 13, gf65537)
@@ -207,10 +208,7 @@ class TestElementwiseProduct:
         assert code.recovery_threshold() == 7
         a = [rng.randrange(q) for _ in range(4)]
         b = [rng.randrange(q) for _ in range(4)]
-        results = {
-            i: ElementwiseProductCode.worker(code.encode(a, i), code.encode(b, i)) % q
-            for i in range(10)
-        }
+        results = dict(enumerate(code.worker_products(a, b)))
         want = elementwise_product(q, a, b)
         for sub in combinations(range(10), 7):
             got = [int(v) for v in code.decode(results, sub)]
@@ -224,10 +222,7 @@ class TestElementwiseProduct:
         assert code.recovery_threshold() == 5  # N < 2R - 1
         a = [rng.randrange(q) for _ in range(4)]
         b = [rng.randrange(q) for _ in range(4)]
-        results = {
-            i: ElementwiseProductCode.worker(code.encode(a, i), code.encode(b, i)) % q
-            for i in range(5)
-        }
+        results = dict(enumerate(code.worker_products(a, b)))
         got = [int(v) for v in code.decode(results, list(range(5)))]
         assert got == elementwise_product(q, a, b)
 
@@ -235,10 +230,7 @@ class TestElementwiseProduct:
         code = ElementwiseProductCode(3, 7, gf257)
         a = [random_matrix(gf257, 2, 2, rng).data for _ in range(3)]
         b = [random_matrix(gf257, 2, 2, rng).data for _ in range(3)]
-        results = {
-            i: ElementwiseProductCode.worker(code.encode(a, i), code.encode(b, i)) % 257
-            for i in range(7)
-        }
+        results = dict(enumerate(code.worker_products(a, b)))
         got = code.decode(results, list(range(7)))
         for i in range(3):
             assert np.array_equal(got[i], a[i] * b[i] % 257)
@@ -250,6 +242,20 @@ class TestElementwiseProduct:
         with pytest.raises(BlockShapeMismatch):
             code.decode(results, [0, 1, 2])
 
+
+    def test_non_integer_entries_are_refused(self, gf65537):
+        # 1.5 would otherwise be truncated to 1, and a result 0.9 off decode silently
+        code = ElementwiseProductCode(3, 5, gf65537)
+        with pytest.raises(NonIntegerEntry):
+            code.worker_products([1.5, 2.7, 3.2], [1, 2, 3])
+        with pytest.raises(NonIntegerEntry):
+            code.encode_all([1, 2, 3], [1.5, 2.7, 3.2])
+        results = dict(enumerate(code.worker_products([1, 2, 3], [4, 5, 6])))
+        results[2] = results[2] + 0.9
+        with pytest.raises(NonIntegerEntry):
+            code.decode(results, list(range(5)))
+        with pytest.raises(NonIntegerEntry):
+            code.decode_received(np.array([results[w] for w in range(5)]), list(range(5)))
 
 class TestRegistry:
     def test_small_rank_pipelines_exhaustive(self, gf65537, rng):

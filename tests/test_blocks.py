@@ -5,11 +5,9 @@ import pytest
 
 from codedmm.blocks import (
     MatrixF,
-    assemble,
     assemble_array,
-    assemble_product,
     overlap_add,
-    partition,
+    padded_blocks,
     partition_vector,
     read_matrix_text,
     write_matrix_text,
@@ -83,31 +81,40 @@ class TestMatrixF:
             MatrixF(gf7, [[1]]) + MatrixF(gf257, [[1]])
 
 
+def stacked(grid):
+    """The (rows, cols, br, bc) block array of a grid of equal-shape MatrixF blocks."""
+    return np.stack([np.stack([blk.data for blk in row]) for row in grid])
+
+
+def matrix_grid(matrix, rows, cols):
+    """padded_blocks(matrix, rows, cols) as a grid of MatrixF blocks."""
+    return [[MatrixF(matrix.field, blk) for blk in row] for row in padded_blocks(matrix, rows, cols)]
+
+
 class TestPartition:
     def test_column_split_example(self, gf7):
-        grid = partition(MatrixF(gf7, [[1], [2]]), 2, 1)
-        assert grid[0, 0].data.tolist() == [[1]]
-        assert grid[1, 0].data.tolist() == [[2]]
-        assert grid.original_shape == (2, 1)
+        grid = padded_blocks(MatrixF(gf7, [[1], [2]]), 2, 1)
+        assert grid[0, 0].tolist() == [[1]]
+        assert grid[1, 0].tolist() == [[2]]
 
     def test_padding_three_by_three(self, gf7):
         m = MatrixF(gf7, [[1, 2, 3], [4, 5, 6], [0, 1, 2]])
-        grid = partition(m, 2, 2)
-        assert grid.block_shape == (2, 2)
-        assert grid[0, 0].data.tolist() == [[1, 2], [4, 5]]
-        assert grid[1, 1].data.tolist() == [[2, 0], [0, 0]]  # zero padded row/col
+        grid = padded_blocks(m, 2, 2)
+        assert grid.shape[2:] == (2, 2)
+        assert grid[0, 0].tolist() == [[1, 2], [4, 5]]
+        assert grid[1, 1].tolist() == [[2, 0], [0, 0]]  # zero padded row/col
 
     @pytest.mark.parametrize("rows, cols, even", [(4, 6, True), (3, 5, False)])
     def test_blocks_are_read_only(self, gf257, rng, rows, cols, even):
         # an even 2 x 3 split views the input, an uneven one pads a copy
         m = random_matrix(gf257, rows, cols, rng)
         before = m.data.copy()
-        grid = partition(m, 2, 3)
-        assert np.shares_memory(grid[0, 0].data, m.data) == even
-        for row in grid.blocks:
+        grid = padded_blocks(m, 2, 3)
+        assert np.shares_memory(grid[0, 0], m.data) == even
+        for row in grid:
             for blk in row:
                 with pytest.raises(ValueError):
-                    blk.data[0, 0] = 1
+                    blk[0, 0] = 1
         assert np.array_equal(m.data, before)
         assert m.data.flags.writeable
 
@@ -117,25 +124,24 @@ class TestPartition:
                 m = random_matrix(gf7, s, r, rng)
                 for p in range(1, 5):
                     for k in range(1, 5):
-                        grid = partition(m, p, k)
-                        back = assemble(grid.blocks)
-                        assert back.data[:s, :r].tolist() == m.data.tolist()
+                        back = assemble_array(padded_blocks(m, p, k))
+                        assert back[:s, :r].tolist() == m.data.tolist()
                         # padding region is all zero
-                        assert int(np.sum(back.data)) % 7 == int(np.sum(m.data)) % 7
+                        assert int(np.sum(back)) % 7 == int(np.sum(m.data)) % 7
 
     def test_block_product_identity(self, gf257, rng):
         # sum_j A[j,k]^T B[j,k'] equals the (k,k') block of A^T B (divisible dims)
         p, m, n = 2, 3, 2
         a = random_matrix(gf257, 4, 6, rng)
         b = random_matrix(gf257, 4, 4, rng)
-        a_grid = partition(a, p, m)
-        b_grid = partition(b, p, n)
+        a_grid = matrix_grid(a, p, m)
+        b_grid = matrix_grid(b, p, n)
         product = oracle_product(a, b)
         for k in range(m):
             for kp in range(n):
-                acc = a_grid[0, k].transpose() @ b_grid[0, kp]
+                acc = a_grid[0][k].transpose() @ b_grid[0][kp]
                 for j in range(1, p):
-                    acc = acc + (a_grid[j, k].transpose() @ b_grid[j, kp])
+                    acc = acc + (a_grid[j][k].transpose() @ b_grid[j][kp])
                 br, bc = acc.shape
                 expected = product.data[k * br:(k + 1) * br, kp * bc:(kp + 1) * bc]
                 assert acc.data.tolist() == expected.tolist()
@@ -144,31 +150,31 @@ class TestPartition:
 class TestAssembleProduct:
     def test_single_block_truncation(self, gf7):
         blk = MatrixF(gf7, [[1, 2], [3, 4]])
-        out = assemble_product([[blk]], (1, 2))
-        assert out.data.tolist() == [[1, 2]]
+        out = assemble_array(stacked([[blk]]), (1, 2))
+        assert out.tolist() == [[1, 2]]
 
     def test_block_diagonal(self, gf7):
         eye = MatrixF(gf7, [[1, 0], [0, 1]])
         zero = MatrixF(gf7, [[0, 0], [0, 0]])
-        out = assemble_product([[eye, zero], [zero, eye]], (4, 4))
-        assert out.data.tolist() == np.eye(4, dtype=int).tolist()
+        out = assemble_array(stacked([[eye, zero], [zero, eye]]), (4, 4))
+        assert out.tolist() == np.eye(4, dtype=int).tolist()
 
     def test_full_pipeline_against_oracle(self, gf257, rng):
         a = random_matrix(gf257, 4, 4, rng)
         b = random_matrix(gf257, 4, 4, rng)
         p, m, n = 2, 2, 2
-        a_grid = partition(a, p, m)
-        b_grid = partition(b, p, n)
+        a_grid = matrix_grid(a, p, m)
+        b_grid = matrix_grid(b, p, n)
         grid = []
         for k in range(m):
             row = []
             for kp in range(n):
-                acc = a_grid[0, k].transpose() @ b_grid[0, kp]
+                acc = a_grid[0][k].transpose() @ b_grid[0][kp]
                 for j in range(1, p):
-                    acc = acc + (a_grid[j, k].transpose() @ b_grid[j, kp])
+                    acc = acc + (a_grid[j][k].transpose() @ b_grid[j][kp])
                 row.append(acc)
             grid.append(row)
-        assert assemble_product(grid, (4, 4)) == oracle_product(a, b)
+        assert MatrixF(gf257, assemble_array(stacked(grid), (4, 4))) == oracle_product(a, b)
 
     @pytest.mark.parametrize("q", [7, 2**61 - 1])
     def test_matches_np_block(self, q, rng):
@@ -176,7 +182,7 @@ class TestAssembleProduct:
         for rows, cols, br, bc in ((1, 1, 1, 1), (3, 1, 1, 1), (2, 3, 2, 1), (2, 2, 3, 4)):
             grid = [[random_matrix(field, br, bc, rng) for _ in range(cols)] for _ in range(rows)]
             want = np.block([[blk.data for blk in row] for row in grid])
-            got = assemble(grid).data
+            got = assemble_array(stacked(grid))
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tolist() == want.tolist()
 
@@ -184,19 +190,13 @@ class TestAssembleProduct:
     def test_array_form_matches_grid_form(self, q, rng):
         field = PrimeField(q)
         grid = [[random_matrix(field, 3, 2, rng) for _ in range(3)] for _ in range(2)]
-        stacked = np.stack([np.stack([blk.data for blk in row]) for row in grid])
+        full = np.block([[blk.data for blk in row] for row in grid])
         for dims in (None, (6, 6), (5, 4)):
-            want = assemble_product(grid, dims).data
-            got = assemble_array(stacked, dims)
+            want = full if dims is None else full[:dims[0], :dims[1]]
+            got = assemble_array(stacked(grid), dims)
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
         with pytest.raises(BlockShapeMismatch):
-            assemble_array(stacked, (7, 6))
-
-    def test_ragged_grid(self, gf7):
-        # the ValueError np.block raised for a ragged grid
-        blk = MatrixF(gf7, [[1]])
-        with pytest.raises(ValueError):
-            assemble([[blk, blk], [blk]])
+            assemble_array(stacked(grid), (7, 6))
 
 
 class TestPartitionVector:

@@ -83,6 +83,16 @@ class TestConvEncode:
             assert cas.tolist() == ((ca1 + ca2) % 257).tolist()
 
 
+    def test_non_canonical_blocks(self, gf65537):
+        # 2^62 is a representative of 49153; on the float64 path 2^62 + 4 loses the 4
+        spec = conv_spec(2, 2, 4, 3, gf65537)
+        a_blocks = [np.array([2**62, 0, 0]), np.array([4, 0, 0])]
+        b_blocks = [np.array([1, 0, 0]), np.array([0, 0, 0])]
+        ca, _ = conv_encode(spec, a_blocks, b_blocks, 1)
+        assert int(ca[0]) == (2**62 + 4) % 65537 == 49157
+        with pytest.raises(NonIntegerEntry):
+            conv_encode(spec, [np.array([1.5, 2, 3]), np.array([1, 2, 3])], b_blocks, 1)
+
 class TestConvWorker:
     def test_delta_padding(self, gf7):
         spec = conv_spec(1, 1, 3, 3, gf7)

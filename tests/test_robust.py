@@ -30,7 +30,6 @@ from codedmm.robust import (
     inject_faults,
 )
 from codedmm.schemes import (
-    CodingScheme,
     EntangledCode,
     RandomLinearCode,
     UncodedRepetitionCode,
@@ -429,7 +428,7 @@ class TestNonPolynomialSchemes:
     @pytest.mark.parametrize("repair", [detect_errors, correct_errors])
     def test_typed_error_names_the_scheme(self, make_code, repair, gf65537, rng):
         code = make_code(gf65537)
-        if isinstance(code, CodingScheme):
+        if isinstance(code, (RandomLinearCode, UncodedRepetitionCode)):
             a, b = random_matrix(gf65537, 4, 4, rng), random_matrix(gf65537, 4, 4, rng)
             results = make_results(code, a, b)
         else:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from codedmm.bilinear import ImprovedBilinearCode, standard_construction, strassen_construction
-from codedmm.blocks import MatrixF, partition
+from codedmm.blocks import MatrixF
 from codedmm.errors import (
     BlockShapeMismatch,
     CodedmmError,
@@ -15,6 +15,7 @@ from codedmm.errors import (
     FieldTooSmall,
     InsufficientResults,
     MissingResult,
+    NonIntegerEntry,
     SingularDecodeSystem,
     TooFewWorkers,
     UnknownWorker,
@@ -31,7 +32,7 @@ from codedmm.schemes import (
     worker_multiply,
 )
 
-from oracles import oracle_product, random_matrix, rank_mod
+from oracles import block_grid, oracle_product, random_matrix, rank_mod
 
 
 def run_workers(scheme, a, b):
@@ -54,9 +55,9 @@ class TestGeneralPolyEncode:
         a = random_matrix(gf65537, 4, 4, rng)
         b = random_matrix(gf65537, 4, 4, rng)
         ca, cb = code.encode_a(a, 0), code.encode_b(b, 0)
-        assert ca == partition(a, 2, 2)[0, 0]
+        assert ca == block_grid(a, 2, 2)[0][0]
         # B's exponent (p-1-j) vanishes at j = p-1 instead
-        assert cb == partition(b, 2, 2)[1, 0]
+        assert cb == block_grid(b, 2, 2)[1][0]
 
     def test_encoding_linearity(self, gf65537, rng):
         code = EntangledCode(2, 2, 1, 9, gf65537)
@@ -243,6 +244,18 @@ def test_decode_received_takes_any_representative(name, gf65537, rng):
     assert np.array_equal(got, oracle_product(a, b).data)
 
 
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_decode_received_refuses_a_float_stack(name, gf65537, rng):
+    # an entry 0.9 off its field element must not be truncated into a wrong product
+    scheme = BATCHED[name](gf65537)
+    stack = scheme.worker_products(random_matrix(gf65537, 5, 3, rng), random_matrix(gf65537, 5, 2, rng))
+    subset = list(range(scheme.N))
+    floats = stack.astype(np.float64)
+    floats[1, 0, 0] += 0.9
+    with pytest.raises(NonIntegerEntry):
+        scheme.decode_received(floats, subset, dims=(3, 2))
+
 INTERPOLATION = {
     "entangled": lambda f: EntangledCode(2, 2, 1, 8, f),
     "general-poly": BATCHED["general-poly"],
@@ -263,10 +276,10 @@ def test_output_map_takes_coefficients_to_output_blocks(name, gf65537, rng):
     subset = sorted(rng.sample(range(code.N), k))
     coeffs = interpolate_arrays(gf65537, [code.points[w] for w in subset], stack[subset])
     blocks = modmatmul(code.output_map, coeffs.reshape(k, -1), 65537).reshape(m, n, 2, 2)
-    want = partition(oracle_product(a, b), m, n)
+    want = block_grid(oracle_product(a, b), m, n)
     for j in range(m):
         for kp in range(n):
-            assert np.array_equal(blocks[j, kp], want[j, kp].data)
+            assert np.array_equal(blocks[j, kp], want[j][kp].data)
 
 
 class TestEntangledDecode:
@@ -320,13 +333,13 @@ class TestEntangledDecode:
         coeffs = interpolate_arrays(
             gf65537, [code.spec.x_points[w] for w in fit], [results[w].data for w in fit]
         )
-        a_grid = partition(a, p, m)
-        b_grid = partition(b, p, n)
+        a_grid = block_grid(a, p, m)
+        b_grid = block_grid(b, p, n)
         for k in range(m):
             for kp in range(n):
-                acc = a_grid[0, k].transpose() @ b_grid[0, kp]
+                acc = a_grid[0][k].transpose() @ b_grid[0][kp]
                 for j in range(1, p):
-                    acc = acc + (a_grid[j, k].transpose() @ b_grid[j, kp])
+                    acc = acc + (a_grid[j][k].transpose() @ b_grid[j][kp])
                 assert np.array_equal(coeffs[(p - 1) + k * p + kp * p * m], acc.data)
 
     def test_insufficient_results(self, gf65537, rng):
