@@ -265,12 +265,13 @@ class ElementwiseProductCode(InterpolationCode):
         return coded_a * coded_b % self.field.modulus
 
     def _decode_received(self, received, subset: Sequence[int], dims) -> np.ndarray:
-        if len(subset) < self.output_map.shape[1]:
-            # N < 2R - 1, and y_i = x_i for i < R: those workers hold the products directly
-            rows = {int(w): row for row, w in enumerate(subset)}
-            if not rows.keys() >= set(self.x_points):
+        first = self._first_results(subset)
+        if len(first) < self.output_map.shape[1]:
+            # below 2R - 1 distinct workers, and y_i = x_i for i < R: those
+            # workers hold the products directly
+            if not first.keys() >= set(self.x_points):
                 raise InsufficientResults(f"the first {self.length} workers are needed below 2R - 1 results")
-            return np.asarray(received)[[rows[w] for w in self.x_points]]
+            return np.asarray(received)[[first[w] for w in self.x_points]]
         return super()._decode_received(received, subset, dims)
 
     def _assemble(self, weights: np.ndarray, parts, dims) -> np.ndarray:

@@ -10,16 +10,17 @@ Every matrix contraction over GF(q) goes through ``modmatmul``.  For q < 2^21
 arrays are int64 and the product runs on float64 BLAS with delayed modular
 reduction (Dumas, Giorgi & Pernet, FFLAS-FFPACK): a sum of k products of
 canonical entries is an integer of at most k*(q-1)^2, which float64 holds
-exactly while it stays below 2^53, so contractions are split into chunks of
-at most (2^53 - 1) // (q-1)^2 terms (2048 or more for q < 2^21) and reduced
-between chunks.  Tiny products are one matmul reduced with one ``%``.  Every
-larger product, and every larger weighted sum formed by ``combine``,
-allocates nothing but the array it returns: its float64 operand copies,
-float64 product and int64 scratch live in one per-thread workspace of
-_TILE_ELEMS entries, it is reduced there by floor division, x - (x // q) * q,
-and copied into the result once.  ``combine`` reads its parts where they lie,
-strided views included, and can write into the caller's array or views
-(``out``).  convolution.field_convolve keeps its FFT buffers there too.
+exactly, so contractions are split into chunks of at most
+(2^50 - q) // (q-1)^2 terms (256 or more for q < 2^21) and reduced between
+chunks.  Tiny products are one matmul reduced with one ``%``.  Every larger
+product, and every larger weighted sum formed by ``combine``, allocates
+nothing but the array it returns: it runs in tiles of rows and columns
+(Goto & van de Geijn) whose float64 operand copies, product and scratch
+live in one per-thread workspace of _TILE_ELEMS entries, where each tile is
+reduced without division, x - floor(x * c) * q with c a reciprocal of q
+rounded up, exact below 2^50, and copied into the result once.  ``combine``
+reads its parts where they lie, strided views included, and can write into
+the caller's array or views (``out``).  convolution.field_convolve keeps its FFT buffers there too.
 No kernel function calls another while it holds the workspace.
 Results of 64 KB or more, and the products that schemes assemble, come from
 one result pool shared by every thread (``_fresh``): a buffer that no result
@@ -44,20 +45,20 @@ import numpy as np
 from .errors import DivisionByZero, DuplicateEvaluationPoint, FieldMismatch, NonIntegerEntry
 
 # Moduli below this get int64 arrays, whose contractions modmatmul runs on
-# float64 BLAS in chunks of at least 2048 terms; larger moduli get Python-int
+# float64 BLAS in chunks of at least 256 terms; larger moduli get Python-int
 # (object) arrays.
 _INT64_SAFE_MODULUS = 1 << 21
 
-# Integers up to this bound are exact in float64.
-_FLOAT_EXACT = 1 << 53
+# _reduce takes float64 integers below this bound to their exact residues.
+_REDUCE_EXACT = 1 << 50
 
 # The size of each thread's workspace, in 8-byte entries (2 MB): a tile's
-# float64 operand slices, float64 product and int64 scratch fit it.
+# float64 operand slices, product and scratch fit it.
 _TILE_ELEMS = 1 << 18
 
 # Products of at most this many 8-byte operand, product and result entries
 # take one matmul on fresh copies and one %, which at this size costs less
-# than slicing the workspace and three floor-division passes.
+# than slicing the workspace and the passes of _reduce.
 _SMALL_ELEMS = 1 << 15
 
 # Results of at least this many bytes come from the result pool (_fresh);
@@ -486,8 +487,16 @@ def random_elements(rng: np.random.Generator, q: int, size=None):
 
 
 def exact_float_terms(q: int) -> int:
-    """Longest dot product of canonical entries that float64 sums exactly."""
-    return (_FLOAT_EXACT - 1) // (q - 1) ** 2
+    """Longest dot product of canonical entries that the int64 kernel sums and reduces exactly.
+
+    A sum of k products of canonical entries is at most k * (q-1)^2, and one
+    canonical partial below q is added to it before _reduce, which is exact
+    below 2^50: so k is at most (2^50 - q) // (q-1)^2, 262143 terms at
+    q = 65537 and 256 at the largest int64-path prime, 2097143.  Zero when
+    not even one product fits.
+    """
+    terms = (_REDUCE_EXACT - q) // (q - 1) ** 2
+    return terms if terms > 0 else 0
 
 
 def _workspace(n: int) -> np.ndarray:
@@ -569,24 +578,28 @@ def _fill(buf: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _reduce(product: np.ndarray, scratch: np.ndarray, q: int, out: np.ndarray, accumulate: bool):
-    """out = (product + out if accumulate else product) mod q, through int64 scratch.
+    """out = (product + out if accumulate else product) mod q, without division.
 
-    product is a float64 workspace tile holding exact integers below 2^53
-    and out canonical entries, so the int64 sum cannot overflow.  It is
-    reduced as x - (x // q) * q, numpy dividing int64 by a constant without
-    hardware divides, which % does not.  The spent product holds the
-    quotient, so the passes run on contiguous workspace and out, which may
-    be a strided view, is written once: a ufunc writing a strided view
+    product is a float64 workspace tile of integers below 2^50 - q and out
+    canonical, so the sum p is an integer below 2^50.  Let t = floor(p * c),
+    with c = fl((1 + 2^-51) / q) the reciprocal rounded up.  c and p * c
+    are each rounded to nearest, so p * c = (p / q)(1 + eta) with eta
+    between about 2^-52 and 1.5 * 2^-51.  p * c is never below p / q, so t
+    is at least floor(p / q); and since p / q lies at least 1 / q below
+    floor(p / q) + 1, t stays below that while p * eta < 1, which holds for
+    every p < 2^50.  So p - t * q, formed in float64 on integers below 2^53,
+    is p mod q exactly.  The passes run on contiguous workspace (t in the
+    float64 scratch, the remainder in the spent product), and out, which
+    may be a strided view, is written once: a ufunc writing a strided view
     with short rows goes through buffers of its own.
     """
-    np.copyto(scratch, product, casting="unsafe")
     if accumulate:
-        scratch += out
-    quotient = product.view(np.int64)
-    np.floor_divide(scratch, q, out=quotient)
-    quotient *= q
-    scratch -= quotient
-    np.copyto(out, scratch)
+        product += out
+    np.multiply(product, (1 + 2.0**-51) / q, out=scratch)
+    np.floor(scratch, out=scratch)
+    scratch *= q
+    product -= scratch
+    np.copyto(out, product, casting="unsafe")
 
 
 def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -596,18 +609,22 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     @ (..., inner, cols), one product per stack entry; one operand may be a
     single matrix, shared by every entry.  Object operands multiply as
     Python ints.  int64 operands run on float64 BLAS, in chunks of the
-    contraction that float64 sums exactly, reduced mod q between chunks.
+    contraction that _reduce takes exactly (exact_float_terms), reduced
+    mod q between chunks.
     A one-chunk product of at most _SMALL_ELEMS operand, product and result
     entries ((rows + cols) * inner + 2 * rows * cols for two matrices) is
     one matmul on fresh float64 copies, reduced with one ``%``.  Every other
     product allocates nothing but its result, which comes from the result
     pool (_fresh): it runs in tiles in this thread's workspace of
     _TILE_ELEMS 8-byte entries, which holds a tile's float64 operand
-    slices, its float64 product and its int64 scratch.  A tile is as many
-    whole stack entries as fit, else column slices of one entry, which
-    share the float64 copy of the entry's a chunk.  Each tile is reduced
-    into the result by floor division (_reduce).  The result has the
-    operands' dtype.
+    slices, its float64 product and its float64 scratch.  A tile is as many
+    whole stack entries as fit, else a slab of one entry's rows times a
+    slice of its columns (Goto & van de Geijn): the slab starts as all the
+    rows and is halved until its tiles are about as wide as they are high.
+    Each column slice of b is copied once per chunk, and a slab of a once
+    per column slice, or once in all when one slab holds every row.  Each
+    tile is reduced into the result without division (_reduce).  The
+    result has the operands' dtype.
     """
     if a.dtype == object or b.dtype == object:
         return (a @ b) % q
@@ -626,27 +643,36 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     # a shared operand is one stack entry, which matmul broadcasts
     a_s, b_s = a.reshape(-1, rows, inner), b.reshape(-1, inner, cols)
     chunk = min(inner, step)
-    per_col = chunk + 2 * rows  # a float64 b column, product column and scratch column
-    entry = rows * chunk + cols * per_col
+    entry = rows * chunk + chunk * cols + 2 * rows * cols
     if entry <= _TILE_ELEMS:
-        group, width = min(len(entries), _TILE_ELEMS // entry), cols
+        group, height, width = min(len(entries), _TILE_ELEMS // entry), rows, cols
     else:
-        group, width = 1, max(1, (_TILE_ELEMS - rows * chunk) // per_col)
-    a_len, b_len, t_len = group * rows * chunk, group * chunk * width, group * rows * width
+        # one entry in slabs of rows: halve the slab until its tiles are
+        # about as wide as they are high, then even out their widths
+        group, height = 1, rows
+        width = (_TILE_ELEMS - height * chunk) // (chunk + 2 * height)
+        while width < min(height, cols) and height > 1:
+            height = (height + 1) // 2
+            width = (_TILE_ELEMS - height * chunk) // (chunk + 2 * height)
+        width = -(-cols // -(-cols // max(1, width)))
+    a_len, b_len, t_len = group * height * chunk, group * chunk * width, group * height * width
     ws = _workspace(a_len + b_len + 2 * t_len)
     a_buf, b_buf = ws[:a_len], ws[a_len:a_len + b_len]
     product = ws[a_len + b_len:a_len + b_len + t_len]
-    scratch = ws[a_len + b_len + t_len:].view(np.int64)
+    scratch = ws[a_len + b_len + t_len:]
     for s0 in range(0, len(entries), group):
         a_g = a_s if len(a_s) == 1 else a_s[s0:s0 + group]
         b_g = b_s if len(b_s) == 1 else b_s[s0:s0 + group]
         for k0 in range(0, inner, step):
-            a_part = _fill(a_buf, a_g[:, :, k0:k0 + step])
             for c0 in range(0, cols, width):
-                tile = entries[s0:s0 + group, :, c0:c0 + width]
-                p = product[:tile.size].reshape(tile.shape)
-                np.matmul(a_part, _fill(b_buf, b_g[:, k0:k0 + step, c0:c0 + width]), out=p)
-                _reduce(p, scratch[:tile.size].reshape(tile.shape), q, tile, k0 > 0)
+                b_part = _fill(b_buf, b_g[:, k0:k0 + step, c0:c0 + width])
+                for r0 in range(0, rows, height):
+                    if height < rows or c0 == 0:  # one slab's a chunk serves every column tile
+                        a_part = _fill(a_buf, a_g[:, r0:r0 + height, k0:k0 + step])
+                    tile = entries[s0:s0 + group, r0:r0 + height, c0:c0 + width]
+                    p = product[:tile.size].reshape(tile.shape)
+                    np.matmul(a_part, b_part, out=p)
+                    _reduce(p, scratch[:tile.size].reshape(tile.shape), q, tile, k0 > 0)
     return out
 
 
@@ -663,11 +689,12 @@ def combine(field: PrimeField, weights: np.ndarray, parts, out=None) -> np.ndarr
 
     Combinations that modmatmul would take as one small matmul are one
     modmatmul of the stacked parts.  Larger int64 ones read the parts
-    where they lie: each slab of rows of every part is gathered straight
+    where they lie: each slab of rows of every part, cut along the last
+    axis when one row of every part does not fit, is gathered straight
     into this thread's workspace, multiplied by the weights in one float64
-    matmul, and reduced by floor division into the result, so the result,
-    taken from the result pool (_fresh) unless out is given, is all they
-    allocate.
+    matmul, and reduced without division into the result (_reduce), so the
+    result, taken from the result pool (_fresh) unless out is given, is all
+    they allocate.
     """
     k, t = weights.shape
     first = np.asarray(parts[0])
@@ -695,33 +722,46 @@ def combine(field: PrimeField, weights: np.ndarray, parts, out=None) -> np.ndarr
     q = field.modulus
     if out is None:
         out, stacked_out = _fresh((k, *first.shape), np.int64), True
-    rows, rest = first.shape[0], first.shape[1:]
-    row = size // rows  # entries per row of a part
+    rows = first.shape[0]
+    # a slab is rows of every part, cut along the last axis when one row of
+    # every part, the product and the scratch outgrows the workspace
+    last = first.shape[-1] if first.ndim > 1 else 1
+    mid = size // (rows * last)  # entries of a row at each index of the last axis
     step = exact_float_terms(q)
     chunk = min(t, step)
-    slab = max(1, (_TILE_ELEMS - k * chunk) // (row * (chunk + 2 * k)))
-    w_len, in_len, t_len = k * chunk, chunk * slab * row, k * slab * row
+    room = _TILE_ELEMS - k * chunk
+    if mid * last * (chunk + 2 * k) <= room:
+        height, width = max(1, room // (mid * last * (chunk + 2 * k))), last
+    else:
+        height, width = 1, max(1, room // (mid * (chunk + 2 * k)))
+        width = -(-last // -(-last // width))
+    w_len, in_len, t_len = k * chunk, chunk * height * mid * width, k * height * mid * width
     ws = _workspace(w_len + in_len + 2 * t_len)
     w_buf, in_buf = ws[:w_len], ws[w_len:w_len + in_len]
     product = ws[w_len + in_len:w_len + in_len + t_len]
-    scratch = ws[w_len + in_len + t_len:].view(np.int64)
+    scratch = ws[w_len + in_len + t_len:]
     for k0 in range(0, t, step):
         w = _fill(w_buf, weights[:, k0:k0 + step])
         terms = w.shape[1]
-        for r0 in range(0, rows, slab):
-            h = min(slab, rows - r0)
-            gathered = in_buf[:terms * h * row].reshape(terms, h, *rest)
-            for j, g in enumerate(gathered):
-                np.copyto(g, parts[k0 + j][r0:r0 + h])
-            p = product[:k * h * row].reshape(k, h * row)
-            np.matmul(w, gathered.reshape(terms, -1), out=p)
-            p = p.reshape(k, h, *rest)
-            s = scratch[:k * h * row].reshape(k, h, *rest)
-            if stacked_out:
-                _reduce(p, s, q, out[:, r0:r0 + h], k0 > 0)
-            else:
-                for i, o in enumerate(out):
-                    _reduce(p[i], s[i], q, o[r0:r0 + h], k0 > 0)
+        for r0 in range(0, rows, height):
+            for c0 in range(0, last, width):
+                cut = (slice(r0, r0 + height),)
+                if first.ndim > 1:
+                    cut += (..., slice(c0, c0 + width))
+                shape = first[cut].shape
+                n = prod(shape)
+                gathered = in_buf[:terms * n].reshape(terms, *shape)
+                for j, g in enumerate(gathered):
+                    np.copyto(g, parts[k0 + j][cut])
+                p = product[:k * n].reshape(k, n)
+                np.matmul(w, gathered.reshape(terms, n), out=p)
+                p = p.reshape(k, *shape)
+                s = scratch[:k * n].reshape(k, *shape)
+                if stacked_out:
+                    _reduce(p, s, q, out[(slice(None), *cut)], k0 > 0)
+                else:
+                    for i, o in enumerate(out):
+                        _reduce(p[i], s[i], q, o[cut], k0 > 0)
     return out
 
 

@@ -327,12 +327,33 @@ class InterpolationCode(CodingScheme):
     def recovery_threshold(self) -> int:
         return self.output_map.shape[1]
 
+    @staticmethod
+    def _first_results(subset: Sequence[int]) -> dict[int, int]:
+        """Each worker of subset, in order of first appearance, with the row of its first result."""
+        first: dict[int, int] = {}
+        for row, w in enumerate(subset):
+            first.setdefault(int(w), row)
+        return first
+
     def _decode_received(self, received, subset: Sequence[int], dims):
-        """The product from received[i], the result of worker subset[i]."""
+        """The product from received[i], the result of worker subset[i].
+
+        It interpolates through the first K distinct workers, each worker's
+        first result if subset repeats it.
+        """
         k_need = self.output_map.shape[1]
-        xs = [self.points[w] for w in subset[:k_need]]
-        decode_map = modmatmul(self.output_map, lagrange_basis(self.field, xs), self.field.modulus)
-        return self._assemble(decode_map, received[:k_need], dims)
+        parts = received[:k_need]
+        try:
+            basis = lagrange_basis(self.field, [self.points[w] for w in subset[:k_need]])
+        except DuplicateEvaluationPoint:
+            # a worker repeats among the first K results
+            first = self._first_results(subset)
+            if len(first) < k_need:
+                raise InsufficientResults(f"got {len(first)} distinct workers, need {k_need}") from None
+            basis = lagrange_basis(self.field, [self.points[w] for w in list(first)[:k_need]])
+            parts = [received[row] for row in list(first.values())[:k_need]]
+        decode_map = modmatmul(self.output_map, basis, self.field.modulus)
+        return self._assemble(decode_map, parts, dims)
 
 
 class GeneralPolynomialCode(InterpolationCode):

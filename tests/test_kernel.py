@@ -1,9 +1,11 @@
 """The exact modular kernel against the Python-int oracle.
 
-modmatmul runs int64 operands on float64 BLAS, which is exact only while a
-dot product of canonical entries stays below 2^53; these tests sit on both
-sides of that chunk boundary, on output-column tiles and stack groups that
-reuse one set of buffers, and on the worst-case entry q - 1.  The combiner
+modmatmul runs int64 operands on float64 BLAS and reduces the products
+without division, which is exact only while a dot product of canonical
+entries plus one canonical partial stays below 2^50; these tests check the
+reduction itself up to that bound, sit on both sides of the chunk boundary,
+on row slabs, column tiles and stack groups that reuse one set of buffers,
+and on the worst-case entry q - 1.  The combiner
 that every encoder and decoder runs on top of it is checked on parts of
 every shape, read in place from strided views, and written into the block
 views of an assembled product.  Allocation guards bound the fresh memory
@@ -49,8 +51,9 @@ def operands(q: int, rows: int, inner: int, cols: int, seed: int, dtype=None):
 def near_maximal(q: int, rows: int, inner: int, cols: int):
     """Entries q - 1, with every 7th at q - 2 so that the exact sums are odd.
 
-    At q = Q_INT64_MAX a sum of more than 2048 such products exceeds 2^53,
-    where float64 holds only even integers: one pass too long is inexact.
+    At q = Q_INT64_MAX a sum of more than 256 such products reaches 2^50,
+    past which the division-free reduction may be off by one: one pass too
+    long is inexact.
     """
     dtype = PrimeField(q).array_dtype
     a = np.full((rows, inner), q - 1, dtype=np.int64)
@@ -86,11 +89,33 @@ def test_int64_operands_beyond_the_float_bound():
 
 
 def test_chunk_length_at_the_largest_int64_modulus():
-    assert exact_float_terms(Q_INT64_MAX) == 2048
-    assert exact_float_terms(65537) == 2**21 - 1
+    # (2^50 - q) // (q - 1)^2: a chunk and one canonical partial stay below 2^50
+    assert exact_float_terms(Q_INT64_MAX) == 256
+    assert exact_float_terms(65537) == 2**18 - 1
 
 
-@pytest.mark.parametrize("inner", [2047, 2048, 2049])
+@pytest.mark.parametrize("accumulate", [False, True], ids=["product", "accumulated"])
+@pytest.mark.parametrize("q", [2, 3, 65537, Q_INT64_MAX])
+def test_reduce_is_exact_up_to_its_bound(q, accumulate):
+    # p = kq - 1, kq and kq + 1 for the smallest k and the 500 largest below
+    # the bound, where p times the reciprocal's error nears 1: a quotient
+    # one too small leaves q, one too large a negative remainder.  With
+    # accumulate, p is split into a product and a canonical partial.
+    top = field_module._REDUCE_EXACT - 1
+    ks = np.r_[0:64, top // q - 500:top // q + 1]
+    p = (ks[:, None] * q + np.array([-1, 0, 1])).ravel()
+    p = p[(p >= 0) & (p <= top)]
+    partial = np.random.default_rng(q).integers(0, np.minimum(p, q - 1) + 1) if accumulate else 0
+    product = (p - partial).astype(np.float64)
+    store = np.full((len(p), 2), -1, dtype=np.int64)
+    out = store[:, 0]  # a strided view, as a tile of the result is
+    out[:] = partial
+    field_module._reduce(product, np.empty_like(product), q, out, accumulate)
+    assert out.tolist() == [x % q for x in p.tolist()]
+    assert (store[:, 1] == -1).all()
+
+
+@pytest.mark.parametrize("inner", [255, 256, 257, 2047, 2048, 2049])
 def test_contraction_lengths_around_one_chunk(inner):
     q = Q_INT64_MAX
     check(q, *operands(q, 2, inner, 3, seed=inner))
@@ -99,7 +124,7 @@ def test_contraction_lengths_around_one_chunk(inner):
 
 @pytest.mark.parametrize("cols", [1, 2, 3, 5, 7])
 def test_output_widths_straddling_column_tiles(monkeypatch, cols):
-    # a 6-entry budget cannot hold one column of a 2049-term chunk: 1-column tiles
+    # a 6-entry budget cannot hold one column of a 256-term chunk: 1-column tiles
     monkeypatch.setattr(field_module, "_TILE_ELEMS", 6)
     for q in (7, Q_INT64_MAX):
         check(q, *operands(q, 3, 2049, cols, seed=cols))
@@ -157,14 +182,14 @@ def test_stacked_matches_oracle(q):
     check_stacked(q, distinct_operands(q, 3, 5, 2))
 
 
-@pytest.mark.parametrize("inner", [2047, 2048, 2049])
+@pytest.mark.parametrize("inner", [255, 256, 257, 2047, 2048, 2049])
 def test_stacked_contraction_lengths_around_one_chunk(inner):
     check_stacked(Q_INT64_MAX, distinct_operands(Q_INT64_MAX, 2, inner, 3))
 
 
 @pytest.mark.parametrize("cols", [1, 2, 3, 5])
 def test_stacked_widths_straddling_column_tiles(monkeypatch, cols):
-    # a 2049-term contraction needs two chunks, so every product is tiled;
+    # a 2049-term contraction needs nine chunks, so every product is tiled;
     # 12 entries per tile cannot hold one chunk's operands: 1-column tiles
     monkeypatch.setattr(field_module, "_TILE_ELEMS", 12)
     check_stacked(Q_INT64_MAX, distinct_operands(Q_INT64_MAX, 2, 2049, cols))
@@ -229,13 +254,14 @@ def shared_and_stacked(q: int, rows: int, inner: int, cols: int):
 
 
 @pytest.mark.parametrize("tile", [6, 12, 40])
-@pytest.mark.parametrize("inner", [1, 2, 2047, 2048, 2049])
+@pytest.mark.parametrize("inner", [1, 2, 256, 257, 2047, 2048, 2049])
 def test_reused_tile_buffers(monkeypatch, tile, inner):
     # Every tile reuses one product and one scratch buffer sized for the
     # largest tile.  With 2 rows and 1 term, a 12-entry budget cuts 5 columns
-    # into tiles of 2, 2 and 1, and a 40-entry budget groups two 2 x 3
-    # entries, so a 5-entry stack ends in a group of one.  At 2049 terms two
-    # chunks accumulate into each 1-column tile.
+    # into tiles of 2, 2 and 1, a 6-entry budget into 1 x 1 tiles, and a
+    # 40-entry budget groups two 2 x 3 entries, so a 5-entry stack ends in a
+    # group of one.  From 256 terms every tile is 1 x 1, and from 257 several
+    # chunks accumulate into each.
     monkeypatch.setattr(field_module, "_TILE_ELEMS", tile)
     q = Q_INT64_MAX
     for cols in (3, 5):
@@ -271,9 +297,8 @@ def test_scratch_does_not_grow_with_output_width(rows, inner):
 
 def test_rows_whose_a_chunk_fills_the_workspace():
     # one 512-term chunk of a 512-row a fills the 2^18-entry workspace, so
-    # at 511, 512 and 513 rows the tiles are one column wide, their scratch
-    # lies past the workspace, and they write into pooled results of one
-    # size class, all three held at once
+    # at 511, 512 and 513 rows the product goes in row slabs, and the three
+    # write into pooled results of one size class, all held at once
     q = 65537
     inner, cols = 512, 40
     assert 511 * inner < field_module._TILE_ELEMS < 513 * inner
@@ -283,6 +308,22 @@ def test_rows_whose_a_chunk_fills_the_workspace():
         assert out.shape == (len(a), cols)
         # every 13th column: the first, last and two between
         assert out[:, ::13].tolist() == naive_matmul_t(q, a.T.tolist(), b[:, ::13].tolist())
+
+
+@pytest.mark.parametrize("inner", [255, 256, 257])
+@pytest.mark.parametrize("rows", [511, 512, 513, 1024])
+def test_row_slabs_and_column_tiles(rows, inner):
+    # a 256-term chunk of these rows fills half the workspace or more, so
+    # the products go in slabs of at most 256 rows and column tiles of at
+    # most 256 columns; at 257 terms a second chunk accumulates into each
+    q = Q_INT64_MAX
+    cols = 600
+    a, b = operands(q, rows, inner, cols, seed=rows + inner)
+    got = modmatmul(a, b, q)
+    assert got.shape == (rows, cols)
+    # every 97th column and the last reach every column tile, all rows every slab
+    sample = [*range(0, cols, 97), cols - 1]
+    assert got[:, sample].tolist() == naive_matmul_t(q, a.T.tolist(), b[:, sample].tolist())
 
 
 @pytest.mark.parametrize("budget", [37, 36])
@@ -427,10 +468,33 @@ def test_slab_heights_that_do_not_divide_the_block_rows(monkeypatch, slabs, tile
     assert [o.tolist() for o in combine(field, weights, parts, out=out)] == want
 
 
-@pytest.mark.parametrize("terms", [2048, 2049])
+@pytest.mark.parametrize("shape", [(3, 50), (2, 3, 40)], ids=["block", "3-d"])
+def test_combine_splits_rows_that_overflow_the_workspace(monkeypatch, slabs, shape):
+    # 4 x 6 weights: each entry of a row costs 6 + 2 * 4 = 14 entries of the
+    # parts, the product and the scratch, so past the 24 weights a 122-entry
+    # budget holds 7 of them; a row of 50 (or 3 x 40) entries goes in pieces
+    # along its last axis, each inside the workspace
+    monkeypatch.setattr(field_module, "_TILE_ELEMS", 24 + 7 * 14)
+    requests = []
+    workspace = field_module._workspace
+    monkeypatch.setattr(field_module, "_workspace", lambda n: requests.append(n) or workspace(n))
+    q = Q_INT64_MAX
+    field = PrimeField(q)
+    wide = np.random.default_rng(len(shape)).integers(0, q, size=(6, *shape[:-1], 2 * shape[-1]))
+    wide[-1] = q - 1
+    parts = list(wide[..., ::2])  # strided views
+    weights = near_maximal_weights(q, 4, 6)
+    want = combined_by_oracle(q, weights, parts)
+    assert combine(field, weights, parts).tolist() == want
+    out = [np.empty(shape, dtype=np.int64) for _ in range(4)]
+    assert [o.tolist() for o in combine(field, weights, parts, out=out)] == want
+    assert requests and max(requests) <= field_module._TILE_ELEMS
+
+
+@pytest.mark.parametrize("terms", [256, 257, 2048, 2049])
 def test_combine_near_maximal_entries_at_the_largest_int64_prime(slabs, terms):
-    # at Q_INT64_MAX one float64 pass sums at most 2048 products: 2049
-    # parts take two chunks, the second accumulated into the first
+    # at Q_INT64_MAX one float64 pass sums at most 256 products: 257 parts
+    # take two chunks, the second accumulated into the first
     q = Q_INT64_MAX
     field = PrimeField(q)
     weights = near_maximal(q, 2, terms, 1)[0]
@@ -485,6 +549,20 @@ def test_worker_product_allocates_only_its_result():
     assert peak <= 64 << 10
     out, peak = traced_peak(lambda: modmatmul(a.T, b, q), hold=True)
     assert peak <= pool_class(out.nbytes) + (64 << 10)
+
+
+def test_large_product_allocates_only_its_result():
+    # from about 256 rows a product goes in row slabs and column tiles that
+    # fit the workspace, so at 1024^2 it too takes nothing but its result
+    q = 65537
+    rng = np.random.default_rng(1024)
+    a, b = rng.integers(0, q, size=(2, 1024, 1024))
+    _, peak = traced_peak(lambda: modmatmul(a.T, b, q))
+    assert peak <= 64 << 10
+    out, peak = traced_peak(lambda: modmatmul(a.T, b, q), hold=True)
+    assert peak <= pool_class(out.nbytes) + (64 << 10)
+    # 1024 products of entries below 2^16 sum exactly in float64
+    assert np.array_equal(out, (a.T.astype(np.float64) @ b.astype(np.float64)) % q)
 
 
 def bulk_entangled():

@@ -21,7 +21,7 @@ from codedmm.bilinear import (
 from codedmm.blocks import MatrixF
 from codedmm.convolution import ConvCodeSpec, conv_spec, field_convolve
 from codedmm.errors import SingularDecodeSystem
-from codedmm.field import PrimeField
+from codedmm.field import PrimeField, combine, exact_float_terms, modmatmul
 from codedmm.schemes import (
     CodingScheme,
     EntangledCode,
@@ -128,3 +128,51 @@ def test_every_code_decodes_any_k_subset_to_the_oracle(name, q, seed):
         return
     assert np.asarray(got).ravel().tolist() == np.ravel(want).tolist()
     assert np.array_equal(code.decode(results, subset, dims), got)
+
+
+
+# the int64 kernel's moduli: both ends of the path, and a small and a mid-size prime
+KERNEL_FIELDS = [2, 3, 257, 65537, 2097143]
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=5)
+@given(
+    rows=st.integers(1, 3),
+    cols=st.integers(1, 3),
+    past=st.integers(-1, 1),
+    stack=st.sampled_from(["none", "both", "a shared", "b shared"]),
+    views=st.booleans(),
+    top=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_equals_the_oracles(q, rows, cols, past, stack, views, top, seed):
+    # modmatmul and combine on contractions one short of, at and one past
+    # exact_float_terms(q) where the oracle can reach it (q = 65537 and
+    # 2097143), else long enough for the kernel's tiles; top draws the
+    # near-maximal entries q - 1 and q - 2
+    rng = np.random.default_rng(seed)
+    low = q - 2 if top else 0
+    draw = lambda *shape: rng.integers(low, q, size=shape)
+    step = exact_float_terms(q)
+    inner = (step if step <= 1 << 18 else 6000) + past
+    if inner > 10000:  # the oracle's time grows with the output times the contraction
+        rows, cols, stack = 1, 1, "none"
+    entries = 1 if stack == "none" else 3
+    a, b = draw(entries, rows, inner), draw(entries, inner, cols)
+    if stack != "both":  # one operand is a single matrix
+        a = a[0] if stack != "b shared" else a
+        b = b[0] if stack != "a shared" else b
+    got = modmatmul(a, b, q).reshape(-1, rows, cols)
+    pairs = zip(np.broadcast_to(a, (len(got), rows, inner)), np.broadcast_to(b, (len(got), inner, cols)))
+    assert got.tolist() == [naive_matmul_t(q, x.T.tolist(), y.tolist()) for x, y in pairs]
+    # k x t weights on t parts, t across the chunk boundary at 2097143, with
+    # parts large enough for combine's slabs; views are strided parts
+    t = (step if step <= 1 << 9 else 30) + past
+    k = rows + cols
+    width = -(-40000 // ((t + 2 * k) * rows))
+    weights = draw(k, t)
+    parts = draw(t, rows, 2 * width)[..., ::2] if views else draw(t, rows, width)
+    want = naive_matmul_t(q, weights.T.tolist(), parts.reshape(t, -1).tolist())
+    got = combine(PrimeField(q), weights, list(parts) if views else parts)
+    assert got.reshape(k, -1).tolist() == want

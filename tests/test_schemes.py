@@ -5,7 +5,12 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from codedmm.bilinear import ImprovedBilinearCode, standard_construction, strassen_construction
+from codedmm.bilinear import (
+    ElementwiseProductCode,
+    ImprovedBilinearCode,
+    standard_construction,
+    strassen_construction,
+)
 from codedmm.blocks import MatrixF
 from codedmm.errors import (
     BlockShapeMismatch,
@@ -32,7 +37,7 @@ from codedmm.schemes import (
     worker_multiply,
 )
 
-from oracles import block_grid, oracle_product, random_matrix, rank_mod
+from oracles import block_grid, elementwise_product, oracle_product, random_matrix, rank_mod
 
 
 def run_workers(scheme, a, b):
@@ -594,3 +599,40 @@ class TestDecodeSubsetErrors:
         assert issubclass(MissingResult, CodedmmError)
         with pytest.raises(MissingResult):
             scheme.decode(results, list(range(scheme.N)))
+
+
+class TestRepeatedWorkers:
+    """A subset that repeats a worker decodes from each worker's first result."""
+
+    def test_interpolation_through_a_repeated_worker(self, gf65537, rng):
+        # threshold 3: workers 0, 1 and 2 decode, the second result of
+        # worker 1 is corrupted and ignored
+        code = EntangledCode(2, 1, 1, 5, gf65537)
+        a, b = random_matrix(gf65537, 4, 3, rng), random_matrix(gf65537, 4, 2, rng)
+        stack = code.worker_products(a, b)
+        received = stack[[0, 1, 1, 2]]
+        received[2] += 1
+        got = code.decode_received(received, [0, 1, 1, 2], dims=(3, 2))
+        assert np.array_equal(got, oracle_product(a, b).data)
+        results = run_workers(code, a, b)
+        assert code.decode(results, [2, 2, 0, 1], dims=(3, 2)) == oracle_product(a, b)
+
+    def test_too_few_distinct_workers(self, gf65537, rng):
+        code = EntangledCode(2, 1, 1, 5, gf65537)
+        stack = code.worker_products(random_matrix(gf65537, 4, 3, rng), random_matrix(gf65537, 4, 2, rng))
+        with pytest.raises(InsufficientResults):
+            code.decode_received(stack[[0, 1, 1]], [0, 1, 1], dims=(3, 2))
+
+    def test_elementwise_direct_read_through_a_repeated_worker(self, gf65537, rng):
+        # N = 4 < 2R - 1 = 5: five results from four workers are read
+        # directly from workers 0, 1 and 2, the first result of each
+        code = ElementwiseProductCode(3, 4, gf65537)
+        a, b = ([rng.randrange(65537) for _ in range(3)] for _ in range(2))
+        stack = code.worker_products(a, b)
+        subset = [3, 1, 0, 2, 1]
+        received = stack[subset]
+        received[4] += 1
+        got = code.decode_received(received, subset)
+        assert got.tolist() == elementwise_product(65537, a, b)
+        with pytest.raises(InsufficientResults):
+            code.decode_received(stack[[3, 1, 1, 2]], [3, 1, 1, 2])
