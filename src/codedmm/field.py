@@ -69,7 +69,8 @@ _POOL_MIN_BYTES = 1 << 16
 _POOL_CAP_BYTES = 64 << 20
 
 # Decoding, detection and repair interpolate through the same few point
-# sets job after job; lagrange_basis keeps this many recent bases.
+# sets job after job; lagrange_basis and lagrange_matrix each keep this many
+# recent results.
 _BASIS_CACHE = 64
 
 # Per-thread state of the kernel: its workspace (see _workspace).
@@ -385,11 +386,16 @@ def lagrange_basis(field: PrimeField, xs: Sequence[int]) -> np.ndarray:
     l_i's degree-d coefficient.  O(K^2) the first time; the bases of the
     last _BASIS_CACHE point sets are kept, so the array is read-only.
     """
-    return _cached_basis(field, tuple(int(x) for x in xs))
+    return _cached_basis(field, tuple(int(x) for x in xs))[0]
+
+
+def vanishing_polynomial(field: PrimeField, xs: Sequence[int]) -> FieldPolynomial:
+    """prod_i (x - xs[i]) over distinct points xs, kept with their basis."""
+    return _cached_basis(field, tuple(int(x) for x in xs))[1]
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE)
-def _cached_basis(field: PrimeField, xs: tuple[int, ...]) -> np.ndarray:
+def _cached_basis(field: PrimeField, xs: tuple[int, ...]) -> tuple[np.ndarray, FieldPolynomial]:
     q = field.modulus
     k = len(xs)
     if len({x % q for x in xs}) != k:
@@ -418,7 +424,7 @@ def _cached_basis(field: PrimeField, xs: tuple[int, ...]) -> np.ndarray:
         basis.append([c * scale % q for c in quot])
     inverse = np.array(basis, dtype=field.array_dtype).reshape(k, k).T
     inverse.flags.writeable = False
-    return inverse
+    return inverse, FieldPolynomial(field, master)
 
 
 def lagrange_interpolate(points) -> FieldPolynomial:
@@ -774,9 +780,18 @@ def lagrange_matrix(field: PrimeField, xs: Sequence[int], ys: Sequence[int]) -> 
     """M[r, i] = l_i(ys[r]) for the Lagrange basis over distinct points xs.
 
     M @ values maps a degree < len(xs) polynomial's values at xs to its
-    values at ys.
+    values at ys.  Error detection and repair predict the same few survivor
+    sets job after job, so, like the bases, the maps of the last
+    _BASIS_CACHE (xs, ys) pairs are kept and the array is read-only.
     """
-    return modmatmul(vandermonde(field, ys, len(xs)), lagrange_basis(field, xs), field.modulus)
+    return _cached_lagrange_matrix(field, tuple(int(x) for x in xs), tuple(int(y) for y in ys))
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE)
+def _cached_lagrange_matrix(field: PrimeField, xs: tuple[int, ...], ys: tuple[int, ...]) -> np.ndarray:
+    values = modmatmul(vandermonde(field, ys, len(xs)), lagrange_basis(field, xs), field.modulus)
+    values.flags.writeable = False
+    return values
 
 
 def vandermonde(field: PrimeField, xs: Sequence[int], n_cols: int) -> np.ndarray:

@@ -13,10 +13,19 @@ decoder, and the decode from the survivors is then verified against every
 surviving block.  A corrupted block whose delta is orthogonal to one
 projection (probability 1/q) is caught by that verification, and the next
 projection serves as pilot; correction refuses when none is left.
+
+A code's evaluation points and the projection seed are fixed, so repair
+meets the same few point sets job after job.  What depends only on them is
+built once and kept in bounded caches: the Lagrange bases with their
+vanishing polynomials (Gao's g0), the prediction maps from K survivors to
+the rest (field.lagrange_matrix) and the seeded pilots (_seeded_pilots).
+Every caller shares the cached arrays, so they are read-only: a write
+raises ValueError instead of corrupting the next job's repair.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,6 +42,7 @@ from .field import (
     lagrange_matrix,
     modmatmul,
     random_elements,
+    vanishing_polynomial,
 )
 from .schemes import GeneralPolynomialCode, InterpolationCode
 
@@ -162,13 +172,13 @@ def _locate_errors(
     divides g and f = g / v.  Returns the positions where f disagrees with
     the stream if the division is exact, f has degree < msg_len and there
     are at most max_errors of them (the unique codeword within that
-    radius); otherwise None.
+    radius); otherwise None.  g0 is kept with the basis of xs
+    (field.vanishing_polynomial), so on repeated points only the Euclidean
+    steps and the final scan, Horner's rule on ints, are paid.
     """
     n = len(xs)
-    g0 = FieldPolynomial(field, [1])
-    for x in xs:
-        g0 = g0 * FieldPolynomial(field, [-x, 1])
-    r0, r1 = g0, FieldPolynomial(field, interpolate_arrays(field, xs, ys).tolist())
+    r0 = vanishing_polynomial(field, xs)
+    r1 = FieldPolynomial(field, interpolate_arrays(field, xs, ys).tolist())
     v0, v1 = FieldPolynomial(field, []), FieldPolynomial(field, [1])
     while not r1.is_zero() and 2 * r1.degree >= n + msg_len:
         quotient, remainder = divmod(r0, r1)
@@ -178,7 +188,15 @@ def _locate_errors(
     if not remainder.is_zero() or len(codeword.coeffs) > msg_len:
         return None
     # the mismatches are roots of v, so there are at most floor((n - msg_len)/2)
-    mismatches = [i for i, (x, y) in enumerate(zip(xs, ys)) if codeword.evaluate(x) != int(y)]
+    q = field.modulus
+    high_first = codeword.coeffs[::-1]
+    mismatches = []
+    for i, (x, y) in enumerate(zip(map(int, xs), ys.tolist())):
+        value = 0
+        for c in high_first:
+            value = (value * x + c) % q
+        if value != y:
+            mismatches.append(i)
     return mismatches if len(mismatches) <= max_errors else None
 
 
@@ -186,6 +204,9 @@ def _locate_errors(
 _PROJECTION_SEED = 0x5EED_C0DE
 # Every pilot misses some within-budget corrupted worker with probability below 2**-_MISS_BITS.
 _MISS_BITS = 40
+# _seeded_pilots keeps the pilots of this many recent keys; one entry holds
+# t vectors of a block's size, so the bound is small.
+_PILOT_CACHE = 4
 
 
 def _pilot_vectors(field: PrimeField, e_max: int, coords: int):
@@ -197,7 +218,8 @@ def _pilot_vectors(field: PrimeField, e_max: int, coords: int):
     of up to e_max errors unless that small chance hits.  When t would
     reach the coordinate count, or q <= e_max makes no t enough, the unit
     vectors are cheaper and exact: they scan every coordinate in row-major
-    order.
+    order.  The seeded vectors are drawn once per (field, t, span, coords)
+    and kept (_seeded_pilots); they are shared, so they are read-only.
     """
     # numpy draws int64 entries; drawn below span, a projection misses with chance 1/span
     span = min(field.modulus, 1 << 62)
@@ -210,9 +232,17 @@ def _pilot_vectors(field: PrimeField, e_max: int, coords: int):
             unit[j] = 1
             yield unit
         return
+    yield from _seeded_pilots(field, t, span, coords)
+
+
+@functools.lru_cache(maxsize=_PILOT_CACHE)
+def _seeded_pilots(field: PrimeField, t: int, span: int, coords: int) -> tuple[np.ndarray, ...]:
+    """The first t draws below span from _PROJECTION_SEED, read-only: they are shared."""
     rng = np.random.default_rng(_PROJECTION_SEED)
-    for _ in range(t):
-        yield rng.integers(0, span, size=coords).astype(field.array_dtype)
+    pilots = tuple(rng.integers(0, span, size=coords).astype(field.array_dtype) for _ in range(t))
+    for pilot in pilots:
+        pilot.flags.writeable = False
+    return pilots
 
 
 def correct_errors(
@@ -232,8 +262,11 @@ def correct_errors(
     next pilot takes over.  The projection seed is a fixed constant, so
     repeated runs agree.  A within-budget corruption independent of that
     seed is refused with probability below 2^-40; one crafted against the
-    seed can at worst be refused.  No product is returned unverified, so
-    the answer is never wrong.  Raises TooManyErrors when no pilot produces a verified decode,
+    seed can at worst be refused.  No product is returned unverified: it
+    agrees with at least N - floor((N-K)/2) results, so it is the true
+    product whenever at most ceil((N-K)/2) workers are corrupted.  Past
+    that only corruptions that together fit another codeword pass (at
+    N = K, any).  Raises TooManyErrors when no pilot produces a verified decode,
     and FieldMismatch for results over another field.
     """
     N = code.N

@@ -486,10 +486,13 @@ class RandomLinearCode(CodingScheme):
     def _decode_received(
         self, received: np.ndarray, subset: Sequence[int], dims: tuple[int, int] | None
     ) -> np.ndarray:
-        if self._info_pos is None:
-            raise SingularDecodeSystem("G has rank below p^2mn: no subset decodes")
         # each worker with the row of its first result
         workers, rows = np.unique(subset, return_index=True)
+        k_need = self.recovery_threshold()
+        if len(workers) < k_need:
+            raise InsufficientResults(f"got {len(workers)} distinct workers, need {k_need}")
+        if self._info_pos is None:
+            raise SingularDecodeSystem("G has rank below p^2mn: no subset decodes")
         where = self._info_pos[workers]
         inside = where >= 0
         received = np.asarray(received)
@@ -497,7 +500,7 @@ class RandomLinearCode(CodingScheme):
         flat = received.reshape(len(received), -1)
         q = self.field.modulus
         # Y is R at I & S, and zero at I - S until solved for
-        y = np.zeros((self.recovery_threshold(), br * bc), dtype=self.field.array_dtype)
+        y = np.zeros((k_need, br * bc), dtype=self.field.array_dtype)
         y[where[inside]] = flat[rows[inside]]
         absent = np.ones(len(y), dtype=bool)
         absent[where[inside]] = False

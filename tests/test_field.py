@@ -7,14 +7,18 @@ import pytest
 
 from codedmm.errors import DivisionByZero, DuplicateEvaluationPoint, FieldMismatch
 from codedmm.field import (
+    _BASIS_CACHE,
     FieldPolynomial,
     PrimeField,
+    _cached_basis,
+    _cached_lagrange_matrix,
     interpolate_arrays,
     is_prime,
     lagrange_basis,
     lagrange_interpolate,
     lagrange_matrix,
     vandermonde,
+    vanishing_polynomial,
 )
 from codedmm.schemes import EntangledCode
 
@@ -198,17 +202,66 @@ class TestLagrange:
 
 @pytest.mark.parametrize("q", [65537, (1 << 61) - 1])
 class TestBasisCache:
-    """lagrange_basis keeps recent bases, so what it returns is read-only;
-    everything built from a basis is a fresh array the caller owns."""
+    """lagrange_basis, vanishing_polynomial and lagrange_matrix keep recent
+    results, so the arrays they return are read-only; everything built from
+    them is a fresh array the caller owns."""
 
     def test_repeated_calls_are_equal_and_read_only(self, q):
         field = PrimeField(q)
-        first, again = lagrange_basis(field, [3, 1, 4]), lagrange_basis(field, [3, 1, 4])
-        assert first.tolist() == again.tolist()
-        for basis in (first, again):
-            assert not basis.flags.writeable
-            with pytest.raises(ValueError):
-                basis[0, 0] = 1
+        builders = [
+            lambda: lagrange_basis(field, [3, 1, 4]),
+            lambda: lagrange_matrix(field, [3, 1, 4], [5, 9, 2, 6]),
+        ]
+        for build in builders:
+            first, again = build(), build()
+            assert first.tolist() == again.tolist()
+            for cached in (first, again):
+                assert not cached.flags.writeable
+                with pytest.raises(ValueError):
+                    cached[0, 0] = 1
+                with pytest.raises(ValueError):
+                    cached += 1
+            assert build().tolist() == first.tolist()
+
+    def test_vanishing_polynomial_is_the_product_of_the_linear_factors(self, q):
+        field = PrimeField(q)
+        xs = [0, 7, q - 1, 12345, 2]
+        direct = FieldPolynomial(field, [1])
+        for x in xs:
+            direct = direct * FieldPolynomial(field, [-x, 1])
+        _cached_basis.cache_clear()
+        assert vanishing_polynomial(field, xs) == direct  # built with the basis
+        assert vanishing_polynomial(field, np.array(xs, dtype=object)) == direct  # from the cache
+        assert all(direct.evaluate(x).value == 0 for x in xs)
+        assert _cached_basis.cache_info().currsize == 1
+        with pytest.raises(DuplicateEvaluationPoint):
+            vanishing_polynomial(field, [1, 2, 1 + q])
+
+    def test_cached_prediction_map_equals_a_fresh_one(self, q):
+        field = PrimeField(q)
+        rng = random.Random(q)
+        xs = rng.sample(range(1000), 5)
+        ys = rng.sample(range(1000), 4) + [xs[2]]
+        cached = lagrange_matrix(field, xs, ys)
+        assert lagrange_matrix(field, xs, ys) is cached
+        _cached_lagrange_matrix.cache_clear()
+        _cached_basis.cache_clear()
+        fresh = lagrange_matrix(field, xs, ys)
+        assert fresh is not cached
+        assert fresh.dtype == cached.dtype == field.array_dtype
+        assert fresh.tolist() == cached.tolist()
+        # a point of xs maps to its own value
+        assert cached[4].tolist() == [int(i == 2) for i in range(5)]
+
+    def test_caches_stay_within_their_bound(self, q):
+        field = PrimeField(q)
+        for start in range(2 * _BASIS_CACHE):
+            xs = [start, start + 1, start + 2]
+            lagrange_matrix(field, xs, [start + 3])
+        for cache in (_cached_basis, _cached_lagrange_matrix):
+            info = cache.cache_info()
+            assert info.maxsize == _BASIS_CACHE
+            assert info.currsize == _BASIS_CACHE
 
     def test_duplicate_points_raise_on_every_call(self, q):
         for _ in range(3):
@@ -231,7 +284,6 @@ class TestBasisCache:
         stack = code.worker_products(random_matrix(field, 2, 3, rng), random_matrix(field, 2, 2, rng))
         values = np.array([[1, 2], [3, 4], [5, 6]], dtype=field.array_dtype)
         builders = [
-            lambda: lagrange_matrix(field, [0, 1, 2], [5, 6]),
             lambda: interpolate_arrays(field, [0, 1, 2], values),
             lambda: code.decode_received(stack[[4, 0, 2]], [4, 0, 2]),
         ]

@@ -19,11 +19,14 @@ from codedmm.convolution import conv_spec
 from codedmm.errors import BlockShapeMismatch, CodedmmError, FieldMismatch, TooManyErrors
 from codedmm.field import PrimeField
 from codedmm.robust import (
+    _PILOT_CACHE,
+    _PROJECTION_SEED,
     Clean,
     ErrorDetected,
     FaultModel,
     _locate_errors,
     _pilot_vectors,
+    _seeded_pilots,
     correct_errors,
     detect_errors,
     hamming_relations,
@@ -316,6 +319,32 @@ class TestPilotVectors:
         field = PrimeField(65537)
         first, again = (list(_pilot_vectors(field, 2, 50)) for _ in range(2))
         assert all(np.array_equal(u, v) for u, v in zip(first, again))
+
+    @pytest.mark.parametrize("q, e_max", [(65537, 2), (M61, 3)])
+    def test_seeded_pilots_are_the_seeds_draws_kept_read_only(self, q, e_max):
+        # pilots for one size are kept and shared; another size draws its own
+        field = PrimeField(q)
+        span = min(q, 1 << 62)
+        for coords in (50, 60, 50):
+            pilots = list(_pilot_vectors(field, e_max, coords))
+            rng = np.random.default_rng(_PROJECTION_SEED)
+            fresh = [rng.integers(0, span, size=coords) for _ in pilots]
+            assert [p.tolist() for p in pilots] == [f.tolist() for f in fresh]
+            assert all(p.dtype == field.array_dtype for p in pilots)
+            again = list(_pilot_vectors(field, e_max, coords))
+            assert all(p is a for p, a in zip(pilots, again))
+            for pilot in pilots:
+                assert not pilot.flags.writeable
+                with pytest.raises(ValueError):
+                    pilot[0] = 1
+
+    def test_pilot_cache_stays_within_its_bound(self):
+        field = PrimeField(65537)
+        for coords in range(10, 10 + 3 * _PILOT_CACHE):
+            list(_pilot_vectors(field, 2, coords))
+        info = _seeded_pilots.cache_info()
+        assert info.maxsize == _PILOT_CACHE
+        assert info.currsize == _PILOT_CACHE
 
     def test_field_past_int64_draws(self, rng):
         # numpy cannot draw below 2^89 - 1; the pilots draw below 2^62 and

@@ -559,7 +559,7 @@ class TestRandomLinearErasureDecode:
         a = random_matrix(gf65537, 4, 2, rng)
         b = random_matrix(gf65537, 4, 3, rng)
         results = run_workers(code, a, b)
-        with pytest.raises(SingularDecodeSystem):
+        with pytest.raises(InsufficientResults):
             code.decode(results, [0, 0, 1, 2], dims=(2, 3))
         assert code.decode(results, [0, 1, 2, 3, 3], dims=(2, 3)) == oracle_product(a, b)
 
@@ -590,6 +590,20 @@ class TestDecodeSubsetErrors:
             for index in (subset, np.array(subset)):
                 with pytest.raises(UnknownWorker):
                     scheme.decode_received(stack, index)
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_repeated_worker_leaves_too_few_distinct_workers(self, name, gf65537, rng):
+        # K results from K - 1 distinct workers; the uncoded code's workers 0
+        # and 2 hold the same task, so its subset misses a task
+        scheme = SCHEMES[name](gf65537)
+        results = run_workers(scheme, random_matrix(gf65537, 4, 4, rng), random_matrix(gf65537, 4, 4, rng))
+        k = scheme.recovery_threshold()
+        subset = [0, 0, 2] if name == "uncoded" else [0] + list(range(k - 1))
+        assert len(subset) == k > len(set(subset))
+        with pytest.raises(InsufficientResults):
+            scheme.decode(results, subset)
+        with pytest.raises(InsufficientResults):
+            scheme.decode_received(np.stack([results[w].data for w in subset]), subset)
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_subset_worker_without_result(self, name, gf65537, rng):
