@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import (
     BlockShapeMismatch,
     ConstructionTooLarge,
     FieldTooSmall,
-    InsufficientResults,
     TooFewWorkers,
 )
 from .field import PrimeField, canonical_array, combine, lagrange_matrix, modmatmul, vandermonde
@@ -264,15 +263,13 @@ class ElementwiseProductCode(InterpolationCode):
         """Every worker's result: the element-wise product of its stored pair."""
         return coded_a * coded_b % self.field.modulus
 
-    def _decode_received(self, received, subset: Sequence[int], dims) -> np.ndarray:
-        first = self._first_results(subset)
-        if len(first) < self.output_map.shape[1]:
-            # below 2R - 1 distinct workers, and y_i = x_i for i < R: those
-            # workers hold the products directly
-            if not first.keys() >= set(self.x_points):
-                raise InsufficientResults(f"the first {self.length} workers are needed below 2R - 1 results")
-            return np.asarray(received)[[first[w] for w in self.x_points]]
-        return super()._decode_received(received, subset, dims)
+    def _decode_received(self, received, workers: list[int], dims) -> np.ndarray:
+        if len(workers) < self.output_map.shape[1]:
+            # below 2R - 1 results every worker is present, and y_i = x_i for
+            # i < R: those workers hold the products directly
+            products = np.asarray(received)[[workers.index(w) for w in self.x_points]]
+            return products % self.field.modulus
+        return super()._decode_received(received, workers, dims)
 
     def _assemble(self, weights: np.ndarray, parts, dims) -> np.ndarray:
         """The R products as one (R, *entry shape) stack."""

@@ -22,7 +22,7 @@ from .blocks import MatrixF, read_matrix_text
 from .convolution import conv_spec, field_convolve
 from .errors import CodedmmError, TooManyErrors
 from .field import PrimeField, random_elements
-from .robust import Clean, FaultModel, correct_errors, detect_errors
+from .robust import Clean, correct_errors, detect_errors, inject_faults
 from .schemes import EntangledCode
 from .sim import (
     FixedStragglers,
@@ -160,13 +160,13 @@ def _cmd_fault(args) -> int:
     exact = detected = silent_wrong = failed = 0
     for trial in range(args.trials):
         a, b = _random_inputs(field, rng, s, r, t)
-        oracle = a.transpose() @ b
-        results = [MatrixF._wrap(field, block) for block in code.worker_products(a, b)]
-        corrupted, _ = FaultModel(args.errors, seed=int(rng.integers(1 << 62))).inject(results)
+        oracle = (a.transpose() @ b).data
+        stack = code.worker_products(a, b)
+        inject_faults(np.random.default_rng(int(rng.integers(1 << 62))), stack, args.errors, args.q)
         if args.mode == "detect":
-            outcome = detect_errors(code, corrupted, dims=(r, t))
+            outcome = detect_errors(code, stack, dims=(r, t))
             if isinstance(outcome, Clean):
-                if outcome.matrix == oracle:
+                if np.array_equal(outcome.matrix, oracle):
                     exact += 1
                 else:
                     silent_wrong += 1
@@ -174,8 +174,8 @@ def _cmd_fault(args) -> int:
                 detected += 1
         else:
             try:
-                got = correct_errors(code, corrupted, dims=(r, t))
-                if got == oracle:
+                got = correct_errors(code, stack, dims=(r, t))
+                if np.array_equal(got, oracle):
                     exact += 1
                 else:
                     silent_wrong += 1

@@ -1,10 +1,13 @@
 """Fault-tolerant decoding: arbitrary worker errors instead of stragglers.
 
-With all N results of a matrix evaluation code present (a polynomial or
-improved code, whose results lie on one product polynomial of degree < K),
-up to N - K corrupted results are detectable and up to floor((N-K)/2) are
-correctable.  Corruption is per worker (a whole result block is perturbed),
-so error positions located on one scalar stream apply to the entire block.
+With all N results of an evaluation code present (an InterpolationCode:
+polynomial, improved, element-wise or convolution, whose results lie on one
+product polynomial of degree < K), up to N - K corrupted results are
+detectable and up to floor((N-K)/2) are correctable.  The results come as
+the (N, ...) stack that worker_products returns, or as a list of equal-shape
+arrays or of MatrixF, and the product goes back in the same form.
+Corruption is per worker (a whole result block is perturbed), so error
+positions located on one scalar stream apply to the entire block.
 Correction locates them on projections of the blocks: each worker's block
 is reduced to one field element by a seeded random linear combination of its
 entries (the interleaved Reed-Solomon technique of Bleichenbacher, Kiayias
@@ -31,9 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bilinear import ImprovedBilinearCode
 from .blocks import MatrixF
-from .errors import BlockShapeMismatch, FieldMismatch, TooManyErrors, UnsupportedScheme
+from .errors import TooManyErrors, UnsupportedScheme
 from .field import (
     FieldPolynomial,
     PrimeField,
@@ -44,7 +46,7 @@ from .field import (
     random_elements,
     vanishing_polynomial,
 )
-from .schemes import GeneralPolynomialCode, InterpolationCode
+from .schemes import InterpolationCode
 
 
 def hamming_relations(N: int, d: int) -> tuple[int, int, int]:
@@ -59,9 +61,9 @@ def hamming_relations(N: int, d: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class Clean:
-    """Detection passed; carries the decoded product."""
+    """Detection passed; carries the decoded product, a MatrixF for MatrixF results."""
 
-    matrix: MatrixF
+    matrix: MatrixF | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -74,18 +76,21 @@ class ErrorDetected:
 def inject_faults(rng: np.random.Generator, stack, errors: int, q: int) -> list[int]:
     """Add a random nonzero block to `errors` seeded rows of stack, in place.
 
-    stack holds N canonical blocks, as one array or a list.  The victims are
-    drawn first, then one delta per victim in worker order; returns them sorted.
+    stack holds N canonical blocks or scalars, as one array or a list.  The
+    victims are drawn first, then one delta per victim in worker order;
+    returns them sorted.
     """
     if not 0 <= errors <= len(stack):
         raise ValueError(f"cannot corrupt {errors} of {len(stack)} workers")
     victims = sorted(rng.choice(len(stack), size=errors, replace=False).tolist()) if errors else []
     for w in victims:
+        block = stack[w]
         while True:
-            delta = random_elements(rng, q, stack[w].shape)
+            delta = random_elements(rng, q, np.shape(block))
             if delta.any():
                 break
-        stack[w] = (stack[w] + delta.astype(stack[w].dtype)) % q
+        # a scalar of an object stack is a Python int, and stays one
+        stack[w] = (block + delta.astype(getattr(block, "dtype", object))) % q
     return victims
 
 
@@ -117,42 +122,41 @@ def _mismatches(
     return [w for w, blk in zip(others, predicted) if not np.array_equal(blk, stack[w])]
 
 
-def _stacked_results(code, results: Sequence[MatrixF]) -> tuple[int, np.ndarray]:
-    """Check the code and the results; return K and the N results as one stack.
+def _stacked_results(code, results) -> tuple[int, np.ndarray, bool]:
+    """Check the code and the results; return K, the N results as one canonical stack, and whether they were MatrixF.
 
     Detection and repair interpolate through the workers' evaluation points,
-    so they need a polynomial or improved code, whose N results are equal-shape matrices.
+    so they need an InterpolationCode, whose N results lie on one polynomial.
+    results is the (N, *shape) stack of worker_products, or a sequence of N
+    equal-shape arrays, each with any integer representatives, or of N
+    MatrixF over the code's field (CodingScheme._result_arrays).
     """
-    if not isinstance(code, (GeneralPolynomialCode, ImprovedBilinearCode)):
+    if not isinstance(code, InterpolationCode):
         raise UnsupportedScheme(
-            f"error detection and correction need a matrix evaluation code, got {type(code).__name__}"
+            f"error detection and correction need an evaluation code, got {type(code).__name__}"
         )
     if len(results) != code.N:
         raise ValueError(f"need all {code.N} results, got {len(results)}")
-    if any(r.field != code.field for r in results):
-        raise FieldMismatch(f"a result is not over the code's {code.field}")
-    if len({r.shape for r in results}) > 1:
-        raise BlockShapeMismatch("worker results differ in shape")
-    return code.recovery_threshold(), np.stack([r.data for r in results])
+    arrays, matrices = code._result_arrays(results)
+    return code.recovery_threshold(), np.asarray(arrays), matrices
 
 
-def detect_errors(
-    code: InterpolationCode,
-    results: Sequence[MatrixF],
-    dims: tuple[int, int] | None = None,
-):
+def detect_errors(code: InterpolationCode, results, dims: tuple[int, int] | None = None):
     """Decode from the first K workers and cross-check everyone else.
 
-    Returns Clean(C) when every result matches the fitted polynomial, else
-    ErrorDetected.  With at most N - K corrupted workers this never returns
-    a wrong Clean: the fit would disagree with some uncorrupted worker.
+    results are all N results (see _stacked_results).  Returns Clean(C) when
+    every result matches the fitted polynomial, else ErrorDetected.  C is a
+    MatrixF for MatrixF results, else an array.  With at most N - K
+    corrupted workers this never returns a wrong Clean: the fit would
+    disagree with some uncorrupted worker.
     """
-    k_need, stack = _stacked_results(code, results)
+    k_need, stack, matrices = _stacked_results(code, results)
     fit = range(k_need)
     wrong = _mismatches(code, stack, fit, range(k_need, code.N))
     if wrong:
         return ErrorDetected(worker=wrong[0])
-    return Clean(MatrixF._wrap(code.field, code.decode_received(stack[fit], fit, dims)))
+    product = code.decode_received(stack[fit], fit, dims)
+    return Clean(MatrixF._wrap(code.field, product) if matrices else product)
 
 
 def _locate_errors(
@@ -245,17 +249,14 @@ def _seeded_pilots(field: PrimeField, t: int, span: int, coords: int) -> tuple[n
     return pilots
 
 
-def correct_errors(
-    code: InterpolationCode,
-    results: Sequence[MatrixF],
-    dims: tuple[int, int] | None = None,
-) -> MatrixF:
+def correct_errors(code: InterpolationCode, results, dims: tuple[int, int] | None = None):
     """Recover the exact product despite up to floor((N-K)/2) corrupted workers.
 
-    Each pilot projects every surviving block onto one vector (see
-    _pilot_vectors: t seeded random vectors, t the least count with
-    (e_max / q)^t < 2^-40, or the unit vectors when t would reach the block
-    size).  Gao's decoder on the projected stream (_locate_errors) locates
+    results are all N results (see _stacked_results); the product is a
+    MatrixF for MatrixF results, else an array.  Each pilot projects every
+    surviving block onto one vector (see _pilot_vectors: t seeded random
+    vectors, t the least count with (e_max / q)^t < 2^-40, or the unit
+    vectors when t would reach the block size).  Gao's decoder on the projected stream (_locate_errors) locates
     the workers corrupted there, those are erased everywhere, and the
     decode from the survivors is verified against every surviving block.
     A corruption invisible on one pilot fails that verification and the
@@ -270,7 +271,7 @@ def correct_errors(
     and FieldMismatch for results over another field.
     """
     N = code.N
-    k_need, stack = _stacked_results(code, results)
+    k_need, stack, matrices = _stacked_results(code, results)
     xs = code.points
     e_max = (N - k_need) // 2
     flat = stack.reshape(N, -1)
@@ -291,7 +292,8 @@ def correct_errors(
             remaining = [w for i, w in enumerate(remaining) if i not in mismatches]
         fit = remaining[:k_need]
         if not _mismatches(code, stack, fit, remaining[k_need:]):
-            return MatrixF._wrap(code.field, code.decode_received(stack[fit], fit, dims))
+            product = code.decode_received(stack[fit], fit, dims)
+            return MatrixF._wrap(code.field, product) if matrices else product
     raise TooManyErrors(
         f"no pilot projection yields a consistent decode within {e_max} errors"
     )

@@ -186,19 +186,6 @@ class CodingScheme(ABC):
         """(len(weights), *part shape) stack whose [i] is sum_t weights[i, t] * (part t of x)."""
         return combine(self.field, weights, self._split(x, weights.shape[1]))
 
-    def _worker_rows(self, gen: np.ndarray, i: int) -> np.ndarray:
-        if not 0 <= i < self.N:
-            raise ValueError(f"worker index {i} out of range for N={self.N}")
-        return gen[i:i + 1]
-
-    def encode_a(self, a: MatrixF, i: int) -> MatrixF:
-        (coded,) = self._encode(a, self._worker_rows(self.gen_a, i))
-        return MatrixF._wrap(self.field, coded)
-
-    def encode_b(self, b: MatrixF, i: int) -> MatrixF:
-        (coded,) = self._encode(b, self._worker_rows(self.gen_b, i))
-        return MatrixF._wrap(self.field, coded)
-
     def fewest_results(self) -> int:
         """Smallest subset size that can decode at all."""
         return self.recovery_threshold()
@@ -216,24 +203,37 @@ class CodingScheme(ABC):
         size used to strip padding: (rows, cols) of A^T B, (len(a), len(b))
         of a convolution.  Raises InsufficientResults for a subset below
         fewest_results(), then UnknownWorker or MissingResult for a bad
-        worker index, then FieldMismatch for a result over another field.
+        worker index, then FieldMismatch for a result over another field,
+        then InsufficientResults for too few distinct workers.
         """
-        self._check_subset(subset)
-        for w in subset:
+        first = self._check_subset(subset)
+        for w in first:
             if w not in results:
                 raise MissingResult(f"no result from worker {w}")
-        gathered = [results[w] for w in subset]
-        matrices = all(isinstance(r, MatrixF) for r in gathered)
-        if matrices:
-            if any(r.field != self.field for r in gathered):
-                raise FieldMismatch(f"a result is not over the code's {self.field}")
-            received = [r.data for r in gathered]
-        else:
-            received = [canonical_array(self.field, r) for r in gathered]
-        if len({r.shape for r in received}) > 1:
-            raise BlockShapeMismatch("worker results differ in shape")
-        product = self._decode_received(received, subset, dims)
+        received, matrices = self._result_arrays([results[w] for w in first])
+        product = self._decode_distinct(received, first, dims)
         return MatrixF._wrap(self.field, product) if matrices else product
+
+    def _result_arrays(self, results) -> tuple[Sequence[np.ndarray], bool]:
+        """results as canonical arrays of one shape, and whether every result is a MatrixF.
+
+        MatrixF results must be over the code's field (else FieldMismatch)
+        and are taken uncopied.  One array stack is reduced at once, other
+        results one by one, through canonical_array.  Raises
+        BlockShapeMismatch when the results differ in shape.
+        """
+        if isinstance(results, np.ndarray):
+            return canonical_array(self.field, results), False
+        matrices = all(isinstance(r, MatrixF) for r in results)
+        if matrices:
+            if any(r.field != self.field for r in results):
+                raise FieldMismatch(f"a result is not over the code's {self.field}")
+            arrays = [r.data for r in results]
+        else:
+            arrays = [canonical_array(self.field, r) for r in results]
+        if len({r.shape for r in arrays}) > 1:
+            raise BlockShapeMismatch("worker results differ in shape")
+        return arrays, matrices
 
     def decode_received(
         self,
@@ -245,13 +245,16 @@ class CodingScheme(ABC):
 
         received is the (len(subset), *result shape) stack of results, such
         as worker_products(a, b)[subset]; its entries may be any integer
-        representatives of their field elements.  Raises UnknownWorker for a
-        worker index outside [0, N) and NonIntegerEntry for a non-integer
-        entry.
+        representatives of their field elements.  A worker that subset
+        repeats is decoded from its first result.  Raises UnknownWorker for
+        a worker index outside [0, N), NonIntegerEntry for a non-integer
+        entry and InsufficientResults for too few distinct workers.
         """
-        self._check_subset(subset)
+        first = self._check_subset(subset)
         if len(received) != len(subset):
             raise BlockShapeMismatch(f"{len(received)} results for {len(subset)} workers")
+        if len(first) < len(subset):
+            received = received[list(first.values())]
         q = self.field.modulus
         # the float64 kernel is exact only on canonical int64 entries; as
         # unsigned, a negative entry reads as at least 2^63
@@ -260,24 +263,44 @@ class CodingScheme(ABC):
                 received = received % q
         elif received.dtype != object:
             received = canonical_array(self.field, received)
-        return self._decode_received(received, subset, dims)
+        return self._decode_distinct(received, first, dims)
 
-    def _check_subset(self, subset: Sequence[int]):
-        """InsufficientResults below fewest_results(), then UnknownWorker for an index outside [0, N)."""
+    def _check_subset(self, subset: Sequence[int]) -> dict[int, int]:
+        """Each distinct worker of subset, in order of first appearance, with the position of its first result.
+
+        Raises InsufficientResults below fewest_results() results, then
+        UnknownWorker for an index outside [0, N).
+        """
         need = self.fewest_results()
         if len(subset) < need:
             raise InsufficientResults(f"got {len(subset)} results, need {need}")
         index = np.asarray(subset)
         if index.dtype.kind not in "iu" or index.min() < 0 or index.max() >= self.N:
             raise UnknownWorker(f"worker index out of range for N={self.N} in {list(subset)}")
+        first: dict[int, int] = {}
+        for row, w in enumerate(index.tolist()):
+            first.setdefault(w, row)
+        return first
+
+    def _decode_distinct(self, received, first: dict[int, int], dims: tuple[int, int] | None):
+        """_decode_received on the results of the distinct workers of first, in its order.
+
+        Raises InsufficientResults below fewest_results() distinct workers.
+        """
+        need = self.fewest_results()
+        if len(first) < need:
+            raise InsufficientResults(f"got {len(first)} distinct workers, need {need}")
+        return self._decode_received(received, list(first), dims)
 
     @abstractmethod
     def _decode_received(
-        self, received, subset: Sequence[int], dims: tuple[int, int] | None
+        self, received, workers: list[int], dims: tuple[int, int] | None
     ) -> np.ndarray:
-        """decode_received once its arguments are checked.
+        """The product from received[i], the result of workers[i].
 
-        received is one stack of results or a sequence of equal-shape arrays.
+        The workers are distinct and at least fewest_results() many.
+        received is one stack of results or a sequence of equal-shape ones,
+        canonical int64 entries or Python ints that the decoder reduces.
         """
 
     def _assemble(self, weights: np.ndarray, parts, dims: tuple[int, int] | None) -> np.ndarray:
@@ -327,33 +350,12 @@ class InterpolationCode(CodingScheme):
     def recovery_threshold(self) -> int:
         return self.output_map.shape[1]
 
-    @staticmethod
-    def _first_results(subset: Sequence[int]) -> dict[int, int]:
-        """Each worker of subset, in order of first appearance, with the row of its first result."""
-        first: dict[int, int] = {}
-        for row, w in enumerate(subset):
-            first.setdefault(int(w), row)
-        return first
-
-    def _decode_received(self, received, subset: Sequence[int], dims):
-        """The product from received[i], the result of worker subset[i].
-
-        It interpolates through the first K distinct workers, each worker's
-        first result if subset repeats it.
-        """
+    def _decode_received(self, received, workers: list[int], dims):
+        """The product, interpolated through the first K workers."""
         k_need = self.output_map.shape[1]
-        parts = received[:k_need]
-        try:
-            basis = lagrange_basis(self.field, [self.points[w] for w in subset[:k_need]])
-        except DuplicateEvaluationPoint:
-            # a worker repeats among the first K results
-            first = self._first_results(subset)
-            if len(first) < k_need:
-                raise InsufficientResults(f"got {len(first)} distinct workers, need {k_need}") from None
-            basis = lagrange_basis(self.field, [self.points[w] for w in list(first)[:k_need]])
-            parts = [received[row] for row in list(first.values())[:k_need]]
+        basis = lagrange_basis(self.field, [self.points[w] for w in workers[:k_need]])
         decode_map = modmatmul(self.output_map, basis, self.field.modulus)
-        return self._assemble(decode_map, parts, dims)
+        return self._assemble(decode_map, received[:k_need], dims)
 
 
 class GeneralPolynomialCode(InterpolationCode):
@@ -413,11 +415,11 @@ class UncodedRepetitionCode(CodingScheme):
         return self.num_tasks
 
     def _decode_received(
-        self, received: np.ndarray, subset: Sequence[int], dims: tuple[int, int] | None
+        self, received: np.ndarray, workers: list[int], dims: tuple[int, int] | None
     ) -> np.ndarray:
         first: dict[int, int] = {}  # task -> row of its first result
-        for row, w in enumerate(subset):
-            first.setdefault(int(w) % self.num_tasks, row)
+        for row, w in enumerate(workers):
+            first.setdefault(w % self.num_tasks, row)
         missing = self.num_tasks - len(first)
         if missing:
             raise InsufficientResults(f"{missing} of {self.num_tasks} sub-products missing")
@@ -484,13 +486,8 @@ class RandomLinearCode(CodingScheme):
         return self.p * self.p * self.m * self.n
 
     def _decode_received(
-        self, received: np.ndarray, subset: Sequence[int], dims: tuple[int, int] | None
+        self, received: np.ndarray, workers: list[int], dims: tuple[int, int] | None
     ) -> np.ndarray:
-        # each worker with the row of its first result
-        workers, rows = np.unique(subset, return_index=True)
-        k_need = self.recovery_threshold()
-        if len(workers) < k_need:
-            raise InsufficientResults(f"got {len(workers)} distinct workers, need {k_need}")
         if self._info_pos is None:
             raise SingularDecodeSystem("G has rank below p^2mn: no subset decodes")
         where = self._info_pos[workers]
@@ -500,20 +497,20 @@ class RandomLinearCode(CodingScheme):
         flat = received.reshape(len(received), -1)
         q = self.field.modulus
         # Y is R at I & S, and zero at I - S until solved for
-        y = np.zeros((k_need, br * bc), dtype=self.field.array_dtype)
-        y[where[inside]] = flat[rows[inside]]
+        y = np.zeros((self.recovery_threshold(), br * bc), dtype=self.field.array_dtype)
+        y[where[inside]] = flat[inside]
         absent = np.ones(len(y), dtype=bool)
         absent[where[inside]] = False
-        coeffs = self._systematic[workers[~inside]]
+        coeffs = self._systematic[np.asarray(workers)[~inside]]
         solved = solve_linear_system(
             self.field,
             coeffs[:, absent],
-            flat[rows[~inside]] - modmatmul(coeffs, y, q),
+            flat[~inside] - modmatmul(coeffs, y, q),
             require_full_column_rank=True,
         )
         if solved is None:
             raise SingularDecodeSystem(
-                f"no unique decode from this subset of {len(subset)} workers: "
+                f"no unique decode from this subset of {len(workers)} workers: "
                 "the coefficient matrix is rank-deficient or the results are inconsistent"
             )
         y[absent] = solved

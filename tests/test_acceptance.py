@@ -326,8 +326,8 @@ def test_criterion_11_property_suites():
             a2 = MatrixF(GF65537, rng.integers(0, 65537, size=(4, 6)))
             coef = int(rng.integers(0, 65537))
             for i in (0, 7, 15):
-                lhs = code.encode_a(a1 + a2.scale(coef), i)
-                rhs = code.encode_a(a1, i) + code.encode_a(a2, i).scale(coef)
+                lhs = code.encode_all(a1 + a2.scale(coef), a1)[i][0]
+                rhs = code.encode_all(a1, a1)[i][0] + code.encode_all(a2, a2)[i][0].scale(coef)
                 assert lhs == rhs
 
     with criterion(11, "construction registry validates in every test field", 60.0):

@@ -131,10 +131,11 @@ class TestImprovedCode:
         code = ImprovedBilinearCode(bc, 15, gf65537)
         a = random_matrix(gf65537, 4, 4, rng)
         a_grid = block_grid(a, 2, 2)
+        pairs = code.encode_all(a, a)
         for i in range(bc.rank):
             # coded vector entry i: sum over (j, k) of a[i, j, k] * A[j, k]
             vec = sum(int(bc.a[i, j, k]) * a_grid[j][k].data for j in range(2) for k in range(2))
-            assert code.encode_a(a, i).data.tolist() == (vec % 65537).tolist()
+            assert pairs[i][0].data.tolist() == (vec % 65537).tolist()
 
     def test_is_the_elementwise_code_on_the_coded_vectors(self, gf65537, rng):
         # worker i stores the element-wise code's encoding of the R coded
@@ -142,7 +143,7 @@ class TestImprovedCode:
         bc = strassen_construction()
         code = ImprovedBilinearCode(bc, 15, gf65537)
         elementwise = ElementwiseProductCode(bc.rank, 15, gf65537)
-        for tensor, encode in ((bc.a, code.encode_a), (bc.b, code.encode_b)):
+        for tensor, side in ((bc.a, 0), (bc.b, 1)):
             matrix = random_matrix(gf65537, 4, 4, rng)
             grid = block_grid(matrix, 2, 2)
             vectors = [
@@ -150,15 +151,17 @@ class TestImprovedCode:
                 for r in range(bc.rank)
             ]
             coded = elementwise.encode_all(vectors, vectors)
+            pairs = code.encode_all(matrix, matrix)
             for i in range(15):
-                assert encode(matrix, i).data.tolist() == coded[i][0].tolist()
+                assert pairs[i][side].data.tolist() == coded[i][0].tolist()
 
     def test_zero_inputs_zero_blocks(self, gf65537):
         code = ImprovedBilinearCode(strassen_construction(), 13, gf65537)
         z = MatrixF.zeros(gf65537, 4, 4)
+        pairs = code.encode_all(z, z)
         for i in (0, 6, 12):
-            assert not code.encode_a(z, i).data.any()
-            assert not code.encode_b(z, i).data.any()
+            assert not pairs[i][0].data.any()
+            assert not pairs[i][1].data.any()
 
     def test_strassen_exhaustive_subsets(self, gf65537, rng):
         code = ImprovedBilinearCode(strassen_construction(), 15, gf65537)

@@ -579,7 +579,8 @@ def test_encode_allocates_only_its_coded_stacks():
     assert peak <= 64 << 10
     pairs, peak = traced_peak(lambda: code.encode_all(a, b), hold=True)
     assert peak <= 2 * pool_class(12 * 256 * 256 * 8) + (64 << 10)
-    assert pairs[5][0] == code.encode_a(a, 5) and pairs[5][1] == code.encode_b(b, 5)
+    again = code.encode_all(a, b)
+    assert pairs[5][0] == again[5][0] and pairs[5][1] == again[5][1]
 
 
 def test_decode_allocates_only_the_product():
@@ -666,7 +667,7 @@ def test_pool_keeps_a_dropped_result_that_a_view_still_holds(empty_pool):
     assert in_pool(coded.data)
     again = code.encode_all(z, w)
     assert not any(np.shares_memory(coded.data, m.data) for pair in again for m in pair)
-    assert coded == code.encode_a(x, 3)
+    assert coded == code.encode_all(x, y)[3][0]
 
 
 def test_pool_reuses_a_buffer_once_every_view_is_gone(empty_pool, monkeypatch):

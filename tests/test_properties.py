@@ -37,7 +37,6 @@ from codedmm.schemes import (
     PolynomialCodeSpec,
     RandomLinearCode,
     UncodedRepetitionCode,
-    worker_multiply,
 )
 
 from oracles import direct_convolution, elementwise_product, naive_matmul_t
@@ -114,11 +113,21 @@ def inputs_and_oracle(code, gen, q):
     return MatrixF(code.field, a), MatrixF(code.field, b), (r, t), naive_matmul_t(q, a, b)
 
 
+def off_canonical(gen, q, stack):
+    """stack + k q, k drawn per entry of either sign: int64 entries near 2^57, Python ints past 2^63."""
+    bound = 1 << 40 if stack.dtype == np.int64 else 1 << 10
+    k = np.array([gen.randint(-bound, bound) for _ in range(stack.size)], dtype=stack.dtype)
+    return stack + q * k.reshape(stack.shape)
+
+
 @pytest.mark.parametrize("q", [257, 65537, (1 << 61) - 1])
 @pytest.mark.parametrize("name", sorted(SEVEN_CODES))
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_every_code_decodes_any_k_subset_to_the_oracle(name, q, seed):
+    # the subset's results decode to the oracle, as they are and shifted off
+    # [0, q); the subset with some workers repeated, the repeats' later
+    # results wrong, decodes as the subset of its distinct workers does
     gen = random.Random(seed)
     code = SEVEN_CODES[name](PrimeField(q), gen)
     assert isinstance(code, CodingScheme)
@@ -127,16 +136,32 @@ def test_every_code_decodes_any_k_subset_to_the_oracle(name, q, seed):
     assert len(stack) == code.N
     subset = gen.sample(range(code.N), code.recovery_threshold())  # in any order
     results = {w: stack[w] for w in subset}
+    shifted = off_canonical(gen, q, stack)
+    repeated = list(subset)
+    for _ in range(gen.randint(1, 3)):
+        repeated.insert(gen.randrange(len(repeated) + 1), gen.choice(subset))
+    distinct = list(dict.fromkeys(repeated))
+    received = shifted[repeated]
+    received[[i for i, w in enumerate(repeated) if w in repeated[:i]]] += 1
+    decodes = [
+        lambda: code.decode(results, subset, dims),
+        lambda: code.decode_received(shifted[subset], subset, dims),
+        lambda: code.decode_received(received, repeated, dims),
+        lambda: code.decode(results, repeated, dims),
+    ]
     try:
         got = code.decode_received(stack[subset], subset, dims)
     except SingularDecodeSystem:
-        # a random draw may be singular on this subset: reported, never decoded wrongly
+        # a random draw may be singular on this subset, in any order: reported, never decoded wrongly
         assert name == "random-linear"
-        with pytest.raises(SingularDecodeSystem):
-            code.decode(results, subset, dims)
+        for decode in decodes:
+            with pytest.raises(SingularDecodeSystem):
+                decode()
         return
     assert np.asarray(got).ravel().tolist() == np.ravel(want).tolist()
-    assert np.array_equal(code.decode(results, subset, dims), got)
+    from_distinct = code.decode_received(stack[distinct], distinct, dims)
+    for decode, same_as in zip(decodes, (got, got, from_distinct, from_distinct)):
+        assert np.array_equal(decode(), same_as)
 
 
 
@@ -191,16 +216,37 @@ def test_kernel_equals_the_oracles(q, rows, cols, past, stack, views, top, seed)
 
 
 # (name, N): K = 5 for the entangled code, K = 13 for strassen's improved
-# code, whose N = 13 leaves no redundancy and N = 19 corrects 3 errors
-REPAIR_CODES = [("entangled", n) for n in range(7, 12)] + [("improved", n) for n in (13, 15, 17, 19)]
+# code, whose N = 13 leaves no redundancy and N = 19 corrects 3 errors, K = 5
+# for the element-wise code of length 3 and K = 3 for the convolution code
+# of 2 + 2 blocks
+REPAIR_CODES = (
+    [("entangled", n) for n in range(7, 12)] + [("improved", n) for n in (13, 15, 17, 19)]
+    + [("elementwise", n) for n in range(5, 10)] + [("convolution", n) for n in range(3, 8)]
+)
+MAKE_REPAIR_CODE = {
+    "entangled": lambda f, n, g: EntangledCode(2, 2, 1, n, f),
+    "improved": lambda f, n, g: ImprovedBilinearCode(strassen_construction(), n, f),
+    "elementwise": lambda f, n, g: ElementwiseProductCode(3, n, f),
+    "convolution": lambda f, n, g: conv_spec(2, 2, n, g.randint(1, 4), f),
+}
 
 
-def repair_outcome(code, corrupted, dims):
-    """(detection's verdict, correction's product or None for a refusal), as plain lists."""
-    verdict = detect_errors(code, corrupted, dims=dims)
-    detected = verdict.matrix.data.tolist() if isinstance(verdict, Clean) else verdict.worker
+def repair_outcome(code, results, dims):
+    """(detection's verdict, correction's product or None for a refusal), as flat lists.
+
+    Each product comes in the form of the results: a MatrixF for MatrixF
+    results, else an array.
+    """
+    matrices = isinstance(results, list)
+
+    def flat(product):
+        assert isinstance(product, MatrixF) == matrices
+        return np.ravel(product.data if matrices else product).tolist()
+
+    verdict = detect_errors(code, results, dims=dims)
+    detected = flat(verdict.matrix) if isinstance(verdict, Clean) else verdict.worker
     try:
-        fixed = correct_errors(code, corrupted, dims=dims).data.tolist()
+        fixed = flat(correct_errors(code, results, dims=dims))
     except TooManyErrors:
         fixed = None
     return detected, fixed
@@ -221,32 +267,36 @@ def test_repair_never_returns_a_wrong_product(q, code_n, excess, whole_block, se
     # budget returns the oracle or refuses.  Past N - K the corrupted
     # results may lie on another codeword (always, when N = K), so only
     # determinism is checked there: each example runs with the repair
-    # caches cleared and again with them warm, to the same outcome.
+    # caches cleared and again with them warm, to the same outcome.  The
+    # results go in as the worker_products stack shifted off [0, q) and,
+    # for the matrix codes, as a list of MatrixF, to the same outcome.
     name, n = code_n
     field = PrimeField(q)
-    code = (EntangledCode(2, 2, 1, n, field) if name == "entangled"
-            else ImprovedBilinearCode(strassen_construction(), n, field))
+    gen = random.Random(seed)
+    code = MAKE_REPAIR_CODE[name](field, n, gen)
     k = code.recovery_threshold()
     errors = min(excess, n - k + 2, n)
-    gen = random.Random(seed)
     a, b, dims, want = inputs_and_oracle(code, gen, q)
-    results = [worker_multiply(ca, cb) for ca, cb in code.encode_all(a, b)]
-    corrupted = list(results)
+    stack = code.worker_products(a, b)
     for w in gen.sample(range(n), errors):
-        data = corrupted[w].data.copy()
+        data = stack[w]
         if whole_block:
             delta = np.array([gen.randrange(q) for _ in range(data.size)], dtype=data.dtype)
             delta[gen.randrange(data.size)] = gen.randrange(1, q)
-            data = (data + delta.reshape(data.shape)) % q
+            stack[w] = (data + delta.reshape(data.shape)) % q
         else:
             at = np.unravel_index(gen.randrange(data.size), data.shape)
             data[at] = (int(data[at]) + gen.randrange(1, q)) % q
-        corrupted[w] = MatrixF._wrap(field, data)
+    forms = [off_canonical(gen, q, stack)]
+    if name in ("entangled", "improved"):
+        forms.append([MatrixF._wrap(field, block) for block in stack])
 
     for cache in (_cached_basis, _cached_lagrange_matrix, _seeded_pilots):
         cache.cache_clear()
-    detected, fixed = repair_outcome(code, corrupted, dims)
-    assert repair_outcome(code, corrupted, dims) == (detected, fixed)
+    detected, fixed = repair_outcome(code, forms[0], dims)
+    for results in forms:
+        assert repair_outcome(code, results, dims) == (detected, fixed)
+    want = np.ravel(want).tolist()
     if errors <= n - k:
         assert fixed == want or (fixed is None and errors > (n - k) // 2)
         # a clean verdict carries the oracle; a flagged worker needs an error

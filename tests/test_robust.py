@@ -39,7 +39,13 @@ from codedmm.schemes import (
     worker_multiply,
 )
 
-from oracles import nearest_codeword_errors, oracle_product, random_matrix
+from oracles import (
+    direct_convolution,
+    elementwise_product,
+    nearest_codeword_errors,
+    oracle_product,
+    random_matrix,
+)
 
 
 def make_results(code, a, b):
@@ -446,25 +452,75 @@ class TestImprovedCodeRepair:
 
 
 class TestNonPolynomialSchemes:
-    """Repair needs a matrix evaluation code; other schemes get a typed refusal."""
+    """Repair needs an evaluation code: the vector codes repair, other schemes get a typed refusal."""
 
     @pytest.mark.parametrize("make_code", [
         lambda f: RandomLinearCode(1, 2, 1, 4, f, seed=3),
         lambda f: UncodedRepetitionCode(2, 1, 1, 4, f),
-        lambda f: ElementwiseProductCode(3, 5, f),
-        lambda f: conv_spec(2, 2, 5, 3, f),
-    ], ids=["random-linear", "uncoded", "elementwise", "convolution"])
+    ], ids=["random-linear", "uncoded"])
     @pytest.mark.parametrize("repair", [detect_errors, correct_errors])
     def test_typed_error_names_the_scheme(self, make_code, repair, gf65537, rng):
         code = make_code(gf65537)
-        if isinstance(code, (RandomLinearCode, UncodedRepetitionCode)):
-            a, b = random_matrix(gf65537, 4, 4, rng), random_matrix(gf65537, 4, 4, rng)
-            results = make_results(code, a, b)
-        else:
-            # the element-wise and convolution codes return vectors
-            results = [np.zeros(5, dtype=np.int64)] * code.N
+        a, b = random_matrix(gf65537, 4, 4, rng), random_matrix(gf65537, 4, 4, rng)
+        results = make_results(code, a, b)
         with pytest.raises(CodedmmError, match=type(code).__name__):
             repair(code, results)
+        with pytest.raises(CodedmmError, match=type(code).__name__):
+            repair(code, code.worker_products(a, b))
+
+    @pytest.mark.parametrize("make_code", [
+        lambda f: ElementwiseProductCode(3, 9, f),
+        lambda f: conv_spec(2, 2, 7, 3, f),
+    ], ids=["elementwise", "convolution"])
+    @pytest.mark.parametrize("repair", [detect_errors, correct_errors])
+    def test_vector_code_repair(self, make_code, repair, gf65537, rng):
+        # K = 5 of N = 9 and K = 3 of N = 7: both detect 4 errors and correct 2
+        code = make_code(gf65537)
+        k = code.recovery_threshold()
+        if isinstance(code, ElementwiseProductCode):
+            a, b = ([rng.randrange(65537) for _ in range(3)] for _ in range(2))
+            dims, want = None, elementwise_product(65537, a, b)
+        else:
+            a, b = [rng.randrange(65537) for _ in range(5)], [rng.randrange(65537) for _ in range(6)]
+            dims, want = (5, 6), direct_convolution(65537, a, b)
+        most = code.N - k if repair is detect_errors else (code.N - k) // 2
+        for errors in range(most + 1):
+            for seed in range(10):
+                stack = code.worker_products(a, b)
+                inject_faults(np.random.default_rng(seed), stack, errors, 65537)
+                out = repair(code, stack, dims)
+                if repair is correct_errors:
+                    assert out.tolist() == want, (errors, seed)
+                elif errors:
+                    assert isinstance(out, ErrorDetected), (errors, seed)
+                else:
+                    assert out.matrix.tolist() == want
+
+
+@pytest.mark.parametrize("q", [65537, M61])
+@pytest.mark.parametrize("repair", [detect_errors, correct_errors])
+def test_repair_takes_the_worker_products_stack(q, repair, rng):
+    # the stack as worker_products returns it, and the same results shifted
+    # off [0, q): minus q at 65537, plus q and past 2^63 as Python ints at
+    # 2^61 - 1.  Every form is the clean results, so detection passes them
+    # and both return the oracle as an array
+    field = PrimeField(q)
+    code = EntangledCode(2, 2, 1, 9, field)
+    a, b = random_matrix(field, 4, 4, rng), random_matrix(field, 4, 2, rng)
+    want = oracle_product(a, b).data.tolist()
+    stack = code.worker_products(a, b)
+    if q == 65537:
+        shifted = [stack - q]
+    else:
+        shifted = [stack + q, stack + 8 * q]
+        assert min(int(v) for v in shifted[1].flat) >= 1 << 63
+    for results in (stack, *shifted, list(shifted[-1])):
+        out = repair(code, results, dims=(4, 2))
+        if repair is detect_errors:
+            assert isinstance(out, Clean)
+            out = out.matrix
+        assert isinstance(out, np.ndarray)
+        assert out.tolist() == want
 
 
 class TestConsistencyTriangle:

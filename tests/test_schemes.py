@@ -50,8 +50,7 @@ class TestGeneralPolyEncode:
         # A~_i = A0 + i A1 and B~_i = i B0 + B1
         code = EntangledCode(2, 1, 1, 5, gf7)
         a, b = MatrixF(gf7, [[1], [2]]), MatrixF(gf7, [[3], [4]])
-        for i in range(5):
-            ca, cb = code.encode_a(a, i), code.encode_b(b, i)
+        for i, (ca, cb) in enumerate(code.encode_all(a, b)):
             assert int(ca.data[0, 0]) == (1 + i * 2) % 7
             assert int(cb.data[0, 0]) == (i * 3 + 4) % 7
 
@@ -59,7 +58,7 @@ class TestGeneralPolyEncode:
         code = EntangledCode(2, 2, 2, 11, gf65537)
         a = random_matrix(gf65537, 4, 4, rng)
         b = random_matrix(gf65537, 4, 4, rng)
-        ca, cb = code.encode_a(a, 0), code.encode_b(b, 0)
+        ca, cb = code.encode_all(a, b)[0]
         assert ca == block_grid(a, 2, 2)[0][0]
         # B's exponent (p-1-j) vanishes at j = p-1 instead
         assert cb == block_grid(b, 2, 2)[1][0]
@@ -69,8 +68,8 @@ class TestGeneralPolyEncode:
         a1 = random_matrix(gf65537, 4, 4, rng)
         a2 = random_matrix(gf65537, 4, 4, rng)
         for i in (0, 3, 8):
-            lhs = code.encode_a(a1 + a2, i)
-            rhs = code.encode_a(a1, i) + code.encode_a(a2, i)
+            lhs = code.encode_all(a1 + a2, a1)[i][0]
+            rhs = code.encode_all(a1, a1)[i][0] + code.encode_all(a2, a2)[i][0]
             assert lhs == rhs
 
 
@@ -108,7 +107,7 @@ class TestWorkerMultiply:
     def test_worked_example(self, gf7):
         # A blocks [1],[2], B blocks [3],[4], worker 2: A~=5, B~=3, product 1
         code = EntangledCode(2, 1, 1, 5, gf7)
-        ca, cb = code.encode_a(MatrixF(gf7, [[1], [2]]), 2), code.encode_b(MatrixF(gf7, [[3], [4]]), 2)
+        ca, cb = code.encode_all(MatrixF(gf7, [[1], [2]]), MatrixF(gf7, [[3], [4]]))[2]
         assert (int(ca.data[0, 0]), int(cb.data[0, 0])) == (5, 3)
         assert int(worker_multiply(ca, cb).data[0, 0]) == 1
 
@@ -173,8 +172,7 @@ def test_inputs_over_another_field_rejected(name, gf7, gf65537, rng):
     scheme = BATCHED[name](gf65537)
     a, b = random_matrix(gf7, 5, 3, rng), random_matrix(gf7, 5, 2, rng)
     good_a, good_b = random_matrix(gf65537, 5, 3, rng), random_matrix(gf65537, 5, 2, rng)
-    for call in (lambda: scheme.encode_a(a, 0), lambda: scheme.encode_b(b, 0),
-                 lambda: scheme.encode_all(a, good_b), lambda: scheme.encode_all(good_a, b),
+    for call in (lambda: scheme.encode_all(a, good_b), lambda: scheme.encode_all(good_a, b),
                  lambda: scheme.worker_products(a, b)):
         with pytest.raises(FieldMismatch):
             call()
@@ -650,3 +648,15 @@ class TestRepeatedWorkers:
         assert got.tolist() == elementwise_product(65537, a, b)
         with pytest.raises(InsufficientResults):
             code.decode_received(stack[[3, 1, 1, 2]], [3, 1, 1, 2])
+
+
+@pytest.mark.parametrize("q", [65537, (1 << 61) - 1])
+def test_elementwise_direct_read_reduces_its_results(q, rng):
+    # N = 4 < 2R - 1 = 5: the products are read straight from workers 0, 1
+    # and 2, so results past q, Python ints at 2^61 - 1, are reduced there
+    field = PrimeField(q)
+    code = ElementwiseProductCode(3, 4, field)
+    a, b = ([rng.randrange(q) for _ in range(3)] for _ in range(2))
+    shifted = code.worker_products(a, b) + 5 * q
+    subset = [3, 1, 0, 2]
+    assert code.decode_received(shifted[subset], subset).tolist() == elementwise_product(q, a, b)
