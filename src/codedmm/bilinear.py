@@ -267,8 +267,7 @@ class ElementwiseProductCode(InterpolationCode):
         if len(workers) < self.output_map.shape[1]:
             # below 2R - 1 results every worker is present, and y_i = x_i for
             # i < R: those workers hold the products directly
-            products = np.asarray(received)[[workers.index(w) for w in self.x_points]]
-            return products % self.field.modulus
+            return np.asarray(received)[[workers.index(w) for w in self.x_points]]
         return super()._decode_received(received, workers, dims)
 
     def _assemble(self, weights: np.ndarray, parts, dims) -> np.ndarray:

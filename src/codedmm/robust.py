@@ -129,7 +129,8 @@ def _stacked_results(code, results) -> tuple[int, np.ndarray, bool]:
     so they need an InterpolationCode, whose N results lie on one polynomial.
     results is the (N, *shape) stack of worker_products, or a sequence of N
     equal-shape arrays, each with any integer representatives, or of N
-    MatrixF over the code's field (CodingScheme._result_arrays).
+    MatrixF over the code's field, checked once as decode checks them
+    (CodingScheme._result_arrays); the stack decodes by code._decode_received.
     """
     if not isinstance(code, InterpolationCode):
         raise UnsupportedScheme(
@@ -155,7 +156,7 @@ def detect_errors(code: InterpolationCode, results, dims: tuple[int, int] | None
     wrong = _mismatches(code, stack, fit, range(k_need, code.N))
     if wrong:
         return ErrorDetected(worker=wrong[0])
-    product = code.decode_received(stack[fit], fit, dims)
+    product = code._decode_received(stack[fit], list(fit), dims)
     return Clean(MatrixF._wrap(code.field, product) if matrices else product)
 
 
@@ -292,7 +293,7 @@ def correct_errors(code: InterpolationCode, results, dims: tuple[int, int] | Non
             remaining = [w for i, w in enumerate(remaining) if i not in mismatches]
         fit = remaining[:k_need]
         if not _mismatches(code, stack, fit, remaining[k_need:]):
-            product = code.decode_received(stack[fit], fit, dims)
+            product = code._decode_received(stack[fit], fit, dims)
             return MatrixF._wrap(code.field, product) if matrices else product
     raise TooManyErrors(
         f"no pilot projection yields a consistent decode within {e_max} errors"

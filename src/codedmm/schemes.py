@@ -172,9 +172,11 @@ class CodingScheme(ABC):
     def recovery_threshold(self) -> int:
         """Minimum number of worker results that always suffices to decode."""
 
-    def _split(self, matrix: MatrixF, count: int):
-        """The count = p x (m or n) zero-padded blocks of matrix, in row-major order."""
-        if matrix.field != self.field:
+    def _split(self, matrix, count: int):
+        """The count = p x (m or n) zero-padded blocks of matrix, a MatrixF or integer array, row-major."""
+        if not isinstance(matrix, MatrixF):
+            matrix = MatrixF(self.field, matrix)
+        elif matrix.field != self.field:
             raise FieldMismatch(f"input over {matrix.field}, code over {self.field}")
         return grid_blocks(padded_blocks(matrix, self.p, count // self.p))
 
@@ -201,28 +203,35 @@ class CodingScheme(ABC):
         Results are MatrixF, which decode to a MatrixF, or arrays of any
         integer representatives.  dims, when given, is the product's true
         size used to strip padding: (rows, cols) of A^T B, (len(a), len(b))
-        of a convolution.  Raises InsufficientResults for a subset below
-        fewest_results(), then UnknownWorker or MissingResult for a bad
-        worker index, then FieldMismatch for a result over another field,
-        then InsufficientResults for too few distinct workers.
+        of a convolution.  The subset is checked first (_check_subset), then
+        the results: MissingResult for a worker without one, then the
+        errors of _result_arrays.
         """
         first = self._check_subset(subset)
         for w in first:
             if w not in results:
                 raise MissingResult(f"no result from worker {w}")
         received, matrices = self._result_arrays([results[w] for w in first])
-        product = self._decode_distinct(received, first, dims)
+        product = self._decode_received(received, list(first), dims)
         return MatrixF._wrap(self.field, product) if matrices else product
 
     def _result_arrays(self, results) -> tuple[Sequence[np.ndarray], bool]:
-        """results as canonical arrays of one shape, and whether every result is a MatrixF.
+        """results as canonical arrays of the field's dtype and one shape, and whether every result is a MatrixF.
 
-        MatrixF results must be over the code's field (else FieldMismatch)
-        and are taken uncopied.  One array stack is reduced at once, other
-        results one by one, through canonical_array.  Raises
+        Every worker result passes here before a decoder or repair reads
+        it.  MatrixF results must be over the code's field (else
+        FieldMismatch) and are taken uncopied, and so is an int64 stack of
+        canonical entries over an int64 field.  Every other stack is reduced
+        at once, and other results one by one, through canonical_array,
+        which raises NonIntegerEntry for a non-integer entry.  Raises
         BlockShapeMismatch when the results differ in shape.
         """
         if isinstance(results, np.ndarray):
+            # the float64 kernel is exact only on canonical int64 entries; as
+            # unsigned, a negative entry reads as at least 2^63
+            if results.dtype == self.field.array_dtype == np.int64 and (
+                    not results.size or results.view(np.uint64).max() < self.field.modulus):
+                return results, False
             return canonical_array(self.field, results), False
         matrices = all(isinstance(r, MatrixF) for r in results)
         if matrices:
@@ -246,51 +255,38 @@ class CodingScheme(ABC):
         received is the (len(subset), *result shape) stack of results, such
         as worker_products(a, b)[subset]; its entries may be any integer
         representatives of their field elements.  A worker that subset
-        repeats is decoded from its first result.  Raises UnknownWorker for
-        a worker index outside [0, N), NonIntegerEntry for a non-integer
-        entry and InsufficientResults for too few distinct workers.
+        repeats is decoded from its first result.  The subset is checked
+        first (_check_subset), then the stack: BlockShapeMismatch for a
+        stack of another length, then the errors of _result_arrays on the
+        rows that decode.
         """
         first = self._check_subset(subset)
         if len(received) != len(subset):
             raise BlockShapeMismatch(f"{len(received)} results for {len(subset)} workers")
         if len(first) < len(subset):
             received = received[list(first.values())]
-        q = self.field.modulus
-        # the float64 kernel is exact only on canonical int64 entries; as
-        # unsigned, a negative entry reads as at least 2^63
-        if received.dtype == np.int64:
-            if received.size and received.view(np.uint64).max() >= q:
-                received = received % q
-        elif received.dtype != object:
-            received = canonical_array(self.field, received)
-        return self._decode_distinct(received, first, dims)
+        return self._decode_received(self._result_arrays(received)[0], list(first), dims)
 
     def _check_subset(self, subset: Sequence[int]) -> dict[int, int]:
         """Each distinct worker of subset, in order of first appearance, with the position of its first result.
 
         Raises InsufficientResults below fewest_results() results, then
-        UnknownWorker for an index outside [0, N).
+        UnknownWorker for an index outside [0, N) or a subset that is not
+        one-dimensional, then InsufficientResults below fewest_results()
+        distinct workers.
         """
         need = self.fewest_results()
         if len(subset) < need:
             raise InsufficientResults(f"got {len(subset)} results, need {need}")
         index = np.asarray(subset)
-        if index.dtype.kind not in "iu" or index.min() < 0 or index.max() >= self.N:
-            raise UnknownWorker(f"worker index out of range for N={self.N} in {list(subset)}")
+        if index.ndim != 1 or index.dtype.kind not in "iu" or index.min() < 0 or index.max() >= self.N:
+            raise UnknownWorker(f"worker index out of range for N={self.N} in {index.tolist()}")
         first: dict[int, int] = {}
         for row, w in enumerate(index.tolist()):
             first.setdefault(w, row)
-        return first
-
-    def _decode_distinct(self, received, first: dict[int, int], dims: tuple[int, int] | None):
-        """_decode_received on the results of the distinct workers of first, in its order.
-
-        Raises InsufficientResults below fewest_results() distinct workers.
-        """
-        need = self.fewest_results()
         if len(first) < need:
             raise InsufficientResults(f"got {len(first)} distinct workers, need {need}")
-        return self._decode_received(received, list(first), dims)
+        return first
 
     @abstractmethod
     def _decode_received(
@@ -299,8 +295,8 @@ class CodingScheme(ABC):
         """The product from received[i], the result of workers[i].
 
         The workers are distinct and at least fewest_results() many.
-        received is one stack of results or a sequence of equal-shape ones,
-        canonical int64 entries or Python ints that the decoder reduces.
+        received is what _result_arrays returns: one stack of results or a
+        sequence of equal-shape ones, canonical entries of the field's dtype.
         """
 
     def _assemble(self, weights: np.ndarray, parts, dims: tuple[int, int] | None) -> np.ndarray:

@@ -120,14 +120,22 @@ def off_canonical(gen, q, stack):
     return stack + q * k.reshape(stack.shape)
 
 
+def past_int64(gen, q, stack):
+    """stack + k q as uint64, k drawn per entry so that every entry is at least 2^63."""
+    low, high = -(-(1 << 63) // q), (1 << 64) // q - 1
+    shifted = [int(x) + q * gen.randint(low, high) for x in stack.ravel().tolist()]
+    return np.array(shifted, dtype=np.uint64).reshape(stack.shape)
+
+
 @pytest.mark.parametrize("q", [257, 65537, (1 << 61) - 1])
 @pytest.mark.parametrize("name", sorted(SEVEN_CODES))
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_every_code_decodes_any_k_subset_to_the_oracle(name, q, seed):
     # the subset's results decode to the oracle, as they are and shifted off
-    # [0, q); the subset with some workers repeated, the repeats' later
-    # results wrong, decodes as the subset of its distinct workers does
+    # [0, q), also as uint64 past 2^63 and as Python ints; the subset with
+    # some workers repeated, the repeats' later results wrong, decodes as
+    # the subset of its distinct workers does
     gen = random.Random(seed)
     code = SEVEN_CODES[name](PrimeField(q), gen)
     assert isinstance(code, CodingScheme)
@@ -143,9 +151,14 @@ def test_every_code_decodes_any_k_subset_to_the_oracle(name, q, seed):
     distinct = list(dict.fromkeys(repeated))
     received = shifted[repeated]
     received[[i for i, w in enumerate(repeated) if w in repeated[:i]]] += 1
+    unsigned = past_int64(gen, q, stack[subset])
+    objects = off_canonical(gen, q, stack[subset].astype(object))
     decodes = [
         lambda: code.decode(results, subset, dims),
         lambda: code.decode_received(shifted[subset], subset, dims),
+        lambda: code.decode_received(unsigned, subset, dims),
+        lambda: code.decode_received(objects, subset, dims),
+        lambda: code.decode(dict(zip(subset, objects)), subset, dims),
         lambda: code.decode_received(received, repeated, dims),
         lambda: code.decode(results, repeated, dims),
     ]
@@ -160,7 +173,7 @@ def test_every_code_decodes_any_k_subset_to_the_oracle(name, q, seed):
         return
     assert np.asarray(got).ravel().tolist() == np.ravel(want).tolist()
     from_distinct = code.decode_received(stack[distinct], distinct, dims)
-    for decode, same_as in zip(decodes, (got, got, from_distinct, from_distinct)):
+    for decode, same_as in zip(decodes, [got] * 5 + [from_distinct] * 2):
         assert np.array_equal(decode(), same_as)
 
 

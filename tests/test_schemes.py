@@ -219,18 +219,35 @@ class TestDecodeEntryPoint:
             scheme.decode_received(stack[full[:-1]], full)
 
     @pytest.mark.parametrize("name", sorted(BATCHED))
-    def test_error_order(self, name, gf65537, rng):
+    def test_error_order(self, name, gf7, gf65537, rng):
+        # one sequence through both entry points: the subset is checked in
+        # full before any result, a missing result (decode) or a stack of
+        # the wrong length (decode_received) before the results' entries
         scheme = BATCHED[name](gf65537)
         results = run_workers(scheme, random_matrix(gf65537, 5, 3, rng), random_matrix(gf65537, 5, 2, rng))
-        del results[1]
-        unknown = scheme.N + 3
-        with pytest.raises(InsufficientResults):
-            scheme.decode(results, [1, unknown])
-        # worker 1 has no result, but the unknown index is reported first
-        with pytest.raises(UnknownWorker):
-            scheme.decode(results, list(range(scheme.N)) + [unknown])
-        with pytest.raises(MissingResult):
-            scheme.decode(results, list(range(scheme.N)))
+        floats = {w: r.data.astype(np.float64) + 0.5 for w, r in results.items()}
+        stack = np.stack(list(floats.values()))  # no entry an integer
+        foreign = {**results, 0: random_matrix(gf7, *results[0].shape, rng)}
+        missing = {w: r for w, r in foreign.items() if w != 1}
+        n, unknown = scheme.N, scheme.N + 3
+        every = list(range(n))
+        cases = [
+            (InsufficientResults, missing, [1, unknown], stack[:2]),
+            # worker 1 has no result, but the unknown index is reported first
+            (UnknownWorker, missing, every + [unknown], stack),
+            (InsufficientResults, missing, [1] * n, stack[:-1]),
+            (MissingResult, missing, every, None),
+            (BlockShapeMismatch, None, every, stack[:-1]),
+            (FieldMismatch, foreign, every, None),
+            (NonIntegerEntry, floats, every, stack),
+        ]
+        for error, mapping, subset, received in cases:
+            if mapping is not None:
+                with pytest.raises(error):
+                    scheme.decode(mapping, subset)
+            if received is not None:
+                with pytest.raises(error):
+                    scheme.decode_received(received, subset)
 
 
 @pytest.mark.parametrize("name", sorted(BATCHED))
@@ -256,8 +273,45 @@ def test_decode_received_refuses_a_float_stack(name, gf65537, rng):
     subset = list(range(scheme.N))
     floats = stack.astype(np.float64)
     floats[1, 0, 0] += 0.9
-    with pytest.raises(NonIntegerEntry):
-        scheme.decode_received(floats, subset, dims=(3, 2))
+    # an object stack is checked too, and decode refuses what decode_received refuses
+    objects = stack.astype(object)
+    objects[1, 0, 0] += 0.5
+    for bad in (floats, objects):
+        with pytest.raises(NonIntegerEntry):
+            scheme.decode_received(bad, subset, dims=(3, 2))
+        with pytest.raises(NonIntegerEntry):
+            scheme.decode(dict(enumerate(bad)), subset, dims=(3, 2))
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_int64_stack_over_an_object_field(name, rng):
+    # at q near 2^63 every entry fits int64 but a sum of two does not: an
+    # int64 stack is taken as the field's Python ints, not summed in int64.
+    # Small entries times entries near -1 give results near q.
+    field = PrimeField((1 << 63) - 25)
+    scheme = BATCHED[name](field)
+    a = MatrixF(field, [[1 + rng.randrange(3) for _ in range(3)] for _ in range(5)])
+    b = MatrixF(field, [[-1 - rng.randrange(3) for _ in range(2)] for _ in range(5)])
+    stack = scheme.worker_products(a, b).astype(np.int64)
+    subset = list(range(scheme.N))
+    got = scheme.decode_received(stack, subset, dims=(3, 2))
+    assert got.tolist() == oracle_product(a, b).data.tolist()
+
+
+@pytest.mark.parametrize("q", [65537, (1 << 61) - 1])
+@pytest.mark.parametrize("name", sorted(BATCHED))
+def test_array_inputs_equal_matrixf_inputs(name, q, rng):
+    # integer arrays, any representatives, encode as the MatrixF of their entries
+    field = PrimeField(q)
+    scheme = BATCHED[name](field)
+    a, b = random_matrix(field, 5, 3, rng), random_matrix(field, 5, 2, rng)
+    a_np, b_np = a.data.astype(np.int64) - q, b.data.astype(np.int64) + 3 * q
+    got = scheme.worker_products(a_np, b_np)
+    want = scheme.worker_products(a, b)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for (ca, cb), (wa, wb) in zip(scheme.encode_all(a_np, b_np), scheme.encode_all(a, b)):
+        assert isinstance(ca, np.ndarray) and isinstance(cb, np.ndarray)
+        assert np.array_equal(ca, wa.data) and np.array_equal(cb, wb.data)
 
 INTERPOLATION = {
     "entangled": lambda f: EntangledCode(2, 2, 1, 8, f),
@@ -588,6 +642,19 @@ class TestDecodeSubsetErrors:
             for index in (subset, np.array(subset)):
                 with pytest.raises(UnknownWorker):
                     scheme.decode_received(stack, index)
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    def test_subset_that_is_not_one_dimensional(self, name, gf65537, rng):
+        scheme = SCHEMES[name](gf65537)
+        results = run_workers(scheme, random_matrix(gf65537, 4, 4, rng), random_matrix(gf65537, 4, 4, rng))
+        k = scheme.recovery_threshold()
+        subset = np.arange(2 * k).reshape(k, 2) % scheme.N
+        stack = np.stack([results[w].data for w in range(k)])
+        with pytest.raises(UnknownWorker):
+            scheme.decode(results, subset)
+        for index in (subset, subset.tolist()):
+            with pytest.raises(UnknownWorker):
+                scheme.decode_received(stack, index)
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_repeated_worker_leaves_too_few_distinct_workers(self, name, gf65537, rng):
