@@ -240,14 +240,12 @@ class ElementwiseProductCode(InterpolationCode):
         if field.modulus <= max(N, length):
             raise FieldTooSmall(f"need q > max(N, R) = {max(N, length)}, got q={field.modulus}")
         self.length = length
-        self.N = N
-        self.field = field
         self.x_points = tuple(range(length))
-        self.points = tuple(range(N))
-        # gen_a[i, j] = l_j(y_i) over the x points: worker i stores
-        # sum_j gen_a[i, j] * vec[j] of each vector
-        self.gen_a = self.gen_b = lagrange_matrix(field, self.x_points, self.points)
-        self.output_map = vandermonde(field, self.x_points, 2 * length - 1)
+        points = tuple(range(N))
+        # gen[i, j] = l_j(y_i) over the x points: worker i stores
+        # sum_j gen[i, j] * vec[j] of each vector
+        gen = lagrange_matrix(field, self.x_points, points)
+        super().__init__(field, points, gen, gen, vandermonde(field, self.x_points, 2 * length - 1))
 
     def recovery_threshold(self) -> int:
         return min(self.N, super().recovery_threshold())
@@ -291,15 +289,13 @@ class ImprovedBilinearCode(InterpolationCode):
             raise TooFewWorkers(f"N={N} < 2R-1={2 * r - 1}")
         elementwise = ElementwiseProductCode(r, N, field)
         self.construction = bc
-        self.p, self.m, self.n, self.N = bc.p, bc.m, bc.n, N
-        self.field = field
-        self.points = elementwise.points
+        self.p, self.m, self.n = bc.p, bc.m, bc.n
         q = field.modulus
         a, b, c = (t.astype(field.array_dtype).reshape(r, -1) % q for t in (bc.a, bc.b, bc.c))
-        self.gen_a = modmatmul(elementwise.gen_a, a, q)
-        self.gen_b = modmatmul(elementwise.gen_b, b, q)
         # output block (j, k) is sum_r c[r, j, k] * (product r)
-        self.output_map = modmatmul(c.T, elementwise.output_map, q)
+        output_map = modmatmul(c.T, elementwise.output_map, q)
+        super().__init__(field, elementwise.points, modmatmul(elementwise.gen_a, a, q),
+                         modmatmul(elementwise.gen_b, b, q), output_map)
 
 
 # -- on-disk registry -------------------------------------------------------

@@ -70,8 +70,8 @@ def _subset_iter(n, k, exhaustive, rng, samples):
 
 
 def _load_fixture_inputs(args):
-    """Matrix pair from --a/--b text fixtures, or None for random inputs."""
-    paths = (getattr(args, "a", None), getattr(args, "b", None))
+    """Matrix pair from verify's --a/--b text fixtures, or None for random inputs."""
+    paths = (args.a, args.b)
     if not any(paths):
         return None
     if not all(paths):
@@ -91,9 +91,9 @@ def _failed_subsets(code, products, subsets, dims, want) -> int:
     return sum(not np.array_equal(got, want) for got in decoded)
 
 
-def _verify_scheme(scheme, args, label: str) -> int:
+def _verify_scheme(scheme, fixtures, args, label: str) -> int:
+    """Check every subset's decode of A^T B, for the fixtures (A, B) or, when None, seeded random inputs."""
     rng = np.random.default_rng(args.seed)
-    fixtures = _load_fixture_inputs(args)
     if fixtures is not None:
         a, b = fixtures
     else:
@@ -121,14 +121,14 @@ def _cmd_verify(args) -> int:
     fixtures = _load_fixture_inputs(args)
     field = fixtures[0].field if fixtures else PrimeField(args.q)
     scheme = EntangledCode(args.p, args.m, args.n, args.N, field)
-    return _verify_scheme(scheme, args, "entangled")
+    return _verify_scheme(scheme, fixtures, args, "entangled")
 
 
 def _cmd_verify_improved(args) -> int:
     field = PrimeField(args.q)
     bc = load_construction(args.construction)
     scheme = ImprovedBilinearCode(bc, args.N, field)
-    return _verify_scheme(scheme, args, f"improved({bc.name or args.construction})")
+    return _verify_scheme(scheme, None, args, f"improved({bc.name or args.construction})")
 
 
 def _cmd_conv(args) -> int:

@@ -9,9 +9,10 @@ and returns their full convolution.  That result is the evaluation at x_i of
 a degree m+n-2 polynomial whose x^d coefficient is the anti-diagonal sum
 over j+k = d of a_j * b_k, exactly the blocks overlap-add needs, so any
 m+n-1 workers decode and no product coefficient is wasted.  ConvCodeSpec is
-therefore an InterpolationCode whose output map is the identity: its parts
-are the length-s blocks, its workers convolve, and decode interpolates, then
-overlap-adds the coefficients.  conv_encode/worker/decode wrap those steps.
+therefore an InterpolationCode, built through its constructor, whose output
+map is the identity: its parts are the length-s blocks, its workers
+convolve, and decode interpolates, then overlap-adds the coefficients.
+conv_encode/worker/decode wrap those steps.
 
 Each worker's convolution (field_convolve) runs, for q < 2^21, as an exact
 float64 FFT product in O(s log s).  A canonical entry splits into an 11-bit
@@ -46,19 +47,13 @@ directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .blocks import overlap_add, partition_vector
-from .errors import (
-    BlockShapeMismatch,
-    DuplicateEvaluationPoint,
-    FieldTooSmall,
-    TooFewWorkers,
-)
+from .errors import BlockShapeMismatch, FieldTooSmall, TooFewWorkers
 from .field import PrimeField, _workspace, canonical_array, combine, vandermonde
 from .schemes import InterpolationCode
 
@@ -71,38 +66,27 @@ _LIMB_BITS = 11
 _FFT_PIECE = 1 << 13
 
 
-@dataclass(frozen=True)
 class ConvCodeSpec(InterpolationCode):
-    """Parameters of the convolution code; workers store length-s vectors.
+    """The convolution code over the points x_points; workers store length-s vectors.
 
     Its product polynomial's K = m + n - 1 coefficients are the block
     convolutions overlap-add needs, so output_map is the K x K identity.
-    The generators, worker i's powers x_i^j, are built once here.
+    The generators, worker i's powers x_i^j, are built once here and handed,
+    with the points, to InterpolationCode's constructor, which refuses
+    points that are not distinct mod q.
     """
 
-    m: int
-    n: int
-    N: int
-    s: int
-    x_points: tuple[int, ...]
-    field: PrimeField
-
-    def __post_init__(self):
-        if min(self.m, self.n, self.N, self.s) < 1:
+    def __init__(self, m: int, n: int, N: int, s: int, x_points: Sequence[int], field: PrimeField):
+        if min(m, n, N, s) < 1:
             raise ValueError("m, n, N, s must all be >= 1")
-        k = self.m + self.n - 1
-        if self.N < k:
-            raise TooFewWorkers(f"N={self.N} < m+n-1={k}")
-        if len(self.x_points) != self.N:
-            raise ValueError(f"need {self.N} evaluation points")
-        q = self.field.modulus
-        if len({x % q for x in self.x_points}) != self.N:
-            raise DuplicateEvaluationPoint("evaluation points must be distinct mod q")
-        powers = vandermonde(self.field, self.x_points, max(self.m, self.n))
-        object.__setattr__(self, "gen_a", powers[:, :self.m])
-        object.__setattr__(self, "gen_b", powers[:, :self.n])
-        object.__setattr__(self, "points", self.x_points)
-        object.__setattr__(self, "output_map", np.eye(k, dtype=self.field.array_dtype))
+        k = m + n - 1
+        if N < k:
+            raise TooFewWorkers(f"N={N} < m+n-1={k}")
+        if len(x_points) != N:
+            raise ValueError(f"need {N} evaluation points")
+        self.m, self.n, self.s, self.x_points = m, n, s, x_points
+        powers = vandermonde(field, x_points, max(m, n))
+        super().__init__(field, x_points, powers[:, :m], powers[:, :n], np.eye(k, dtype=field.array_dtype))
 
     def _split(self, vec, count: int) -> list[np.ndarray]:
         """The count blocks of length s of vec, zero-padded and canonical."""

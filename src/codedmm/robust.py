@@ -149,7 +149,8 @@ def detect_errors(code: InterpolationCode, results, dims: tuple[int, int] | None
     every result matches the fitted polynomial, else ErrorDetected.  C is a
     MatrixF for MatrixF results, else an array.  With at most N - K
     corrupted workers this never returns a wrong Clean: the fit would
-    disagree with some uncorrupted worker.
+    disagree with some uncorrupted worker.  Raises ValueError for other
+    than N results.
     """
     k_need, stack, matrices = _stacked_results(code, results)
     fit = range(k_need)
@@ -269,7 +270,8 @@ def correct_errors(code: InterpolationCode, results, dims: tuple[int, int] | Non
     product whenever at most ceil((N-K)/2) workers are corrupted.  Past
     that only corruptions that together fit another codeword pass (at
     N = K, any).  Raises TooManyErrors when no pilot produces a verified decode,
-    and FieldMismatch for results over another field.
+    FieldMismatch for results over another field, and ValueError for other
+    than N results.
     """
     N = code.N
     k_need, stack, matrices = _stacked_results(code, results)

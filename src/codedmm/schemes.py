@@ -3,7 +3,9 @@
 CodingScheme is the base of every code, the vector codes included: worker i
 stores one combination of each input's parts, returns the result of one
 operation on that pair, and the master decodes the product from any
-recovery_threshold() many results.
+recovery_threshold() many results.  Every code is built through one of two
+constructors: CodingScheme(field, gen_a, gen_b), or, for an evaluation
+code, InterpolationCode(field, points, gen_a, gen_b, output_map).
 
 Schemes here: the exponent-parameterized polynomial code family, its
 (1, p, pm) instantiation that hits threshold pmn + p - 1, uncoded
@@ -160,13 +162,14 @@ class CodingScheme(ABC):
     default the p x m, or p x n, blocks of a MatrixF in row-major order) and
     _work runs every worker's operation on the coded stacks (by default the
     block products A~^T B~), so encoding is one combine of a generator with
-    the parts.
+    the parts.  Every code is built through this constructor, which sets
+    field, gen_a, gen_b and N = len(gen_a), the number of workers.
     """
 
-    N: int
-    field: PrimeField
-    gen_a: np.ndarray
-    gen_b: np.ndarray
+    def __init__(self, field: PrimeField, gen_a: np.ndarray, gen_b: np.ndarray):
+        self.field = field
+        self.gen_a, self.gen_b = gen_a, gen_b
+        self.N = len(gen_a)
 
     @abstractmethod
     def recovery_threshold(self) -> int:
@@ -253,18 +256,18 @@ class CodingScheme(ABC):
         """The product as an array, from received[i], the result of worker subset[i].
 
         received is the (len(subset), *result shape) stack of results, such
-        as worker_products(a, b)[subset]; its entries may be any integer
-        representatives of their field elements.  A worker that subset
-        repeats is decoded from its first result.  The subset is checked
-        first (_check_subset), then the stack: BlockShapeMismatch for a
-        stack of another length, then the errors of _result_arrays on the
-        rows that decode.
+        as worker_products(a, b)[subset], or a list of them; its entries may
+        be any integer representatives of their field elements.  A worker
+        that subset repeats is decoded from its first result.  The subset is
+        checked first (_check_subset), then the stack: BlockShapeMismatch
+        for a stack of another length, then the errors of _result_arrays on
+        the rows that decode.
         """
         first = self._check_subset(subset)
         if len(received) != len(subset):
             raise BlockShapeMismatch(f"{len(received)} results for {len(subset)} workers")
         if len(first) < len(subset):
-            received = received[list(first.values())]
+            received = [received[i] for i in first.values()]
         return self._decode_received(self._result_arrays(received)[0], list(first), dims)
 
     def _check_subset(self, subset: Sequence[int]) -> dict[int, int]:
@@ -272,13 +275,16 @@ class CodingScheme(ABC):
 
         Raises InsufficientResults below fewest_results() results, then
         UnknownWorker for an index outside [0, N) or a subset that is not
-        one-dimensional, then InsufficientResults below fewest_results()
-        distinct workers.
+        one-dimensional, a ragged one included, then InsufficientResults
+        below fewest_results() distinct workers.
         """
         need = self.fewest_results()
         if len(subset) < need:
             raise InsufficientResults(f"got {len(subset)} results, need {need}")
-        index = np.asarray(subset)
+        try:
+            index = np.asarray(subset)
+        except ValueError:  # a ragged subset
+            raise UnknownWorker(f"subset is not a sequence of worker indices: {subset!r}") from None
         if index.ndim != 1 or index.dtype.kind not in "iu" or index.min() < 0 or index.max() >= self.N:
             raise UnknownWorker(f"worker index out of range for N={self.N} in {index.tolist()}")
         first: dict[int, int] = {}
@@ -337,11 +343,18 @@ class InterpolationCode(CodingScheme):
     V_S being the Vandermonde matrix at their points.  _assemble(weights,
     parts, dims) then builds the product from the parts' combination: A^T B
     from its mn blocks, written in place, the R element-wise products, or
-    the overlap-add of K block convolutions.
+    the overlap-add of K block convolutions.  Every evaluation code is
+    built through this constructor, the one code check that the points are
+    distinct mod q (else DuplicateEvaluationPoint).
     """
 
-    points: tuple[int, ...]
-    output_map: np.ndarray
+    def __init__(self, field: PrimeField, points: Sequence[int], gen_a: np.ndarray,
+                 gen_b: np.ndarray, output_map: np.ndarray):
+        if len({x % field.modulus for x in points}) != len(points):
+            raise DuplicateEvaluationPoint("evaluation points must be distinct mod q")
+        super().__init__(field, gen_a, gen_b)
+        self.points = points
+        self.output_map = output_map
 
     def recovery_threshold(self) -> int:
         return self.output_map.shape[1]
@@ -364,13 +377,11 @@ class GeneralPolynomialCode(InterpolationCode):
                 f"N={spec.N} < threshold {spec.product_degree() + 1} for these exponents"
             )
         self.spec = spec
-        self.p, self.m, self.n, self.N = spec.p, spec.m, spec.n, spec.N
-        self.field = spec.field
-        self.gen_a, self.gen_b = spec.generators()
-        self.points = spec.x_points
+        self.p, self.m, self.n = spec.p, spec.m, spec.n
         # output block (k, k') is the product polynomial's coefficient at its output degree
         degrees = [spec.output_degree(k, kp) for k in range(self.m) for kp in range(self.n)]
-        self.output_map = np.eye(spec.product_degree() + 1, dtype=self.field.array_dtype)[degrees]
+        output_map = np.eye(spec.product_degree() + 1, dtype=spec.field.array_dtype)[degrees]
+        super().__init__(spec.field, spec.x_points, *spec.generators(), output_map)
 
 
 class EntangledCode(GeneralPolynomialCode):
@@ -392,17 +403,17 @@ class UncodedRepetitionCode(CodingScheme):
         tasks = p * m * n
         if N < tasks:
             raise TooFewWorkers(f"N={N} < pmn={tasks}")
-        self.p, self.m, self.n, self.N = p, m, n, N
-        self.field = field
+        self.p, self.m, self.n = p, m, n
         self.num_tasks = tasks
         # unit generator rows: worker w stores A[j,k] and B[j,k'] of its task
-        self.gen_a = np.zeros((N, p * m), dtype=field.array_dtype)
-        self.gen_b = np.zeros((N, p * n), dtype=field.array_dtype)
+        gen_a = np.zeros((N, p * m), dtype=field.array_dtype)
+        gen_b = np.zeros((N, p * n), dtype=field.array_dtype)
         for w in range(N):
             t = w % tasks
             j, k, kp = t % p, (t // p) % m, t // (p * m)
-            self.gen_a[w, j * m + k] = 1
-            self.gen_b[w, j * n + kp] = 1
+            gen_a[w, j * m + k] = 1
+            gen_b[w, j * n + kp] = 1
+        super().__init__(field, gen_a, gen_b)
 
     def recovery_threshold(self) -> int:
         return self.N - self.N // self.num_tasks + 1
@@ -453,13 +464,15 @@ class RandomLinearCode(CodingScheme):
         unknowns = p * p * m * n
         if N < unknowns:
             raise TooFewWorkers(f"N={N} < p^2mn={unknowns}")
-        self.p, self.m, self.n, self.N = p, m, n, N
-        self.field = field
+        self.p, self.m, self.n = p, m, n
         self.seed = seed
         rng = np.random.default_rng(seed)
         q = field.modulus
-        self.gen_a = np.array(random_elements(rng, q, (N, p * m)), dtype=field.array_dtype)
-        self.gen_b = np.array(random_elements(rng, q, (N, p * n)), dtype=field.array_dtype)
+        super().__init__(
+            field,
+            np.array(random_elements(rng, q, (N, p * m)), dtype=field.array_dtype),
+            np.array(random_elements(rng, q, (N, p * n)), dtype=field.array_dtype),
+        )
         # row w: result_w = sum over pairs ((j,k),(j',k')) of
         #        gen_a[w,(j,k)] * gen_b[w,(j',k')] * (A[j,k]^T B[j',k'])
         gen = (self.gen_a[:, :, None] * self.gen_b[:, None, :] % q).reshape(N, -1)

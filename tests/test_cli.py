@@ -115,6 +115,20 @@ class TestFault:
         row = dict(zip(header, rows[0]))
         assert row["exact"] == "20" and row["silent_wrong"] == "0"
 
+    @pytest.mark.parametrize("errors, mode, column", [
+        ("0", "detect", "exact"),  # every trial is Clean and exact
+        ("3", "correct", "uncorrectable"),  # past floor((9 - 5) / 2) = 2: refused
+    ])
+    def test_every_trial_lands_in_one_column(self, capsys, errors, mode, column):
+        code, out, _ = run_cli(
+            capsys, "fault", "--p", "2", "--m", "2", "--n", "1", "--N", "9",
+            "--trials", "10", "--seed", "5", "--errors", errors, "--mode", mode,
+        )
+        assert code == 0
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert row[column] == "10" and row["silent_wrong"] == "0"
+
     def test_modulus_past_int64(self, capsys):
         # 2^89 - 1: the inputs and the corruption are drawn past int64
         code, out, err = run_cli(
@@ -221,6 +235,17 @@ class TestModuleEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "must be at least 1" in proc.stderr
+
+    def test_bounds_prints_its_golden_table(self):
+        proc = self.run_module("bounds", "--fig2", "--Nmax", "14")
+        assert proc.returncode == 0, proc.stderr
+        golden = Path(__file__).resolve().parent / "golden" / "bounds-fig2.out"
+        assert proc.stdout == golden.read_text()
+
+    def test_invalid_partition_exits_two(self):
+        proc = self.run_module("verify", "--p", "0", "--m", "1", "--n", "1", "--N", "3")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
 
 
 class TestValidateConstruction:

@@ -10,9 +10,10 @@ import pytest
 
 from codedmm import convolution as convolution_module
 from codedmm.blocks import partition_vector
-from codedmm.convolution import conv_decode, conv_encode, conv_spec, conv_worker, field_convolve
+from codedmm.convolution import ConvCodeSpec, conv_decode, conv_encode, conv_spec, conv_worker, field_convolve
 from codedmm.errors import (
     BlockShapeMismatch,
+    DuplicateEvaluationPoint,
     FieldTooSmall,
     InsufficientResults,
     MissingResult,
@@ -49,6 +50,11 @@ class TestConvSpec:
     def test_field_too_small(self, gf7):
         with pytest.raises(FieldTooSmall):
             conv_spec(2, 2, 7, 3, gf7)
+
+    def test_points_equal_mod_q(self, gf257):
+        # 1 and 1 + q are distinct integers but the same point of the field
+        with pytest.raises(DuplicateEvaluationPoint):
+            ConvCodeSpec(1, 1, 3, 2, (0, 1, 1 + gf257.modulus), gf257)
 
 
 class TestConvEncode:

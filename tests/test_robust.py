@@ -152,6 +152,13 @@ class TestDetect:
 
 
 @pytest.mark.parametrize("repair", [detect_errors, correct_errors])
+def test_fewer_than_n_results_are_refused(repair, setup_9_workers):
+    code, a, b, _, _ = setup_9_workers
+    with pytest.raises(ValueError, match="need all 9 results, got 8"):
+        repair(code, code.worker_products(a, b)[:8], dims=(4, 2))
+
+
+@pytest.mark.parametrize("repair", [detect_errors, correct_errors])
 @pytest.mark.parametrize("worker", [0, 8])
 def test_result_of_another_shape_is_refused(repair, worker, setup_9_workers):
     # inside the fit (worker 0) or outside it (worker 8), one typed error

@@ -649,10 +649,12 @@ class TestDecodeSubsetErrors:
         results = run_workers(scheme, random_matrix(gf65537, 4, 4, rng), random_matrix(gf65537, 4, 4, rng))
         k = scheme.recovery_threshold()
         subset = np.arange(2 * k).reshape(k, 2) % scheme.N
+        # k entries, the first of them two workers: numpy makes no array of it
+        ragged = [[0, 1]] + [[w] for w in range(1, k)]
         stack = np.stack([results[w].data for w in range(k)])
-        with pytest.raises(UnknownWorker):
-            scheme.decode(results, subset)
-        for index in (subset, subset.tolist()):
+        for index in (subset, subset.tolist(), ragged):
+            with pytest.raises(UnknownWorker):
+                scheme.decode(results, index)
             with pytest.raises(UnknownWorker):
                 scheme.decode_received(stack, index)
 
@@ -695,6 +697,17 @@ class TestRepeatedWorkers:
         assert np.array_equal(got, oracle_product(a, b).data)
         results = run_workers(code, a, b)
         assert code.decode(results, [2, 2, 0, 1], dims=(3, 2)) == oracle_product(a, b)
+
+    def test_list_of_results_with_a_repeated_worker(self, gf65537, rng):
+        # a list decodes like the stack: the repeated worker's second
+        # result, not an integer array, is neither read nor checked
+        code = EntangledCode(2, 2, 1, 9, gf65537)
+        a, b = random_matrix(gf65537, 4, 4, rng), random_matrix(gf65537, 4, 2, rng)
+        subset = [0, 0, 1, 2, 3, 4]
+        received = list(code.worker_products(a, b)[subset])
+        received[1] = np.full(received[1].shape, 0.5)
+        got = code.decode_received(received, subset, dims=(4, 2))
+        assert np.array_equal(got, oracle_product(a, b).data)
 
     def test_too_few_distinct_workers(self, gf65537, rng):
         code = EntangledCode(2, 1, 1, 5, gf65537)

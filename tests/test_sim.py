@@ -139,6 +139,14 @@ class TestOracleMatch:
             assert all(rep.oracle_match for rep in result.reports)
             assert result.success_rate == 1.0
 
+    def test_singular_subsets_wait_for_one_more_worker(self):
+        # over GF(5) a random-linear subset of K = 2 workers is often
+        # singular; the trial waits for more arrivals and still decodes
+        cfg = config(scheme="random-linear", p=1, m=2, n=1, N=8, trials=40, seed=1, modulus=5)
+        result = run_experiment(cfg)
+        assert result.success_rate == 1.0
+        assert any(rep.waited > rep.threshold for rep in result.reports)
+
     def test_faults_can_break_plain_decode(self):
         cfg = config(p=2, m=2, n=1, N=10, trials=20, faults=2, seed=3)
         result = run_experiment(cfg)
