@@ -1,5 +1,9 @@
 """Command-line surface: verification drivers, calculators, and the simulator.
 
+verify, verify-improved and conv share one subset check (_decode_subsets),
+bounds prints rows of bounds.figure2_table, and random matrix inputs come
+from sim.random_inputs, the draw a simulator trial makes.
+
 Output goes to stdout as RFC-4180 CSV (default) or an aligned text table via
 --format; diagnostics and the effective seed go to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage error.
@@ -10,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from contextlib import nullcontext
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -18,7 +23,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .bilinear import ImprovedBilinearCode, load_construction, registry_names, validate_construction
-from .blocks import MatrixF, read_matrix_text
+from .blocks import read_matrix_text
 from .convolution import conv_spec, field_convolve
 from .errors import CodedmmError, TooManyErrors
 from .field import PrimeField, random_elements
@@ -29,6 +34,7 @@ from .sim import (
     ShiftedExponential,
     SimulationConfig,
     TRIAL_CSV_COLUMNS,
+    random_inputs,
     report_rows,
     run_experiment,
 )
@@ -53,22 +59,6 @@ def _note(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _random_inputs(field, rng, s, r, t):
-    q = field.modulus
-    a = MatrixF(field, random_elements(rng, q, (s, r)))
-    b = MatrixF(field, random_elements(rng, q, (s, t)))
-    return a, b
-
-
-def _subset_iter(n, k, exhaustive, rng, samples):
-    if exhaustive:
-        return list(combinations(range(n), k))
-    return [
-        tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-        for _ in range(samples)
-    ]
-
-
 def _load_fixture_inputs(args):
     """Matrix pair from verify's --a/--b text fixtures, or None for random inputs."""
     paths = (args.a, args.b)
@@ -85,33 +75,38 @@ def _load_fixture_inputs(args):
     return a, b
 
 
-def _failed_subsets(code, products, subsets, dims, want) -> int:
-    """How many subsets' results, rows of products, decode to something other than want."""
+def _decode_subsets(code, a, b, want, dims, rng, samples: int, exhaustive: bool = True):
+    """(mode, subsets, failures): threshold-size subsets of code's workers on a, b, and how many decode to other than want.
+
+    Every subset when exhaustive and there are at most MAX_EXHAUSTIVE_SUBSETS
+    of them, else (with a note past the cap) `samples` subsets drawn from rng.
+    dims is the product's true size.
+    """
+    products = code.worker_products(a, b)
+    k = code.recovery_threshold()
+    if exhaustive and comb(code.N, k) > MAX_EXHAUSTIVE_SUBSETS:
+        _note(f"note: {comb(code.N, k)} subsets exceed the exhaustive cap; sampling instead")
+        exhaustive = False
+    if exhaustive:
+        subsets = list(combinations(range(code.N), k))
+    else:
+        subsets = [tuple(sorted(rng.choice(code.N, size=k, replace=False).tolist()))
+                   for _ in range(samples)]
     decoded = (code.decode_received(products[list(sub)], sub, dims) for sub in subsets)
-    return sum(not np.array_equal(got, want) for got in decoded)
+    failures = sum(not np.array_equal(got, want) for got in decoded)
+    return ("exhaustive" if exhaustive else "sampled"), len(subsets), failures
 
 
 def _verify_scheme(scheme, fixtures, args, label: str) -> int:
-    """Check every subset's decode of A^T B, for the fixtures (A, B) or, when None, seeded random inputs."""
+    """Check the subsets' decodes of A^T B, for the fixtures (A, B) or, when None, seeded random inputs."""
     rng = np.random.default_rng(args.seed)
-    if fixtures is not None:
-        a, b = fixtures
-    else:
-        s, r, t = 2 * scheme.p, 2 * scheme.m, 2 * scheme.n
-        a, b = _random_inputs(scheme.field, rng, s, r, t)
-    r, t = a.cols, b.cols
-    oracle = (a.transpose() @ b).data
-    products = scheme.worker_products(a, b)
-    k = scheme.recovery_threshold()
-    exhaustive = args.exhaustive and comb(scheme.N, k) <= MAX_EXHAUSTIVE_SUBSETS
-    if args.exhaustive and not exhaustive:
-        _note(f"note: {comb(scheme.N, k)} subsets exceed the exhaustive cap; sampling instead")
-    subsets = _subset_iter(scheme.N, k, exhaustive, rng, args.samples)
-    failures = _failed_subsets(scheme, products, subsets, (r, t), oracle)
-    mode = "exhaustive" if exhaustive else "sampled"
+    a, b = fixtures or random_inputs(scheme.field, rng, (2 * scheme.p, 2 * scheme.m, 2 * scheme.n))
+    mode, tried, failures = _decode_subsets(
+        scheme, a, b, (a.transpose() @ b).data, (a.cols, b.cols), rng, args.samples, args.exhaustive,
+    )
     _emit(
         ("scheme", "N", "K", "mode", "subsets", "decoded", "failures"),
-        [(label, scheme.N, k, mode, len(subsets), len(subsets) - failures, failures)],
+        [(label, scheme.N, scheme.recovery_threshold(), mode, tried, tried - failures, failures)],
         args.format,
     )
     return 1 if failures else 0
@@ -137,15 +132,13 @@ def _cmd_conv(args) -> int:
     rng = np.random.default_rng(args.seed)
     a = random_elements(rng, args.q, args.m * args.len)
     b = random_elements(rng, args.q, args.n * args.len)
-    products = spec.worker_products(a, b)
-    expected = field_convolve(field, a, b)
-    k = spec.recovery_threshold()
-    exhaustive = comb(args.N, k) <= MAX_EXHAUSTIVE_SUBSETS
-    subsets = _subset_iter(args.N, k, exhaustive, rng, args.samples)
-    failures = _failed_subsets(spec, products, subsets, (len(a), len(b)), expected)
+    _, tried, failures = _decode_subsets(
+        spec, a, b, field_convolve(field, a, b), (len(a), len(b)), rng, args.samples,
+    )
     _emit(
         ("m", "n", "N", "K", "block_len", "subsets", "decoded", "failures"),
-        [(args.m, args.n, args.N, k, args.len, len(subsets), len(subsets) - failures, failures)],
+        [(args.m, args.n, args.N, spec.recovery_threshold(), args.len,
+          tried, tried - failures, failures)],
         args.format,
     )
     return 1 if failures else 0
@@ -156,10 +149,10 @@ def _cmd_fault(args) -> int:
     code = EntangledCode(args.p, args.m, args.n, args.N, field)
     k = code.recovery_threshold()
     rng = np.random.default_rng(args.seed)
-    s, r, t = 2 * args.p, 2 * args.m, 2 * args.n
+    r, t = 2 * args.m, 2 * args.n
     exact = detected = silent_wrong = failed = 0
     for trial in range(args.trials):
-        a, b = _random_inputs(field, rng, s, r, t)
+        a, b = random_inputs(field, rng, (2 * args.p, r, t))
         oracle = (a.transpose() @ b).data
         stack = code.worker_products(a, b)
         inject_faults(np.random.default_rng(int(rng.integers(1 << 62))), stack, args.errors, args.q)
@@ -194,37 +187,17 @@ def _cmd_fault(args) -> int:
 
 def _cmd_bounds(args) -> int:
     PrimeField(args.q)  # the tables need no field, but --q is refused like elsewhere
-    out = open(args.out, "w", newline="") if args.out else None
-    try:
-        if args.fig2:
-            start = bounds_mod.threshold_entangled(3, 3, 1)
-            rows = bounds_mod.figure2_table(range(start, args.Nmax + 1))
-            _emit(bounds_mod.FIG2_COLUMNS, rows, args.format, out)
-            return 0
-        p, m, n = args.p, args.m, args.n
-        header = (
-            "N", "K_uncoded", "K_random_linear", "K_short_mds", "K_entangled",
-            "converse_linear", "converse_nonlinear",
-        )
-        start = max(p * m * n, bounds_mod.threshold_entangled(p, m, n), p)
-        rows = []
-        for N in range(start, args.Nmax + 1):
-            rows.append(
-                (
-                    N,
-                    bounds_mod.threshold_uncoded(p, m, n, N),
-                    bounds_mod.threshold_random_linear(p, m, n),
-                    bounds_mod.threshold_short_mds(p, m, N),
-                    bounds_mod.threshold_entangled(p, m, n),
-                    bounds_mod.converse_linear(p, m, n, N),
-                    bounds_mod.converse_nonlinear(p, m, n),
-                )
-            )
+    p, m, n = (3, 3, 1) if args.fig2 else (args.p, args.m, args.n)
+    start = bounds_mod.threshold_entangled(p, m, n)
+    rows = bounds_mod.figure2_table(range(start, args.Nmax + 1), p, m, n)
+    header = bounds_mod.FIG2_COLUMNS
+    if not args.fig2:
+        header += ("converse_linear", "converse_nonlinear")
+        nonlinear = bounds_mod.converse_nonlinear(p, m, n)
+        rows = [row + (bounds_mod.converse_linear(p, m, n, row[0]), nonlinear) for row in rows]
+    with open(args.out, "w", newline="") if args.out else nullcontext() as out:
         _emit(header, rows, args.format, out)
-        return 0
-    finally:
-        if out:
-            out.close()
+    return 0
 
 
 def _count(text: str) -> int:
@@ -303,54 +276,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=True, q_default=65537):
+    def command(name, func, help, counts="pmnN", q=65537, seed=True, samples=False, exhaustive=False):
+        """A subcommand with its shared options: the required partition counts, --format, --q,
+        --seed, and the subset check's --samples and --exhaustive."""
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(func=func)
+        for count in counts:
+            sp.add_argument(f"--{count}", type=int, required=True)
         sp.add_argument("--format", choices=("csv", "table"), default="csv")
-        sp.add_argument("--q", type=int, default=q_default, help="field modulus (prime)")
+        sp.add_argument("--q", type=int, default=q, help="field modulus (prime)")
         if seed:
             sp.add_argument("--seed", type=int, default=0)
+        if samples:
+            sp.add_argument("--samples", type=_count, default=200,
+                            help="subsets drawn when not trying every one")
+        if exhaustive:
+            sp.add_argument("--exhaustive", action="store_true",
+                            help="try every threshold-size subset")
+        return sp
 
-    sp = sub.add_parser("verify", help="check entangled decoding against the oracle over subsets")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--exhaustive", action="store_true", help="try every threshold-size subset")
-    sp.add_argument("--samples", type=_count, default=200, help="random subsets when not exhaustive")
+    sp = command("verify", _cmd_verify, "check entangled decoding against the oracle over subsets",
+                 samples=True, exhaustive=True)
     sp.add_argument("--a", help="matrix text fixture for A (header: rows cols q)")
     sp.add_argument("--b", help="matrix text fixture for B")
-    common(sp)
-    sp.set_defaults(func=_cmd_verify)
 
-    sp = sub.add_parser("verify-improved", help="same check for a bilinear-construction code")
+    sp = command("verify-improved", _cmd_verify_improved,
+                 "same check for a bilinear-construction code", counts="N",
+                 samples=True, exhaustive=True)
     sp.add_argument("--construction", required=True,
                     help=f"registry name ({', '.join(sorted(registry_names()))}) or JSON path")
-    sp.add_argument("--N", type=int, required=True)
-    sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--samples", type=_count, default=200)
-    common(sp)
-    sp.set_defaults(func=_cmd_verify_improved)
 
-    sp = sub.add_parser("conv", help="coded convolution round-trip check")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--N", type=int, required=True)
+    sp = command("conv", _cmd_conv, "coded convolution round-trip check", counts="mnN", q=257,
+                 samples=True)
     sp.add_argument("--len", type=int, required=True, help="per-worker block length s")
-    sp.add_argument("--samples", type=_count, default=200)
-    common(sp, q_default=257)
-    sp.set_defaults(func=_cmd_conv)
 
-    sp = sub.add_parser("fault", help="seeded fault-injection trials")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--N", type=int, required=True)
+    sp = command("fault", _cmd_fault, "seeded fault-injection trials")
     sp.add_argument("--errors", type=int, required=True)
     sp.add_argument("--trials", type=_count, default=100)
     sp.add_argument("--mode", choices=("detect", "correct"), required=True)
-    common(sp)
-    sp.set_defaults(func=_cmd_fault)
 
-    sp = sub.add_parser("bounds", help="threshold formula tables")
+    sp = command("bounds", _cmd_bounds, "threshold formula tables", counts="", seed=False)
     sp.add_argument("--p", type=int, default=3)
     sp.add_argument("--m", type=int, default=3)
     sp.add_argument("--n", type=int, default=1)
@@ -358,15 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fig2", action="store_true",
                     help="emit the fixed p=m=3, n=1 comparison table")
     sp.add_argument("--out", help="write CSV to a file instead of stdout")
-    common(sp, seed=False)
-    sp.set_defaults(func=_cmd_bounds)
 
-    sp = sub.add_parser("simulate", help="master-worker latency simulation")
+    sp = command("simulate", _cmd_simulate, "master-worker latency simulation")
     sp.add_argument("--scheme", required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--latency", type=_parse_latency, default=ShiftedExponential(),
                     help="shifted-exp:shift,rate or stragglers:count,slowdown")
     sp.add_argument("--trials", type=_count, default=100)
@@ -375,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=int)
     sp.add_argument("--theta", type=int)
     sp.add_argument("--construction")
-    common(sp)
-    sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("validate-construction", help="basis-pair identity check for a construction")
     sp.add_argument("path", help="registry name or JSON path")

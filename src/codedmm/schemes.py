@@ -197,24 +197,29 @@ class CodingScheme(ABC):
 
     def decode(
         self,
-        results: Mapping,
+        results: Mapping | Sequence,
         subset: Sequence[int],
         dims: tuple[int, int] | None = None,
     ):
         """The product from the results of the workers in `subset`.
 
-        Results are MatrixF, which decode to a MatrixF, or arrays of any
-        integer representatives.  dims, when given, is the product's true
-        size used to strip padding: (rows, cols) of A^T B, (len(a), len(b))
-        of a convolution.  The subset is checked first (_check_subset), then
-        the results: MissingResult for a worker without one, then the
-        errors of _result_arrays.
+        results is indexed by worker, results[w] the result of worker w: a
+        mapping, a list, or the worker_products stack.  Results are MatrixF,
+        which decode to a MatrixF, or arrays of any integer representatives.
+        dims, when given, is the product's true size used to strip padding:
+        (rows, cols) of A^T B, (len(a), len(b)) of a convolution.  The
+        subset is checked first (_check_subset), then the results:
+        MissingResult for a worker without one, then the errors of
+        _result_arrays.
         """
         first = self._check_subset(subset)
+        picked = []
         for w in first:
-            if w not in results:
-                raise MissingResult(f"no result from worker {w}")
-        received, matrices = self._result_arrays([results[w] for w in first])
+            try:
+                picked.append(results[w])
+            except (KeyError, IndexError):
+                raise MissingResult(f"no result from worker {w}") from None
+        received, matrices = self._result_arrays(picked)
         product = self._decode_received(received, list(first), dims)
         return MatrixF._wrap(self.field, product) if matrices else product
 

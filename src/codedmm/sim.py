@@ -24,6 +24,8 @@ from .robust import inject_faults
 from .schemes import (
     CodingScheme,
     EntangledCode,
+    GeneralPolynomialCode,
+    PolynomialCodeSpec,
     RandomLinearCode,
     UncodedRepetitionCode,
 )
@@ -128,8 +130,6 @@ def build_scheme(config: SimulationConfig) -> CodingScheme:
     if name == "entangled":
         return EntangledCode(config.p, config.m, config.n, config.N, field)
     if name == "general-poly":
-        from .schemes import GeneralPolynomialCode, PolynomialCodeSpec
-
         if None in (config.alpha, config.beta, config.theta):
             raise ValueError("general-poly needs alpha, beta, theta")
         spec = PolynomialCodeSpec(
@@ -153,6 +153,16 @@ def build_scheme(config: SimulationConfig) -> CodingScheme:
     raise ValueError(f"unknown scheme {name!r}; options: {', '.join(SCHEME_NAMES)}")
 
 
+def random_inputs(
+    field: PrimeField, rng: np.random.Generator, dims: tuple[int, int, int]
+) -> tuple[MatrixF, MatrixF]:
+    """A random (A, B) pair over field, s x r and s x t for dims (s, r, t), A drawn first."""
+    s, r, t = dims
+    a = MatrixF(field, random_elements(rng, field.modulus, (s, r)))
+    b = MatrixF(field, random_elements(rng, field.modulus, (s, t)))
+    return a, b
+
+
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
 
@@ -165,25 +175,19 @@ def run_trial(
 ) -> TrialReport:
     """One seeded trial: encode, draw latencies, decode at the threshold.
 
-    inputs, when given, is the (A, B) pair to multiply; otherwise a random
-    pair is drawn from the trial seed.  The trial rng is consumed in a
-    scheme-independent order (inputs, latencies, fault choice), so configs
-    differing only in the scheme see identical latency draws.  The trial
-    succeeds only when the decode equals the oracle product A^T B; a wrong
-    decode (from corrupted workers) is reported like a failed one.
+    inputs, when given, is the (A, B) pair to multiply; otherwise
+    random_inputs draws one from the trial seed.  The trial rng is consumed
+    in a scheme-independent order (inputs, latencies, fault choice), so
+    configs differing only in the scheme see identical latency draws.  The
+    trial succeeds only when the decode equals the oracle product A^T B; a
+    wrong decode (from corrupted workers) is reported like a failed one.
     """
     rng = _trial_rng(config.seed, trial)
-    q = scheme.field.modulus
-    if inputs is None:
-        s, r, t = config.dims()
-        a = MatrixF(scheme.field, random_elements(rng, q, (s, r)))
-        b = MatrixF(scheme.field, random_elements(rng, q, (s, t)))
-    else:
-        a, b = inputs
-        r, t = a.cols, b.cols
+    a, b = inputs or random_inputs(scheme.field, rng, config.dims())
+    r, t = a.cols, b.cols
     latencies = config.latency.sample(rng, config.N)
     products = scheme.worker_products(a, b)
-    inject_faults(rng, products, config.faults, q)
+    inject_faults(rng, products, config.faults, scheme.field.modulus)
     # stable: tied arrivals keep worker order
     order = np.argsort(latencies, kind="stable")
 

@@ -72,6 +72,38 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    def test_fixture_without_its_partner(self, capsys, tmp_path):
+        a_path = tmp_path / "a.txt"
+        a_path.write_text("2 1 7\n1\n2\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--p", "2", "--m", "1", "--n", "1", "--N", "5", "--a", str(a_path),
+        )
+        assert code == 2 and out == ""
+        assert "--a and --b must be given together" in err
+
+    def test_fixtures_with_different_row_counts(self, capsys, tmp_path):
+        a_path = tmp_path / "a.txt"
+        b_path = tmp_path / "b.txt"
+        a_path.write_text("2 1 7\n1\n2\n")
+        b_path.write_text("3 1 7\n3\n4\n5\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--p", "2", "--m", "1", "--n", "1", "--N", "5",
+            "--a", str(a_path), "--b", str(b_path),
+        )
+        assert code == 2 and out == ""
+        assert "must share their row count" in err
+
+    def test_exhaustive_past_the_cap_samples(self, capsys):
+        # C(40, 9) subsets at K = 9: too many to list, so --samples are drawn
+        code, out, err = run_cli(
+            capsys, "verify", "--p", "2", "--m", "2", "--n", "2", "--N", "40",
+            "--exhaustive", "--samples", "3",
+        )
+        assert code == 0
+        assert "note: 273438880 subsets exceed the exhaustive cap; sampling instead" in err
+        _, rows = parse_csv(out)
+        assert rows == [["entangled", "40", "9", "sampled", "3", "3", "0"]]
+
     def test_verify_improved(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify-improved", "--construction", "strassen", "--N", "13",
@@ -92,6 +124,16 @@ class TestConv:
         header, rows = parse_csv(out)
         row = dict(zip(header, rows[0]))
         assert row["K"] == "4" and row["failures"] == "0"
+
+    def test_past_the_cap_samples_with_a_note(self, capsys):
+        # C(60, 3) = 34220 subsets at K = 3: past the cap, --samples are drawn
+        code, out, err = run_cli(
+            capsys, "conv", "--m", "2", "--n", "2", "--N", "60", "--len", "3", "--samples", "3",
+        )
+        assert code == 0
+        assert "note: 34220 subsets exceed the exhaustive cap; sampling instead" in err
+        _, rows = parse_csv(out)
+        assert rows == [["2", "2", "60", "3", "3", "3", "3", "0"]]
 
 
 class TestFault:
@@ -128,6 +170,19 @@ class TestFault:
         header, rows = parse_csv(out)
         row = dict(zip(header, rows[0]))
         assert row[column] == "10" and row["silent_wrong"] == "0"
+
+    @pytest.mark.parametrize("mode", ["detect", "correct"])
+    def test_no_redundancy_reports_every_corruption_as_silent(self, capsys, mode):
+        # N = K = 5 leaves repair nothing to compare with, so the corrupted
+        # decode is wrong and the command exits 1
+        code, out, _ = run_cli(
+            capsys, "fault", "--p", "2", "--m", "2", "--n", "1", "--N", "5",
+            "--errors", "1", "--trials", "4", "--mode", mode,
+        )
+        assert code == 1
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert row["silent_wrong"] == "4"
 
     def test_modulus_past_int64(self, capsys):
         # 2^89 - 1: the inputs and the corruption are drawn past int64
@@ -330,11 +385,13 @@ def test_integer_options_at_zero_and_below_keep_the_exit_contract(capsys, comman
 
 @pytest.mark.parametrize("option", ["p", "m", "n"])
 @pytest.mark.parametrize("value", ["0", "-1"])
-def test_bounds_refuses_partitions_below_one(capsys, option, value):
-    code, out, err = run_cli(capsys, "bounds", "--Nmax", "14", f"--{option}", value)
+def test_bounds_refuses_partitions_below_one(capsys, tmp_path, option, value):
+    path = tmp_path / "table.csv"
+    code, out, err = run_cli(capsys, "bounds", "--Nmax", "14", f"--{option}", value, "--out", str(path))
     assert code == 2
     assert out == ""
     assert f"{option} must be >= 1" in err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("q", ["0", "-1", "4"])
@@ -397,11 +454,15 @@ class TestUsageErrors:
             (("--faults", "-1"), "faults"),
             (("--N", "0"), "N must be >= 1"),
             (("--N", "-1"), "N must be >= 1"),
+            (("--trials", "abc"), "invalid int value: 'abc'"),
+            (("--latency", "stragglers"), "stragglers latency needs a count"),
+            (("--latency", "foo:1"), "unknown latency model 'foo'"),
         ],
         ids=["rate-zero", "rate-negative", "rate-inf", "shift-nan", "shift-inf",
              "count-negative", "count-fractional", "count-nan", "slowdown-zero",
              "slowdown-nan", "stragglers-over-N", "faults-over-N", "faults-negative",
-             "N-zero", "N-negative"],
+             "N-zero", "N-negative", "trials-not-int", "stragglers-without-count",
+             "unknown-model"],
     )
     def test_bad_simulation_values_are_usage_errors(self, capsys, extra, message):
         code, out, err = run_cli(capsys, *self.SIMULATE, *extra)

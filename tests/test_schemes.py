@@ -207,6 +207,20 @@ class TestDecodeEntryPoint:
                 assert want == oracle_product(a, b)
 
     @pytest.mark.parametrize("name", sorted(BATCHED))
+    def test_decode_takes_results_indexed_by_worker(self, name, gf65537, rng):
+        # a mapping, a list or the worker_products stack: results[w] is worker w's
+        scheme = BATCHED[name](gf65537)
+        a, b = random_matrix(gf65537, 5, 3, rng), random_matrix(gf65537, 5, 2, rng)
+        stack = scheme.worker_products(a, b)
+        subset = list(range(scheme.N - scheme.recovery_threshold(), scheme.N))
+        for results in (dict(enumerate(stack)), list(stack), stack):
+            got = scheme.decode(results, subset, dims=(3, 2))
+            assert np.array_equal(got, oracle_product(a, b).data)
+        for short in (list(stack[:-1]), stack[:-1]):
+            with pytest.raises(MissingResult):
+                scheme.decode(short, subset, dims=(3, 2))
+
+    @pytest.mark.parametrize("name", sorted(BATCHED))
     def test_decode_received_checks_its_stack(self, name, gf65537, rng):
         # too few rows would fit a lower-degree polynomial: refused, not decoded
         scheme = BATCHED[name](gf65537)
