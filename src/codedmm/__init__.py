@@ -24,10 +24,8 @@ from .schemes import (
     CodingScheme,
     EntangledCode,
     GeneralPolynomialCode,
-    PolynomialCodeSpec,
     RandomLinearCode,
     UncodedRepetitionCode,
-    entangled_spec,
     worker_multiply,
 )
 from .sim import SimulationConfig, run_experiment, run_trial
@@ -46,7 +44,6 @@ __all__ = [
     "GeneralPolynomialCode",
     "ImprovedBilinearCode",
     "MatrixF",
-    "PolynomialCodeSpec",
     "PrimeField",
     "RandomLinearCode",
     "SimulationConfig",
@@ -57,7 +54,6 @@ __all__ = [
     "conv_worker",
     "correct_errors",
     "detect_errors",
-    "entangled_spec",
     "hamming_relations",
     "lagrange_interpolate",
     "load_construction",

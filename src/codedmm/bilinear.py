@@ -24,14 +24,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import (
-    BlockShapeMismatch,
-    ConstructionTooLarge,
-    FieldTooSmall,
-    TooFewWorkers,
-)
+from .errors import BlockShapeMismatch, ConstructionTooLarge, TooFewWorkers
 from .field import PrimeField, canonical_array, combine, lagrange_matrix, modmatmul, vandermonde
-from .schemes import InterpolationCode
+from .schemes import InterpolationCode, worker_points
 
 _RANK_BUDGET = 10**6
 _TENSOR_ELEMENT_BUDGET = 10**7
@@ -237,11 +232,9 @@ class ElementwiseProductCode(InterpolationCode):
             raise ValueError("vector length must be >= 1")
         if N < length:
             raise TooFewWorkers(f"N={N} < R={length}")
-        if field.modulus <= max(N, length):
-            raise FieldTooSmall(f"need q > max(N, R) = {max(N, length)}, got q={field.modulus}")
+        points = worker_points(N, field)
         self.length = length
         self.x_points = tuple(range(length))
-        points = tuple(range(N))
         # gen[i, j] = l_j(y_i) over the x points: worker i stores
         # sum_j gen[i, j] * vec[j] of each vector
         gen = lagrange_matrix(field, self.x_points, points)

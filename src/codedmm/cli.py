@@ -78,14 +78,18 @@ def _load_fixture_inputs(args):
 def _decode_subsets(code, a, b, want, dims, rng, samples: int, exhaustive: bool = True):
     """(mode, subsets, failures): threshold-size subsets of code's workers on a, b, and how many decode to other than want.
 
-    Every subset when exhaustive and there are at most MAX_EXHAUSTIVE_SUBSETS
-    of them, else (with a note past the cap) `samples` subsets drawn from rng.
-    dims is the product's true size.
+    Every subset when there are at most `samples` of them, or when
+    exhaustive and there are at most MAX_EXHAUSTIVE_SUBSETS of them, else
+    (with a note past the cap) `samples` subsets drawn from rng.  dims is
+    the product's true size.
     """
     products = code.worker_products(a, b)
     k = code.recovery_threshold()
-    if exhaustive and comb(code.N, k) > MAX_EXHAUSTIVE_SUBSETS:
-        _note(f"note: {comb(code.N, k)} subsets exceed the exhaustive cap; sampling instead")
+    total = comb(code.N, k)
+    if samples >= total:
+        exhaustive = True
+    elif exhaustive and total > MAX_EXHAUSTIVE_SUBSETS:
+        _note(f"note: {total} subsets exceed the exhaustive cap; sampling instead")
         exhaustive = False
     if exhaustive:
         subsets = list(combinations(range(code.N), k))
@@ -114,7 +118,12 @@ def _verify_scheme(scheme, fixtures, args, label: str) -> int:
 
 def _cmd_verify(args) -> int:
     fixtures = _load_fixture_inputs(args)
-    field = fixtures[0].field if fixtures else PrimeField(args.q)
+    if fixtures is None:
+        field = PrimeField(65537 if args.q is None else args.q)
+    else:
+        field = fixtures[0].field
+        if args.q is not None and args.q != field.modulus:
+            raise ValueError(f"--q {args.q} disagrees with the fixtures' modulus {field.modulus}")
     scheme = EntangledCode(args.p, args.m, args.n, args.N, field)
     return _verify_scheme(scheme, fixtures, args, "entangled")
 
@@ -295,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
                             help="try every threshold-size subset")
         return sp
 
+    # --q defaults to the fixtures' modulus, else 65537
     sp = command("verify", _cmd_verify, "check entangled decoding against the oracle over subsets",
-                 samples=True, exhaustive=True)
+                 q=None, samples=True, exhaustive=True)
     sp.add_argument("--a", help="matrix text fixture for A (header: rows cols q)")
     sp.add_argument("--b", help="matrix text fixture for B")
 

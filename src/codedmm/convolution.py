@@ -53,9 +53,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .blocks import overlap_add, partition_vector
-from .errors import BlockShapeMismatch, FieldTooSmall, TooFewWorkers
+from .errors import BlockShapeMismatch, TooFewWorkers
 from .field import PrimeField, _workspace, canonical_array, combine, vandermonde
-from .schemes import InterpolationCode
+from .schemes import InterpolationCode, worker_points
 
 # int64-path entries, below 2^21, split into a low limb of this many bits
 # and a high limb below 2^10.
@@ -84,7 +84,7 @@ class ConvCodeSpec(InterpolationCode):
             raise TooFewWorkers(f"N={N} < m+n-1={k}")
         if len(x_points) != N:
             raise ValueError(f"need {N} evaluation points")
-        self.m, self.n, self.s, self.x_points = m, n, s, x_points
+        self.m, self.n, self.s = m, n, s
         powers = vandermonde(field, x_points, max(m, n))
         super().__init__(field, x_points, powers[:, :m], powers[:, :n], np.eye(k, dtype=field.array_dtype))
 
@@ -108,10 +108,8 @@ class ConvCodeSpec(InterpolationCode):
 
 
 def conv_spec(m: int, n: int, N: int, s: int, field: PrimeField) -> ConvCodeSpec:
-    """Spec over x_i = i; needs q > N for distinct points."""
-    if field.modulus <= N:
-        raise FieldTooSmall(f"need q > N, got q={field.modulus}, N={N}")
-    return ConvCodeSpec(m=m, n=n, N=N, s=s, x_points=tuple(range(N)), field=field)
+    """The convolution code over the points 0..N-1 (worker_points: needs q > N)."""
+    return ConvCodeSpec(m, n, N, s, worker_points(N, field), field)
 
 
 def field_convolve(field: PrimeField, a, b) -> np.ndarray:

@@ -7,17 +7,24 @@ recovery_threshold() many results.  Every code is built through one of two
 constructors: CodingScheme(field, gen_a, gen_b), or, for an evaluation
 code, InterpolationCode(field, points, gen_a, gen_b, output_map).
 
-Schemes here: the exponent-parameterized polynomial code family, its
-(1, p, pm) instantiation that hits threshold pmn + p - 1, uncoded
+Schemes here: the (alpha, beta, theta)-polynomial code, its (1, p, pm)
+case, the entangled code, that hits threshold pmn + p - 1, uncoded
 round-robin repetition, and random linear combinations.  InterpolationCode
 is the one evaluation-code core: the polynomial codes, the bilinear improved
 code, the element-wise product code and the convolution code all subclass it.
+
+Each code parameter is checked in one place: CodingScheme._set_partition
+refuses partition counts or N below 1 (ValueError), InterpolationCode
+refuses points that repeat mod q (DuplicateEvaluationPoint), worker_points
+refuses the points 0..N-1 unless q > N (FieldTooSmall), and
+GeneralPolynomialCode refuses N below the polynomial family's threshold
+(TooFewWorkers).
 """
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -50,108 +57,11 @@ def worker_multiply(coded_a: MatrixF, coded_b: MatrixF) -> MatrixF:
     return coded_a.transpose() @ coded_b
 
 
-@dataclass(frozen=True)
-class PolynomialCodeSpec:
-    """Parameters of an (alpha, beta, theta)-polynomial code.
-
-    Worker i stores the two linear combinations
-        A~_i = sum_{j<p, k<m} A[j,k] * x_i^(j*alpha + k*beta)
-        B~_i = sum_{j<p, k<n} B[j,k] * x_i^((p-1-j)*alpha + k*theta)
-    over distinct evaluation points x_0..x_{N-1}.
-    """
-
-    p: int
-    m: int
-    n: int
-    N: int
-    alpha: int
-    beta: int
-    theta: int
-    x_points: tuple[int, ...]
-    field: PrimeField
-
-    def __post_init__(self):
-        if min(self.p, self.m, self.n, self.N) < 1:
-            raise ValueError("p, m, n, N must all be >= 1")
-        if min(self.alpha, self.beta, self.theta) < 0:
-            raise ValueError("exponents must be non-negative")
-        if len(self.x_points) != self.N:
-            raise ValueError(f"need {self.N} evaluation points, got {len(self.x_points)}")
-        q = self.field.modulus
-        if len({x % q for x in self.x_points}) != self.N:
-            raise DuplicateEvaluationPoint("evaluation points must be distinct mod q")
-
-    def product_degree(self) -> int:
-        """Highest exponent appearing in a worker's product polynomial."""
-        return (
-            (2 * self.p - 2) * self.alpha
-            + (self.m - 1) * self.beta
-            + (self.n - 1) * self.theta
-        )
-
-    def output_degree(self, k: int, kp: int) -> int:
-        """Degree whose coefficient is the output block C[k, kp]."""
-        return (self.p - 1) * self.alpha + k * self.beta + kp * self.theta
-
-    def generators(self) -> tuple[np.ndarray, np.ndarray]:
-        """Worker weights (G_A, G_B) on the row-major A and B blocks.
-
-        G_A[i, j*m + k] = x_i^(j*alpha + k*beta) and
-        G_B[i, j*n + k] = x_i^((p-1-j)*alpha + k*theta).
-        """
-        p, a, b, t = self.p, self.alpha, self.beta, self.theta
-        powers = vandermonde(self.field, self.x_points, self.product_degree() + 1)
-        gen_a = powers[:, [j * a + k * b for j in range(p) for k in range(self.m)]]
-        gen_b = powers[:, [(p - 1 - j) * a + k * t for j in range(p) for k in range(self.n)]]
-        return gen_a, gen_b
-
-    def check_degree_separation(self):
-        """Verify each needed degree is hit only by its aligned product terms.
-
-        The product polynomial's x^e coefficient aggregates every pair
-        (j, k) x (j', k') with e = (p-1+j-j')*alpha + k*beta + k'*theta; the
-        code is decodable only if, at each output degree, all contributing
-        pairs have j = j' and the output's own (k, k').
-        """
-        needed = {
-            self.output_degree(k, kp): (k, kp)
-            for k in range(self.m)
-            for kp in range(self.n)
-        }
-        if len(needed) != self.m * self.n:
-            raise DegreeCollision("two output blocks share one degree")
-        for j in range(self.p):
-            for jp in range(self.p):
-                for k in range(self.m):
-                    for kp in range(self.n):
-                        e = (
-                            (self.p - 1 + j - jp) * self.alpha
-                            + k * self.beta
-                            + kp * self.theta
-                        )
-                        tgt = needed.get(e)
-                        if tgt is not None and (j != jp or (k, kp) != tgt):
-                            raise DegreeCollision(
-                                f"term (j={j},k={k},j'={jp},k'={kp}) lands on the "
-                                f"degree of output block {tgt}"
-                            )
-
-
-def entangled_spec(p: int, m: int, n: int, N: int, field: PrimeField) -> PolynomialCodeSpec:
-    """The (1, p, pm) polynomial code over x_i = i, threshold pmn + p - 1.
-
-    N below the threshold is rejected outright: the threshold-N regime is
-    not constructed here.
-    """
-    threshold = p * m * n + p - 1
-    if N < threshold:
-        raise TooFewWorkers(f"N={N} < pmn+p-1={threshold}")
+def worker_points(N: int, field: PrimeField) -> tuple[int, ...]:
+    """The evaluation points 0..N-1, which are distinct mod q only for q > N (else FieldTooSmall)."""
     if field.modulus <= N:
         raise FieldTooSmall(f"need q > N, got q={field.modulus}, N={N}")
-    return PolynomialCodeSpec(
-        p=p, m=m, n=n, N=N, alpha=1, beta=p, theta=p * m,
-        x_points=tuple(range(N)), field=field,
-    )
+    return tuple(range(N))
 
 
 class CodingScheme(ABC):
@@ -170,6 +80,12 @@ class CodingScheme(ABC):
         self.field = field
         self.gen_a, self.gen_b = gen_a, gen_b
         self.N = len(gen_a)
+
+    def _set_partition(self, p: int, m: int, n: int, N: int) -> None:
+        """Set a matrix code's partition counts p, m, n, refusing them or N below 1 (ValueError)."""
+        if min(p, m, n, N) < 1:
+            raise ValueError(f"p, m, n, N must all be >= 1, got {p}, {m}, {n}, {N}")
+        self.p, self.m, self.n = p, m, n
 
     @abstractmethod
     def recovery_threshold(self) -> int:
@@ -373,27 +289,72 @@ class InterpolationCode(CodingScheme):
 
 
 class GeneralPolynomialCode(InterpolationCode):
-    """Polynomial code for an arbitrary valid exponent choice."""
+    """The (alpha, beta, theta)-polynomial code over the evaluation points x_points.
 
-    def __init__(self, spec: PolynomialCodeSpec):
-        spec.check_degree_separation()
-        if spec.N < spec.product_degree() + 1:
-            raise TooFewWorkers(
-                f"N={spec.N} < threshold {spec.product_degree() + 1} for these exponents"
-            )
-        self.spec = spec
-        self.p, self.m, self.n = spec.p, spec.m, spec.n
+    Worker i stores the two linear combinations
+        A~_i = sum_{j<p, k<m} A[j,k] * x_i^(j*alpha + k*beta)
+        B~_i = sum_{j<p, k<n} B[j,k] * x_i^((p-1-j)*alpha + k*theta)
+    and the output block C[k, k'] is its product polynomial's coefficient at
+    output_degree(k, k').  The exponents must separate the output degrees
+    (else DegreeCollision), and N must reach the threshold
+    product_degree() + 1 (else TooFewWorkers): the threshold-N regime is
+    not constructed here.
+    """
+
+    def __init__(self, p: int, m: int, n: int, N: int, alpha: int, beta: int, theta: int,
+                 x_points: Sequence[int], field: PrimeField):
+        self._set_partition(p, m, n, N)
+        if min(alpha, beta, theta) < 0:
+            raise ValueError("exponents must be non-negative")
+        if len(x_points) != N:
+            raise ValueError(f"need {N} evaluation points, got {len(x_points)}")
+        self.alpha, self.beta, self.theta = alpha, beta, theta
+        self.check_degree_separation()
+        threshold = self.product_degree() + 1
+        if N < threshold:
+            raise TooFewWorkers(f"N={N} < threshold {threshold} for these exponents")
+        # G_A[i, j*m + k] = x_i^(j*alpha + k*beta), G_B[i, j*n + k] = x_i^((p-1-j)*alpha + k*theta)
+        powers = vandermonde(field, x_points, threshold)
+        gen_a = powers[:, [j * alpha + k * beta for j in range(p) for k in range(m)]]
+        gen_b = powers[:, [(p - 1 - j) * alpha + k * theta for j in range(p) for k in range(n)]]
         # output block (k, k') is the product polynomial's coefficient at its output degree
-        degrees = [spec.output_degree(k, kp) for k in range(self.m) for kp in range(self.n)]
-        output_map = np.eye(spec.product_degree() + 1, dtype=spec.field.array_dtype)[degrees]
-        super().__init__(spec.field, spec.x_points, *spec.generators(), output_map)
+        degrees = [self.output_degree(k, kp) for k in range(m) for kp in range(n)]
+        output_map = np.eye(threshold, dtype=field.array_dtype)[degrees]
+        super().__init__(field, x_points, gen_a, gen_b, output_map)
+
+    def product_degree(self) -> int:
+        """Highest exponent appearing in a worker's product polynomial."""
+        return (2 * self.p - 2) * self.alpha + (self.m - 1) * self.beta + (self.n - 1) * self.theta
+
+    def output_degree(self, k: int, kp: int) -> int:
+        """Degree whose coefficient is the output block C[k, kp]."""
+        return (self.p - 1) * self.alpha + k * self.beta + kp * self.theta
+
+    def check_degree_separation(self):
+        """Verify each needed degree is hit only by its aligned product terms.
+
+        The product polynomial's x^e coefficient aggregates every pair
+        (j, k) x (j', k') with e = (p-1+j-j')*alpha + k*beta + k'*theta; the
+        code is decodable only if, at each output degree, all contributing
+        pairs have j = j' and the output's own (k, k').
+        """
+        needed = {self.output_degree(k, kp): (k, kp) for k in range(self.m) for kp in range(self.n)}
+        if len(needed) != self.m * self.n:
+            raise DegreeCollision("two output blocks share one degree")
+        js, ks, kps = range(self.p), range(self.m), range(self.n)
+        for j, jp, k, kp in itertools.product(js, js, ks, kps):
+            tgt = needed.get(self.output_degree(k, kp) + (j - jp) * self.alpha)
+            if tgt is not None and (j != jp or (k, kp) != tgt):
+                raise DegreeCollision(
+                    f"term (j={j},k={k},j'={jp},k'={kp}) lands on the degree of output block {tgt}"
+                )
 
 
 class EntangledCode(GeneralPolynomialCode):
-    """The (1, p, pm) polynomial code; threshold pmn + p - 1."""
+    """The (1, p, pm) polynomial code over the points 0..N-1; threshold pmn + p - 1."""
 
     def __init__(self, p: int, m: int, n: int, N: int, field: PrimeField):
-        super().__init__(entangled_spec(p, m, n, N, field))
+        super().__init__(p, m, n, N, 1, p, p * m, worker_points(N, field), field)
 
 
 class UncodedRepetitionCode(CodingScheme):
@@ -405,10 +366,10 @@ class UncodedRepetitionCode(CodingScheme):
     """
 
     def __init__(self, p: int, m: int, n: int, N: int, field: PrimeField):
+        self._set_partition(p, m, n, N)
         tasks = p * m * n
         if N < tasks:
             raise TooFewWorkers(f"N={N} < pmn={tasks}")
-        self.p, self.m, self.n = p, m, n
         self.num_tasks = tasks
         # unit generator rows: worker w stores A[j,k] and B[j,k'] of its task
         gen_a = np.zeros((N, p * m), dtype=field.array_dtype)
@@ -466,10 +427,10 @@ class RandomLinearCode(CodingScheme):
     """
 
     def __init__(self, p: int, m: int, n: int, N: int, field: PrimeField, seed: int = 0):
+        self._set_partition(p, m, n, N)
         unknowns = p * p * m * n
         if N < unknowns:
             raise TooFewWorkers(f"N={N} < p^2mn={unknowns}")
-        self.p, self.m, self.n = p, m, n
         self.seed = seed
         rng = np.random.default_rng(seed)
         q = field.modulus

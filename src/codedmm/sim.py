@@ -25,7 +25,6 @@ from .schemes import (
     CodingScheme,
     EntangledCode,
     GeneralPolynomialCode,
-    PolynomialCodeSpec,
     RandomLinearCode,
     UncodedRepetitionCode,
 )
@@ -132,12 +131,10 @@ def build_scheme(config: SimulationConfig) -> CodingScheme:
     if name == "general-poly":
         if None in (config.alpha, config.beta, config.theta):
             raise ValueError("general-poly needs alpha, beta, theta")
-        spec = PolynomialCodeSpec(
-            p=config.p, m=config.m, n=config.n, N=config.N,
-            alpha=config.alpha, beta=config.beta, theta=config.theta,
-            x_points=tuple(range(config.N)), field=field,
+        return GeneralPolynomialCode(
+            config.p, config.m, config.n, config.N, config.alpha, config.beta, config.theta,
+            tuple(range(config.N)), field,
         )
-        return GeneralPolynomialCode(spec)
     if name == "uncoded":
         return UncodedRepetitionCode(config.p, config.m, config.n, config.N, field)
     if name == "random-linear":

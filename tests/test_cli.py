@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from codedmm.cli import main
+from codedmm.sim import SCHEME_NAMES
 
 Q_PAST_INT64 = (1 << 89) - 1  # a Mersenne prime
 
@@ -47,6 +48,15 @@ class TestVerify:
         _, rows = parse_csv(out)
         assert rows[0][4] == "sampled" or rows[0][3] == "sampled"
 
+    def test_samples_past_the_subset_count_try_every_subset(self, capsys):
+        # C(10, 5) = 252 subsets at K = 5: 300 draws would repeat some
+        code, out, _ = run_cli(
+            capsys, "verify", "--p", "2", "--m", "2", "--n", "1", "--N", "10", "--samples", "300",
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert rows == [["entangled", "10", "5", "exhaustive", "252", "252", "0"]]
+
     def test_matrix_fixtures(self, capsys, tmp_path):
         a_path = tmp_path / "a.txt"
         b_path = tmp_path / "b.txt"
@@ -59,6 +69,22 @@ class TestVerify:
         assert code == 0
         _, rows = parse_csv(out)
         assert rows[0][-1] == "0"
+
+    @pytest.mark.parametrize("q, status", [("7", 0), ("257", 2), ("0", 2)])
+    def test_fixtures_and_q(self, capsys, tmp_path, q, status):
+        # --q may name the fixtures' modulus, and any other one is a usage error
+        a_path = tmp_path / "a.txt"
+        b_path = tmp_path / "b.txt"
+        a_path.write_text("2 1 7\n1\n2\n")
+        b_path.write_text("2 1 7\n3\n4\n")
+        code, out, err = run_cli(
+            capsys, "verify", "--p", "2", "--m", "1", "--n", "1", "--N", "5",
+            "--exhaustive", "--q", q, "--a", str(a_path), "--b", str(b_path),
+        )
+        assert code == status
+        if status == 2:
+            assert out == ""
+            assert err.count("error:") == 1 and f"--q {q}" in err
 
     def test_mismatched_fixture_fields(self, capsys, tmp_path):
         a_path = tmp_path / "a.txt"
@@ -336,22 +362,39 @@ class TestValidateConstruction:
         assert "error:" in err
 
 
-# every subcommand with a valid argument set, and each of its integer options
+# the simulator's valid argument set for each scheme
+SIMULATE_ARGS = {
+    "entangled": ("--p", "2", "--m", "2", "--n", "1", "--N", "12"),
+    "general-poly": ("--p", "2", "--m", "2", "--n", "1", "--N", "12",
+                     "--alpha", "2", "--beta", "1", "--theta", "6"),
+    "uncoded": ("--p", "2", "--m", "2", "--n", "1", "--N", "12"),
+    "random-linear": ("--p", "2", "--m", "2", "--n", "1", "--N", "12"),
+    "improved": ("--construction", "strassen", "--p", "2", "--m", "2", "--n", "2", "--N", "14"),
+}
+
+# every subcommand, and simulate for every scheme, with a valid argument
+# set (the subcommand first) and each of its integer options
 INTEGER_OPTIONS = {
-    "verify": (("--p", "2", "--m", "2", "--n", "1", "--N", "9", "--samples", "5"),
+    "verify": (("verify", "--p", "2", "--m", "2", "--n", "1", "--N", "9", "--samples", "5"),
                ("p", "m", "n", "N", "samples", "q", "seed")),
-    "verify-improved": (("--construction", "strassen", "--N", "13", "--samples", "2"),
+    "verify-improved": (("verify-improved", "--construction", "strassen", "--N", "13",
+                         "--samples", "2"),
                         ("N", "samples", "q", "seed")),
-    "conv": (("--m", "2", "--n", "2", "--N", "5", "--len", "2", "--samples", "5"),
+    "conv": (("conv", "--m", "2", "--n", "2", "--N", "5", "--len", "2", "--samples", "5"),
              ("m", "n", "N", "len", "samples", "q", "seed")),
-    "fault": (("--p", "2", "--m", "2", "--n", "1", "--N", "9", "--errors", "1", "--trials", "2",
-               "--mode", "correct"),
+    "fault": (("fault", "--p", "2", "--m", "2", "--n", "1", "--N", "9", "--errors", "1",
+               "--trials", "2", "--mode", "correct"),
               ("p", "m", "n", "N", "errors", "trials", "q", "seed")),
-    "bounds": (("--Nmax", "14"), ("p", "m", "n", "Nmax", "q")),
-    "simulate": (("--scheme", "general-poly", "--p", "2", "--m", "2", "--n", "1", "--N", "12",
-                  "--alpha", "2", "--beta", "1", "--theta", "6", "--trials", "2"),
-                 ("p", "m", "n", "N", "trials", "faults", "alpha", "beta", "theta", "q", "seed")),
-    "validate-construction": (("strassen",), ("q",)),
+    "bounds": (("bounds", "--Nmax", "14"), ("p", "m", "n", "Nmax", "q")),
+    **{
+        # the general-poly case keeps the plain "simulate" name
+        "simulate" if scheme == "general-poly" else f"simulate-{scheme}": (
+            ("simulate", "--scheme", scheme, *SIMULATE_ARGS[scheme], "--trials", "2"),
+            ("p", "m", "n", "N", "trials", "faults", "alpha", "beta", "theta", "q", "seed"),
+        )
+        for scheme in SCHEME_NAMES
+    },
+    "validate-construction": (("validate-construction", "strassen"), ("q",)),
 }
 
 
@@ -374,7 +417,7 @@ def test_integer_options_at_zero_and_below_keep_the_exit_contract(capsys, comman
     # 0 ok, 1 a verification failure (a result row was printed), 2 a usage
     # error with one error line; an escaped exception fails the call itself
     base, _ = INTEGER_OPTIONS[command]
-    code, out, err = run_cli(capsys, command, *_with_option(base, option, value))
+    code, out, err = run_cli(capsys, *_with_option(base, option, value))
     assert code in (0, 1, 2)
     if code == 1:
         assert len(parse_csv(out)[1]) == 1

@@ -305,7 +305,7 @@ class TestConvDecode:
         results = encode_all(spec, a, b)
         use = [0, 1, 2, 3]
         coeffs = interpolate_arrays(
-            gf257, [spec.x_points[w] for w in use], [results[w] for w in use]
+            gf257, [spec.points[w] for w in use], [results[w] for w in use]
         )
         for d in range(4):
             acc = [0] * 5

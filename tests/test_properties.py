@@ -34,7 +34,6 @@ from codedmm.schemes import (
     CodingScheme,
     EntangledCode,
     GeneralPolynomialCode,
-    PolynomialCodeSpec,
     RandomLinearCode,
     UncodedRepetitionCode,
 )
@@ -68,10 +67,10 @@ def general_poly(field, gen):
     p, m, n = gen.randint(1, 2), gen.randint(1, 2), gen.randint(1, 2)
     k = (2 * p - 1) * m * n
     N = k + gen.randrange(3)
-    return GeneralPolynomialCode(PolynomialCodeSpec(
+    return GeneralPolynomialCode(
         p=p, m=m, n=n, N=N, alpha=m, beta=1, theta=(2 * p - 1) * m,
         x_points=tuple(gen.sample(range(field.modulus), N)), field=field,
-    ))
+    )
 
 
 # name -> the code, from its field and a random.Random

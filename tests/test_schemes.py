@@ -30,10 +30,8 @@ from codedmm.linalg import solve_linear_system
 from codedmm.schemes import (
     EntangledCode,
     GeneralPolynomialCode,
-    PolynomialCodeSpec,
     RandomLinearCode,
     UncodedRepetitionCode,
-    entangled_spec,
     worker_multiply,
 )
 
@@ -82,25 +80,24 @@ class TestEntangledSpec:
 
     def test_too_few_workers(self, gf65537):
         with pytest.raises(TooFewWorkers):
-            entangled_spec(2, 2, 2, 8, gf65537)  # threshold 9
+            EntangledCode(2, 2, 2, 8, gf65537)  # threshold 9
 
     def test_field_too_small(self, gf7):
         with pytest.raises(FieldTooSmall):
-            entangled_spec(2, 1, 1, 7, gf7)
+            EntangledCode(2, 1, 1, 7, gf7)
 
     def test_degree_separation_holds_for_entangled(self, gf65537):
         for p, m, n in ((1, 1, 1), (2, 3, 2), (4, 1, 3), (3, 3, 3)):
-            spec = entangled_spec(p, m, n, p * m * n + p - 1, gf65537)
-            spec.check_degree_separation()  # must not raise
+            code = EntangledCode(p, m, n, p * m * n + p - 1, gf65537)
+            code.check_degree_separation()  # must not raise
 
     def test_colliding_exponents_rejected(self, gf65537):
         # beta = alpha folds distinct blocks onto the same degree
-        spec = PolynomialCodeSpec(
-            p=2, m=2, n=1, N=10, alpha=1, beta=1, theta=4,
-            x_points=tuple(range(10)), field=gf65537,
-        )
         with pytest.raises(DegreeCollision):
-            GeneralPolynomialCode(spec)
+            GeneralPolynomialCode(
+                p=2, m=2, n=1, N=10, alpha=1, beta=1, theta=4,
+                x_points=tuple(range(10)), field=gf65537,
+            )
 
 
 class TestWorkerMultiply:
@@ -123,13 +120,32 @@ class TestWorkerMultiply:
 
 BATCHED = {
     "entangled": lambda f: EntangledCode(2, 2, 1, 6, f),
-    "general-poly": lambda f: GeneralPolynomialCode(PolynomialCodeSpec(
+    "general-poly": lambda f: GeneralPolynomialCode(
         p=2, m=2, n=1, N=6, alpha=2, beta=1, theta=6, x_points=tuple(range(6)), field=f,
-    )),
+    ),
     "uncoded": lambda f: UncodedRepetitionCode(2, 2, 1, 6, f),
     "random-linear": lambda f: RandomLinearCode(2, 2, 1, 8, f, seed=3),
     "improved": lambda f: ImprovedBilinearCode(standard_construction(2, 1, 1), 5, f),
 }
+
+
+# every matrix code that takes partition counts, from (p, m, n, N) and its field
+COUNTED = {
+    "entangled": EntangledCode,
+    "general-poly": lambda p, m, n, N, f: GeneralPolynomialCode(
+        p, m, n, N, alpha=1, beta=1, theta=1, x_points=tuple(range(N)), field=f,
+    ),
+    "uncoded": UncodedRepetitionCode,
+    "random-linear": RandomLinearCode,
+}
+
+
+@pytest.mark.parametrize("counts", [(0, 1, 1, 5), (1, 0, 1, 5), (1, 1, 0, 5), (1, 1, 1, 0), (-1, 2, 2, 5)])
+@pytest.mark.parametrize("name", sorted(COUNTED))
+def test_counts_below_one_are_refused(name, counts, gf65537):
+    # one check for every code: no ZeroDivisionError, and no code built with threshold 0
+    with pytest.raises(ValueError, match="p, m, n, N must all be >= 1"):
+        COUNTED[name](*counts, gf65537)
 
 
 class TestWorkerProducts:
@@ -365,12 +381,14 @@ class TestEntangledDecode:
             assert got.data.tolist() == [[4]]
 
     def test_decode_free_function(self, gf7):
-        spec = entangled_spec(2, 1, 1, 5, gf7)
         code = EntangledCode(2, 1, 1, 5, gf7)
         a = MatrixF(gf7, [[1], [2]])
         b = MatrixF(gf7, [[3], [4]])
         results = run_workers(code, a, b)
-        got = GeneralPolynomialCode(spec).decode(results, (0, 3, 4), dims=(1, 1))
+        general = GeneralPolynomialCode(
+            p=2, m=1, n=1, N=5, alpha=1, beta=2, theta=2, x_points=tuple(range(5)), field=gf7,
+        )
+        got = general.decode(results, (0, 3, 4), dims=(1, 1))
         assert got.data.tolist() == [[4]]
 
     def test_all_zero_inputs(self, gf65537):
@@ -402,7 +420,7 @@ class TestEntangledDecode:
         results = run_workers(code, a, b)
         fit = range(code.recovery_threshold())
         coeffs = interpolate_arrays(
-            gf65537, [code.spec.x_points[w] for w in fit], [results[w].data for w in fit]
+            gf65537, [code.points[w] for w in fit], [results[w].data for w in fit]
         )
         a_grid = block_grid(a, p, m)
         b_grid = block_grid(b, p, n)
@@ -422,7 +440,7 @@ class TestEntangledDecode:
         with pytest.raises(InsufficientResults):
             code.decode(results, list(range(k - 1)), dims=(4, 4))
         # one fewer point than unknown polynomial coefficients
-        assert k - 1 < code.spec.product_degree() + 1
+        assert k - 1 < code.product_degree() + 1
 
     def test_padding_dims(self, gf65537, rng):
         code = EntangledCode(3, 2, 2, 15, gf65537)
