@@ -3,7 +3,8 @@ convolution over prime fields: straggler-tolerant polynomial codes, the
 bilinear-construction code family, fault-tolerant decoding, threshold
 calculators, and a deterministic master-worker simulator.  All seven codes,
 the element-wise and convolution codes included, are CodingSchemes that
-answer encode_all, worker_products, decode_received and decode.
+answer encode_all, worker_products and decode, the one decode: results[w]
+is worker w's result, there and in detect_errors and correct_errors.
 """
 
 from .bilinear import (

@@ -144,16 +144,17 @@ def grid_blocks(grid: np.ndarray):
 def assemble_array(blocks: np.ndarray, true_dims: tuple[int, int] | None = None) -> np.ndarray:
     """The matrix of an (m, n, br, bc) block array, cut to true_dims.
 
-    With true_dims None the padded (m*br, n*bc) matrix is returned.
+    With true_dims None the padded (m*br, n*bc) matrix is returned.  A
+    negative entry, or one past the assembled shape, raises BlockShapeMismatch.
     """
     m, n, br, bc = blocks.shape
     full = blocks.swapaxes(1, 2).reshape(m * br, n * bc)
     if true_dims is None:
         return full
     r, t = true_dims
-    if r > full.shape[0] or t > full.shape[1]:
+    if not (0 <= r <= full.shape[0] and 0 <= t <= full.shape[1]):
         raise BlockShapeMismatch(
-            f"true dims {true_dims} exceed assembled shape {full.shape}"
+            f"true dims {true_dims} lie outside the assembled shape {full.shape}"
         )
     return full[:r, :t]
 

@@ -96,7 +96,7 @@ def _decode_subsets(code, a, b, want, dims, rng, samples: int, exhaustive: bool 
     else:
         subsets = [tuple(sorted(rng.choice(code.N, size=k, replace=False).tolist()))
                    for _ in range(samples)]
-    decoded = (code.decode_received(products[list(sub)], sub, dims) for sub in subsets)
+    decoded = (code.decode(products, sub, dims) for sub in subsets)
     failures = sum(not np.array_equal(got, want) for got in decoded)
     return ("exhaustive" if exhaustive else "sampled"), len(subsets), failures
 

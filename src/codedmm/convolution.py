@@ -101,8 +101,8 @@ class ConvCodeSpec(InterpolationCode):
         full = overlap_add(self.field, combine(self.field, weights, parts), self.s)
         if true_lens is not None:
             la, lb = true_lens
-            if la > self.m * self.s or lb > self.n * self.s:
-                raise BlockShapeMismatch(f"true lengths {true_lens} exceed the padded m*s, n*s")
+            if not (1 <= la <= self.m * self.s and 1 <= lb <= self.n * self.s):
+                raise BlockShapeMismatch(f"true lengths {true_lens} lie outside 1..m*s, 1..n*s")
             full = full[: la + lb - 1]
         return full
 
@@ -234,7 +234,8 @@ def conv_decode(
     """Recover a * b from any m + n - 1 worker results: spec.decode.
 
     true_lens, when given, is (len(a), len(b)) before padding and the output
-    is truncated to the true convolution length; lengths beyond the padded
-    m*s and n*s raise BlockShapeMismatch, as do results not 2s - 1 long.
+    is truncated to the true convolution length; lengths below 1 or beyond
+    the padded m*s and n*s raise BlockShapeMismatch, as do results not
+    2s - 1 long.
     """
     return spec.decode(results, subset, true_lens)

@@ -3,9 +3,10 @@
 With all N results of an evaluation code present (an InterpolationCode:
 polynomial, improved, element-wise or convolution, whose results lie on one
 product polynomial of degree < K), up to N - K corrupted results are
-detectable and up to floor((N-K)/2) are correctable.  The results come as
-the (N, ...) stack that worker_products returns, or as a list of equal-shape
-arrays or of MatrixF, and the product goes back in the same form.
+detectable and up to floor((N-K)/2) are correctable.  The results come
+indexed by worker, as CodingScheme.decode takes them: results[w] is worker
+w's result in a mapping, a list or the (N, ...) stack that worker_products
+returns, as arrays or MatrixF, and the product goes back in the same form.
 Corruption is per worker (a whole result block is perturbed), so error
 positions located on one scalar stream apply to the entire block.
 Correction locates them on projections of the blocks: each worker's block
@@ -122,15 +123,13 @@ def _mismatches(
     return [w for w, blk in zip(others, predicted) if not np.array_equal(blk, stack[w])]
 
 
-def _stacked_results(code, results) -> tuple[int, np.ndarray, bool]:
-    """Check the code and the results; return K, the N results as one canonical stack, and whether they were MatrixF.
+def _all_results(code, results) -> np.ndarray:
+    """The N results of an evaluation code as one canonical stack, read as decode reads them.
 
     Detection and repair interpolate through the workers' evaluation points,
-    so they need an InterpolationCode, whose N results lie on one polynomial.
-    results is the (N, *shape) stack of worker_products, or a sequence of N
-    equal-shape arrays, each with any integer representatives, or of N
-    MatrixF over the code's field, checked once as decode checks them
-    (CodingScheme._result_arrays); the stack decodes by code._decode_received.
+    so they need an InterpolationCode, whose N results lie on one polynomial
+    (else UnsupportedScheme).  results[w] is worker w's result, and there
+    must be N of them (else ValueError); code._result_arrays reads them.
     """
     if not isinstance(code, InterpolationCode):
         raise UnsupportedScheme(
@@ -138,27 +137,25 @@ def _stacked_results(code, results) -> tuple[int, np.ndarray, bool]:
         )
     if len(results) != code.N:
         raise ValueError(f"need all {code.N} results, got {len(results)}")
-    arrays, matrices = code._result_arrays(results)
-    return code.recovery_threshold(), np.asarray(arrays), matrices
+    return np.asarray(code._result_arrays(results, range(code.N))[0])
 
 
 def detect_errors(code: InterpolationCode, results, dims: tuple[int, int] | None = None):
     """Decode from the first K workers and cross-check everyone else.
 
-    results are all N results (see _stacked_results).  Returns Clean(C) when
-    every result matches the fitted polynomial, else ErrorDetected.  C is a
-    MatrixF for MatrixF results, else an array.  With at most N - K
-    corrupted workers this never returns a wrong Clean: the fit would
-    disagree with some uncorrupted worker.  Raises ValueError for other
-    than N results.
+    results are all N results, indexed by worker as decode takes them (see
+    _all_results).  Returns Clean(C) when every result matches the fitted
+    polynomial, else ErrorDetected.  C is code.decode's product from the
+    first K.  With at most N - K corrupted workers this never returns a
+    wrong Clean: the fit would disagree with some uncorrupted worker.
+    Raises ValueError for other than N results.
     """
-    k_need, stack, matrices = _stacked_results(code, results)
-    fit = range(k_need)
-    wrong = _mismatches(code, stack, fit, range(k_need, code.N))
+    stack = _all_results(code, results)
+    k_need = code.recovery_threshold()
+    wrong = _mismatches(code, stack, range(k_need), range(k_need, code.N))
     if wrong:
         return ErrorDetected(worker=wrong[0])
-    product = code._decode_received(stack[fit], list(fit), dims)
-    return Clean(MatrixF._wrap(code.field, product) if matrices else product)
+    return Clean(code.decode(results, range(k_need), dims))
 
 
 def _locate_errors(
@@ -254,7 +251,8 @@ def _seeded_pilots(field: PrimeField, t: int, span: int, coords: int) -> tuple[n
 def correct_errors(code: InterpolationCode, results, dims: tuple[int, int] | None = None):
     """Recover the exact product despite up to floor((N-K)/2) corrupted workers.
 
-    results are all N results (see _stacked_results); the product is a
+    results are all N results, indexed by worker as decode takes them (see
+    _all_results); the product is code.decode's from the survivors, a
     MatrixF for MatrixF results, else an array.  Each pilot projects every
     surviving block onto one vector (see _pilot_vectors: t seeded random
     vectors, t the least count with (e_max / q)^t < 2^-40, or the unit
@@ -274,7 +272,8 @@ def correct_errors(code: InterpolationCode, results, dims: tuple[int, int] | Non
     than N results.
     """
     N = code.N
-    k_need, stack, matrices = _stacked_results(code, results)
+    stack = _all_results(code, results)
+    k_need = code.recovery_threshold()
     xs = code.points
     e_max = (N - k_need) // 2
     flat = stack.reshape(N, -1)
@@ -295,8 +294,7 @@ def correct_errors(code: InterpolationCode, results, dims: tuple[int, int] | Non
             remaining = [w for i, w in enumerate(remaining) if i not in mismatches]
         fit = remaining[:k_need]
         if not _mismatches(code, stack, fit, remaining[k_need:]):
-            product = code._decode_received(stack[fit], fit, dims)
-            return MatrixF._wrap(code.field, product) if matrices else product
+            return code.decode(results, fit, dims)
     raise TooManyErrors(
         f"no pilot projection yields a consistent decode within {e_max} errors"
     )

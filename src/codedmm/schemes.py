@@ -3,9 +3,10 @@
 CodingScheme is the base of every code, the vector codes included: worker i
 stores one combination of each input's parts, returns the result of one
 operation on that pair, and the master decodes the product from any
-recovery_threshold() many results.  Every code is built through one of two
-constructors: CodingScheme(field, gen_a, gen_b), or, for an evaluation
-code, InterpolationCode(field, points, gen_a, gen_b, output_map).
+recovery_threshold() many results through decode, the one decode, which
+reads results[w] as worker w's result.  Every code is built through one
+of two constructors: CodingScheme(field, gen_a, gen_b), or, for an
+evaluation code, InterpolationCode(field, points, gen_a, gen_b, output_map).
 
 Schemes here: the (alpha, beta, theta)-polynomial code, its (1, p, pm)
 case, the entangled code, that hits threshold pmn + p - 1, uncoded
@@ -122,77 +123,63 @@ class CodingScheme(ABC):
         results is indexed by worker, results[w] the result of worker w: a
         mapping, a list, or the worker_products stack.  Results are MatrixF,
         which decode to a MatrixF, or arrays of any integer representatives.
-        dims, when given, is the product's true size used to strip padding:
-        (rows, cols) of A^T B, (len(a), len(b)) of a convolution.  The
-        subset is checked first (_check_subset), then the results:
-        MissingResult for a worker without one, then the errors of
-        _result_arrays.
+        A worker that subset repeats is read once.  dims, when given, is the
+        product's true size used to strip padding: (rows, cols) of A^T B,
+        (len(a), len(b)) of a convolution.  The subset is checked first
+        (_check_subset), then the results (_result_arrays).
         """
-        first = self._check_subset(subset)
+        workers = self._check_subset(subset)
+        received, matrices = self._result_arrays(results, workers)
+        product = self._decode_received(received, workers, dims)
+        return MatrixF._wrap(self.field, product) if matrices else product
+
+    def _result_arrays(self, results, workers: Sequence[int]) -> tuple[Sequence[np.ndarray], bool]:
+        """results[w] for each w of workers, as canonical arrays of one shape, and whether all are MatrixF.
+
+        The one reading of worker results: decode, detect_errors and
+        correct_errors all pass here.  results is indexed by worker (see
+        decode); the rows of a stack are picked with one index, and a worker
+        without a result raises MissingResult.  The arrays have the field's
+        dtype, so a decoder reduces nothing again.  MatrixF results must be
+        over the code's field (else FieldMismatch) and are taken uncopied,
+        and the pick of an int64 stack of canonical entries over an int64
+        field is not copied again.  Every other pick is reduced at once, and
+        other results one by one, through canonical_array, which raises
+        NonIntegerEntry for a non-integer entry.  Raises BlockShapeMismatch
+        when the results differ in shape.
+        """
+        if isinstance(results, np.ndarray):
+            try:
+                picked = results[workers]
+            except IndexError:
+                raise MissingResult(
+                    f"no result from worker {max(workers)} in a stack of shape {results.shape}"
+                ) from None
+            # the float64 kernel is exact only on canonical int64 entries; as
+            # unsigned, a negative entry reads as at least 2^63
+            if picked.dtype == self.field.array_dtype == np.int64 and (
+                    not picked.size or picked.view(np.uint64).max() < self.field.modulus):
+                return picked, False
+            return canonical_array(self.field, picked), False
         picked = []
-        for w in first:
+        for w in workers:
             try:
                 picked.append(results[w])
             except (KeyError, IndexError):
                 raise MissingResult(f"no result from worker {w}") from None
-        received, matrices = self._result_arrays(picked)
-        product = self._decode_received(received, list(first), dims)
-        return MatrixF._wrap(self.field, product) if matrices else product
-
-    def _result_arrays(self, results) -> tuple[Sequence[np.ndarray], bool]:
-        """results as canonical arrays of the field's dtype and one shape, and whether every result is a MatrixF.
-
-        Every worker result passes here before a decoder or repair reads
-        it.  MatrixF results must be over the code's field (else
-        FieldMismatch) and are taken uncopied, and so is an int64 stack of
-        canonical entries over an int64 field.  Every other stack is reduced
-        at once, and other results one by one, through canonical_array,
-        which raises NonIntegerEntry for a non-integer entry.  Raises
-        BlockShapeMismatch when the results differ in shape.
-        """
-        if isinstance(results, np.ndarray):
-            # the float64 kernel is exact only on canonical int64 entries; as
-            # unsigned, a negative entry reads as at least 2^63
-            if results.dtype == self.field.array_dtype == np.int64 and (
-                    not results.size or results.view(np.uint64).max() < self.field.modulus):
-                return results, False
-            return canonical_array(self.field, results), False
-        matrices = all(isinstance(r, MatrixF) for r in results)
+        matrices = all(isinstance(r, MatrixF) for r in picked)
         if matrices:
-            if any(r.field != self.field for r in results):
+            if any(r.field != self.field for r in picked):
                 raise FieldMismatch(f"a result is not over the code's {self.field}")
-            arrays = [r.data for r in results]
+            arrays = [r.data for r in picked]
         else:
-            arrays = [canonical_array(self.field, r) for r in results]
+            arrays = [canonical_array(self.field, r) for r in picked]
         if len({r.shape for r in arrays}) > 1:
             raise BlockShapeMismatch("worker results differ in shape")
         return arrays, matrices
 
-    def decode_received(
-        self,
-        received: np.ndarray,
-        subset: Sequence[int],
-        dims: tuple[int, int] | None = None,
-    ) -> np.ndarray:
-        """The product as an array, from received[i], the result of worker subset[i].
-
-        received is the (len(subset), *result shape) stack of results, such
-        as worker_products(a, b)[subset], or a list of them; its entries may
-        be any integer representatives of their field elements.  A worker
-        that subset repeats is decoded from its first result.  The subset is
-        checked first (_check_subset), then the stack: BlockShapeMismatch
-        for a stack of another length, then the errors of _result_arrays on
-        the rows that decode.
-        """
-        first = self._check_subset(subset)
-        if len(received) != len(subset):
-            raise BlockShapeMismatch(f"{len(received)} results for {len(subset)} workers")
-        if len(first) < len(subset):
-            received = [received[i] for i in first.values()]
-        return self._decode_received(self._result_arrays(received)[0], list(first), dims)
-
-    def _check_subset(self, subset: Sequence[int]) -> dict[int, int]:
-        """Each distinct worker of subset, in order of first appearance, with the position of its first result.
+    def _check_subset(self, subset: Sequence[int]) -> list[int]:
+        """The distinct workers of subset, in order of first appearance.
 
         Raises InsufficientResults below fewest_results() results, then
         UnknownWorker for an index outside [0, N) or a subset that is not
@@ -208,12 +195,10 @@ class CodingScheme(ABC):
             raise UnknownWorker(f"subset is not a sequence of worker indices: {subset!r}") from None
         if index.ndim != 1 or index.dtype.kind not in "iu" or index.min() < 0 or index.max() >= self.N:
             raise UnknownWorker(f"worker index out of range for N={self.N} in {index.tolist()}")
-        first: dict[int, int] = {}
-        for row, w in enumerate(index.tolist()):
-            first.setdefault(w, row)
-        if len(first) < need:
-            raise InsufficientResults(f"got {len(first)} distinct workers, need {need}")
-        return first
+        workers = list(dict.fromkeys(index.tolist()))
+        if len(workers) < need:
+            raise InsufficientResults(f"got {len(workers)} distinct workers, need {need}")
+        return workers
 
     @abstractmethod
     def _decode_received(

@@ -27,6 +27,7 @@ from .schemes import (
     GeneralPolynomialCode,
     RandomLinearCode,
     UncodedRepetitionCode,
+    worker_points,
 )
 
 SCHEME_NAMES = ("entangled", "general-poly", "uncoded", "random-linear", "improved")
@@ -133,7 +134,7 @@ def build_scheme(config: SimulationConfig) -> CodingScheme:
             raise ValueError("general-poly needs alpha, beta, theta")
         return GeneralPolynomialCode(
             config.p, config.m, config.n, config.N, config.alpha, config.beta, config.theta,
-            tuple(range(config.N)), field,
+            worker_points(config.N, field), field,
         )
     if name == "uncoded":
         return UncodedRepetitionCode(config.p, config.m, config.n, config.N, field)
@@ -195,7 +196,7 @@ def run_trial(
     while waited <= config.N:
         subset = order[:waited]
         try:
-            decoded = scheme.decode_received(products[subset], subset, dims=(r, t))
+            decoded = scheme.decode(products, subset, dims=(r, t))
             success = np.array_equal(decoded, oracle)
             break
         except (SingularDecodeSystem, InsufficientResults):

@@ -258,7 +258,7 @@ class TestElementwiseProduct:
         with pytest.raises(NonIntegerEntry):
             code.decode(results, list(range(5)))
         with pytest.raises(NonIntegerEntry):
-            code.decode_received(np.array([results[w] for w in range(5)]), list(range(5)))
+            code.decode(np.array([results[w] for w in range(5)]), list(range(5)))
 
 class TestRegistry:
     def test_small_rank_pipelines_exhaustive(self, gf65537, rng):

@@ -195,8 +195,11 @@ class TestAssembleProduct:
             want = full if dims is None else full[:dims[0], :dims[1]]
             got = assemble_array(stacked(grid), dims)
             assert got.dtype == want.dtype and got.tolist() == want.tolist()
-        with pytest.raises(BlockShapeMismatch):
-            assemble_array(stacked(grid), (7, 6))
+        # past the assembled shape, or negative, which would slice rows or
+        # columns off the end of the product
+        for dims in ((7, 6), (-1, 6), (6, -1)):
+            with pytest.raises(BlockShapeMismatch):
+                assemble_array(stacked(grid), dims)
 
 
 class TestPartitionVector:

@@ -515,6 +515,13 @@ class TestUsageErrors:
         assert "Traceback" not in err
         assert "larger sample" not in err
 
+    def test_general_poly_over_a_field_too_small_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--scheme", "general-poly", "--p", "1", "--m", "2",
+                                 "--n", "1", "--N", "7", "--alpha", "1", "--beta", "1", "--theta", "2",
+                                 "--q", "7")
+        assert code == 2 and out == ""
+        assert "need q > N" in err
+
     def test_table_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--fig2", "--Nmax", "12", "--format", "table"

@@ -285,11 +285,13 @@ class TestConvDecode:
         got = conv_decode(spec, results, [6, 2, 0, 3], true_lens=(7, 10))
         assert got.tolist() == direct_convolution(257, a, b)
 
-    def test_true_lens_beyond_padded_length(self, gf257):
-        # a and b pad to m*s = n*s = 6 entries: 7 would ask for more than was encoded
+    def test_true_lens_outside_one_to_the_padded_length(self, gf257):
+        # a and b pad to m*s = n*s = 6 entries: 7 would ask for more than was
+        # encoded, (-3, 2) would cut the 11-entry convolution to 9 entries,
+        # and an empty operand has no convolution
         spec = conv_spec(2, 2, 5, 3, gf257)
         results = encode_all(spec, [1] * 6, [2] * 6)
-        for lens in ((7, 6), (6, 7)):
+        for lens in ((7, 6), (6, 7), (-3, 2), (2, -3), (0, 6), (6, 0)):
             with pytest.raises(BlockShapeMismatch):
                 conv_decode(spec, results, [0, 1, 2], true_lens=lens)
         assert len(conv_decode(spec, results, [0, 1, 2], true_lens=(6, 6))) == 11

@@ -285,7 +285,7 @@ class TestBasisCache:
         values = np.array([[1, 2], [3, 4], [5, 6]], dtype=field.array_dtype)
         builders = [
             lambda: interpolate_arrays(field, [0, 1, 2], values),
-            lambda: code.decode_received(stack[[4, 0, 2]], [4, 0, 2]),
+            lambda: code.decode(stack, [4, 0, 2]),
         ]
         for build in builders:
             first = build()

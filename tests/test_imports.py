@@ -1,11 +1,13 @@
-"""Import hygiene of the package source, checked on its syntax trees."""
+"""Import hygiene of the package source, and the names the benchmark imports, checked on their syntax trees."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import codedmm
 
 SOURCE = Path(codedmm.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _imported(tree: ast.Module) -> set[str]:
@@ -35,3 +37,29 @@ def test_every_import_is_used_and_the_package_exports_what_it_imports():
         if names:
             faults[path.name] = sorted(names)
     assert faults == {}
+
+
+def _resolves(module: str, name: str | None = None) -> bool:
+    """Whether module imports and, when name is given, has it or a submodule of that name."""
+    try:
+        found = importlib.import_module(module)
+    except ImportError:
+        return False
+    return name is None or hasattr(found, name) or _resolves(f"{module}.{name}")
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    # perfbench/ is kept unchanged between benchmark runs, so a deleted or
+    # renamed public name fails here before the benchmark does
+    scripts = sorted(PERFBENCH.glob("*.py"))
+    assert scripts
+    missing = []
+    for path in scripts:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "codedmm":
+                missing += [f"{path.name}: {node.module}.{alias.name}" for alias in node.names
+                            if not _resolves(node.module, alias.name)]
+            elif isinstance(node, ast.Import):
+                missing += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.partition(".")[0] == "codedmm" and not _resolves(alias.name)]
+    assert missing == []

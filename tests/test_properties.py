@@ -131,9 +131,9 @@ def past_int64(gen, q, stack):
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_every_code_decodes_any_k_subset_to_the_oracle(name, q, seed):
-    # the subset's results decode to the oracle, as they are and shifted off
-    # [0, q), also as uint64 past 2^63 and as Python ints; the subset with
-    # some workers repeated, the repeats' later results wrong, decodes as
+    # the subset's results decode to the oracle from the stack, a list and a
+    # mapping, as they are and shifted off [0, q), also as uint64 past 2^63
+    # and as Python ints; the subset with some workers repeated decodes as
     # the subset of its distinct workers does
     gen = random.Random(seed)
     code = SEVEN_CODES[name](PrimeField(q), gen)
@@ -148,21 +148,20 @@ def test_every_code_decodes_any_k_subset_to_the_oracle(name, q, seed):
     for _ in range(gen.randint(1, 3)):
         repeated.insert(gen.randrange(len(repeated) + 1), gen.choice(subset))
     distinct = list(dict.fromkeys(repeated))
-    received = shifted[repeated]
-    received[[i for i, w in enumerate(repeated) if w in repeated[:i]]] += 1
-    unsigned = past_int64(gen, q, stack[subset])
-    objects = off_canonical(gen, q, stack[subset].astype(object))
+    unsigned = past_int64(gen, q, stack)
+    objects = off_canonical(gen, q, stack.astype(object))
     decodes = [
         lambda: code.decode(results, subset, dims),
-        lambda: code.decode_received(shifted[subset], subset, dims),
-        lambda: code.decode_received(unsigned, subset, dims),
-        lambda: code.decode_received(objects, subset, dims),
-        lambda: code.decode(dict(zip(subset, objects)), subset, dims),
-        lambda: code.decode_received(received, repeated, dims),
+        lambda: code.decode(list(stack), subset, dims),
+        lambda: code.decode(shifted, subset, dims),
+        lambda: code.decode(unsigned, subset, dims),
+        lambda: code.decode(objects, subset, dims),
+        lambda: code.decode(dict(enumerate(objects)), subset, dims),
+        lambda: code.decode(shifted, repeated, dims),
         lambda: code.decode(results, repeated, dims),
     ]
     try:
-        got = code.decode_received(stack[subset], subset, dims)
+        got = code.decode(stack, subset, dims)
     except SingularDecodeSystem:
         # a random draw may be singular on this subset, in any order: reported, never decoded wrongly
         assert name == "random-linear"
@@ -171,8 +170,8 @@ def test_every_code_decodes_any_k_subset_to_the_oracle(name, q, seed):
                 decode()
         return
     assert np.asarray(got).ravel().tolist() == np.ravel(want).tolist()
-    from_distinct = code.decode_received(stack[distinct], distinct, dims)
-    for decode, same_as in zip(decodes, [got] * 5 + [from_distinct] * 2):
+    from_distinct = code.decode(stack, distinct, dims)
+    for decode, same_as in zip(decodes, [got] * 6 + [from_distinct] * 2):
         assert np.array_equal(decode(), same_as)
 
 

@@ -16,7 +16,7 @@ from codedmm.bilinear import (
 )
 from codedmm.blocks import MatrixF
 from codedmm.convolution import conv_spec
-from codedmm.errors import BlockShapeMismatch, CodedmmError, FieldMismatch, TooManyErrors
+from codedmm.errors import BlockShapeMismatch, CodedmmError, FieldMismatch, MissingResult, TooManyErrors
 from codedmm.field import PrimeField
 from codedmm.robust import (
     _PILOT_CACHE,
@@ -528,6 +528,72 @@ def test_repair_takes_the_worker_products_stack(q, repair, rng):
             out = out.matrix
         assert isinstance(out, np.ndarray)
         assert out.tolist() == want
+
+
+def _evaluation_case(name, field, rng):
+    """(code, a, b, dims, oracle as nested lists) for each evaluation code, all with N >= K + 2."""
+    q = field.modulus
+    if name == "elementwise":
+        a, b = [5, 6, 7], [2, 3, 4]
+        return ElementwiseProductCode(3, 7, field), a, b, None, elementwise_product(q, a, b)
+    if name == "convolution":
+        a, b = [rng.randrange(q) for _ in range(5)], [rng.randrange(q) for _ in range(6)]
+        return conv_spec(2, 2, 7, 3, field), a, b, (5, 6), direct_convolution(q, a, b)
+    if name == "entangled":
+        code, cols = EntangledCode(2, 2, 1, 9, field), 2
+    else:
+        code, cols = ImprovedBilinearCode(strassen_construction(), 15, field), 4
+    a, b = random_matrix(field, 4, 4, rng), random_matrix(field, 4, cols, rng)
+    return code, a, b, (a.cols, b.cols), oracle_product(a, b).data.tolist()
+
+
+EVALUATION_CODES = ["entangled", "improved", "elementwise", "convolution"]
+
+
+def _forms(stack):
+    """The worker results indexed by worker, three ways: a mapping, a list and the stack."""
+    return {"mapping": dict(enumerate(stack)), "list": list(stack), "stack": stack}
+
+
+@pytest.mark.parametrize("name", EVALUATION_CODES)
+def test_every_form_of_results_decodes_and_repairs_to_the_oracle(name, gf65537, rng):
+    # results[w] is worker w's result in every form, so a mapping's keys are
+    # never read as results
+    code, a, b, dims, want = _evaluation_case(name, gf65537, rng)
+    stack = code.worker_products(a, b)
+    last_k = range(code.N - code.recovery_threshold(), code.N)
+    for form, results in _forms(stack).items():
+        assert code.decode(results, last_k, dims).tolist() == want, form
+        verdict = detect_errors(code, results, dims)
+        assert isinstance(verdict, Clean) and verdict.matrix.tolist() == want, form
+        assert correct_errors(code, results, dims).tolist() == want, form
+
+
+@pytest.mark.parametrize("name", EVALUATION_CODES)
+def test_every_corrupted_position_is_caught(name, gf65537, rng):
+    # one corrupted worker at each position: detection names it whenever it
+    # lies outside the first K, and correction returns the oracle
+    code, a, b, dims, want = _evaluation_case(name, gf65537, rng)
+    k = code.recovery_threshold()
+    assert code.N >= k + 2
+    for w in range(code.N):
+        stack = code.worker_products(a, b)
+        stack[w] = (stack[w] + 1) % gf65537.modulus
+        for form in ("mapping", "stack"):
+            results = _forms(stack)[form]
+            verdict = detect_errors(code, results, dims)
+            assert isinstance(verdict, ErrorDetected), (w, form)
+            if w >= k:
+                assert verdict.worker == w, (w, form)
+            assert correct_errors(code, results, dims).tolist() == want, (w, form)
+
+
+@pytest.mark.parametrize("repair", [detect_errors, correct_errors])
+def test_a_mapping_without_a_worker_is_refused(repair, setup_9_workers):
+    code, _, _, _, results = setup_9_workers
+    shifted = {w + 1: r for w, r in enumerate(results)}  # N results, none from worker 0
+    with pytest.raises(MissingResult):
+        repair(code, shifted, dims=(4, 2))
 
 
 class TestConsistencyTriangle:

@@ -195,11 +195,11 @@ def test_inputs_over_another_field_rejected(name, gf7, gf65537, rng):
 
 
 class TestDecodeEntryPoint:
-    """decode checks the count, gathers and stacks once, then calls decode_received."""
+    """decode reads results[w] for each distinct worker w of the subset, then decodes."""
 
     @pytest.mark.parametrize("q", [7, 65537, (1 << 61) - 1])
     @pytest.mark.parametrize("name", sorted(BATCHED))
-    def test_decode_equals_decode_received(self, name, q, rng):
+    def test_the_stack_decodes_as_matrixf_results_do(self, name, q, rng):
         field = PrimeField(q)
         scheme = BATCHED[name](field)
         a, b = random_matrix(field, 5, 3, rng), random_matrix(field, 5, 2, rng)
@@ -214,9 +214,9 @@ class TestDecodeEntryPoint:
                     want = scheme.decode(results, sub, dims=(3, 2))
                 except SingularDecodeSystem:
                     with pytest.raises(SingularDecodeSystem):
-                        scheme.decode_received(stack[list(sub)], index, dims=(3, 2))
+                        scheme.decode(stack, index, dims=(3, 2))
                     continue
-                got = scheme.decode_received(stack[list(sub)], index, dims=(3, 2))
+                got = scheme.decode(stack, index, dims=(3, 2))
                 assert isinstance(got, np.ndarray)
                 assert got.dtype == want.data.dtype
                 assert np.array_equal(got, want.data)
@@ -237,51 +237,38 @@ class TestDecodeEntryPoint:
                 scheme.decode(short, subset, dims=(3, 2))
 
     @pytest.mark.parametrize("name", sorted(BATCHED))
-    def test_decode_received_checks_its_stack(self, name, gf65537, rng):
-        # too few rows would fit a lower-degree polynomial: refused, not decoded
-        scheme = BATCHED[name](gf65537)
-        stack = scheme.worker_products(random_matrix(gf65537, 5, 3, rng), random_matrix(gf65537, 5, 2, rng))
-        short = list(range(scheme.fewest_results() - 1))
-        with pytest.raises(InsufficientResults):
-            scheme.decode_received(stack[short], short)
-        full = list(range(scheme.N))
-        with pytest.raises(BlockShapeMismatch):
-            scheme.decode_received(stack[full[:-1]], full)
-
-    @pytest.mark.parametrize("name", sorted(BATCHED))
     def test_error_order(self, name, gf7, gf65537, rng):
-        # one sequence through both entry points: the subset is checked in
-        # full before any result, a missing result (decode) or a stack of
-        # the wrong length (decode_received) before the results' entries
+        # one sequence for a mapping and for the stack: the subset is checked
+        # in full before any result, a missing result before the results' entries
         scheme = BATCHED[name](gf65537)
         results = run_workers(scheme, random_matrix(gf65537, 5, 3, rng), random_matrix(gf65537, 5, 2, rng))
         floats = {w: r.data.astype(np.float64) + 0.5 for w, r in results.items()}
         stack = np.stack(list(floats.values()))  # no entry an integer
         foreign = {**results, 0: random_matrix(gf7, *results[0].shape, rng)}
         missing = {w: r for w, r in foreign.items() if w != 1}
+        misshapen = {**results, 2: MatrixF.zeros(gf65537, *(d + 1 for d in results[2].shape))}
         n, unknown = scheme.N, scheme.N + 3
         every = list(range(n))
         cases = [
-            (InsufficientResults, missing, [1, unknown], stack[:2]),
+            (InsufficientResults, missing, [1, unknown], stack),
             # worker 1 has no result, but the unknown index is reported first
             (UnknownWorker, missing, every + [unknown], stack),
-            (InsufficientResults, missing, [1] * n, stack[:-1]),
-            (MissingResult, missing, every, None),
-            (BlockShapeMismatch, None, every, stack[:-1]),
+            (InsufficientResults, missing, [1] * n, stack),
+            (MissingResult, missing, every, stack[:-1]),
+            (BlockShapeMismatch, misshapen, every, None),
             (FieldMismatch, foreign, every, None),
             (NonIntegerEntry, floats, every, stack),
         ]
         for error, mapping, subset, received in cases:
-            if mapping is not None:
-                with pytest.raises(error):
-                    scheme.decode(mapping, subset)
+            with pytest.raises(error):
+                scheme.decode(mapping, subset)
             if received is not None:
                 with pytest.raises(error):
-                    scheme.decode_received(received, subset)
+                    scheme.decode(received, subset)
 
 
 @pytest.mark.parametrize("name", sorted(BATCHED))
-def test_decode_received_takes_any_representative(name, gf65537, rng):
+def test_decode_takes_any_representative(name, gf65537, rng):
     # results shifted by multiples of q up to 2^30 q (entries near 2^46, both
     # signs) are the same field elements and must decode to the same product
     scheme = BATCHED[name](gf65537)
@@ -290,25 +277,25 @@ def test_decode_received_takes_any_representative(name, gf65537, rng):
     draw = np.random.default_rng(5)
     shifted = stack + 65537 * draw.integers(-(1 << 30), 1 << 30, size=stack.shape)
     subset = sorted(draw.choice(scheme.N, scheme.recovery_threshold(), replace=False).tolist())
-    got = scheme.decode_received(shifted[subset], subset, dims=(3, 2))
+    got = scheme.decode(shifted, subset, dims=(3, 2))
     assert np.array_equal(got, oracle_product(a, b).data)
 
 
 
 @pytest.mark.parametrize("name", sorted(BATCHED))
-def test_decode_received_refuses_a_float_stack(name, gf65537, rng):
+def test_decode_refuses_a_float_stack(name, gf65537, rng):
     # an entry 0.9 off its field element must not be truncated into a wrong product
     scheme = BATCHED[name](gf65537)
     stack = scheme.worker_products(random_matrix(gf65537, 5, 3, rng), random_matrix(gf65537, 5, 2, rng))
     subset = list(range(scheme.N))
     floats = stack.astype(np.float64)
     floats[1, 0, 0] += 0.9
-    # an object stack is checked too, and decode refuses what decode_received refuses
+    # an object stack is checked too, as a stack and as a mapping
     objects = stack.astype(object)
     objects[1, 0, 0] += 0.5
     for bad in (floats, objects):
         with pytest.raises(NonIntegerEntry):
-            scheme.decode_received(bad, subset, dims=(3, 2))
+            scheme.decode(bad, subset, dims=(3, 2))
         with pytest.raises(NonIntegerEntry):
             scheme.decode(dict(enumerate(bad)), subset, dims=(3, 2))
 
@@ -324,7 +311,7 @@ def test_int64_stack_over_an_object_field(name, rng):
     b = MatrixF(field, [[-1 - rng.randrange(3) for _ in range(2)] for _ in range(5)])
     stack = scheme.worker_products(a, b).astype(np.int64)
     subset = list(range(scheme.N))
-    got = scheme.decode_received(stack, subset, dims=(3, 2))
+    got = scheme.decode(stack, subset, dims=(3, 2))
     assert got.tolist() == oracle_product(a, b).data.tolist()
 
 
@@ -664,16 +651,16 @@ class TestDecodeSubsetErrors:
         scheme = SCHEMES[name](gf65537)
         results = run_workers(scheme, random_matrix(gf65537, 4, 4, rng), random_matrix(gf65537, 4, 4, rng))
         k = scheme.recovery_threshold()
-        stack = np.stack([results[w].data for w in [0] + list(range(k))])
+        stack = np.stack([results[w].data for w in range(scheme.N)])
         assert issubclass(UnknownWorker, CodedmmError)
         for bad in (scheme.N, scheme.N + 7, -1, 1 << 64):
             subset = [bad] + list(range(k))
             with pytest.raises(UnknownWorker):
                 scheme.decode(results, subset)
-            # decode_received with a bad label, as a list or an array
+            # the stack with a bad label, as a list or an array
             for index in (subset, np.array(subset)):
                 with pytest.raises(UnknownWorker):
-                    scheme.decode_received(stack, index)
+                    scheme.decode(stack, index)
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_subset_that_is_not_one_dimensional(self, name, gf65537, rng):
@@ -683,12 +670,11 @@ class TestDecodeSubsetErrors:
         subset = np.arange(2 * k).reshape(k, 2) % scheme.N
         # k entries, the first of them two workers: numpy makes no array of it
         ragged = [[0, 1]] + [[w] for w in range(1, k)]
-        stack = np.stack([results[w].data for w in range(k)])
+        stack = np.stack([results[w].data for w in range(scheme.N)])
         for index in (subset, subset.tolist(), ragged):
-            with pytest.raises(UnknownWorker):
-                scheme.decode(results, index)
-            with pytest.raises(UnknownWorker):
-                scheme.decode_received(stack, index)
+            for received in (results, stack):
+                with pytest.raises(UnknownWorker):
+                    scheme.decode(received, index)
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_repeated_worker_leaves_too_few_distinct_workers(self, name, gf65537, rng):
@@ -699,10 +685,9 @@ class TestDecodeSubsetErrors:
         k = scheme.recovery_threshold()
         subset = [0, 0, 2] if name == "uncoded" else [0] + list(range(k - 1))
         assert len(subset) == k > len(set(subset))
-        with pytest.raises(InsufficientResults):
-            scheme.decode(results, subset)
-        with pytest.raises(InsufficientResults):
-            scheme.decode_received(np.stack([results[w].data for w in subset]), subset)
+        for received in (results, np.stack([results[w].data for w in range(scheme.N)])):
+            with pytest.raises(InsufficientResults):
+                scheme.decode(received, subset)
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     def test_subset_worker_without_result(self, name, gf65537, rng):
@@ -715,51 +700,35 @@ class TestDecodeSubsetErrors:
 
 
 class TestRepeatedWorkers:
-    """A subset that repeats a worker decodes from each worker's first result."""
+    """A subset that repeats a worker reads that worker's result once."""
 
     def test_interpolation_through_a_repeated_worker(self, gf65537, rng):
-        # threshold 3: workers 0, 1 and 2 decode, the second result of
-        # worker 1 is corrupted and ignored
+        # threshold 3: workers 0, 1 and 2 decode, from the stack, a list or a mapping
         code = EntangledCode(2, 1, 1, 5, gf65537)
         a, b = random_matrix(gf65537, 4, 3, rng), random_matrix(gf65537, 4, 2, rng)
         stack = code.worker_products(a, b)
-        received = stack[[0, 1, 1, 2]]
-        received[2] += 1
-        got = code.decode_received(received, [0, 1, 1, 2], dims=(3, 2))
-        assert np.array_equal(got, oracle_product(a, b).data)
+        for results in (stack, list(stack)):
+            got = code.decode(results, [0, 1, 1, 2], dims=(3, 2))
+            assert np.array_equal(got, oracle_product(a, b).data)
         results = run_workers(code, a, b)
         assert code.decode(results, [2, 2, 0, 1], dims=(3, 2)) == oracle_product(a, b)
-
-    def test_list_of_results_with_a_repeated_worker(self, gf65537, rng):
-        # a list decodes like the stack: the repeated worker's second
-        # result, not an integer array, is neither read nor checked
-        code = EntangledCode(2, 2, 1, 9, gf65537)
-        a, b = random_matrix(gf65537, 4, 4, rng), random_matrix(gf65537, 4, 2, rng)
-        subset = [0, 0, 1, 2, 3, 4]
-        received = list(code.worker_products(a, b)[subset])
-        received[1] = np.full(received[1].shape, 0.5)
-        got = code.decode_received(received, subset, dims=(4, 2))
-        assert np.array_equal(got, oracle_product(a, b).data)
 
     def test_too_few_distinct_workers(self, gf65537, rng):
         code = EntangledCode(2, 1, 1, 5, gf65537)
         stack = code.worker_products(random_matrix(gf65537, 4, 3, rng), random_matrix(gf65537, 4, 2, rng))
         with pytest.raises(InsufficientResults):
-            code.decode_received(stack[[0, 1, 1]], [0, 1, 1], dims=(3, 2))
+            code.decode(stack, [0, 1, 1], dims=(3, 2))
 
     def test_elementwise_direct_read_through_a_repeated_worker(self, gf65537, rng):
         # N = 4 < 2R - 1 = 5: five results from four workers are read
-        # directly from workers 0, 1 and 2, the first result of each
+        # directly from workers 0, 1 and 2
         code = ElementwiseProductCode(3, 4, gf65537)
         a, b = ([rng.randrange(65537) for _ in range(3)] for _ in range(2))
         stack = code.worker_products(a, b)
-        subset = [3, 1, 0, 2, 1]
-        received = stack[subset]
-        received[4] += 1
-        got = code.decode_received(received, subset)
+        got = code.decode(stack, [3, 1, 0, 2, 1])
         assert got.tolist() == elementwise_product(65537, a, b)
         with pytest.raises(InsufficientResults):
-            code.decode_received(stack[[3, 1, 1, 2]], [3, 1, 1, 2])
+            code.decode(stack, [3, 1, 1, 2])
 
 
 @pytest.mark.parametrize("q", [65537, (1 << 61) - 1])
@@ -771,4 +740,4 @@ def test_elementwise_direct_read_reduces_its_results(q, rng):
     a, b = ([rng.randrange(q) for _ in range(3)] for _ in range(2))
     shifted = code.worker_products(a, b) + 5 * q
     subset = [3, 1, 0, 2]
-    assert code.decode_received(shifted[subset], subset).tolist() == elementwise_product(q, a, b)
+    assert code.decode(shifted, subset).tolist() == elementwise_product(q, a, b)

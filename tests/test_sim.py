@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from codedmm.errors import FieldTooSmall
 from codedmm.sim import (
     FixedStragglers,
     ShiftedExponential,
@@ -220,6 +221,13 @@ class TestSchemeFactory:
                      alpha=1, beta=2, theta=4, trials=3)
         result = run_experiment(cfg)
         assert all(rep.oracle_match for rep in result.reports)
+
+    @pytest.mark.parametrize("modulus", [5, 7])
+    def test_general_poly_needs_q_above_n(self, modulus):
+        # the points 0..N-1 are distinct mod q only for q > N, as for every other code
+        cfg = SimulationConfig("general-poly", 1, 2, 1, 7, modulus=modulus, alpha=1, beta=1, theta=2)
+        with pytest.raises(FieldTooSmall):
+            build_scheme(cfg)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
