@@ -7,13 +7,16 @@ elsewhere in the package keep raw canonical ints in numpy arrays; the
 field-mixing checks are worth having.
 
 Every matrix contraction over GF(q) goes through ``modmatmul``.  For q < 2^21
-arrays are int64 and the product runs on float64 BLAS with delayed modular
+arrays are int64 and a product takes one of three branches.  Products of
+at most 4096 multiply-adds are one int64 matmul reduced with one ``%``,
+exact while each sum of products stays below 2^63.  Larger ones run on
+float64 BLAS with delayed modular
 reduction (Dumas, Giorgi & Pernet, FFLAS-FFPACK): a sum of k products of
 canonical entries is an integer of at most k*(q-1)^2, which float64 holds
 exactly, so contractions are split into chunks of at most
 (2^50 - q) // (q-1)^2 terms (256 or more for q < 2^21) and reduced between
-chunks.  Tiny products are one matmul reduced with one ``%``.  Every larger
-product, and every larger weighted sum formed by ``combine``, allocates
+chunks.  Small ones are one float64 matmul reduced with one ``%``.  Every
+larger product, and every larger weighted sum formed by ``combine``, allocates
 nothing but the array it returns: it runs in tiles of rows and columns
 (Goto & van de Geijn) whose float64 operand copies, product and scratch
 live in one per-thread workspace of _TILE_ELEMS entries, where each tile is
@@ -28,6 +31,12 @@ or view of one holds any longer is handed out again, so a program that takes
 results of the same shapes job after job writes into memory that is already
 mapped instead of faulting fresh pages in.
 Larger moduli use Python-int (object) arrays, exact at any length.
+
+Decoding interpolates through ``lagrange_basis``, which builds only the rows
+of the inverse Vandermonde matrix that a decoder reads, in closed form: the
+points' power table times shifted coefficients of their vanishing
+polynomial, in one ``modmatmul``, scaled by barycentric weights that take
+one modular inverse in all.  The rows of recent point sets are cached.
 """
 
 from __future__ import annotations
@@ -55,6 +64,14 @@ _REDUCE_EXACT = 1 << 50
 # The size of each thread's workspace, in 8-byte entries (2 MB): a tile's
 # float64 operand slices, product and scratch fit it.
 _TILE_ELEMS = 1 << 18
+
+# Products of at most this many multiply-adds take one int64 matmul and one
+# %, which below it costs less than the float64 copies of the small path:
+# measured on numpy's int64 matmul against the float64 small path, single
+# products stop gaining near 3000-4000 multiply-adds and stacks of tiny ones
+# past it.  A sum of inner <= _INT64_MUL_ADDS products stays below 2^63 at
+# every int64-path prime: 2^12 (q-1)^2 < 2^54 for q < 2^21.
+_INT64_MUL_ADDS = 1 << 12
 
 # Products of at most this many 8-byte operand, product and result entries
 # take one matmul on fresh copies and one %, which at this size costs less
@@ -378,53 +395,117 @@ def _as_point(field: PrimeField | None, x) -> tuple[PrimeField, int]:
     return field, x % field.modulus
 
 
-def lagrange_basis(field: PrimeField, xs: Sequence[int]) -> np.ndarray:
-    """V_xs^-1, the inverse of the Vandermonde matrix at distinct points xs.
+def lagrange_basis(field: PrimeField, xs: Sequence[int], rows: Sequence[int] | None = None,
+                   powers: np.ndarray | None = None) -> np.ndarray:
+    """Rows of V_xs^-1, the inverse of the Vandermonde matrix at distinct points xs: all K by default.
 
-    Column i holds the coefficients of l_i, the unique degree<K polynomial
-    with l_i(xs[i]) = 1 and l_i(xs[j]) = 0 for j != i, so entry [d, i] is
-    l_i's degree-d coefficient.  O(K^2) the first time; the bases of the
-    last _BASIS_CACHE point sets are kept, so the array is read-only.
+    Column i of V_xs^-1 holds the coefficients of l_i, the unique degree<K
+    polynomial with l_i(xs[i]) = 1 and l_i(xs[j]) = 0 for j != i, so entry
+    [d, i] is l_i's degree-d coefficient.  rows, when given, picks the
+    degrees returned, in order: a decoder that reads only some of the
+    coefficients builds only their rows.  powers, when given, is
+    vandermonde(field, xs, K), which a caller that keeps its points' power
+    table passes rather than have it built again.  Row d is built in closed
+    form (_cached_basis).  The rows of the last _BASIS_CACHE (field, points,
+    rows) keys are kept, so the array is read-only; points repeating mod q
+    raise DuplicateEvaluationPoint, and a row outside [0, K) ValueError.
     """
-    return _cached_basis(field, tuple(int(x) for x in xs))[0]
+    key = None if rows is None else tuple(map(int, rows))
+    return _cached_basis(field, tuple(map(int, xs)), key, _Unkeyed(powers))[0]
 
 
 def vanishing_polynomial(field: PrimeField, xs: Sequence[int]) -> FieldPolynomial:
     """prod_i (x - xs[i]) over distinct points xs, kept with their basis."""
-    return _cached_basis(field, tuple(int(x) for x in xs))[1]
+    master = _cached_basis(field, tuple(map(int, xs)), None, _Unkeyed(None))[1]
+    return FieldPolynomial(field, master.tolist())
+
+
+class _Unkeyed:
+    """An argument of a cached function that its cache key ignores: every two compare equal.
+
+    It carries an input that is a function of the keyed arguments, such as
+    the power table of the points, so a hit never reads it.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Unkeyed)
+
+    def __hash__(self) -> int:
+        return 0
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE)
-def _cached_basis(field: PrimeField, xs: tuple[int, ...]) -> tuple[np.ndarray, FieldPolynomial]:
+def _cached_basis(field: PrimeField, xs: tuple[int, ...], rows: tuple[int, ...] | None,
+                  powers: _Unkeyed) -> tuple[np.ndarray, np.ndarray]:
+    """Rows `rows` (None: all) of V_xs^-1, and the coefficients of master = prod_j (x - xs[j]).
+
+    l_i = master / ((x - xs[i]) master'(xs[i])).  The quotient's degree-d
+    coefficient is sum_l xs[i]^l master[d+1+l] (synthetic division), and
+    master'(xs[i]) = sum_l (l+1) master[l+1] xs[i]^l, so the points' power
+    table times one K x (R+1) matrix of shifted master coefficients gives
+    every needed quotient coefficient and every master'(xs[i]) in one
+    modmatmul.  master'(xs[i]) = prod_{j != i} (xs[i] - xs[j]) is zero
+    exactly when a point repeats mod q (DuplicateEvaluationPoint).  The
+    barycentric weights w_i = 1 / master'(xs[i]) (Berrut & Trefethen, SIAM
+    Review 2004) take one pow in all, by Montgomery's trick: the exact
+    product P of the K values is inverted once, and w_i = (P / master'(xs[i]))
+    P^-1.  Row d is w_i times the quotient coefficients.
+    """
     q = field.modulus
     k = len(xs)
-    if len({x % q for x in xs}) != k:
+    dtype = field.array_dtype
+    if rows and (min(rows) < 0 or max(rows) >= k):
+        raise ValueError(f"rows {list(rows)} are not all degrees below {k}")
+    master = _vanishing_coefficients(field, xs)
+    picked = np.arange(k) if rows is None else np.array(rows, dtype=np.int64)
+    r = len(picked)
+    # shifted[l, j] = master[picked[j] + 1 + l], zero past degree K, and
+    # shifted[l, r] = (l + 1) master[l + 1]
+    padded = np.concatenate([master, np.zeros(k, dtype=dtype)])
+    shifted = np.empty((k, r + 1), dtype=dtype)
+    shifted[:, :r] = padded[np.add.outer(np.arange(1, k + 1), picked)]
+    shifted[:, r] = np.arange(1, k + 1) * master[1:] % q
+    table = vandermonde(field, xs, k) if powers.value is None else powers.value
+    quotients = modmatmul(table, shifted, q)
+    derivatives = quotients[:, r].tolist()
+    total = prod(derivatives)
+    if total % q == 0:
         raise DuplicateEvaluationPoint(f"points {list(xs)} are not distinct mod {q}")
-    # master(x) = prod_j (x - xs[j]), low-to-high coefficients
-    master = [1] + [0] * k
-    deg = 0
-    for x in xs:
-        for d in range(deg, -1, -1):
-            master[d + 1] = (master[d + 1] + master[d]) % q
-            master[d] = master[d] * (q - x % q) % q
-        deg += 1
-    basis = []
-    for x in xs:
-        # synthetic division of master by (x - xs[i])
-        quot = [0] * k
-        carry = master[k]
-        for d in range(k - 1, -1, -1):
-            quot[d] = carry
-            carry = (master[d] + x * carry) % q
-        # scale so l_i(xs[i]) = 1
-        denom = 0
-        for c in reversed(quot):
-            denom = (denom * x + c) % q
-        scale = field.inv(denom)
-        basis.append([c * scale % q for c in quot])
-    inverse = np.array(basis, dtype=field.array_dtype).reshape(k, k).T
-    inverse.flags.writeable = False
-    return inverse, FieldPolynomial(field, master)
+    weights = (total * pow(total, -1, q) // np.array(derivatives, dtype=object) % q).astype(dtype)
+    basis = quotients[:, :r].T * weights % q
+    basis.flags.writeable = False
+    master.flags.writeable = False
+    return basis, master
+
+
+def _vanishing_coefficients(field: PrimeField, xs: Sequence[int]) -> np.ndarray:
+    """Coefficients of prod_j (x - xs[j]) mod q, low to high, in the field's dtype.
+
+    A product tree: the K linear factors, padded with factors x to a power
+    of two, are multiplied in pairs, level by level; each pair's product
+    is the sum of the anti-diagonals of the outer product of its
+    coefficients, sheared into columns.  The padding multiplies by a power
+    of x, which the result drops.  On int64 a pair's sum of width products
+    stays below width * q^2, which is below 2^63 for K < 2^21.
+    """
+    q, k, dtype = field.modulus, len(xs), field.array_dtype
+    size = 1 << max(k - 1, 0).bit_length()
+    polys = np.zeros((size, 2), dtype=dtype)
+    polys[:k, 0] = -np.array(xs, dtype=object) % q
+    polys[:, 1] = 1
+    while len(polys) > 1:
+        half, width = len(polys) // 2, polys.shape[1]
+        outer = np.zeros((half, width, 2 * width), dtype=dtype)
+        np.multiply(polys[0::2, :, None], polys[1::2, None, :], out=outer[:, :, :width])
+        sheared = outer.reshape(half, -1)[:, :width * (2 * width - 1)].reshape(half, width, 2 * width - 1)
+        polys = np.add.reduce(sheared, axis=1)
+        polys %= q
+    return polys[0, size - k:]
 
 
 def lagrange_interpolate(points) -> FieldPolynomial:
@@ -614,9 +695,12 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     Operands are matrices or equal-length stacks of them, (..., rows, inner)
     @ (..., inner, cols), one product per stack entry; one operand may be a
     single matrix, shared by every entry.  Object operands multiply as
-    Python ints.  int64 operands run on float64 BLAS, in chunks of the
-    contraction that _reduce takes exactly (exact_float_terms), reduced
-    mod q between chunks.
+    Python ints.  int64 operands take one of three branches.  A product of
+    at most _INT64_MUL_ADDS multiply-adds (stack * rows * inner * cols)
+    whose int64 sums stay exact, inner * (q-1)^2 < 2^63, is one int64
+    matmul reduced with one ``%``.  Larger ones run on float64 BLAS, in
+    chunks of the contraction that _reduce takes exactly
+    (exact_float_terms), reduced mod q between chunks.
     A one-chunk product of at most _SMALL_ELEMS operand, product and result
     entries ((rows + cols) * inner + 2 * rows * cols for two matrices) is
     one matmul on fresh float64 copies, reduced with one ``%``.  Every other
@@ -634,13 +718,15 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """
     if a.dtype == object or b.dtype == object:
         return (a @ b) % q
-    step = exact_float_terms(q)
-    if step == 0:
-        return modmatmul(a.astype(object), b.astype(object), q).astype(np.int64)
     rows, inner = a.shape[-2:]
     cols = b.shape[-1]
     stack = a.shape[:-2] if a.ndim >= b.ndim else b.shape[:-2]
     size = prod(stack) * rows * cols
+    if size * inner <= _INT64_MUL_ADDS and inner * (q - 1) ** 2 < 1 << 63:
+        return np.remainder(np.matmul(a, b, dtype=np.int64), q)
+    step = exact_float_terms(q)
+    if step == 0:
+        return modmatmul(a.astype(object), b.astype(object), q).astype(np.int64)
     if size == 0 or inner == 0 or (inner <= step and a.size + b.size + 2 * size <= _SMALL_ELEMS):
         out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
         return np.remainder(out, q, out=out)
@@ -795,10 +881,19 @@ def _cached_lagrange_matrix(field: PrimeField, xs: tuple[int, ...], ys: tuple[in
 
 
 def vandermonde(field: PrimeField, xs: Sequence[int], n_cols: int) -> np.ndarray:
-    """Matrix V with V[i, d] = xs[i]^d, canonical, shape (len(xs), n_cols)."""
+    """Matrix V with V[i, d] = xs[i]^d, canonical, shape (len(xs), n_cols).
+
+    Built by doubling: the first s columns times xs^s are the next s, so
+    log2(n_cols) steps of whole-column products fill the table.
+    """
     q = field.modulus
-    rows = [[1] * n_cols for _ in xs]
-    for row, x in zip(rows, xs):
-        for d in range(1, n_cols):
-            row[d] = row[d - 1] * x % q
-    return np.array(rows, dtype=field.array_dtype).reshape(len(xs), n_cols)
+    table = np.empty((len(xs), n_cols), dtype=field.array_dtype)
+    table[:, :1] = 1
+    power = (np.array(xs, dtype=object) % q).astype(field.array_dtype)[:, None]  # xs^s
+    s = 1
+    while s < n_cols:
+        step = min(s, n_cols - s)
+        table[:, s:s + step] = table[:, :step] * power % q
+        power = power * power % q
+        s *= 2
+    return table

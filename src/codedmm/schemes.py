@@ -140,13 +140,14 @@ class CodingScheme(ABC):
         correct_errors all pass here.  results is indexed by worker (see
         decode); the rows of a stack are picked with one index, and a worker
         without a result raises MissingResult.  The arrays have the field's
-        dtype, so a decoder reduces nothing again.  MatrixF results must be
-        over the code's field (else FieldMismatch) and are taken uncopied,
-        and the pick of an int64 stack of canonical entries over an int64
-        field is not copied again.  Every other pick is reduced at once, and
-        other results one by one, through canonical_array, which raises
-        NonIntegerEntry for a non-integer entry.  Raises BlockShapeMismatch
-        when the results differ in shape.
+        dtype, so a decoder reduces nothing again.  MatrixF results, alone or
+        mixed with arrays, must be over the code's field (else FieldMismatch)
+        and are read uncopied through their data, and the pick of an int64
+        stack of canonical entries over an int64 field is not copied again.
+        Every other pick is reduced at once, and other results one by one,
+        through canonical_array, which raises NonIntegerEntry for a
+        non-integer entry.  Raises BlockShapeMismatch when the results differ
+        in shape.
         """
         if isinstance(results, np.ndarray):
             try:
@@ -167,13 +168,10 @@ class CodingScheme(ABC):
                 picked.append(results[w])
             except (KeyError, IndexError):
                 raise MissingResult(f"no result from worker {w}") from None
+        if any(isinstance(r, MatrixF) and r.field != self.field for r in picked):
+            raise FieldMismatch(f"a result is not over the code's {self.field}")
+        arrays = [r.data if isinstance(r, MatrixF) else canonical_array(self.field, r) for r in picked]
         matrices = all(isinstance(r, MatrixF) for r in picked)
-        if matrices:
-            if any(r.field != self.field for r in picked):
-                raise FieldMismatch(f"a result is not over the code's {self.field}")
-            arrays = [r.data for r in picked]
-        else:
-            arrays = [canonical_array(self.field, r) for r in picked]
         if len({r.shape for r in arrays}) > 1:
             raise BlockShapeMismatch("worker results differ in shape")
         return arrays, matrices
@@ -193,9 +191,10 @@ class CodingScheme(ABC):
             index = np.asarray(subset)
         except ValueError:  # a ragged subset
             raise UnknownWorker(f"subset is not a sequence of worker indices: {subset!r}") from None
-        if index.ndim != 1 or index.dtype.kind not in "iu" or index.min() < 0 or index.max() >= self.N:
-            raise UnknownWorker(f"worker index out of range for N={self.N} in {index.tolist()}")
-        workers = list(dict.fromkeys(index.tolist()))
+        listed = index.tolist()
+        if index.ndim != 1 or index.dtype.kind not in "iu" or min(listed) < 0 or max(listed) >= self.N:
+            raise UnknownWorker(f"worker index out of range for N={self.N} in {listed}")
+        workers = list(dict.fromkeys(listed))
         if len(workers) < need:
             raise InsufficientResults(f"got {len(workers)} distinct workers, need {need}")
         return workers
@@ -246,11 +245,16 @@ class InterpolationCode(CodingScheme):
     h has degree < K, the number of columns of output_map, and the product's
     parts are output_map @ (h's coefficients), so the results of any K
     workers S, of any shape, decode through the one map output_map V_S^-1,
-    V_S being the Vandermonde matrix at their points.  _assemble(weights,
-    parts, dims) then builds the product from the parts' combination: A^T B
-    from its mn blocks, written in place, the R element-wise products, or
-    the overlap-add of K block convolutions.  Every evaluation code is
-    built through this constructor, the one code check that the points are
+    V_S being the Vandermonde matrix at their points.  That map reads only
+    the rows of V_S^-1 at the degrees where output_map has a nonzero
+    column, so the constructor keeps those degrees, output_map cut to them,
+    and the points' power table vandermonde(points, K), and a decode builds
+    just those rows from the subset's rows of the table (lagrange_basis):
+    3 of 11 for the (3, 3, 1) entangled code.  _assemble(weights, parts,
+    dims) then builds the product from the parts' combination: A^T B from
+    its mn blocks, written in place, the R element-wise products, or the
+    overlap-add of K block convolutions.  Every evaluation code is built
+    through this constructor, the one code check that the points are
     distinct mod q (else DuplicateEvaluationPoint).
     """
 
@@ -261,16 +265,19 @@ class InterpolationCode(CodingScheme):
         super().__init__(field, gen_a, gen_b)
         self.points = points
         self.output_map = output_map
+        self._degrees = tuple(np.flatnonzero(output_map.any(axis=0)).tolist())
+        self._degree_map = output_map[:, self._degrees]
+        self._powers = vandermonde(field, points, output_map.shape[1])
 
     def recovery_threshold(self) -> int:
         return self.output_map.shape[1]
 
     def _decode_received(self, received, workers: list[int], dims):
         """The product, interpolated through the first K workers."""
-        k_need = self.output_map.shape[1]
-        basis = lagrange_basis(self.field, [self.points[w] for w in workers[:k_need]])
-        decode_map = modmatmul(self.output_map, basis, self.field.modulus)
-        return self._assemble(decode_map, received[:k_need], dims)
+        first = workers[:self.output_map.shape[1]]
+        rows = lagrange_basis(self.field, [self.points[w] for w in first], self._degrees, self._powers[first])
+        decode_map = modmatmul(self._degree_map, rows, self.field.modulus)
+        return self._assemble(decode_map, received[:len(first)], dims)
 
 
 class GeneralPolynomialCode(InterpolationCode):

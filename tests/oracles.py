@@ -90,6 +90,26 @@ def rank_mod(q: int, rows) -> int:
     return rank
 
 
+def vandermonde_inverse(q: int, xs):
+    """V^-1 mod q for V[i][d] = xs[i]^d at points distinct mod q, by Gauss-Jordan on [V | I].
+
+    Row d of the result holds the degree-d coefficients of the Lagrange
+    basis polynomials, one column per point.
+    """
+    k = len(xs)
+    aug = [[pow(x, d, q) for d in range(k)] + [int(i == j) for j in range(k)] for i, x in enumerate(xs)]
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if aug[r][c] % q)
+        aug[c], aug[pivot] = aug[pivot], aug[c]
+        inv = pow(aug[c][c], q - 2, q)
+        aug[c] = [v * inv % q for v in aug[c]]
+        for r in range(k):
+            if r != c and aug[r][c] % q:
+                f = aug[r][c]
+                aug[r] = [(v - f * w) % q for v, w in zip(aug[r], aug[c])]
+    return [row[k:] for row in aug]
+
+
 def nearest_codeword_errors(q: int, xs, ys, k: int):
     """Where ys differs from the unique degree < k codeword within floor((n-k)/2).
 

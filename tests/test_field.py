@@ -199,6 +199,19 @@ class TestLagrange:
         assert naive_matmul_t(q, inverse.T.tolist(), table.tolist()) == identity
         assert naive_matmul_t(q, table.T.tolist(), inverse.tolist()) == identity
 
+    @pytest.mark.parametrize("q", [2, 65537, 2097143, (1 << 61) - 1])
+    def test_vandermonde_is_the_table_of_powers(self, q):
+        # numpy points, points off [0, q) and more columns than one doubling
+        # fills: at 2^61 - 1 a power times an int64 point would pass 2^63
+        field = PrimeField(q)
+        points = [np.arange(5), [q - 1, 2 * q + 3, -4, 1 << 70], []]
+        for xs in points:
+            for n_cols in (0, 1, 2, 7, 33):
+                table = vandermonde(field, xs, n_cols)
+                assert table.dtype == field.array_dtype and table.shape == (len(xs), n_cols)
+                assert table.tolist() == [[pow(int(x), d, q) for d in range(n_cols)] for x in xs]
+                assert all(type(v) is int for v in table.ravel().tolist())
+
 
 @pytest.mark.parametrize("q", [65537, (1 << 61) - 1])
 class TestBasisCache:
@@ -267,6 +280,14 @@ class TestBasisCache:
         for _ in range(3):
             with pytest.raises(DuplicateEvaluationPoint):
                 lagrange_basis(PrimeField(q), [1, 2, 1 + q])
+
+    def test_rows_outside_the_degrees_raise(self, q):
+        # a negative row would otherwise read the master coefficients from the far end
+        field = PrimeField(q)
+        assert lagrange_basis(field, [3, 1, 4], []).shape == (0, 3)
+        for rows in ([3], [0, -1], [2, 7]):
+            with pytest.raises(ValueError):
+                lagrange_basis(field, [3, 1, 4], rows)
 
     def test_numpy_points_give_the_python_points_basis(self, q):
         field = PrimeField(q)

@@ -1,11 +1,14 @@
 """The exact modular kernel against the Python-int oracle.
 
-modmatmul runs int64 operands on float64 BLAS and reduces the products
-without division, which is exact only while a dot product of canonical
-entries plus one canonical partial stays below 2^50; these tests check the
-reduction itself up to that bound, sit on both sides of the chunk boundary,
-on row slabs, column tiles and stack groups that reuse one set of buffers,
-and on the worst-case entry q - 1.  The combiner
+modmatmul runs tiny int64 products as one int64 matmul, exact while every
+sum stays below 2^63; these tests sit at, below and above its size bound,
+on every operand layout.  Larger ones run on float64 BLAS and reduce the
+products without division, which is exact only while a dot product of
+canonical entries plus one canonical partial stays below 2^50; these tests
+check the reduction itself up to that bound, sit on both sides of the chunk
+boundary, on row slabs, column tiles and stack groups that reuse one set of
+buffers (tiny products sent there past both small branches), and on the
+worst-case entry q - 1.  The combiner
 that every encoder and decoder runs on top of it is checked on parts of
 every shape, read in place from strided views, and written into the block
 views of an assembled product.  Allocation guards bound the fresh memory
@@ -26,7 +29,7 @@ import pytest
 from codedmm import field as field_module
 from codedmm.blocks import MatrixF, padded_blocks
 from codedmm.convolution import field_convolve
-from codedmm.field import PrimeField, combine, exact_float_terms, modmatmul
+from codedmm.field import PrimeField, combine, exact_float_terms, is_prime, modmatmul
 from codedmm.schemes import EntangledCode, worker_multiply
 
 from oracles import naive_matmul_t
@@ -94,6 +97,56 @@ def test_chunk_length_at_the_largest_int64_modulus():
     assert exact_float_terms(65537) == 2**18 - 1
 
 
+def test_int64_branch_sums_stay_below_2_pow_63():
+    # the longest contraction the int64 branch takes is _INT64_MUL_ADDS terms
+    # (one row, one column); at the largest int64-path prime its sum of
+    # (q - 1)^2 products still fits int64, so the branch serves every prime
+    # of the path up to its bound
+    q = next(p for p in range(field_module._INT64_SAFE_MODULUS - 1, 1, -1) if is_prime(p))
+    assert q == Q_INT64_MAX
+    assert field_module._INT64_MUL_ADDS * (q - 1) ** 2 < 1 << 63
+
+
+@pytest.fixture
+def float_paths(monkeypatch):
+    """The moduli of the products that went past the int64 branch, to the float64 paths' exact_float_terms."""
+    calls = []
+    monkeypatch.setattr(field_module, "exact_float_terms", lambda q: calls.append(q) or exact_float_terms(q))
+    return calls
+
+
+@pytest.mark.parametrize("q", [65537, Q_INT64_MAX])
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["below", "at", "above"])
+def test_int64_branch_up_to_its_bound(q, offset, float_paths):
+    # products of at most _INT64_MUL_ADDS multiply-adds, entries q - 1,
+    # take the int64 branch; one more goes to the float64 paths
+    bound = field_module._INT64_MUL_ADDS
+    for rows, inner, cols in [(1, bound + offset, 1), (4, bound // 16 + offset, 4)]:
+        for a, b in (near_maximal(q, rows, inner, cols), operands(q, rows, inner, cols, seed=inner)):
+            a[:] = q - 1
+            check(q, a, b)
+        assert bool(float_paths) == (rows * inner * cols > bound)
+        float_paths.clear()
+
+
+@pytest.mark.parametrize("q", [65537, Q_INT64_MAX])
+def test_int64_branch_layouts(q, float_paths):
+    # stacked operands, a shared operand, transposed views and inner = 1,
+    # all within the bound, against the oracle
+    check_stacked(q, distinct_operands(q, 3, 5, 2))
+    check_stacked(q, distinct_operands(q, 4, 1, 3))
+    for a, b in shared_and_stacked(q, 3, 4, 2):
+        got = modmatmul(a, b, q)
+        for out, x, y in zip(got, np.broadcast_to(a, (5, 3, 4)), np.broadcast_to(b, (5, 4, 2))):
+            assert out.tolist() == naive_matmul_t(q, x.T.tolist(), y.tolist())
+    a, b = near_maximal(q, 6, 7, 5)
+    at, bt = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    check(q, at.T, bt.T)  # transposed views of C-order arrays
+    check(q, a[::2, ::3], b[::3, 1::2])  # strided views
+    check(q, *near_maximal(q, 9, 1, 8))
+    assert not float_paths
+
+
 @pytest.mark.parametrize("accumulate", [False, True], ids=["product", "accumulated"])
 @pytest.mark.parametrize("q", [2, 3, 65537, Q_INT64_MAX])
 def test_reduce_is_exact_up_to_its_bound(q, accumulate):
@@ -120,6 +173,13 @@ def test_contraction_lengths_around_one_chunk(inner):
     q = Q_INT64_MAX
     check(q, *operands(q, 2, inner, 3, seed=inner))
     check(q, *near_maximal(q, 2, inner, 3))
+
+
+@pytest.fixture
+def tiles(monkeypatch):
+    """Send every int64 product, however small, through the tiles: past the int64 and small branches."""
+    monkeypatch.setattr(field_module, "_INT64_MUL_ADDS", 0)
+    monkeypatch.setattr(field_module, "_SMALL_ELEMS", 0)
 
 
 @pytest.mark.parametrize("cols", [1, 2, 3, 5, 7])
@@ -205,7 +265,7 @@ def test_output_row_wider_than_a_tile(extra):
 
 
 @pytest.mark.parametrize("stack", [3, 4])
-def test_stacked_entries_tiled_one_at_a_time(monkeypatch, stack):
+def test_stacked_entries_tiled_one_at_a_time(monkeypatch, tiles, stack):
     # one (2 x 5) @ (5 x 2) product needs 28 entries of tile scratch, above
     # the 24-entry budget, so every stack entry is a tile of its own
     monkeypatch.setattr(field_module, "_TILE_ELEMS", 24)
@@ -223,14 +283,14 @@ def test_contraction_at_and_past_one_chunk(q, past):
     check_stacked(q, [near_maximal(q, 2, inner, 3), operands(q, 2, inner, 3, seed=past)])
 
 
-def test_stacked_entries_larger_than_a_tile(monkeypatch):
+def test_stacked_entries_larger_than_a_tile(monkeypatch, tiles):
     # each 3 x 5 product alone exceeds 12 entries: its columns are split
     monkeypatch.setattr(field_module, "_TILE_ELEMS", 12)
     q = 65537
     check_stacked(q, [operands(q, 3, 2, 5, seed=s) for s in range(3)] + [near_maximal(q, 3, 2, 5)])
 
 
-def test_shared_matrix_times_stack(monkeypatch):
+def test_shared_matrix_times_stack(monkeypatch, tiles):
     # a 2-D operand multiplies every entry of the other's stack, tiled or not
     q = Q_INT64_MAX
     w, _ = near_maximal(q, 3, 4, 1)
@@ -255,7 +315,7 @@ def shared_and_stacked(q: int, rows: int, inner: int, cols: int):
 
 @pytest.mark.parametrize("tile", [6, 12, 40])
 @pytest.mark.parametrize("inner", [1, 2, 256, 257, 2047, 2048, 2049])
-def test_reused_tile_buffers(monkeypatch, tile, inner):
+def test_reused_tile_buffers(monkeypatch, tiles, tile, inner):
     # Every tile reuses one product and one scratch buffer sized for the
     # largest tile.  With 2 rows and 1 term, a 12-entry budget cuts 5 columns
     # into tiles of 2, 2 and 1, a 6-entry budget into 1 x 1 tiles, and a
@@ -327,7 +387,7 @@ def test_row_slabs_and_column_tiles(rows, inner):
 
 
 @pytest.mark.parametrize("budget", [37, 36])
-def test_operand_copies_at_and_past_the_single_matmul_bound(monkeypatch, budget):
+def test_operand_copies_at_and_past_the_single_matmul_bound(monkeypatch, tiles, budget):
     # (2 x 5) @ (5 x 3): float64 copies of both operands (25 entries), the
     # float64 result and its int64 copy (12) take one matmul in a 37-entry
     # budget and go in tiles in a 36-entry one; both are exact
@@ -338,7 +398,7 @@ def test_operand_copies_at_and_past_the_single_matmul_bound(monkeypatch, budget)
 
 
 @pytest.mark.parametrize("budget", [84, 83])
-def test_stacked_operand_copies_at_and_past_the_single_matmul_bound(monkeypatch, budget):
+def test_stacked_operand_copies_at_and_past_the_single_matmul_bound(monkeypatch, tiles, budget):
     # three stacked (2 x 5) @ (5 x 2) products: 60 operand entries, 24 of
     # float64 and int64 output, one matmul in 84 entries, tiles in 83
     monkeypatch.setattr(field_module, "_TILE_ELEMS", budget)

@@ -27,7 +27,9 @@ from codedmm.field import (
     _cached_lagrange_matrix,
     combine,
     exact_float_terms,
+    lagrange_basis,
     modmatmul,
+    vandermonde,
 )
 from codedmm.robust import Clean, _seeded_pilots, correct_errors, detect_errors
 from codedmm.schemes import (
@@ -38,7 +40,7 @@ from codedmm.schemes import (
     UncodedRepetitionCode,
 )
 
-from oracles import direct_convolution, elementwise_product, naive_matmul_t
+from oracles import direct_convolution, elementwise_product, naive_matmul_t, vandermonde_inverse
 
 # both ends of the int64 path (q < 2^21), a mid-size prime and an object field
 CONV_FIELDS = [2, 3, 257, 65537, 2097143, (1 << 61) - 1]
@@ -126,7 +128,7 @@ def past_int64(gen, q, stack):
     return np.array(shifted, dtype=np.uint64).reshape(stack.shape)
 
 
-@pytest.mark.parametrize("q", [257, 65537, (1 << 61) - 1])
+@pytest.mark.parametrize("q", [257, 65537, 2097143, (1 << 61) - 1])
 @pytest.mark.parametrize("name", sorted(SEVEN_CODES))
 @settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @given(seed=st.integers(0, 2**32 - 1))
@@ -160,6 +162,7 @@ def test_every_code_decodes_any_k_subset_to_the_oracle(name, q, seed):
         lambda: code.decode(shifted, repeated, dims),
         lambda: code.decode(results, repeated, dims),
     ]
+    _cached_basis.cache_clear()  # the first decode builds its rows, the others read them
     try:
         got = code.decode(stack, subset, dims)
     except SingularDecodeSystem:
@@ -174,6 +177,34 @@ def test_every_code_decodes_any_k_subset_to_the_oracle(name, q, seed):
     for decode, same_as in zip(decodes, [got] * 6 + [from_distinct] * 2):
         assert np.array_equal(decode(), same_as)
 
+
+
+# both ends of the int64 path, a small and a mid-size prime, and an object field
+BASIS_FIELDS = [3, 257, 65537, 2097143, (1 << 61) - 1]
+
+
+@pytest.mark.parametrize("q", BASIS_FIELDS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(k=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_basis_rows_equal_the_oracle_inverse(q, k, seed):
+    # lagrange_basis's rows, picked at random and in any order or all of
+    # them, are the rows of the Gauss-Jordan inverse of the Vandermonde
+    # matrix, built on a cold cache and read again from a warm one, with the
+    # points' power table given or not; one point is given off [0, q)
+    gen = random.Random(seed)
+    k = min(k, q)
+    xs = gen.sample(range(q), k)
+    xs[gen.randrange(k)] += q * gen.randint(1, 3)
+    field = PrimeField(q)
+    want = vandermonde_inverse(q, xs)
+    picked = gen.sample(range(k), gen.randint(1, k))
+    powers = vandermonde(field, xs, k)
+    for rows, expected in ((None, want), (picked, [want[d] for d in picked])):
+        _cached_basis.cache_clear()
+        for table in (powers, None, powers):
+            got = lagrange_basis(field, xs, rows, table)
+            assert got.dtype == field.array_dtype
+            assert got.tolist() == expected
 
 
 # the int64 kernel's moduli: both ends of the path, and a small and a mid-size prime

@@ -237,6 +237,22 @@ class TestDecodeEntryPoint:
                 scheme.decode(short, subset, dims=(3, 2))
 
     @pytest.mark.parametrize("name", sorted(BATCHED))
+    def test_decode_takes_matrixf_and_arrays_mixed(self, name, gf7, gf65537, rng):
+        # a MatrixF over the code's field among array results is read through
+        # its data; one over another field is refused as a field mismatch
+        scheme = BATCHED[name](gf65537)
+        a, b = random_matrix(gf65537, 5, 3, rng), random_matrix(gf65537, 5, 2, rng)
+        stack = scheme.worker_products(a, b)
+        subset = list(range(scheme.N))
+        mixed = {**dict(enumerate(stack)), 0: MatrixF(gf65537, stack[0])}
+        got = scheme.decode(mixed, subset, dims=(3, 2))
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, oracle_product(a, b).data)
+        foreign = {**mixed, 1: MatrixF(gf7, stack[1] % 7)}
+        with pytest.raises(FieldMismatch):
+            scheme.decode(foreign, subset, dims=(3, 2))
+
+    @pytest.mark.parametrize("name", sorted(BATCHED))
     def test_error_order(self, name, gf7, gf65537, rng):
         # one sequence for a mapping and for the stack: the subset is checked
         # in full before any result, a missing result before the results' entries
