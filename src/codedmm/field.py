@@ -32,11 +32,11 @@ results of the same shapes job after job writes into memory that is already
 mapped instead of faulting fresh pages in.
 Larger moduli use Python-int (object) arrays, exact at any length.
 
-Decoding interpolates through ``lagrange_basis``, which builds only the rows
-of the inverse Vandermonde matrix that a decoder reads, in closed form: the
-points' power table times shifted coefficients of their vanishing
-polynomial, in one ``modmatmul``, scaled by barycentric weights that take
-one modular inverse in all.  The rows of recent point sets are cached.
+Decoding interpolates through ``lagrange_basis``, which returns only the
+rows of the inverse Vandermonde matrix that a decoder reads: synthetic
+division of the points' vanishing polynomial, run for every point at once
+over the degrees, scaled by barycentric weights that take one modular
+inverse in all.  The rows of recent point sets are cached.
 """
 
 from __future__ import annotations
@@ -395,117 +395,71 @@ def _as_point(field: PrimeField | None, x) -> tuple[PrimeField, int]:
     return field, x % field.modulus
 
 
-def lagrange_basis(field: PrimeField, xs: Sequence[int], rows: Sequence[int] | None = None,
-                   powers: np.ndarray | None = None) -> np.ndarray:
+def lagrange_basis(field: PrimeField, xs: Sequence[int], rows: Sequence[int] | None = None) -> np.ndarray:
     """Rows of V_xs^-1, the inverse of the Vandermonde matrix at distinct points xs: all K by default.
 
     Column i of V_xs^-1 holds the coefficients of l_i, the unique degree<K
     polynomial with l_i(xs[i]) = 1 and l_i(xs[j]) = 0 for j != i, so entry
     [d, i] is l_i's degree-d coefficient.  rows, when given, picks the
     degrees returned, in order: a decoder that reads only some of the
-    coefficients builds only their rows.  powers, when given, is
-    vandermonde(field, xs, K), which a caller that keeps its points' power
-    table passes rather than have it built again.  Row d is built in closed
-    form (_cached_basis).  The rows of the last _BASIS_CACHE (field, points,
-    rows) keys are kept, so the array is read-only; points repeating mod q
-    raise DuplicateEvaluationPoint, and a row outside [0, K) ValueError.
+    coefficients scales only their rows.  O(K^2) the first time
+    (_cached_basis); the rows of the last _BASIS_CACHE (field, points, rows)
+    keys are kept, so the array is read-only.  Points repeating mod q raise
+    DuplicateEvaluationPoint, and a row outside [0, K) ValueError.
     """
     key = None if rows is None else tuple(map(int, rows))
-    return _cached_basis(field, tuple(map(int, xs)), key, _Unkeyed(powers))[0]
+    return _cached_basis(field, tuple(map(int, xs)), key)[0]
 
 
 def vanishing_polynomial(field: PrimeField, xs: Sequence[int]) -> FieldPolynomial:
     """prod_i (x - xs[i]) over distinct points xs, kept with their basis."""
-    master = _cached_basis(field, tuple(map(int, xs)), None, _Unkeyed(None))[1]
-    return FieldPolynomial(field, master.tolist())
-
-
-class _Unkeyed:
-    """An argument of a cached function that its cache key ignores: every two compare equal.
-
-    It carries an input that is a function of the keyed arguments, such as
-    the power table of the points, so a hit never reads it.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Unkeyed)
-
-    def __hash__(self) -> int:
-        return 0
+    return _cached_basis(field, tuple(map(int, xs)), None)[1]
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE)
-def _cached_basis(field: PrimeField, xs: tuple[int, ...], rows: tuple[int, ...] | None,
-                  powers: _Unkeyed) -> tuple[np.ndarray, np.ndarray]:
-    """Rows `rows` (None: all) of V_xs^-1, and the coefficients of master = prod_j (x - xs[j]).
+def _cached_basis(field: PrimeField, xs: tuple[int, ...],
+                  rows: tuple[int, ...] | None) -> tuple[np.ndarray, FieldPolynomial]:
+    """Rows `rows` (None: all) of V_xs^-1, and master = prod_j (x - xs[j]).
 
-    l_i = master / ((x - xs[i]) master'(xs[i])).  The quotient's degree-d
-    coefficient is sum_l xs[i]^l master[d+1+l] (synthetic division), and
-    master'(xs[i]) = sum_l (l+1) master[l+1] xs[i]^l, so the points' power
-    table times one K x (R+1) matrix of shifted master coefficients gives
-    every needed quotient coefficient and every master'(xs[i]) in one
-    modmatmul.  master'(xs[i]) = prod_{j != i} (xs[i] - xs[j]) is zero
+    l_i = master / ((x - xs[i]) master'(xs[i])).  Synthetic division gives
+    the quotient's coefficients from the top, quot[K-1] = 1 and quot[d] =
+    master[d+1] + xs[i] quot[d+1], and Horner on them gives quot(xs[i]) =
+    master'(xs[i]); both run for every point at once, K numpy steps of K
+    entries.  master'(xs[i]) = prod_{j != i} (xs[i] - xs[j]) is zero
     exactly when a point repeats mod q (DuplicateEvaluationPoint).  The
     barycentric weights w_i = 1 / master'(xs[i]) (Berrut & Trefethen, SIAM
     Review 2004) take one pow in all, by Montgomery's trick: the exact
     product P of the K values is inverted once, and w_i = (P / master'(xs[i]))
-    P^-1.  Row d is w_i times the quotient coefficients.
+    P^-1.  Row d is w_i times quot[d].
     """
     q = field.modulus
     k = len(xs)
     dtype = field.array_dtype
     if rows and (min(rows) < 0 or max(rows) >= k):
         raise ValueError(f"rows {list(rows)} are not all degrees below {k}")
-    master = _vanishing_coefficients(field, xs)
-    picked = np.arange(k) if rows is None else np.array(rows, dtype=np.int64)
-    r = len(picked)
-    # shifted[l, j] = master[picked[j] + 1 + l], zero past degree K, and
-    # shifted[l, r] = (l + 1) master[l + 1]
-    padded = np.concatenate([master, np.zeros(k, dtype=dtype)])
-    shifted = np.empty((k, r + 1), dtype=dtype)
-    shifted[:, :r] = padded[np.add.outer(np.arange(1, k + 1), picked)]
-    shifted[:, r] = np.arange(1, k + 1) * master[1:] % q
-    table = vandermonde(field, xs, k) if powers.value is None else powers.value
-    quotients = modmatmul(table, shifted, q)
-    derivatives = quotients[:, r].tolist()
+    # master(x) = prod_j (x - xs[j]), low-to-high coefficients
+    master = [1]
+    for x in xs:
+        master = [(a - x * b) % q for a, b in zip([0, *master], [*master, 0])]
+    points = np.array([x % q for x in xs], dtype=dtype)
+    quot = np.empty((k, k), dtype=dtype)
+    # state[1] is the division's carry, quot[d] at step d, and state[0]
+    # Horner's sum over the quotient; state[2] holds master[d], so one step
+    # is state[:2] <- state[:2] * xs + state[1:], for every point at once
+    state = np.zeros((3, k), dtype=dtype)
+    state[1] = 1
+    for d in range(k - 1, -1, -1):
+        quot[d] = state[1]
+        state[2] = master[d]
+        np.remainder(state[:2] * points + state[1:], q, out=state[:2])
+    derivatives = state[0].tolist()
     total = prod(derivatives)
     if total % q == 0:
         raise DuplicateEvaluationPoint(f"points {list(xs)} are not distinct mod {q}")
     weights = (total * pow(total, -1, q) // np.array(derivatives, dtype=object) % q).astype(dtype)
-    basis = quotients[:, :r].T * weights % q
+    basis = (quot if rows is None else quot[list(rows)]) * weights % q
     basis.flags.writeable = False
-    master.flags.writeable = False
-    return basis, master
-
-
-def _vanishing_coefficients(field: PrimeField, xs: Sequence[int]) -> np.ndarray:
-    """Coefficients of prod_j (x - xs[j]) mod q, low to high, in the field's dtype.
-
-    A product tree: the K linear factors, padded with factors x to a power
-    of two, are multiplied in pairs, level by level; each pair's product
-    is the sum of the anti-diagonals of the outer product of its
-    coefficients, sheared into columns.  The padding multiplies by a power
-    of x, which the result drops.  On int64 a pair's sum of width products
-    stays below width * q^2, which is below 2^63 for K < 2^21.
-    """
-    q, k, dtype = field.modulus, len(xs), field.array_dtype
-    size = 1 << max(k - 1, 0).bit_length()
-    polys = np.zeros((size, 2), dtype=dtype)
-    polys[:k, 0] = -np.array(xs, dtype=object) % q
-    polys[:, 1] = 1
-    while len(polys) > 1:
-        half, width = len(polys) // 2, polys.shape[1]
-        outer = np.zeros((half, width, 2 * width), dtype=dtype)
-        np.multiply(polys[0::2, :, None], polys[1::2, None, :], out=outer[:, :, :width])
-        sheared = outer.reshape(half, -1)[:, :width * (2 * width - 1)].reshape(half, width, 2 * width - 1)
-        polys = np.add.reduce(sheared, axis=1)
-        polys %= q
-    return polys[0, size - k:]
+    return basis, FieldPolynomial(field, master)
 
 
 def lagrange_interpolate(points) -> FieldPolynomial:

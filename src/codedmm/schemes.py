@@ -191,10 +191,9 @@ class CodingScheme(ABC):
             index = np.asarray(subset)
         except ValueError:  # a ragged subset
             raise UnknownWorker(f"subset is not a sequence of worker indices: {subset!r}") from None
-        listed = index.tolist()
-        if index.ndim != 1 or index.dtype.kind not in "iu" or min(listed) < 0 or max(listed) >= self.N:
-            raise UnknownWorker(f"worker index out of range for N={self.N} in {listed}")
-        workers = list(dict.fromkeys(listed))
+        if index.ndim != 1 or index.dtype.kind not in "iu" or index.min() < 0 or index.max() >= self.N:
+            raise UnknownWorker(f"worker index out of range for N={self.N} in {index.tolist()}")
+        workers = list(dict.fromkeys(index.tolist()))
         if len(workers) < need:
             raise InsufficientResults(f"got {len(workers)} distinct workers, need {need}")
         return workers
@@ -247,10 +246,9 @@ class InterpolationCode(CodingScheme):
     workers S, of any shape, decode through the one map output_map V_S^-1,
     V_S being the Vandermonde matrix at their points.  That map reads only
     the rows of V_S^-1 at the degrees where output_map has a nonzero
-    column, so the constructor keeps those degrees, output_map cut to them,
-    and the points' power table vandermonde(points, K), and a decode builds
-    just those rows from the subset's rows of the table (lagrange_basis):
-    3 of 11 for the (3, 3, 1) entangled code.  _assemble(weights, parts,
+    column, so the constructor keeps those degrees and output_map cut to
+    them, and a decode asks lagrange_basis for just those rows: 3 of 11 for
+    the (3, 3, 1) entangled code.  _assemble(weights, parts,
     dims) then builds the product from the parts' combination: A^T B from
     its mn blocks, written in place, the R element-wise products, or the
     overlap-add of K block convolutions.  Every evaluation code is built
@@ -267,7 +265,6 @@ class InterpolationCode(CodingScheme):
         self.output_map = output_map
         self._degrees = tuple(np.flatnonzero(output_map.any(axis=0)).tolist())
         self._degree_map = output_map[:, self._degrees]
-        self._powers = vandermonde(field, points, output_map.shape[1])
 
     def recovery_threshold(self) -> int:
         return self.output_map.shape[1]
@@ -275,7 +272,7 @@ class InterpolationCode(CodingScheme):
     def _decode_received(self, received, workers: list[int], dims):
         """The product, interpolated through the first K workers."""
         first = workers[:self.output_map.shape[1]]
-        rows = lagrange_basis(self.field, [self.points[w] for w in first], self._degrees, self._powers[first])
+        rows = lagrange_basis(self.field, [self.points[w] for w in first], self._degrees)
         decode_map = modmatmul(self._degree_map, rows, self.field.modulus)
         return self._assemble(decode_map, received[:len(first)], dims)
 
