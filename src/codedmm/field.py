@@ -30,7 +30,13 @@ one result pool shared by every thread (``_fresh``): a buffer that no result
 or view of one holds any longer is handed out again, so a program that takes
 results of the same shapes job after job writes into memory that is already
 mapped instead of faulting fresh pages in.
-Larger moduli use Python-int (object) arrays, exact at any length.
+Larger moduli store Python-int (object) arrays.  Below 2^63 their larger
+products run on the same float64 BLAS with no Python int on the way:
+entries split into 21-bit limbs, the limb products sum exactly in float64
+chunks, and one more float64 product with a table of powers of 2 mod q and
+a quotient estimate that is never too large (Barrett) reduces the sums to
+canonical residues in uint64.  Smaller products, and every product at
+q >= 2^63, multiply as Python ints, exact at any length.
 
 Decoding interpolates through ``lagrange_basis``, which returns only the
 rows of the inverse Vandermonde matrix that a decoder reads: synthetic
@@ -72,6 +78,24 @@ _TILE_ELEMS = 1 << 18
 # past it.  A sum of inner <= _INT64_MUL_ADDS products stays below 2^63 at
 # every int64-path prime: 2^12 (q-1)^2 < 2^54 for q < 2^21.
 _INT64_MUL_ADDS = 1 << 12
+
+# Object products over moduli from _INT64_SAFE_MODULUS up to this bound run
+# on 21-bit limbs (_limb_product); larger moduli multiply as Python ints.
+_LIMB_MODULUS = 1 << 63
+_LIMB_BITS = 21
+_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
+_LIMB_SHIFTS = np.array([0, _LIMB_BITS, 2 * _LIMB_BITS], dtype=np.uint64).reshape(3, 1, 1)
+
+# Object products with fewer result entries (stack * rows * cols) or fewer
+# multiply-adds (times inner) stay Python ints: there, Python's multiply-adds
+# cost less than the limb path's fixed cost of about 25 numpy calls and its
+# conversions of every operand entry (measured at q = 2^61 - 1, see
+# modmatmul).
+_LIMB_MIN_ENTRIES = 1 << 6
+_LIMB_MIN_MUL_ADDS = 1 << 9
+
+# The limb path keeps its per-modulus tables for this many recent moduli.
+_FIELD_CACHE = 16
 
 # Products of at most this many 8-byte operand, product and result entries
 # take one matmul on fresh copies and one %, which at this size costs less
@@ -643,13 +667,156 @@ def _reduce(product: np.ndarray, scratch: np.ndarray, q: int, out: np.ndarray, a
     np.copyto(out, product, casting="unsafe")
 
 
+@functools.lru_cache(maxsize=_FIELD_CACHE)
+def exact_limb_terms(q: int) -> int:
+    """Longest contraction whose limb diagonal sums float64 forms exactly, for _limb_product.
+
+    A canonical entry below q splits into 21-bit limbs x_s = (x >> 21s) &
+    (2^21 - 1), each at most L_s = min(2^21 - 1, (q-1) >> 21s).  A diagonal
+    sum D_d = sum over s + t = d of a_s b_t, over k terms, is at most k m
+    with m = max_d sum_{s+t=d} L_s L_t, and float64 holds every integer up
+    to 2^53: so k is at most 2^53 // m, 1024 terms at q = 2^61 - 1, where
+    m = 2 (2^21 - 1)^2 is reached at d = 1 by the entry 2^42 - 1.
+    """
+    top = [min((1 << _LIMB_BITS) - 1, (q - 1) >> (_LIMB_BITS * s)) for s in range(3)]
+    worst = max(sum(top[s] * top[d - s] for s in range(3) if 0 <= d - s < 3) for d in range(5))
+    return (1 << 53) // worst
+
+
+def _limb_operand(x: np.ndarray, q: int) -> np.ndarray:
+    """x's integer entries as canonical uint64, for _limb_product.
+
+    Entries outside [0, q), negative or past 2^64 included, are reduced mod
+    q first, so a limb product equals (a @ b) % q on Python ints for any
+    integer representatives.
+    """
+    try:
+        u = x.astype(np.uint64) if x.dtype == object else x.astype(np.int64, copy=False).view(np.uint64)
+    except OverflowError:  # a negative Python int, or one of 2^64 or more
+        return (x % q).astype(np.uint64)
+    if u.size and u.max() >= q:  # a negative int64 reads as 2^63 or more
+        return (x % q).astype(np.uint64)
+    return u
+
+
+@functools.lru_cache(maxsize=_FIELD_CACHE)
+def _limb_weights(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tables that _limb_reduce reduces limb diagonal sums with.
+
+    weights is (4, 10) float64: column (j, d) holds the three 22-bit limbs
+    of w = 2^(21d + 27j) mod q and, below them, fl(fl(w / q)(1 - 2^-47)).
+    horner is the uint64 row (1, 2^22, 2^44, 2^64 - q).  Both are
+    read-only, as every product over q shares them.
+    """
+    powers = [pow(2, _LIMB_BITS * d + 27 * j, q) for j in range(2) for d in range(5)]
+    limbs = [[(w >> 22 * l) & ((1 << 22) - 1) for w in powers] for l in range(3)]
+    weights = np.array([*limbs, [w / q * (1 - 2.0**-47) for w in powers]])
+    horner = np.array([1, 1 << 22, 1 << 44, (1 << 64) - q], dtype=np.uint64)
+    weights.flags.writeable = horner.flags.writeable = False
+    return weights, horner
+
+
+def _limb_diagonals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The limb diagonal sums D_d = sum_{s+t=d} a_s @ b_t of canonical uint64 stacks, float64 (..., 5, rows, cols).
+
+    One float64 matmul: the (5 rows x 3 inner) Toeplitz stack of a's limbs,
+    block (d, t) = a_{d-t}, times the (3 inner x cols) stack of b's.  The
+    contraction is at most exact_limb_terms(q), so every sum is exact.
+    """
+    rows, inner = a.shape[-2:]
+    lead = a.shape[:-2]
+    # a's limbs between two zero blocks on each side, so that block (d, t)
+    # is padded[2 + d - t]: a view with a negative stride along t
+    padded = np.zeros((*lead, 7, rows, inner), dtype=np.uint64)
+    np.bitwise_and(a[..., None, :, :] >> _LIMB_SHIFTS, _LIMB_MASK, out=padded[..., 2:5, :, :])
+    st = padded.strides
+    toeplitz = np.ndarray((*lead, 5, rows, 3, inner), np.uint64, padded, 2 * st[-3],
+                          (*st[:-3], st[-3], st[-2], -st[-3], st[-1]))
+    b_limbs = (b[..., None, :, :] >> _LIMB_SHIFTS) & _LIMB_MASK
+    diagonals = np.matmul(toeplitz.astype(np.float64, order="C").reshape(*lead, 5 * rows, 3 * inner),
+                          b_limbs.astype(np.float64).reshape(*b.shape[:-2], 3 * inner, b.shape[-1]))
+    return diagonals.reshape(*diagonals.shape[:-2], 5, rows, b.shape[-1])
+
+
+def _limb_reduce(diagonals: np.ndarray, q: int) -> np.ndarray:
+    """sum_d D_d 2^(21d) mod q, canonical uint64 (..., rows, cols), from float64 diagonal sums D_d <= 2^53.
+
+    Each D_d splits exactly in float64 into halves e_dj below 2^27, D_d =
+    e_d0 + e_d1 2^27, so the sum is congruent to x = sum e_dj w_dj with
+    w_dj = 2^(21d + 27j) mod q: ten terms below 2^27 q, so x < 2^31 q.
+    One float64 matmul with _limb_weights forms x's three parts F_l = sum
+    e_dj (w_dj's 22-bit limb l), below 10 * 2^49 < 2^53 and exact, with
+    x = F_0 + F_1 2^22 + F_2 2^44, and the quotient estimate f = sum e_dj
+    fl(fl(w_dj / q)(1 - 2^-47)) (Barrett, CRYPTO 1986).  Every term is
+    non-negative and each weight is rounded twice, so f is x / q (1 - 2^-47)
+    times a factor within gamma_12 = 12u / (1 - 12u) of 1, u = 2^-53: never
+    above x / q, so Q = floor(f) is never above floor(x / q), and below it
+    by at most 77u x / q < 2^-15, so Q is at most one below.  Then r = x -
+    Q q lies in [0, 2q), below 2^64 as q < 2^63: one uint64 matmul with the
+    row (1, 2^22, 2^44, 2^64 - q) forms it exactly, as the wraps of its
+    parts cancel, and min(r, r - q) in wrapping uint64 makes it canonical.
+    """
+    weights, horner = _limb_weights(q)
+    lead, shape = diagonals.shape[:-3], diagonals.shape[-2:]
+    halves = np.empty((*lead, 2, *diagonals.shape[-3:]))
+    low, high = halves[..., 0, :, :, :], halves[..., 1, :, :, :]
+    np.floor(np.multiply(diagonals, 2.0**-27, out=high), out=high)
+    np.subtract(diagonals, high * 2.0**27, out=low)
+    parts = np.matmul(weights, halves.reshape(*lead, 10, -1)).astype(np.uint64)
+    r = np.matmul(horner, parts)
+    return np.minimum(r, r - np.uint64(q), out=r).reshape(*lead, *shape)
+
+
+def _limb_product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """Canonical (a @ b) mod q, uint64, for canonical uint64 stacks at 2^21 <= q < 2^63.
+
+    The Toeplitz stack is built from the operand with fewer entries: a
+    larger a runs as (b^T a^T)^T.  Products run in slabs of rows of a and
+    chunks of exact_limb_terms(q) terms of the contraction: a slab's
+    Toeplitz stack and the arrays its reduction passes through take about
+    _TILE_ELEMS entries.  Each chunk's diagonal sums (_limb_diagonals) are
+    reduced (_limb_reduce) and added mod q to the chunks before it.
+    """
+    if a.size > b.size:
+        return np.ascontiguousarray(_limb_product(b.swapaxes(-1, -2), a.swapaxes(-1, -2), q).swapaxes(-1, -2))
+    rows, inner = a.shape[-2:]
+    cols = b.shape[-1]
+    stack = a.shape[:-2] if a.ndim >= b.ndim else b.shape[:-2]
+    terms = exact_limb_terms(q)
+    height = max(1, _TILE_ELEMS // (prod(stack) * (15 * min(inner, terms) + 25 * cols)))
+    if rows <= height and inner <= terms:
+        return _limb_reduce(_limb_diagonals(a, b), q)
+    out = np.empty((*stack, rows, cols), dtype=np.uint64)
+    for r0 in range(0, rows, height):
+        tile = out[..., r0:r0 + height, :]
+        for k0 in range(0, inner, terms):
+            part = _limb_reduce(_limb_diagonals(a[..., r0:r0 + height, k0:k0 + terms], b[..., k0:k0 + terms, :]), q)
+            if k0 == 0:
+                tile[...] = part
+            else:
+                tile += part
+                np.minimum(tile, tile - np.uint64(q), out=tile)
+    return out
+
+
 def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Canonical (a @ b) mod q for arrays of canonical entries.
 
     Operands are matrices or equal-length stacks of them, (..., rows, inner)
     @ (..., inner, cols), one product per stack entry; one operand may be a
-    single matrix, shared by every entry.  Object operands multiply as
-    Python ints.  int64 operands take one of three branches.  A product of
+    single matrix, shared by every entry.  Object operands over 2^21 <= q <
+    2^63 with at least _LIMB_MIN_ENTRIES result entries and
+    _LIMB_MIN_MUL_ADDS multiply-adds convert to canonical uint64, reduced
+    mod q on entry, multiply on 21-bit limbs (_limb_product) and return
+    Python ints; int64 operands past the float64 bound below take the same
+    path and stay int64.
+    Measured in-process at q = 2^61 - 1, an 8 x 8 x 8 product took 46 us as
+    Python ints and 30 us on limbs, 6 x 6 x 8 26 us both ways, and in
+    fault-repair jobs the 9 x 64 x 1 products (9 entries) 53 us as Python
+    ints and 64 us on limbs; a 256^2 product took about 1.8 s as Python
+    ints and 30-50 ms on limbs.  Other object products, and every one at q
+    >= 2^63, multiply as Python ints.  int64 operands take one of three
+    branches.  A product of
     at most _INT64_MUL_ADDS multiply-adds (stack * rows * inner * cols)
     whose int64 sums stay exact, inner * (q-1)^2 < 2^63, is one int64
     matmul reduced with one ``%``.  Larger ones run on float64 BLAS, in
@@ -670,16 +837,21 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     tile is reduced into the result without division (_reduce).  The
     result has the operands' dtype.
     """
-    if a.dtype == object or b.dtype == object:
-        return (a @ b) % q
     rows, inner = a.shape[-2:]
     cols = b.shape[-1]
     stack = a.shape[:-2] if a.ndim >= b.ndim else b.shape[:-2]
     size = prod(stack) * rows * cols
+    if a.dtype == object or b.dtype == object:
+        if (not _INT64_SAFE_MODULUS <= q < _LIMB_MODULUS or size < _LIMB_MIN_ENTRIES
+                or size * inner < _LIMB_MIN_MUL_ADDS):
+            return (a @ b) % q
+        return _limb_product(_limb_operand(a, q), _limb_operand(b, q), q).astype(object)
     if size * inner <= _INT64_MUL_ADDS and inner * (q - 1) ** 2 < 1 << 63:
         return np.remainder(np.matmul(a, b, dtype=np.int64), q)
     step = exact_float_terms(q)
-    if step == 0:
+    if step == 0:  # q > 2^25
+        if q < _LIMB_MODULUS and size and inner:
+            return _limb_product(_limb_operand(a, q), _limb_operand(b, q), q).view(np.int64)
         return modmatmul(a.astype(object), b.astype(object), q).astype(np.int64)
     if size == 0 or inner == 0 or (inner <= step and a.size + b.size + 2 * size <= _SMALL_ELEMS):
         out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)

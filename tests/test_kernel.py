@@ -17,8 +17,12 @@ repeated call takes from the result pool, and one test runs the kernel and
 the FFT convolution that shares its workspace in two threads at once.  The
 pool never hands out memory that a result or any view of it still holds,
 reuses what none holds, and keeps under its byte cap, across threads too.
+Over large fields the 21-bit limb path is checked at five moduli from 2^21
+to 2^63, at its chunk bound and size threshold, on every layout, and on
+integer representatives of any size and sign.
 """
 
+import random
 import sys
 import threading
 import tracemalloc
@@ -29,7 +33,7 @@ import pytest
 from codedmm import field as field_module
 from codedmm.blocks import MatrixF, padded_blocks
 from codedmm.convolution import field_convolve
-from codedmm.field import PrimeField, combine, exact_float_terms, is_prime, modmatmul
+from codedmm.field import PrimeField, combine, exact_float_terms, exact_limb_terms, is_prime, modmatmul
 from codedmm.schemes import EntangledCode, worker_multiply
 
 from oracles import naive_matmul_t
@@ -812,3 +816,194 @@ def test_pool_stays_under_its_cap(empty_pool, monkeypatch):
     assert in_pool(z) and len(field_module._pool) == 2
     held = [product(cols) for cols in (1000, 1500, 1000)]
     assert [in_pool(h) for h in held] == [True, False, False]
+
+
+# Large fields.  Object products over 2^21 <= q < 2^63 run on 21-bit limbs:
+# products of the limbs' Toeplitz stack on float64 BLAS, exact in chunks of
+# exact_limb_terms(q) terms, reduced by one more float64 product with a
+# table of powers of 2 mod q and a quotient estimate that is never too
+# large.  Every case here is checked against the Python-int oracle, from
+# both ends of that range, on every operand layout and at the chunk bound.
+
+# the first prime above 2^21, 2^31 - 1, 2^61 - 1, and the largest primes
+# below 2^62 and 2^63
+LIMB_MODULI = (2097169, (1 << 31) - 1, (1 << 61) - 1, (1 << 62) - 57, (1 << 63) - 25)
+
+
+@pytest.mark.parametrize("signs", ["any", "non-negative"])
+@pytest.mark.parametrize("dtype", [object, np.int64])
+@pytest.mark.parametrize("shape", [(2, 3, 2), (8, 8, 8), (4, 30, 20)])
+def test_any_integer_representatives_reduce_as_python_ints(signs, dtype, shape):
+    # negative entries, entries of q or more and (as Python ints) of 2^63 and
+    # 2^64 or more multiply to (a @ b) % q on Python ints, in modmatmul and in
+    # combine, whichever path the product takes
+    q = (1 << 61) - 1
+    rows, inner, cols = shape
+    gen = random.Random(sum(shape))
+    pool = [q, q + 5, 2 * q + 1, (1 << 63) - 1]
+    if dtype is object:
+        pool += [1 << 63, (1 << 64) - 1]
+    if signs == "any":
+        pool += [-1, -q, -(q + 3), -(1 << 63)] + ([1 << 64, 1 << 100, -(1 << 100)] if dtype is object else [])
+    draw = lambda n: [gen.choice(pool) if gen.random() < 0.5 else gen.randrange(q) for _ in range(n)]
+    a = np.array(draw(rows * inner), dtype=dtype).reshape(rows, inner)
+    b = np.array(draw(inner * cols), dtype=dtype).reshape(inner, cols)
+    want = naive_matmul_t(q, a.T.tolist(), b.tolist())
+    got = modmatmul(a, b, q)
+    assert got.dtype == dtype and got.tolist() == want
+    if dtype is object:
+        assert all(type(x) is int for x in got.flat)
+        assert combine(PrimeField(q), a, list(b)).tolist() == want
+
+
+@pytest.fixture
+def limb_calls(monkeypatch):
+    """The shapes of the operands that went to the limb path, two per product."""
+    calls = []
+    limb_operand = field_module._limb_operand
+    monkeypatch.setattr(field_module, "_limb_operand", lambda x, q: calls.append(x.shape) or limb_operand(x, q))
+    return calls
+
+
+def check_python_ints(q: int, a: np.ndarray, b: np.ndarray):
+    """check() for object operands, whose product holds Python ints."""
+    got = modmatmul(a, b, q)
+    assert got.dtype == object and all(type(x) is int for x in got.flat)
+    assert got.tolist() == naive_matmul_t(q, a.T.tolist(), b.tolist())
+
+
+@pytest.mark.parametrize("q", LIMB_MODULI)
+@pytest.mark.parametrize("shape", [(8, 8, 8), (9, 4, 64), (2, 5, 64), (9, 64, 8), (1, 300, 70), (33, 17, 29)])
+def test_limb_products_match_oracle(q, shape, limb_calls):
+    check_python_ints(q, *operands(q, *shape, seed=sum(shape)))
+    check_python_ints(q, *near_maximal(q, *shape))
+    assert len(limb_calls) == 2 * 2
+
+
+def test_limb_chunk_length_at_2_pow_61_minus_1():
+    # 2^53 // (2 (2^21 - 1)^2): the d = 1 diagonal of the entry 2^42 - 1
+    assert exact_limb_terms((1 << 61) - 1) == 1024
+    assert exact_limb_terms((1 << 63) - 25) == 682
+    assert exact_limb_terms(2097169) == 2048
+
+
+@pytest.mark.parametrize("past", [-1, 0, 1, 2])
+def test_limb_contraction_at_and_past_one_chunk(past, limb_calls):
+    # entries 2^42 - 1, of limbs (2^21 - 1, 2^21 - 1, 0), give the d = 1
+    # diagonal its largest sum, 2 (2^21 - 1)^2 per term, and one entry
+    # 2^42 - 2 per row makes it odd: a chunk one term longer than
+    # exact_limb_terms passes 2^53, where float64 rounds an odd sum
+    q = (1 << 61) - 1
+    inner = exact_limb_terms(q) + past
+    a = np.full((8, inner), (1 << 42) - 1, dtype=object)
+    a[:, 0] = (1 << 42) - 2
+    b = np.full((inner, 8), (1 << 42) - 1, dtype=object)
+    check_python_ints(q, a, b)
+    assert limb_calls
+
+
+@pytest.mark.parametrize("q", LIMB_MODULI)
+@pytest.mark.parametrize("inner", [2047, 2048, 2049])
+def test_limb_contraction_lengths(q, inner):
+    check_python_ints(q, *near_maximal(q, 8, inner, 8))
+
+
+@pytest.mark.parametrize("q", LIMB_MODULI)
+def test_limb_layouts(q, limb_calls):
+    # stacked operands, a shared operand, transposed and strided views, and
+    # an a larger than b, whose product runs transposed
+    check_stacked(q, distinct_operands(q, 8, 5, 8))
+    for a, b in shared_and_stacked(q, 8, 4, 8):
+        got = modmatmul(a, b, q)
+        for out, x, y in zip(got, np.broadcast_to(a, (5, 8, 4)), np.broadcast_to(b, (5, 4, 8))):
+            assert out.tolist() == naive_matmul_t(q, x.T.tolist(), y.tolist())
+    a, b = near_maximal(q, 24, 9, 30)
+    at, bt = np.array(a.T, order="C"), np.array(b.T, order="C")
+    check_python_ints(q, at.T, bt.T)
+    check_python_ints(q, a[::2, ::3], b[::3, 1::2])
+    check_python_ints(q, *operands(q, 20, 30, 4, seed=4))
+    assert len(limb_calls) == 2 * 7
+
+
+def test_limb_products_in_row_slabs(monkeypatch, limb_calls):
+    # a 40-entry budget takes one row of a at a time
+    monkeypatch.setattr(field_module, "_TILE_ELEMS", 40)
+    q = (1 << 61) - 1
+    check_stacked(q, distinct_operands(q, 8, 5, 8))
+    check_python_ints(q, *near_maximal(q, 8, 2049, 8))
+    assert len(limb_calls) == 2 * 2
+
+
+@pytest.mark.parametrize("shape, limbs", [
+    ((8, 8, 8), True), ((8, 7, 8), False), ((7, 10, 9), False), ((8, 1, 64), True), ((8, 1, 63), False),
+])
+def test_limb_path_threshold(shape, limbs, limb_calls):
+    # products of at least _LIMB_MIN_ENTRIES result entries and
+    # _LIMB_MIN_MUL_ADDS multiply-adds take the limbs; smaller ones stay
+    # Python ints
+    q = (1 << 61) - 1
+    check_python_ints(q, *operands(q, *shape, seed=1))
+    assert bool(limb_calls) == limbs
+
+
+@pytest.mark.parametrize("shapes", [
+    ((0, 5), (5, 64)), ((64, 0), (0, 64)), ((2, 8, 0), (2, 0, 8)), ((3, 9, 4), (4, 0)), ((0, 8, 4), (0, 4, 8)),
+])
+def test_empty_large_field_products(shapes):
+    # empty results and empty contractions hold Python-int zeros
+    q = (1 << 61) - 1
+    a, b = (np.zeros(shape, dtype=object) for shape in shapes)
+    got = modmatmul(a, b, q)
+    assert got.dtype == object and got.shape == (a @ b).shape
+    assert not got.any() and all(type(x) is int for x in got.flat)
+    a64, b64 = (np.zeros(shape, dtype=np.int64) for shape in shapes)
+    assert modmatmul(a64, b64, q).tolist() == got.tolist()
+
+
+def test_moduli_past_2_pow_63_multiply_as_python_ints(limb_calls):
+    q = (1 << 89) - 1
+    gen = random.Random(89)
+    a, b = (np.array([[gen.randrange(q) for _ in range(cols)] for _ in range(rows)], dtype=object)
+            for rows, cols in ((16, 8), (16, 8)))
+    a[0, 0] = b[0, 0] = q - 1
+    check_python_ints(q, a.T, b)
+    assert not limb_calls
+
+
+@pytest.mark.parametrize("q", LIMB_MODULI)
+def test_int64_operands_on_limbs(q):
+    # int64 operands over a large field, stacked, come back int64
+    check_stacked(q, [(x.astype(np.int64), y.astype(np.int64)) for x, y in distinct_operands(q, 3, 40, 2)])
+
+
+@pytest.mark.parametrize("q", [(1 << 31) - 1, (1 << 47) - 115])
+def test_limb_reduction_near_multiples_of_q(q):
+    # diagonal sums whose reduced value x lies at kq - 1, kq or kq + 1: a
+    # quotient estimate rounded up past floor(x / q) would leave a negative
+    # remainder.  D_1..D_4 are drawn up to 2^53, the most a chunk leaves,
+    # and D_0, which adds itself to x as q > 2^27, is the residue that puts
+    # x there, plus a multiple of q
+    rng = np.random.default_rng(q % 1000)
+    n = 3000
+    diagonals = rng.integers(0, (1 << 53) + 1, size=(5, 1, n), dtype=np.int64)
+    weights = [[pow(2, 21 * d + 27 * j, q) for j in range(2)] for d in range(5)]
+    want = []
+    for i in range(n):
+        rest = sum(w * (int(diagonals[d, 0, i]) >> 27 * j & (1 << 27) - 1)
+                   for d in range(1, 5) for j, w in enumerate(weights[d]))
+        target = (i % 3 - 1) % q
+        diagonals[0, 0, i] = (target - rest) % q + q * int(rng.integers(0, (1 << 53) // q))
+        want.append(target)
+    got = field_module._limb_reduce(diagonals.astype(np.float64), q)
+    assert got.ravel().tolist() == want
+
+
+@pytest.mark.parametrize("q", LIMB_MODULI)
+def test_limb_reduction_of_every_diagonal(q):
+    # random diagonal sums up to 2^53, their top values included
+    rng = np.random.default_rng(q % 1000)
+    diagonals = rng.integers(0, (1 << 53) + 1, size=(5, 7, 9), dtype=np.int64)
+    diagonals[:, 0] = 1 << 53
+    diagonals[:, 1] = (1 << 53) - 1
+    want = [[sum(int(diagonals[d, i, j]) << 21 * d for d in range(5)) % q for j in range(9)] for i in range(7)]
+    assert field_module._limb_reduce(diagonals.astype(np.float64), q).tolist() == want

@@ -7,11 +7,13 @@ same examples on every machine.
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from codedmm import field as field_module
 from codedmm.bilinear import (
     ElementwiseProductCode,
     ImprovedBilinearCode,
@@ -27,6 +29,7 @@ from codedmm.field import (
     _cached_lagrange_matrix,
     combine,
     exact_float_terms,
+    exact_limb_terms,
     lagrange_basis,
     modmatmul,
 )
@@ -254,6 +257,50 @@ def test_kernel_equals_the_oracles(q, rows, cols, past, stack, views, top, seed)
     got = combine(PrimeField(q), weights, list(parts) if views else parts)
     assert got.reshape(k, -1).tolist() == want
 
+
+
+# the limb path's moduli (2^21 <= q < 2^63): both ends, and the Mersenne
+# primes 2^31 - 1 and 2^61 - 1
+LIMB_FIELDS = [2097169, (1 << 31) - 1, (1 << 61) - 1, (1 << 62) - 57, (1 << 63) - 25]
+
+
+@pytest.mark.parametrize("q", LIMB_FIELDS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=5,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(
+    rows=st.integers(1, 3),
+    cols=st.integers(1, 3),
+    past=st.integers(-1, 1),
+    stack=st.sampled_from(["none", "both", "a shared", "b shared"]),
+    views=st.booleans(),
+    top=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_limb_kernel_equals_the_oracles(q, rows, cols, past, stack, views, top, seed):
+    # test_kernel_equals_the_oracles over the large fields, every object
+    # product sent to the limb path, on contractions one short of, at and
+    # one past exact_limb_terms(q), the float64 chunk; views are strided
+    # operands and parts
+    rng = np.random.default_rng(seed)
+    low = q - 2 if top else 0
+    draw = lambda *shape: rng.integers(low, q, size=shape).astype(object)
+    inner = exact_limb_terms(q) + past
+    entries = 1 if stack == "none" else 3
+    a, b = draw(entries, rows, 2 * inner), draw(entries, 2 * inner, cols)
+    a, b = (a[..., ::2], b[:, ::2]) if views else (a[..., :inner], b[:, :inner])
+    if stack != "both":  # one operand is a single matrix
+        a = a[0] if stack != "b shared" else a
+        b = b[0] if stack != "a shared" else b
+    field = PrimeField(q)
+    weights, parts = draw(rows + cols, inner), draw(inner, rows, 2 * cols)[..., ::2] if views else draw(inner, rows, cols)
+    with mock.patch.multiple(field_module, _LIMB_MIN_ENTRIES=0, _LIMB_MIN_MUL_ADDS=0):
+        got = modmatmul(a, b, q).reshape(-1, rows, cols)
+        combined = combine(field, weights, list(parts) if views else parts)
+    pairs = zip(np.broadcast_to(a, (len(got), rows, inner)), np.broadcast_to(b, (len(got), inner, cols)))
+    assert got.tolist() == [naive_matmul_t(q, x.T.tolist(), y.tolist()) for x, y in pairs]
+    assert all(type(x) is int for x in got.flat)
+    want = naive_matmul_t(q, weights.T.tolist(), parts.reshape(inner, -1).tolist())
+    assert combined.reshape(rows + cols, -1).tolist() == want
 
 # (name, N): K = 5 for the entangled code, K = 13 for strassen's improved
 # code, whose N = 13 leaves no redundancy and N = 19 corrects 3 errors, K = 5
