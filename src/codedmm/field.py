@@ -16,15 +16,20 @@ canonical entries is an integer of at most k*(q-1)^2, which float64 holds
 exactly, so contractions are split into chunks of at most
 (2^50 - q) // (q-1)^2 terms (256 or more for q < 2^21) and reduced between
 chunks.  Small ones are one float64 matmul reduced with one ``%``.  Every
-larger product, and every larger weighted sum formed by ``combine``, allocates
-nothing but the array it returns: it runs in tiles of rows and columns
-(Goto & van de Geijn) whose float64 operand copies, product and scratch
-live in one per-thread workspace of _TILE_ELEMS entries, where each tile is
-reduced without division, x - floor(x * c) * q with c a reciprocal of q
-rounded up, exact below 2^50, and copied into the result once.  ``combine``
-reads its parts where they lie, strided views included, and can write into
-the caller's array or views (``out``).  convolution.field_convolve keeps its FFT buffers there too.
-No kernel function calls another while it holds the workspace.
+larger product, and every larger weighted sum formed by ``combine``, runs in
+one tile loop (``_tiled``), out[s][i] = sum_t a[s][i, t] * parts[s][t] mod
+q: a product's parts are the rows of b, a combination is one stack entry
+whose a is the weights.  The loop allocates nothing but the array it
+returns.  One planner cuts the work into tiles (Goto & van de Geijn), slabs
+of rows of a times whole part-rows or pieces of one part-row, whose float64
+copies, product and scratch live in one per-thread workspace of
+_TILE_ELEMS entries.  Each tile is reduced there without division, x -
+floor(x * c) * q with c a reciprocal of q rounded up, exact below 2^50, and
+copied into the result once.  The parts are read where they lie, strided
+views included, and a combination can write into the caller's array or
+views (``out``).  convolution.field_convolve keeps its FFT buffers in the
+workspace too.  No kernel function calls another while it holds the
+workspace.
 Results of 64 KB or more, and the products that schemes assemble, come from
 one result pool shared by every thread (``_fresh``): a buffer that no result
 or view of one holds any longer is handed out again, so a program that takes
@@ -804,7 +809,9 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
     Operands are matrices or equal-length stacks of them, (..., rows, inner)
     @ (..., inner, cols), one product per stack entry; one operand may be a
-    single matrix, shared by every entry.  Object operands over 2^21 <= q <
+    single matrix, shared by every entry.  Operands whose inner dimensions
+    or stacks disagree raise ValueError, and so do int64 operands at q >=
+    2^63, whose residues int64 cannot hold.  Object operands over 2^21 <= q <
     2^63 with at least _LIMB_MIN_ENTRIES result entries and
     _LIMB_MIN_MUL_ADDS multiply-adds convert to canonical uint64, reduced
     mod q on entry, multiply on 21-bit limbs (_limb_product) and return
@@ -825,18 +832,15 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     A one-chunk product of at most _SMALL_ELEMS operand, product and result
     entries ((rows + cols) * inner + 2 * rows * cols for two matrices) is
     one matmul on fresh float64 copies, reduced with one ``%``.  Every other
-    product allocates nothing but its result, which comes from the result
-    pool (_fresh): it runs in tiles in this thread's workspace of
-    _TILE_ELEMS 8-byte entries, which holds a tile's float64 operand
-    slices, its float64 product and its float64 scratch.  A tile is as many
-    whole stack entries as fit, else a slab of one entry's rows times a
-    slice of its columns (Goto & van de Geijn): the slab starts as all the
-    rows and is halved until its tiles are about as wide as they are high.
-    Each column slice of b is copied once per chunk, and a slab of a once
-    per column slice, or once in all when one slab holds every row.  Each
-    tile is reduced into the result without division (_reduce).  The
-    result has the operands' dtype.
+    product runs in the tile loop (_tiled), whose parts are the rows of b,
+    into a result from the result pool (_fresh), and allocates nothing
+    else.  The result has the operands' dtype.
     """
+    if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]
+            or a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]):
+        raise ValueError(f"operands of shapes {a.shape} and {b.shape} do not multiply")
+    if q >= _LIMB_MODULUS and a.dtype != object and b.dtype != object:
+        raise ValueError(f"{a.dtype} operands cannot hold residues mod {q}")
     rows, inner = a.shape[-2:]
     cols = b.shape[-1]
     stack = a.shape[:-2] if a.ndim >= b.ndim else b.shape[:-2]
@@ -849,48 +853,14 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     if size * inner <= _INT64_MUL_ADDS and inner * (q - 1) ** 2 < 1 << 63:
         return np.remainder(np.matmul(a, b, dtype=np.int64), q)
     step = exact_float_terms(q)
-    if step == 0:  # q > 2^25
-        if q < _LIMB_MODULUS and size and inner:
-            return _limb_product(_limb_operand(a, q), _limb_operand(b, q), q).view(np.int64)
-        return modmatmul(a.astype(object), b.astype(object), q).astype(np.int64)
+    if step == 0 and size and inner:  # q > 2^25
+        return _limb_product(_limb_operand(a, q), _limb_operand(b, q), q).view(np.int64)
     if size == 0 or inner == 0 or (inner <= step and a.size + b.size + 2 * size <= _SMALL_ELEMS):
         out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
         return np.remainder(out, q, out=out)
     out = _fresh((*stack, rows, cols), np.int64)
-    entries = out.reshape(-1, rows, cols)
     # a shared operand is one stack entry, which matmul broadcasts
-    a_s, b_s = a.reshape(-1, rows, inner), b.reshape(-1, inner, cols)
-    chunk = min(inner, step)
-    entry = rows * chunk + chunk * cols + 2 * rows * cols
-    if entry <= _TILE_ELEMS:
-        group, height, width = min(len(entries), _TILE_ELEMS // entry), rows, cols
-    else:
-        # one entry in slabs of rows: halve the slab until its tiles are
-        # about as wide as they are high, then even out their widths
-        group, height = 1, rows
-        width = (_TILE_ELEMS - height * chunk) // (chunk + 2 * height)
-        while width < min(height, cols) and height > 1:
-            height = (height + 1) // 2
-            width = (_TILE_ELEMS - height * chunk) // (chunk + 2 * height)
-        width = -(-cols // -(-cols // max(1, width)))
-    a_len, b_len, t_len = group * height * chunk, group * chunk * width, group * height * width
-    ws = _workspace(a_len + b_len + 2 * t_len)
-    a_buf, b_buf = ws[:a_len], ws[a_len:a_len + b_len]
-    product = ws[a_len + b_len:a_len + b_len + t_len]
-    scratch = ws[a_len + b_len + t_len:]
-    for s0 in range(0, len(entries), group):
-        a_g = a_s if len(a_s) == 1 else a_s[s0:s0 + group]
-        b_g = b_s if len(b_s) == 1 else b_s[s0:s0 + group]
-        for k0 in range(0, inner, step):
-            for c0 in range(0, cols, width):
-                b_part = _fill(b_buf, b_g[:, k0:k0 + step, c0:c0 + width])
-                for r0 in range(0, rows, height):
-                    if height < rows or c0 == 0:  # one slab's a chunk serves every column tile
-                        a_part = _fill(a_buf, a_g[:, r0:r0 + height, k0:k0 + step])
-                    tile = entries[s0:s0 + group, r0:r0 + height, c0:c0 + width]
-                    p = product[:tile.size].reshape(tile.shape)
-                    np.matmul(a_part, b_part, out=p)
-                    _reduce(p, scratch[:tile.size].reshape(tile.shape), q, tile, k0 > 0)
+    _tiled(a.reshape(-1, rows, inner), b.reshape(-1, inner, cols), out.reshape(-1, rows, cols), q)
     return out
 
 
@@ -906,27 +876,24 @@ def combine(field: PrimeField, weights: np.ndarray, parts, out=None) -> np.ndarr
     shape, such as the block views of an assembled product.
 
     Combinations that modmatmul would take as one small matmul are one
-    modmatmul of the stacked parts.  Larger int64 ones read the parts
-    where they lie: each slab of rows of every part, cut along the last
-    axis when one row of every part does not fit, is gathered straight
-    into this thread's workspace, multiplied by the weights in one float64
-    matmul, and reduced without division into the result (_reduce), so the
+    modmatmul of the stacked parts.  Larger int64 ones are modmatmul's tile
+    loop (_tiled) with one stack entry, the weights as its a and the parts
+    as its parts, read where they lie and written straight into out, so the
     result, taken from the result pool (_fresh) unless out is given, is all
     they allocate.
     """
     k, t = weights.shape
     first = np.asarray(parts[0])
     size = first.size
-    stacked_out = isinstance(out, np.ndarray)
     if out is not None:
-        shapes = {out.shape[1:]} if stacked_out else {np.shape(o) for o in out}
+        shapes = {out.shape[1:]} if isinstance(out, np.ndarray) else {np.shape(o) for o in out}
         if len(out) != k or shapes != {first.shape}:
             raise ValueError(f"out needs {k} arrays of shape {first.shape}")
     if (weights.size + (t + 2 * k) * size <= _SMALL_ELEMS or weights.dtype == object
-            or first.dtype == object or first.ndim == 0 or size == 0):
+            or first.dtype == object or first.ndim == 0 or k * size == 0):
         stack = np.asarray(parts)
         flat = modmatmul(weights, stack.reshape(len(stack), -1), field.modulus)
-        if stacked_out:
+        if isinstance(out, np.ndarray):
             out[...] = flat.reshape(out.shape)
             return out
         result = flat.reshape(k, *stack.shape[1:])
@@ -937,50 +904,85 @@ def combine(field: PrimeField, weights: np.ndarray, parts, out=None) -> np.ndarr
         return out
     if len(parts) != t or any(np.shape(p) != first.shape for p in parts):
         raise ValueError(f"{t} weights per row need {t} parts of one shape")
-    q = field.modulus
     if out is None:
-        out, stacked_out = _fresh((k, *first.shape), np.int64), True
-    rows = first.shape[0]
-    # a slab is rows of every part, cut along the last axis when one row of
-    # every part, the product and the scratch outgrows the workspace
-    last = first.shape[-1] if first.ndim > 1 else 1
-    mid = size // (rows * last)  # entries of a row at each index of the last axis
-    step = exact_float_terms(q)
-    chunk = min(t, step)
-    room = _TILE_ELEMS - k * chunk
-    if mid * last * (chunk + 2 * k) <= room:
-        height, width = max(1, room // (mid * last * (chunk + 2 * k))), last
-    else:
-        height, width = 1, max(1, room // (mid * (chunk + 2 * k)))
-        width = -(-last // -(-last // width))
-    w_len, in_len, t_len = k * chunk, chunk * height * mid * width, k * height * mid * width
-    ws = _workspace(w_len + in_len + 2 * t_len)
-    w_buf, in_buf = ws[:w_len], ws[w_len:w_len + in_len]
-    product = ws[w_len + in_len:w_len + in_len + t_len]
-    scratch = ws[w_len + in_len + t_len:]
-    for k0 in range(0, t, step):
-        w = _fill(w_buf, weights[:, k0:k0 + step])
-        terms = w.shape[1]
-        for r0 in range(0, rows, height):
-            for c0 in range(0, last, width):
-                cut = (slice(r0, r0 + height),)
-                if first.ndim > 1:
-                    cut += (..., slice(c0, c0 + width))
-                shape = first[cut].shape
-                n = prod(shape)
-                gathered = in_buf[:terms * n].reshape(terms, *shape)
-                for j, g in enumerate(gathered):
-                    np.copyto(g, parts[k0 + j][cut])
-                p = product[:k * n].reshape(k, n)
-                np.matmul(w, gathered.reshape(terms, n), out=p)
-                p = p.reshape(k, *shape)
-                s = scratch[:k * n].reshape(k, *shape)
-                if stacked_out:
-                    _reduce(p, s, q, out[(slice(None), *cut)], k0 > 0)
-                else:
-                    for i, o in enumerate(out):
-                        _reduce(p[i], s[i], q, o[cut], k0 > 0)
+        out = _fresh((k, *first.shape), np.int64)
+    _tiled(weights[None], parts[None] if isinstance(parts, np.ndarray) else parts,
+           out[None] if isinstance(out, np.ndarray) else out, field.modulus)
     return out
+
+
+def _tiled(a: np.ndarray, parts, out, q: int):
+    """out[s][i] = sum_t a[s][i, t] * parts[s][t] mod q, in tiles of this thread's workspace.
+
+    a is a (S, rows, T) stack, or (1, rows, T) shared by every entry.  parts
+    is a (S or 1, T, *shape) stack, or for S = 1 a sequence of T arrays of
+    shape, and out is a (S, rows, *shape) stack, or for S = 1 a sequence of
+    rows arrays of shape; both may be strided views, read and written where
+    they lie.  modmatmul's parts are the rows of b; combine's are its
+    blocks or vectors, with its weights as the one entry of a.
+
+    A tile is as many whole stack entries as fit the workspace of
+    _TILE_ELEMS entries, else a slab of rows of a times a cut of the parts'
+    shape: whole part-rows, or one part-row cut evenly along the last axis
+    when one row does not fit (a vector is one part-row).  The slab starts as
+    all of a's rows and is halved until the cuts are about as wide as it is
+    high (Goto & van de Geijn).  The float64 copies of a's slab and of the
+    cut of every part, their float64 product and _reduce's scratch all live
+    in the workspace.  Each chunk of exact_float_terms(q) terms is reduced
+    into out without division (_reduce), accumulating after the first.  A
+    cut of the parts is copied once per chunk, and a slab of a once per
+    cut, or once per chunk when one slab holds every row.
+    """
+    stacked_parts, stacked_out = isinstance(parts, np.ndarray), isinstance(out, np.ndarray)
+    rows, terms = a.shape[1:]
+    shape = out.shape[2:] if stacked_out else out[0].shape
+    entries, n = len(out) if stacked_out else 1, prod(shape)
+    step = exact_float_terms(q)
+    chunk = min(terms, step)
+    group, height = max(1, min(entries, _TILE_ELEMS // (rows * chunk + (chunk + 2 * rows) * n))), rows
+    # width: the entries of every part that a tile of one entry's height
+    # rows has room for; halve the slab until it is about as high as wide
+    while (width := (_TILE_ELEMS - height * chunk) // (chunk + 2 * height)) < min(height, n) and height > 1:
+        height = (height + 1) // 2
+    # cut every part into tiles of at most width entries: slabs of h whole
+    # part-rows, else single part-rows in even pieces of w along the last
+    # axis (a vector is one part-row)
+    lead, last = shape[0] if len(shape) > 1 else 1, shape[-1]
+    row = n // lead
+    h, w = max(1, width // row), -(-last // -(-last // max(1, width * last // row)))
+    cuts = [(slice(r, r + h),) * (len(shape) > 1) + (..., slice(c, c + w))
+            for r in range(0, lead, h) for c in range(0, last, w)]
+    cut_len = h * row // last * w
+    a_len, p_len, t_len = group * height * chunk, group * chunk * cut_len, group * height * cut_len
+    ws = _workspace(a_len + p_len + 2 * t_len)
+    a_buf, p_buf = ws[:a_len], ws[a_len:a_len + p_len]
+    product = ws[a_len + p_len:a_len + p_len + t_len]
+    scratch = ws[a_len + p_len + t_len:]
+    for s0 in range(0, entries, group):
+        a_g = a if len(a) == 1 else a[s0:s0 + group]
+        p_g = parts if not stacked_parts or len(parts) == 1 else parts[s0:s0 + group]
+        for k0 in range(0, terms, step):
+            for c, cut in enumerate(cuts):
+                if stacked_parts:
+                    p_part = _fill(p_buf, p_g[(slice(None), slice(k0, k0 + step), *cut)])
+                else:
+                    gathered = parts[k0:k0 + step]
+                    cut_shape = np.shape(gathered[0][cut])
+                    p_part = p_buf[:len(gathered) * prod(cut_shape)].reshape(1, len(gathered), *cut_shape)
+                    for g, part in zip(p_part[0], gathered):
+                        np.copyto(g, part[cut])
+                for r0 in range(0, rows, height):
+                    if height < rows or c == 0:  # one slab's a chunk serves every cut
+                        a_part = _fill(a_buf, a_g[:, r0:r0 + height, k0:k0 + step])
+                    tile = (max(len(a_part), len(p_part)), a_part.shape[1], *p_part.shape[2:])
+                    p = product[:prod(tile)].reshape(tile)
+                    np.matmul(a_part, p_part.reshape(*p_part.shape[:2], -1), out=p.reshape(*tile[:2], -1))
+                    s = scratch[:p.size].reshape(tile)
+                    if stacked_out:
+                        _reduce(p, s, q, out[(slice(s0, s0 + group), slice(r0, r0 + height), *cut)], k0 > 0)
+                    else:
+                        for i, o in enumerate(out[r0:r0 + height]):
+                            _reduce(p[0, i], s[0, i], q, o[cut], k0 > 0)
 
 
 def interpolate_arrays(field: PrimeField, xs: Sequence[int], values) -> np.ndarray:

@@ -8,10 +8,11 @@ canonical entries plus one canonical partial stays below 2^50; these tests
 check the reduction itself up to that bound, sit on both sides of the chunk
 boundary, on row slabs, column tiles and stack groups that reuse one set of
 buffers (tiny products sent there past both small branches), and on the
-worst-case entry q - 1.  The combiner
-that every encoder and decoder runs on top of it is checked on parts of
-every shape, read in place from strided views, and written into the block
-views of an assembled product.  Allocation guards bound the fresh memory
+worst-case entry q - 1.  Operands that do not multiply are refused on
+every branch.  The combiner that every encoder and decoder runs, on the
+same tile loop, is checked on parts of every shape, read in place from
+strided views, in slabs of part-rows, pieces of one part-row and slabs of
+weight rows, and written into the block views of an assembled product.  Allocation guards bound the fresh memory
 of the kernel, the encoder and the decoder by their results, which a
 repeated call takes from the result pool, and one test runs the kernel and
 the FFT convolution that shares its workspace in two threads at once.  The
@@ -93,6 +94,39 @@ def test_int64_operands_beyond_the_float_bound():
     q = (1 << 61) - 1
     assert exact_float_terms(q) == 0
     check(q, *operands(q, 3, 4, 2, seed=1, dtype=np.int64))
+
+
+# (q, a's shape, b's shape) of products whose operands do not fit together,
+# one on each branch of modmatmul
+MISMATCHED = {
+    "int64 matmul": (65537, (2, 3), (4, 2)),
+    "one float64 matmul": (65537, (20, 10), (20, 30)),
+    "tiles, b longer": (65537, (200, 100), (200, 300)),
+    "tiles, b shorter": (65537, (60, 100), (200, 100)),
+    "tiles, stacks": (65537, (2, 200, 100), (3, 100, 300)),
+    "python ints": ((1 << 61) - 1, (2, 3), (4, 2)),
+    "limbs": ((1 << 61) - 1, (20, 30), (40, 20)),
+    "limbs, stacks": ((1 << 61) - 1, (2, 20, 30), (3, 30, 20)),
+}
+
+
+@pytest.mark.parametrize("q, a_shape, b_shape", MISMATCHED.values(), ids=MISMATCHED)
+def test_mismatched_operands_are_refused(q, a_shape, b_shape):
+    # an inner dimension or stack length that disagrees is refused on every
+    # branch, never read as a product of b's leading rows or of fewer entries
+    dtype = PrimeField(q).array_dtype
+    a, b = (np.ones(shape, dtype=np.int64).astype(dtype) for shape in (a_shape, b_shape))
+    with pytest.raises(ValueError, match="do not multiply"):
+        modmatmul(a, b, q)
+
+
+def test_int64_operands_past_2_pow_63_are_refused():
+    # int64 cannot hold residues mod 2^89 - 1: the operands are refused by
+    # name, not converted until a result entry overflows
+    q = (1 << 89) - 1
+    a = np.full((2, 2), 1 << 40, dtype=np.int64)
+    with pytest.raises(ValueError, match=f"int64.*{q}"):
+        modmatmul(a, a, q)
 
 
 def test_chunk_length_at_the_largest_int64_modulus():
@@ -530,6 +564,30 @@ def test_slab_heights_that_do_not_divide_the_block_rows(monkeypatch, slabs, tile
     assert combine(field, weights, parts).tolist() == want
     out = [np.empty((7, 5), dtype=np.int64) for _ in range(4)]
     assert [o.tolist() for o in combine(field, weights, parts, out=out)] == want
+
+
+@pytest.mark.parametrize("k", [39, 40])
+def test_combine_slabs_of_weight_rows(monkeypatch, slabs, k):
+    # k x 6 weights on 5 x 4 parts in a 600-entry workspace: with every
+    # weight row a tile would have room for fewer than 20 entries of each
+    # part, so the weights go in slabs of 10 rows, as the rows of a product's
+    # a do, the last slab shorter at k = 39; each slab is written into its
+    # own rows of an array out and into its own views of a list out
+    monkeypatch.setattr(field_module, "_TILE_ELEMS", 600)
+    requests = []
+    workspace = field_module._workspace
+    monkeypatch.setattr(field_module, "_workspace", lambda n: requests.append(n) or workspace(n))
+    q = Q_INT64_MAX
+    field = PrimeField(q)
+    parts = [operands(q, 5, 4, 1, seed=s)[0] for s in range(5)] + [near_maximal(q, 5, 4, 1)[0]]
+    weights = operands(q, k, 6, 1, seed=k)[0]
+    want = combined_by_oracle(q, weights, parts)
+    assert combine(field, weights, parts).tolist() == want
+    full = np.full((5, 4 * k), -1, dtype=np.int64)
+    out = [full[:, i::k] for i in range(k)]
+    assert [o.tolist() for o in combine(field, weights, parts, out=out)] == want
+    assert full.min() >= 0
+    assert requests and max(requests) <= 600
 
 
 @pytest.mark.parametrize("shape", [(3, 50), (2, 3, 40)], ids=["block", "3-d"])

@@ -7,6 +7,7 @@ same examples on every machine.
 """
 
 import random
+from math import prod
 from unittest import mock
 
 import numpy as np
@@ -256,6 +257,62 @@ def test_kernel_equals_the_oracles(q, rows, cols, past, stack, views, top, seed)
     want = naive_matmul_t(q, weights.T.tolist(), parts.reshape(t, -1).tolist())
     got = combine(PrimeField(q), weights, list(parts) if views else parts)
     assert got.reshape(k, -1).tolist() == want
+
+
+@pytest.mark.parametrize("q", KERNEL_FIELDS)
+@settings(derandomize=True, database=None, deadline=None, max_examples=20,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
+@given(
+    k=st.integers(1, 4),
+    past=st.integers(-1, 1),
+    shape=st.sampled_from([(7,), (5, 6), (3, 4, 5)]),
+    views=st.booleans(),
+    listed=st.booleans(),
+    out=st.sampled_from(["fresh", "array", "views"]),
+    plan=st.sampled_from(["one matmul", "one tile", "part rows", "last-axis cuts"]),
+    top=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_combine_equals_the_oracle(q, k, past, shape, views, listed, out, plan, top, seed):
+    # combine's k x t weights on t parts of one to three dimensions, t across
+    # the chunk boundary at 2097143, read from a stack or a list, strided or
+    # not, and written fresh, into one array or into a list of strided views
+    # of one assembled array.  The workspace is sized so that the tile loop
+    # cuts the parts into slabs of whole part-rows, or into single part-rows
+    # cut along the last axis, and no workspace request is larger than it.
+    rng = np.random.default_rng(seed)
+    gen = random.Random(seed)
+    low = q - 2 if top else 0
+    step = exact_float_terms(q)
+    t = (step if step <= 1 << 9 else 30) + past
+    chunk = min(t, step)
+    weights = rng.integers(low, q, size=(k, t))
+    parts = rng.integers(low, q, size=(t, *shape[:-1], 2 * shape[-1]))
+    parts = parts[..., ::2] if views else parts[..., :shape[-1]]
+    lead, last = shape[0], shape[-1]
+    row = prod(shape) // lead  # entries of one part-row
+    if plan == "last-axis cuts" and len(shape) > 1:  # w of the last axis' entries per tile
+        budget = k * chunk + (chunk + 2 * k) * row // last * gen.randint(k, last - 1)
+    elif plan in ("part rows", "last-axis cuts"):  # h whole part-rows (entries of a vector) per tile
+        budget = k * chunk + (chunk + 2 * k) * row * gen.randint(-(-k // row), lead - 1)
+    else:
+        budget = field_module._TILE_ELEMS
+    assembled = np.full((*shape[:-1], k * last), -1)
+    target = {"fresh": None, "array": np.full((k, *shape), -1),
+              "views": [assembled[..., i::k] for i in range(k)]}[out]
+    requests = []
+    workspace = field_module._workspace
+    with mock.patch.multiple(field_module, _TILE_ELEMS=budget,
+                             _SMALL_ELEMS=field_module._SMALL_ELEMS if plan == "one matmul" else 0,
+                             _workspace=lambda n: requests.append(n) or workspace(n)):
+        got = combine(PrimeField(q), weights, list(parts) if listed else parts, out=target)
+    want = naive_matmul_t(q, weights.T.tolist(), parts.reshape(t, -1).tolist())
+    if out == "views":
+        assert got is target and assembled.min() >= 0
+        got = np.stack(got)
+    assert got.shape == (k, *shape)
+    assert got.reshape(k, -1).tolist() == want
+    assert max(requests, default=0) <= budget
 
 
 
