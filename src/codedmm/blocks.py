@@ -8,6 +8,7 @@ hosts the vector split and overlap-add reassembly for block convolution.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -141,17 +142,27 @@ def grid_blocks(grid: np.ndarray):
     return [blk for row in grid for blk in row]
 
 
+def _int_pair(pair, what: str) -> tuple[int, int]:
+    """pair as two ints, numpy integers included; anything else raises BlockShapeMismatch."""
+    try:
+        first, second = map(index, pair)
+    except (TypeError, ValueError):
+        raise BlockShapeMismatch(f"{what} {pair!r} are not two integers") from None
+    return first, second
+
+
 def assemble_array(blocks: np.ndarray, true_dims: tuple[int, int] | None = None) -> np.ndarray:
     """The matrix of an (m, n, br, bc) block array, cut to true_dims.
 
     With true_dims None the padded (m*br, n*bc) matrix is returned.  A
-    negative entry, or one past the assembled shape, raises BlockShapeMismatch.
+    negative entry, one past the assembled shape, or true_dims that are not
+    two integers raise BlockShapeMismatch.
     """
     m, n, br, bc = blocks.shape
     full = blocks.swapaxes(1, 2).reshape(m * br, n * bc)
     if true_dims is None:
         return full
-    r, t = true_dims
+    r, t = _int_pair(true_dims, "true dims")
     if not (0 <= r <= full.shape[0] and 0 <= t <= full.shape[1]):
         raise BlockShapeMismatch(
             f"true dims {true_dims} lie outside the assembled shape {full.shape}"

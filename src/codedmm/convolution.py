@@ -52,7 +52,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .blocks import overlap_add, partition_vector
+from .blocks import _int_pair, overlap_add, partition_vector
 from .errors import BlockShapeMismatch, TooFewWorkers
 from .field import PrimeField, _workspace, canonical_array, combine, vandermonde
 from .schemes import InterpolationCode, worker_points
@@ -100,7 +100,7 @@ class ConvCodeSpec(InterpolationCode):
         """a * b from its K per-diagonal block convolutions, combine(weights, parts), cut to the true length."""
         full = overlap_add(self.field, combine(self.field, weights, parts), self.s)
         if true_lens is not None:
-            la, lb = true_lens
+            la, lb = _int_pair(true_lens, "true lengths")
             if not (1 <= la <= self.m * self.s and 1 <= lb <= self.n * self.s):
                 raise BlockShapeMismatch(f"true lengths {true_lens} lie outside 1..m*s, 1..n*s")
             full = full[: la + lb - 1]
@@ -235,7 +235,7 @@ def conv_decode(
 
     true_lens, when given, is (len(a), len(b)) before padding and the output
     is truncated to the true convolution length; lengths below 1 or beyond
-    the padded m*s and n*s raise BlockShapeMismatch, as do results not
-    2s - 1 long.
+    the padded m*s and n*s raise BlockShapeMismatch, as do true_lens that
+    are not two integers and results not 2s - 1 long.
     """
     return spec.decode(results, subset, true_lens)

@@ -6,30 +6,28 @@ elsewhere in the package keep raw canonical ints in numpy arrays; the
 ``FieldElement`` wrapper exists for scalar work where operator syntax and
 field-mixing checks are worth having.
 
-Every matrix contraction over GF(q) goes through ``modmatmul``.  For q < 2^21
-arrays are int64 and a product takes one of three branches.  Products of
-at most 4096 multiply-adds are one int64 matmul reduced with one ``%``,
-exact while each sum of products stays below 2^63.  Larger ones run on
-float64 BLAS with delayed modular
-reduction (Dumas, Giorgi & Pernet, FFLAS-FFPACK): a sum of k products of
-canonical entries is an integer of at most k*(q-1)^2, which float64 holds
-exactly, so contractions are split into chunks of at most
-(2^50 - q) // (q-1)^2 terms (256 or more for q < 2^21) and reduced between
-chunks.  Small ones are one float64 matmul reduced with one ``%``.  Every
-larger product, and every larger weighted sum formed by ``combine``, runs in
-one tile loop (``_tiled``), out[s][i] = sum_t a[s][i, t] * parts[s][t] mod
-q: a product's parts are the rows of b, a combination is one stack entry
-whose a is the weights.  The loop allocates nothing but the array it
-returns.  One planner cuts the work into tiles (Goto & van de Geijn), slabs
-of rows of a times whole part-rows or pieces of one part-row, whose float64
-copies, product and scratch live in one per-thread workspace of
-_TILE_ELEMS entries.  Each tile is reduced there without division, x -
-floor(x * c) * q with c a reciprocal of q rounded up, exact below 2^50, and
-copied into the result once.  The parts are read where they lie, strided
-views included, and a combination can write into the caller's array or
-views (``out``).  convolution.field_convolve keeps its FFT buffers in the
-workspace too.  No kernel function calls another while it holds the
-workspace.
+Every matrix contraction over GF(q) goes through ``modmatmul`` or
+``combine``, and one rule (``_int64_path``) picks the path of an int64
+one.  For q < 2^21 arrays are int64.  Contractions of at most 4096
+multiply-adds are one int64 matmul reduced with one ``%``, exact while
+each sum of products stays below 2^63.  Larger ones run on float64 BLAS
+with delayed modular reduction (Dumas, Giorgi & Pernet, FFLAS-FFPACK): a
+sum of k products of canonical entries is an integer of at most
+k*(q-1)^2, which float64 holds exactly, so contractions are split into
+chunks of at most (2^50 - q) // (q-1)^2 terms (256 or more for q < 2^21)
+and reduced between chunks, in one tile loop (``_tiled``), out[s][i] =
+sum_t a[s][i, t] * parts[s][t] mod q: a product's parts are the rows of b,
+a combination is one stack entry whose a is the weights.  The loop
+allocates nothing but the array it returns.  One planner cuts the work
+into tiles (Goto & van de Geijn), slabs of rows of a times whole
+part-rows or pieces of one part-row, whose float64 copies, product and
+scratch live in one per-thread workspace of _TILE_ELEMS entries.  Each
+tile is reduced there without division, x - floor(x * c) * q with c a
+reciprocal of q rounded up, exact below 2^50, and copied into the result
+once.  The parts are read where they lie, strided views included, and a
+combination can write into the caller's array or views (``out``).
+convolution.field_convolve keeps its FFT buffers in the workspace too.
+No kernel function calls another while it holds the workspace.
 Results of 64 KB or more, and the products that schemes assemble, come from
 one result pool shared by every thread (``_fresh``): a buffer that no result
 or view of one holds any longer is handed out again, so a program that takes
@@ -40,8 +38,9 @@ products run on the same float64 BLAS with no Python int on the way:
 entries split into 21-bit limbs, the limb products sum exactly in float64
 chunks, and one more float64 product with a table of powers of 2 mod q and
 a quotient estimate that is never too large (Barrett) reduces the sums to
-canonical residues in uint64.  Smaller products, and every product at
-q >= 2^63, multiply as Python ints, exact at any length.
+canonical residues in uint64; int64 operands take the same path where
+not even one float64 product is exact (q > 2^25).  Smaller products, and
+every product at q >= 2^63, multiply as Python ints, exact at any length.
 
 Decoding interpolates through ``lagrange_basis``, which returns only the
 rows of the inverse Vandermonde matrix that a decoder reads: synthetic
@@ -76,12 +75,12 @@ _REDUCE_EXACT = 1 << 50
 # float64 operand slices, product and scratch fit it.
 _TILE_ELEMS = 1 << 18
 
-# Products of at most this many multiply-adds take one int64 matmul and one
-# %, which below it costs less than the float64 copies of the small path:
-# measured on numpy's int64 matmul against the float64 small path, single
-# products stop gaining near 3000-4000 multiply-adds and stacks of tiny ones
-# past it.  A sum of inner <= _INT64_MUL_ADDS products stays below 2^63 at
-# every int64-path prime: 2^12 (q-1)^2 < 2^54 for q < 2^21.
+# Contractions of at most this many multiply-adds take one int64 matmul and
+# one %, which below it costs less than float64 copies: measured on numpy's
+# int64 matmul against one float64 matmul on fresh copies, single products
+# stop gaining near 3000-4000 multiply-adds and stacks of tiny ones past it.
+# A sum of inner <= _INT64_MUL_ADDS products stays below 2^63 at every
+# int64-path prime: 2^12 (q-1)^2 < 2^54 for q < 2^21.
 _INT64_MUL_ADDS = 1 << 12
 
 # Object products over moduli from _INT64_SAFE_MODULUS up to this bound run
@@ -101,11 +100,6 @@ _LIMB_MIN_MUL_ADDS = 1 << 9
 
 # The limb path keeps its per-modulus tables for this many recent moduli.
 _FIELD_CACHE = 16
-
-# Products of at most this many 8-byte operand, product and result entries
-# take one matmul on fresh copies and one %, which at this size costs less
-# than slicing the workspace and the passes of _reduce.
-_SMALL_ELEMS = 1 << 15
 
 # Results of at least this many bytes come from the result pool (_fresh);
 # smaller ones cost less fresh than a scan of the pool.
@@ -211,6 +205,14 @@ class PrimeField:
         return rng.randrange(self.modulus)
 
 
+def _element_operator(value):
+    """The FieldElement operator that returns value(element, v), v the other operand reduced mod q."""
+    def method(self, other):
+        v = self._coerce(other)
+        return NotImplemented if v is NotImplemented else FieldElement(self.field, value(self, v))
+    return method
+
+
 class FieldElement:
     """A canonical representative of GF(q), with operator syntax."""
 
@@ -234,45 +236,14 @@ class FieldElement:
             return other % self.field.modulus
         return NotImplemented
 
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value + v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value - v)
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, v - self.value)
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value * v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value * self.field.inv(v))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, v * self.field.inv(self.value))
+    # each operator reduces the other operand (_coerce) and returns
+    # NotImplemented for one it does not take
+    __add__ = __radd__ = _element_operator(lambda x, v: x.value + v)
+    __sub__ = _element_operator(lambda x, v: x.value - v)
+    __rsub__ = _element_operator(lambda x, v: v - x.value)
+    __mul__ = __rmul__ = _element_operator(lambda x, v: x.value * v)
+    __truediv__ = _element_operator(lambda x, v: x.value * x.field.inv(v))
+    __rtruediv__ = _element_operator(lambda x, v: v * x.field.inv(x.value))
 
     def __pow__(self, e: int):
         return FieldElement(self.field, self.field.pow(self.value, e))
@@ -804,6 +775,23 @@ def _limb_product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
+def _int64_path(size: int, inner: int, q: int) -> str:
+    """The path of an int64 contraction of inner terms into size result entries mod q.
+
+    The one rule that modmatmul and combine read: "matmul", one int64
+    matmul, for at most _INT64_MUL_ADDS multiply-adds (size * inner) whose
+    int64 sums stay exact, inner * (q-1)^2 < 2^63, an empty contraction
+    included; else "zeros" for an empty result; else "limbs" where not even
+    one float64 product is exact (exact_float_terms(q) == 0, q > 2^25);
+    else "tiled", the tile loop.
+    """
+    if size * inner <= _INT64_MUL_ADDS and inner * (q - 1) ** 2 < 1 << 63:
+        return "matmul"
+    if size == 0:
+        return "zeros"
+    return "limbs" if exact_float_terms(q) == 0 else "tiled"
+
+
 def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Canonical (a @ b) mod q for arrays of canonical entries.
 
@@ -815,26 +803,19 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     2^63 with at least _LIMB_MIN_ENTRIES result entries and
     _LIMB_MIN_MUL_ADDS multiply-adds convert to canonical uint64, reduced
     mod q on entry, multiply on 21-bit limbs (_limb_product) and return
-    Python ints; int64 operands past the float64 bound below take the same
-    path and stay int64.
+    Python ints.
     Measured in-process at q = 2^61 - 1, an 8 x 8 x 8 product took 46 us as
     Python ints and 30 us on limbs, 6 x 6 x 8 26 us both ways, and in
     fault-repair jobs the 9 x 64 x 1 products (9 entries) 53 us as Python
     ints and 64 us on limbs; a 256^2 product took about 1.8 s as Python
     ints and 30-50 ms on limbs.  Other object products, and every one at q
-    >= 2^63, multiply as Python ints.  int64 operands take one of three
-    branches.  A product of
-    at most _INT64_MUL_ADDS multiply-adds (stack * rows * inner * cols)
-    whose int64 sums stay exact, inner * (q-1)^2 < 2^63, is one int64
-    matmul reduced with one ``%``.  Larger ones run on float64 BLAS, in
-    chunks of the contraction that _reduce takes exactly
-    (exact_float_terms), reduced mod q between chunks.
-    A one-chunk product of at most _SMALL_ELEMS operand, product and result
-    entries ((rows + cols) * inner + 2 * rows * cols for two matrices) is
-    one matmul on fresh float64 copies, reduced with one ``%``.  Every other
-    product runs in the tile loop (_tiled), whose parts are the rows of b,
-    into a result from the result pool (_fresh), and allocates nothing
-    else.  The result has the operands' dtype.
+    >= 2^63, multiply as Python ints.  int64 operands take the path that
+    _int64_path picks for stack * rows * cols result entries: one int64
+    matmul reduced with one ``%``, zeros, the limbs (staying int64), or the
+    tile loop (_tiled), whose parts are the rows of b, in chunks of the
+    contraction that _reduce takes exactly (exact_float_terms), into a
+    result from the result pool (_fresh), allocating nothing else.  The
+    result has the operands' dtype.
     """
     if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]
             or a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]):
@@ -850,14 +831,13 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
                 or size * inner < _LIMB_MIN_MUL_ADDS):
             return (a @ b) % q
         return _limb_product(_limb_operand(a, q), _limb_operand(b, q), q).astype(object)
-    if size * inner <= _INT64_MUL_ADDS and inner * (q - 1) ** 2 < 1 << 63:
+    path = _int64_path(size, inner, q)
+    if path == "matmul":
         return np.remainder(np.matmul(a, b, dtype=np.int64), q)
-    step = exact_float_terms(q)
-    if step == 0 and size and inner:  # q > 2^25
+    if path == "zeros":
+        return np.zeros((*stack, rows, cols), dtype=np.int64)
+    if path == "limbs":
         return _limb_product(_limb_operand(a, q), _limb_operand(b, q), q).view(np.int64)
-    if size == 0 or inner == 0 or (inner <= step and a.size + b.size + 2 * size <= _SMALL_ELEMS):
-        out = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-        return np.remainder(out, q, out=out)
     out = _fresh((*stack, rows, cols), np.int64)
     # a shared operand is one stack entry, which matmul broadcasts
     _tiled(a.reshape(-1, rows, inner), b.reshape(-1, inner, cols), out.reshape(-1, rows, cols), q)
@@ -875,33 +855,30 @@ def combine(field: PrimeField, weights: np.ndarray, parts, out=None) -> np.ndarr
     result's shape, or a sequence of len(weights) arrays of the parts'
     shape, such as the block views of an assembled product.
 
-    Combinations that modmatmul would take as one small matmul are one
-    modmatmul of the stacked parts.  Larger int64 ones are modmatmul's tile
-    loop (_tiled) with one stack entry, the weights as its a and the parts
-    as its parts, read where they lie and written straight into out, so the
-    result, taken from the result pool (_fresh) unless out is given, is all
-    they allocate.
+    An int64 combination that modmatmul would tile (_int64_path) is
+    modmatmul's tile loop (_tiled) with one stack entry, the weights as its
+    a and the parts as its parts, read where they lie and written straight
+    into out, so the result, taken from the result pool (_fresh) unless out
+    is given, is all it allocates.  Every other combination (object or
+    scalar parts, and the int64 ones that modmatmul takes as one matmul,
+    zeros or limbs) is one modmatmul of the stacked parts.
     """
     k, t = weights.shape
     first = np.asarray(parts[0])
-    size = first.size
     if out is not None:
         shapes = {out.shape[1:]} if isinstance(out, np.ndarray) else {np.shape(o) for o in out}
         if len(out) != k or shapes != {first.shape}:
             raise ValueError(f"out needs {k} arrays of shape {first.shape}")
-    if (weights.size + (t + 2 * k) * size <= _SMALL_ELEMS or weights.dtype == object
-            or first.dtype == object or first.ndim == 0 or k * size == 0):
+    if (_int64_path(k * first.size, t, field.modulus) != "tiled"
+            or weights.dtype == object or first.dtype == object or first.ndim == 0):
         stack = np.asarray(parts)
-        flat = modmatmul(weights, stack.reshape(len(stack), -1), field.modulus)
+        result = modmatmul(weights, stack.reshape(len(stack), -1), field.modulus).reshape(k, *stack.shape[1:])
         if isinstance(out, np.ndarray):
-            out[...] = flat.reshape(out.shape)
-            return out
-        result = flat.reshape(k, *stack.shape[1:])
-        if out is None:
-            return result
-        for o, r in zip(out, result):
-            o[...] = r
-        return out
+            out[...] = result
+        elif out is not None:
+            for o, r in zip(out, result):
+                o[...] = r
+        return result if out is None else out
     if len(parts) != t or any(np.shape(p) != first.shape for p in parts):
         raise ValueError(f"{t} weights per row need {t} parts of one shape")
     if out is None:

@@ -58,6 +58,14 @@ def worker_multiply(coded_a: MatrixF, coded_b: MatrixF) -> MatrixF:
     return coded_a.transpose() @ coded_b
 
 
+def _block_shape(received) -> tuple[int, int]:
+    """The (rows, cols) of a matrix code's results; results that are not 2-D blocks raise BlockShapeMismatch."""
+    shape = received[0].shape
+    if len(shape) != 2:
+        raise BlockShapeMismatch(f"worker results of shape {shape} are not 2-D blocks")
+    return shape
+
+
 def worker_points(N: int, field: PrimeField) -> tuple[int, ...]:
     """The evaluation points 0..N-1, which are distinct mod q only for q > N (else FieldTooSmall)."""
     if field.modulus <= N:
@@ -214,7 +222,7 @@ class CodingScheme(ABC):
 
         The blocks are combined straight into the assembled product.
         """
-        br, bc = parts[0].shape
+        br, bc = _block_shape(parts)
         blocks = _fresh((self.m, br, self.n, bc), self.field.array_dtype).swapaxes(1, 2)
         combine(self.field, weights, parts, out=grid_blocks(blocks))
         return assemble_array(blocks, dims)
@@ -388,7 +396,7 @@ class UncodedRepetitionCode(CodingScheme):
         # task (j, k, k') is j + k*p + k'*pm; output block (k, k') sums over j
         received = np.asarray(received)
         by_task = received[[first[t] for t in range(self.num_tasks)]].reshape(
-            self.n, self.m, self.p, *received.shape[1:]
+            self.n, self.m, self.p, *_block_shape(received)
         )
         blocks = by_task.sum(axis=2).swapaxes(0, 1) % self.field.modulus
         return assemble_array(blocks, dims)
@@ -457,7 +465,7 @@ class RandomLinearCode(CodingScheme):
         where = self._info_pos[workers]
         inside = where >= 0
         received = np.asarray(received)
-        br, bc = received.shape[1:]
+        br, bc = _block_shape(received)
         flat = received.reshape(len(received), -1)
         q = self.field.modulus
         # Y is R at I & S, and zero at I - S until solved for

@@ -169,11 +169,12 @@ def run_trial(
     config: SimulationConfig,
     scheme: CodingScheme,
     trial: int,
-    inputs: tuple[MatrixF, MatrixF] | None = None,
+    inputs: tuple | None = None,
 ) -> TrialReport:
     """One seeded trial: encode, draw latencies, decode at the threshold.
 
-    inputs, when given, is the (A, B) pair to multiply; otherwise
+    inputs, when given, is the (A, B) pair to multiply, MatrixF or integer
+    arrays, which are read as the MatrixF of their residues; otherwise
     random_inputs draws one from the trial seed.  The trial rng is consumed
     in a scheme-independent order (inputs, latencies, fault choice), so
     configs differing only in the scheme see identical latency draws.  The
@@ -182,6 +183,8 @@ def run_trial(
     """
     rng = _trial_rng(config.seed, trial)
     a, b = inputs or random_inputs(scheme.field, rng, config.dims())
+    if not (isinstance(a, MatrixF) and isinstance(b, MatrixF)):
+        a, b = (x if isinstance(x, MatrixF) else MatrixF(scheme.field, x) for x in (a, b))
     r, t = a.cols, b.cols
     latencies = config.latency.sample(rng, config.N)
     products = scheme.worker_products(a, b)

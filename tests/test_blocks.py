@@ -201,6 +201,13 @@ class TestAssembleProduct:
             with pytest.raises(BlockShapeMismatch):
                 assemble_array(stacked(grid), dims)
 
+    def test_true_dims_that_are_not_two_integers(self, gf7, rng):
+        blocks = stacked([[random_matrix(gf7, 3, 2, rng) for _ in range(3)] for _ in range(2)])
+        for dims in ((1.5, 2), (1,), (1, 2, 3), 3, "12"):
+            with pytest.raises(BlockShapeMismatch):
+                assemble_array(blocks, dims)
+        assert assemble_array(blocks, (np.int64(5), np.uint8(4))).shape == (5, 4)
+
 
 class TestPartitionVector:
     def test_even_split(self, gf7):

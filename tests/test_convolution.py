@@ -89,6 +89,20 @@ class TestConvEncode:
             assert cas.tolist() == ((ca1 + ca2) % 257).tolist()
 
 
+    def test_each_worker_at_the_benchmark_shape(self, gf65537):
+        # m = 3, n = 2, N = 6, s = 4096, one worker at a time: coded vector i
+        # is sum_j x_i^j * block j, entries q - 1 in every third place
+        q = 65537
+        spec = conv_spec(3, 2, 6, 4096, gf65537)
+        rng = np.random.default_rng(4096)
+        a_blocks, b_blocks = list(rng.integers(0, q, size=(3, 4096))), list(rng.integers(0, q, size=(2, 4096)))
+        for blk in (*a_blocks, *b_blocks):
+            blk[::3] = q - 1
+        for i in range(spec.N):
+            for coded, blocks in zip(conv_encode(spec, a_blocks, b_blocks, i), (a_blocks, b_blocks)):
+                want = [sum(i ** j * int(blk[e]) for j, blk in enumerate(blocks)) % q for e in range(4096)]
+                assert coded.tolist() == want
+
     def test_non_canonical_blocks(self, gf65537):
         # 2^62 is a representative of 49153; on the float64 path 2^62 + 4 loses the 4
         spec = conv_spec(2, 2, 4, 3, gf65537)
@@ -295,6 +309,15 @@ class TestConvDecode:
             with pytest.raises(BlockShapeMismatch):
                 conv_decode(spec, results, [0, 1, 2], true_lens=lens)
         assert len(conv_decode(spec, results, [0, 1, 2], true_lens=(6, 6))) == 11
+
+    def test_true_lens_that_are_not_two_integers(self, gf257):
+        # refused by type, not by a slice or an unpacking; numpy integers are integers
+        spec = conv_spec(2, 2, 5, 3, gf257)
+        results = encode_all(spec, [1] * 6, [2] * 6)
+        for lens in ((1.5, 2), (6,), (6, 6, 6), 6, "66"):
+            with pytest.raises(BlockShapeMismatch):
+                conv_decode(spec, results, [0, 1, 2], true_lens=lens)
+        assert len(conv_decode(spec, results, [0, 1, 2], true_lens=(np.int64(6), np.int32(5)))) == 10
 
     def test_product_coefficient_structure(self, gf257, rng):
         # coefficient d of the interpolated polynomial is the anti-diagonal

@@ -102,6 +102,21 @@ class TestFieldElement:
         assert gf7(3) + 5 == gf7(1)
         assert 2 * gf7(4) == gf7(1)
 
+    def test_reflected_operators_and_other_operands(self, gf7):
+        # an int on the left is reduced mod q like one on the right; any
+        # other operand is left to Python, which refuses it
+        assert (10 - gf7(5)).value == 5 and (gf7(5) - 10).value == 2
+        assert (3 / gf7(5)).value == 2 and (gf7(3) / 12).value == 2
+        assert (9 + gf7(5)).value == 0 and (-1 * gf7(2)).value == 5
+        with pytest.raises(DivisionByZero):
+            1 / gf7(0)
+        for other in (1.5, "1", None):
+            for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y, lambda x, y: x / y):
+                with pytest.raises(TypeError):
+                    op(gf7(1), other)
+                with pytest.raises(TypeError):
+                    op(other, gf7(1))
+
 
 class TestFieldPolynomial:
     def test_eval_quadratic(self, gf7):

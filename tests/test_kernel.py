@@ -7,12 +7,14 @@ products without division, which is exact only while a dot product of
 canonical entries plus one canonical partial stays below 2^50; these tests
 check the reduction itself up to that bound, sit on both sides of the chunk
 boundary, on row slabs, column tiles and stack groups that reuse one set of
-buffers (tiny products sent there past both small branches), and on the
+buffers (tiny products sent there past the int64 matmul), and on the
 worst-case entry q - 1.  Operands that do not multiply are refused on
-every branch.  The combiner that every encoder and decoder runs, on the
-same tile loop, is checked on parts of every shape, read in place from
-strided views, in slabs of part-rows, pieces of one part-row and slabs of
-weight rows, and written into the block views of an assembled product.  Allocation guards bound the fresh memory
+every branch, and an empty output past the int64 matmul's bound is zeros.
+The combiner that every encoder and decoder runs, on the same tile loop,
+is checked on parts of every shape, read in place from strided views, in
+slabs of part-rows, pieces of one part-row and slabs of weight rows, and
+written into the block views of an assembled product; past the float64
+bound its int64 combinations run on the limbs.  Allocation guards bound the fresh memory
 of the kernel, the encoder and the decoder by their results, which a
 repeated call takes from the result pool, and one test runs the kernel and
 the FFT convolution that shares its workspace in two threads at once.  The
@@ -100,7 +102,7 @@ def test_int64_operands_beyond_the_float_bound():
 # one on each branch of modmatmul
 MISMATCHED = {
     "int64 matmul": (65537, (2, 3), (4, 2)),
-    "one float64 matmul": (65537, (20, 10), (20, 30)),
+    "tiles, one tile": (65537, (20, 10), (20, 30)),
     "tiles, b longer": (65537, (200, 100), (200, 300)),
     "tiles, b shorter": (65537, (60, 100), (200, 100)),
     "tiles, stacks": (65537, (2, 200, 100), (3, 100, 300)),
@@ -215,9 +217,8 @@ def test_contraction_lengths_around_one_chunk(inner):
 
 @pytest.fixture
 def tiles(monkeypatch):
-    """Send every int64 product, however small, through the tiles: past the int64 and small branches."""
+    """Send every int64 product, however small, through the tiles: past the int64 matmul."""
     monkeypatch.setattr(field_module, "_INT64_MUL_ADDS", 0)
-    monkeypatch.setattr(field_module, "_SMALL_ELEMS", 0)
 
 
 @pytest.mark.parametrize("cols", [1, 2, 3, 5, 7])
@@ -245,6 +246,20 @@ def test_empty_contraction_past_the_single_matmul_bound():
     cols = field_module._TILE_ELEMS + 1
     got = modmatmul(np.zeros((1, 0), dtype=np.int64), np.zeros((0, cols), dtype=np.int64), 7)
     assert got.shape == (1, cols) and not got.any()
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 3), (2, 0)])
+def test_empty_output_past_the_int64_bound(rows, cols):
+    # the shortest contraction whose int64 sums could pass 2^63 at
+    # Q_INT64_MAX: no int64 matmul, and no tile either for an empty output;
+    # zero-stride operands, so the test allocates nothing
+    q = Q_INT64_MAX
+    inner = -(-(1 << 63) // (q - 1) ** 2)
+    assert (inner - 1) * (q - 1) ** 2 < 1 << 63 <= inner * (q - 1) ** 2
+    a = np.broadcast_to(np.int64(q - 1), (rows, inner))
+    b = np.broadcast_to(np.int64(q - 1), (inner, cols))
+    got = modmatmul(a, b, q)
+    assert got.dtype == np.int64 and got.shape == (rows, cols)
 
 
 def test_worker_product_of_length_2_pow_22_does_not_overflow():
@@ -487,10 +502,33 @@ def combined_by_oracle(q: int, weights, parts) -> list:
     return np.array(rows, dtype=object).reshape(len(weights), *np.shape(parts[0])).tolist()
 
 
+@pytest.mark.parametrize("q", [33554467, (1 << 61) - 1])
+@pytest.mark.parametrize("listed", [False, True], ids=["stack", "list"])
+@pytest.mark.parametrize("out", ["fresh", "array", "views"])
+def test_int64_combine_past_the_float_bound(q, listed, out):
+    # at q > 2^25 not one float64 product of int64 entries is exact: a
+    # combination too large for one int64 matmul runs on the limbs, as
+    # modmatmul's products do, never in the tile loop
+    assert exact_float_terms(q) == 0
+    rng = np.random.default_rng(q % 1000)
+    weights = rng.integers(0, q, size=(3, 5))
+    parts = rng.integers(0, q, size=(5, 40, 100))
+    weights[0], parts[-1] = q - 1, q - 1
+    want = combined_by_oracle(q, weights, parts)
+    full = np.full((40, 300), -1, dtype=np.int64)
+    target = {"fresh": None, "array": np.full((3, 40, 100), -1, dtype=np.int64),
+              "views": [full[:, i::3] for i in range(3)]}[out]
+    got = combine(PrimeField(q), weights, list(parts) if listed else parts, out=target)
+    if out == "views":
+        assert got is target and full.min() >= 0
+        got = np.stack(got)
+    assert got.dtype == np.int64 and got.tolist() == want
+
+
 @pytest.fixture
 def slabs(monkeypatch):
-    """Send every int64 combination, however small, through the slab path."""
-    monkeypatch.setattr(field_module, "_SMALL_ELEMS", 0)
+    """Send every int64 combination, however small, through the slab path: past the int64 matmul."""
+    monkeypatch.setattr(field_module, "_INT64_MUL_ADDS", 0)
 
 
 def near_maximal_weights(q: int, rows: int, cols: int) -> np.ndarray:

@@ -303,7 +303,7 @@ def test_combine_equals_the_oracle(q, k, past, shape, views, listed, out, plan, 
     requests = []
     workspace = field_module._workspace
     with mock.patch.multiple(field_module, _TILE_ELEMS=budget,
-                             _SMALL_ELEMS=field_module._SMALL_ELEMS if plan == "one matmul" else 0,
+                             _INT64_MUL_ADDS=field_module._INT64_MUL_ADDS if plan == "one matmul" else 0,
                              _workspace=lambda n: requests.append(n) or workspace(n)):
         got = combine(PrimeField(q), weights, list(parts) if listed else parts, out=target)
     want = naive_matmul_t(q, weights.T.tolist(), parts.reshape(t, -1).tolist())

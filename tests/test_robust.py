@@ -158,6 +158,20 @@ def test_fewer_than_n_results_are_refused(repair, setup_9_workers):
         repair(code, code.worker_products(a, b)[:8], dims=(4, 2))
 
 
+def test_an_entry_written_as_q_is_read_as_zero(gf65537, rng):
+    # A = 0, so every result is zero; worker 8 writes one zero entry as its
+    # representative q.  The int64 stack's canonical check must reduce it:
+    # read unreduced, worker 8 would disagree with the fit and be blamed
+    code = EntangledCode(2, 2, 1, 9, gf65537)
+    zero = MatrixF(gf65537, np.zeros((4, 4), dtype=np.int64))
+    stack = code.worker_products(zero, random_matrix(gf65537, 4, 2, rng))
+    assert not stack.any()
+    stack[8].flat[0] = gf65537.modulus
+    out = detect_errors(code, stack, dims=(4, 2))
+    assert isinstance(out, Clean) and out.matrix.tolist() == [[0, 0]] * 4
+    assert correct_errors(code, stack, dims=(4, 2)).tolist() == [[0, 0]] * 4
+
+
 @pytest.mark.parametrize("repair", [detect_errors, correct_errors])
 @pytest.mark.parametrize("worker", [0, 8])
 def test_result_of_another_shape_is_refused(repair, worker, setup_9_workers):

@@ -284,6 +284,25 @@ class TestDecodeEntryPoint:
 
 
 @pytest.mark.parametrize("name", sorted(BATCHED))
+def test_malformed_shapes_are_refused(name, gf65537, rng):
+    # dims that are not two integers, and results that are not 2-D blocks
+    # (scalars or vectors), are refused by type; numpy integers are integers
+    scheme = BATCHED[name](gf65537)
+    a, b = random_matrix(gf65537, 5, 3, rng), random_matrix(gf65537, 5, 2, rng)
+    stack = scheme.worker_products(a, b)
+    subset = list(range(scheme.N))
+    for dims in ((1.5, 2), (1,), (1, 2, 3), 3, "32"):
+        with pytest.raises(BlockShapeMismatch):
+            scheme.decode(stack, subset, dims=dims)
+    flat = stack.reshape(scheme.N, -1)
+    for results in (flat[:, 0], flat, dict(enumerate(flat))):
+        with pytest.raises(BlockShapeMismatch):
+            scheme.decode(results, subset)
+    got = scheme.decode(stack, subset, dims=(np.int64(3), np.uint8(2)))
+    assert np.array_equal(got, oracle_product(a, b).data)
+
+
+@pytest.mark.parametrize("name", sorted(BATCHED))
 def test_decode_takes_any_representative(name, gf65537, rng):
     # results shifted by multiples of q up to 2^30 q (entries near 2^46, both
     # signs) are the same field elements and must decode to the same product

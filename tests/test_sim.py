@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from codedmm.blocks import MatrixF
 from codedmm.errors import FieldTooSmall
 from codedmm.sim import (
     FixedStragglers,
@@ -36,14 +37,23 @@ class TestDeterminism:
         assert exp.mean_completion == single.completion_time
 
     def test_explicit_inputs(self, gf65537):
-        from codedmm.blocks import MatrixF
-
         cfg = config(trials=1)
         scheme = build_scheme(cfg)
         a = MatrixF(gf65537, [[1, 2], [3, 4]])
         b = MatrixF(gf65537, [[5], [6]])
         rep = run_trial(cfg, scheme, 0, inputs=(a, b))
         assert rep.success and rep.oracle_match
+
+    def test_explicit_array_inputs(self, gf65537):
+        # integer arrays, negative and past q included, run as the MatrixF
+        # of their residues, as encode_all and worker_products take them
+        cfg = config(trials=1, N=8)
+        scheme = build_scheme(cfg)
+        a = np.array([[1, -2, 3], [4, 5, 65537 + 6], [7, 8, 9], [-10, 11, 12]])
+        b = np.array([[5], [6], [1 << 40], [-1]])
+        rep = run_trial(cfg, scheme, 0, inputs=(a, b))
+        want = run_trial(cfg, scheme, 0, inputs=(MatrixF(gf65537, a), MatrixF(gf65537, b)))
+        assert rep == want and rep.oracle_match
 
     def test_csv_rows_stable(self):
         rows1 = report_rows(run_experiment(config(trials=8)).reports)
