@@ -24,8 +24,9 @@ from typing import Mapping
 
 import numpy as np
 
+from .blocks import _int_pair
 from .errors import BlockShapeMismatch, ConstructionTooLarge, TooFewWorkers
-from .field import PrimeField, canonical_array, combine, lagrange_matrix, modmatmul, vandermonde
+from .field import PrimeField, canonical_array, combine, lagrange_matrix, modmatmul, mulmod, vandermonde
 from .schemes import InterpolationCode, worker_points
 
 _RANK_BUDGET = 10**6
@@ -100,7 +101,7 @@ def validate_construction(bc: BilinearConstruction, field: PrimeField) -> Valida
     a = bc.a.astype(field.array_dtype, copy=True) % q
     b = bc.b.astype(field.array_dtype, copy=True) % q
     c = bc.c.astype(field.array_dtype, copy=True) % q
-    pair = a.reshape(r, p * m, 1) * b.reshape(r, 1, p * n) % q
+    pair = mulmod(a.reshape(r, p * m, 1), b.reshape(r, 1, p * n), q)
     got = modmatmul(pair.reshape(r, p * m * p * n).T, c.reshape(r, m * n), q)
     got = got.reshape(p * m, p * n, m * n)
 
@@ -224,7 +225,8 @@ class ElementwiseProductCode(InterpolationCode):
     their product h, and output_map, the Vandermonde matrix at the x points,
     maps h's coefficients to the R products.  Threshold min(N, 2R - 1): when
     N < 2R - 1 the all-workers subset reads the first R workers, whose
-    points are the x points.  Entries may be field scalars or equal blocks.
+    points are the x points.  Entries may be field scalars or equal blocks;
+    decode's dims, when given, must be (R, R), as the vectors are not padded.
     """
 
     def __init__(self, length: int, N: int, field: PrimeField):
@@ -252,9 +254,11 @@ class ElementwiseProductCode(InterpolationCode):
 
     def _work(self, coded_a: np.ndarray, coded_b: np.ndarray) -> np.ndarray:
         """Every worker's result: the element-wise product of its stored pair."""
-        return coded_a * coded_b % self.field.modulus
+        return mulmod(coded_a, coded_b, self.field.modulus)
 
     def _decode_received(self, received, workers: list[int], dims) -> np.ndarray:
+        if dims is not None and _int_pair(dims, "dims") != (self.length, self.length):
+            raise BlockShapeMismatch(f"dims {dims} are not the vector lengths ({self.length}, {self.length})")
         if len(workers) < self.output_map.shape[1]:
             # below 2R - 1 results every worker is present, and y_i = x_i for
             # i < R: those workers hold the products directly

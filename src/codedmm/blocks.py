@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BlockShapeMismatch, FieldMismatch
-from .field import FieldElement, PrimeField, canonical_array, modmatmul
+from .field import FieldElement, PrimeField, canonical_array, modmatmul, mulmod
 
 
 class MatrixF:
@@ -89,7 +89,7 @@ class MatrixF:
         return MatrixF._wrap(self.field, modmatmul(self.data, other.data, self.field.modulus))
 
     def scale(self, k: int) -> "MatrixF":
-        return MatrixF(self.field, self.data * (k % self.field.modulus))
+        return MatrixF._wrap(self.field, mulmod(self.data, canonical_array(self.field, k), self.field.modulus))
 
     def transpose(self) -> "MatrixF":
         return MatrixF._wrap(self.field, self.data.T)
@@ -198,13 +198,14 @@ def overlap_add(field: PrimeField, block_convs: Sequence[np.ndarray], block_len:
     """Reassemble a full convolution from its per-diagonal block convolutions.
 
     block_convs[d] must be the length 2s-1 convolution sum over all block
-    pairs (j, k) with j + k = d; block d lands at offset d*s.
+    pairs (j, k) with j + k = d; block d lands at offset d*s.  Blocks of
+    any other shape raise BlockShapeMismatch.
     """
     s = block_len
     expect = 2 * s - 1
     for blk in block_convs:
-        if len(blk) != expect:
-            raise BlockShapeMismatch(f"block of length {len(blk)}, expected {expect}")
+        if np.shape(blk) != (expect,):
+            raise BlockShapeMismatch(f"block of shape {np.shape(blk)}, expected ({expect},)")
     out = np.zeros(len(block_convs) * s + (s - 1), dtype=field.array_dtype)
     for d, blk in enumerate(block_convs):
         out[d * s: d * s + expect] += np.asarray(blk)
@@ -228,5 +229,5 @@ def read_matrix_text(text: str) -> MatrixF:
     if len(entries) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
     field = PrimeField(q)
-    data = np.array(entries, dtype=field.array_dtype).reshape(rows, cols)
+    data = np.array(entries, dtype=object).reshape(rows, cols)
     return MatrixF(field, data)

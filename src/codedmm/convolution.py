@@ -42,7 +42,7 @@ overlap-add, so products have length at most 2^14 and the largest bound,
 1/4.  The bound is proved for a radix-2 transform; the factor of about 2^9
 between it and 1/2 covers the constant-factor differences of numpy's
 pocketfft and its real-input packing.  Larger moduli convolve Python ints
-directly.
+directly, returned in the field's dtype.
 """
 
 from __future__ import annotations
@@ -54,10 +54,10 @@ import numpy as np
 
 from .blocks import _int_pair, overlap_add, partition_vector
 from .errors import BlockShapeMismatch, TooFewWorkers
-from .field import PrimeField, _workspace, canonical_array, combine, vandermonde
+from .field import _INT64_SAFE_MODULUS, PrimeField, _workspace, canonical_array, combine, vandermonde
 from .schemes import InterpolationCode, worker_points
 
-# int64-path entries, below 2^21, split into a low limb of this many bits
+# Entries below 2^21 split into a low limb of this many bits
 # and a high limb below 2^10.
 _LIMB_BITS = 11
 
@@ -120,14 +120,15 @@ def field_convolve(field: PrimeField, a, b) -> np.ndarray:
     most _FFT_PIECE entries, each pair of pieces is one exact float64 FFT
     product of 11-bit and 10-bit limbs (see the module docstring for the
     error bound), and the pair products, recombined in int64 and reduced
-    mod q, overlap-add.  Larger moduli convolve Python ints with np.convolve.
+    mod q, overlap-add.  Larger moduli convolve Python ints with np.convolve,
+    exact at any length, into the field's dtype.
     """
     q = field.modulus
     av, bv = canonical_array(field, a), canonical_array(field, b)
     if av.ndim != 1 or bv.ndim != 1 or not len(av) or not len(bv):
         raise ValueError(f"operands must be non-empty 1-D vectors, got shapes {av.shape} and {bv.shape}")
-    if av.dtype == object:
-        return np.convolve(av, bv) % q
+    if q >= _INT64_SAFE_MODULUS:
+        return (np.convolve(av.astype(object), bv.astype(object)) % q).astype(field.array_dtype)
     if len(av) > len(bv):
         av, bv = bv, av
     pa, pb = min(len(av), _FFT_PIECE), min(len(bv), _FFT_PIECE)

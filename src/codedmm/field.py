@@ -1,46 +1,29 @@
 """Exact arithmetic in GF(q) for prime q, plus polynomial evaluation and
 Lagrange interpolation.
 
-Field elements are canonical integers in [0, q).  The heavier matrix paths
-elsewhere in the package keep raw canonical ints in numpy arrays; the
-``FieldElement`` wrapper exists for scalar work where operator syntax and
-field-mixing checks are worth having.
+Field elements are canonical integers in [0, q), kept raw in numpy arrays;
+the ``FieldElement`` wrapper serves scalar work with operator syntax.
 
-Every matrix contraction over GF(q) goes through ``modmatmul`` or
-``combine``, and one rule (``_int64_path``) picks the path of an int64
-one.  For q < 2^21 arrays are int64.  Contractions of at most 4096
-multiply-adds are one int64 matmul reduced with one ``%``, exact while
-each sum of products stays below 2^63.  Larger ones run on float64 BLAS
-with delayed modular reduction (Dumas, Giorgi & Pernet, FFLAS-FFPACK): a
-sum of k products of canonical entries is an integer of at most
-k*(q-1)^2, which float64 holds exactly, so contractions are split into
-chunks of at most (2^50 - q) // (q-1)^2 terms (256 or more for q < 2^21)
-and reduced between chunks, in one tile loop (``_tiled``), out[s][i] =
-sum_t a[s][i, t] * parts[s][t] mod q: a product's parts are the rows of b,
-a combination is one stack entry whose a is the weights.  The loop
-allocates nothing but the array it returns.  One planner cuts the work
-into tiles (Goto & van de Geijn), slabs of rows of a times whole
-part-rows or pieces of one part-row, whose float64 copies, product and
-scratch live in one per-thread workspace of _TILE_ELEMS entries.  Each
-tile is reduced there without division, x - floor(x * c) * q with c a
-reciprocal of q rounded up, exact below 2^50, and copied into the result
-once.  The parts are read where they lie, strided views included, and a
-combination can write into the caller's array or views (``out``).
-convolution.field_convolve keeps its FFT buffers in the workspace too.
-No kernel function calls another while it holds the workspace.
+Arrays are int64 for every q < 2^62, where the sum of two canonical
+entries stays below 2^63, and hold Python ints (object) from 2^62 up.
+Every element-wise product goes through ``mulmod``, and every contraction,
+a sum of more than two entries included, through ``modmatmul`` or
+``combine``; one rule (``_path``) picks a contraction's path.  Below 2^21,
+contractions of at most 4096 multiply-adds are one int64 matmul and one
+``%``; larger ones run on float64 BLAS with delayed modular reduction
+(Dumas, Giorgi & Pernet, FFLAS-FFPACK) in one tile loop (``_tiled``),
+chunks of the contraction that float64 sums exactly reduced between chunks
+without division, in tiles (Goto & van de Geijn) that live in one
+per-thread workspace.  convolution.field_convolve keeps its FFT buffers in
+the workspace too; no kernel function calls another while it holds it.
 Results of 64 KB or more, and the products that schemes assemble, come from
-one result pool shared by every thread (``_fresh``): a buffer that no result
-or view of one holds any longer is handed out again, so a program that takes
-results of the same shapes job after job writes into memory that is already
-mapped instead of faulting fresh pages in.
-Larger moduli store Python-int (object) arrays.  Below 2^63 their larger
-products run on the same float64 BLAS with no Python int on the way:
-entries split into 21-bit limbs, the limb products sum exactly in float64
-chunks, and one more float64 product with a table of powers of 2 mod q and
-a quotient estimate that is never too large (Barrett) reduces the sums to
-canonical residues in uint64; int64 operands take the same path where
-not even one float64 product is exact (q > 2^25).  Smaller products, and
-every product at q >= 2^63, multiply as Python ints, exact at any length.
+one result pool shared by every thread (``_fresh``), so results of the same
+shapes job after job reuse memory that is already mapped.  From 2^21 up to
+2^63 the larger products run on the same float64 BLAS with no Python int on
+the way: entries split into 21-bit limbs whose products sum exactly in
+float64, and a Barrett reduction in float64 and wrapping uint64 takes the
+sums to canonical residues, which int64 results view uncopied.  Smaller
+products, and every product at q >= 2^63, multiply as Python ints.
 
 Decoding interpolates through ``lagrange_basis``, which returns only the
 rows of the inverse Vandermonde matrix that a decoder reads: synthetic
@@ -63,10 +46,13 @@ import numpy as np
 
 from .errors import DivisionByZero, DuplicateEvaluationPoint, FieldMismatch, NonIntegerEntry
 
-# Moduli below this get int64 arrays, whose contractions modmatmul runs on
-# float64 BLAS in chunks of at least 256 terms; larger moduli get Python-int
-# (object) arrays.
+# int64 contractions over moduli below this run on the float64 tile loop, in
+# chunks of at least 256 terms; over larger ones, on 21-bit limbs.
 _INT64_SAFE_MODULUS = 1 << 21
+
+# Moduli below this get int64 arrays, where the sum of two canonical entries
+# stays below 2^63; larger moduli get Python-int (object) arrays.
+_OBJECT_MODULUS = 1 << 62
 
 # _reduce takes float64 integers below this bound to their exact residues.
 _REDUCE_EXACT = 1 << 50
@@ -83,19 +69,16 @@ _TILE_ELEMS = 1 << 18
 # int64-path prime: 2^12 (q-1)^2 < 2^54 for q < 2^21.
 _INT64_MUL_ADDS = 1 << 12
 
-# Object products over moduli from _INT64_SAFE_MODULUS up to this bound run
-# on 21-bit limbs (_limb_product); larger moduli multiply as Python ints.
+# Products over moduli from _INT64_SAFE_MODULUS up to this bound run on
+# 21-bit limbs (_limb_product, mulmod); larger moduli multiply as Python ints.
 _LIMB_MODULUS = 1 << 63
 _LIMB_BITS = 21
 _LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
 _LIMB_SHIFTS = np.array([0, _LIMB_BITS, 2 * _LIMB_BITS], dtype=np.uint64).reshape(3, 1, 1)
 
-# Object products with fewer result entries (stack * rows * cols) or fewer
-# multiply-adds (times inner) stay Python ints: there, Python's multiply-adds
-# cost less than the limb path's fixed cost of about 25 numpy calls and its
-# conversions of every operand entry (measured at q = 2^61 - 1, see
-# modmatmul).
-_LIMB_MIN_ENTRIES = 1 << 6
+# Products over those moduli of fewer multiply-adds (for mulmod, entries)
+# multiply as Python ints, about 0.1 us each, below the limb path's fixed
+# cost of about 25 numpy calls (measured at q = 2^61 - 1, see modmatmul).
 _LIMB_MIN_MUL_ADDS = 1 << 9
 
 # The limb path keeps its per-modulus tables for this many recent moduli.
@@ -162,9 +145,8 @@ class PrimeField:
         if not is_prime(modulus):
             raise ValueError(f"modulus must be prime, got {modulus}")
         object.__setattr__(self, "modulus", modulus)
-        # Larger moduli fall back to Python-int (object) arrays to keep
-        # matrix contractions exact.
-        dtype = np.int64 if modulus < _INT64_SAFE_MODULUS else object
+        # a sum of two canonical entries past 2^62 could pass 2^63
+        dtype = np.int64 if modulus < _OBJECT_MODULUS else object
         object.__setattr__(self, "array_dtype", dtype)
 
     def __setattr__(self, name, value):
@@ -425,16 +407,17 @@ def _cached_basis(field: PrimeField, xs: tuple[int, ...],
     the quotient's coefficients from the top, quot[K-1] = 1 and quot[d] =
     master[d+1] + xs[i] quot[d+1], and Horner on them gives quot(xs[i]) =
     master'(xs[i]); both run for every point at once, K numpy steps of K
-    entries.  master'(xs[i]) = prod_{j != i} (xs[i] - xs[j]) is zero
-    exactly when a point repeats mod q (DuplicateEvaluationPoint).  The
+    entries, on int64 below 2^21 and on Python ints past it, where a step is
+    too small for the limbs.  master'(xs[i]) = prod_{j != i} (xs[i] - xs[j])
+    is zero exactly when a point repeats mod q (DuplicateEvaluationPoint).  The
     barycentric weights w_i = 1 / master'(xs[i]) (Berrut & Trefethen, SIAM
     Review 2004) take one pow in all, by Montgomery's trick: the exact
     product P of the K values is inverted once, and w_i = (P / master'(xs[i]))
-    P^-1.  Row d is w_i times quot[d].
+    P^-1.  Row d is w_i times quot[d], in the field's dtype.
     """
     q = field.modulus
     k = len(xs)
-    dtype = field.array_dtype
+    dtype = field.array_dtype if q < _INT64_SAFE_MODULUS else object
     if rows and (min(rows) < 0 or max(rows) >= k):
         raise ValueError(f"rows {list(rows)} are not all degrees below {k}")
     # master(x) = prod_j (x - xs[j]), low-to-high coefficients
@@ -457,7 +440,7 @@ def _cached_basis(field: PrimeField, xs: tuple[int, ...],
     if total % q == 0:
         raise DuplicateEvaluationPoint(f"points {list(xs)} are not distinct mod {q}")
     weights = (total * pow(total, -1, q) // np.array(derivatives, dtype=object) % q).astype(dtype)
-    basis = (quot if rows is None else quot[list(rows)]) * weights % q
+    basis = mulmod(quot if rows is None else quot[list(rows)], weights, q).astype(field.array_dtype, copy=False)
     basis.flags.writeable = False
     return basis, FieldPolynomial(field, master)
 
@@ -485,7 +468,7 @@ def lagrange_interpolate(points) -> FieldPolynomial:
 
 
 def canonical_array(field: PrimeField, data) -> np.ndarray:
-    """data as a fresh array of canonical entries in the field's dtype.
+    """data as a fresh array of canonical entries in the field's dtype: int64 below 2^62, else object.
 
     Integer, boolean and unsigned arrays, nested sequences of ints and object
     arrays of ints are reduced exactly, whatever their size.  A float,
@@ -512,10 +495,10 @@ def canonical_array(field: PrimeField, data) -> np.ndarray:
 def random_elements(rng: np.random.Generator, q: int, size=None):
     """Uniform draws from [0, q) by a numpy Generator: an int, or an array of shape size.
 
-    Below 2^63 this is exactly rng.integers(0, q, size), so seeded streams
-    keep their values.  Larger moduli, past numpy's int64 draws, take one
-    seed from rng for a random.Random that draws Python ints, returned as
-    an object array when size is given.
+    Below 2^63 this is exactly rng.integers(0, q, size), int64, so seeded
+    streams keep their values.  Larger moduli, past numpy's int64 draws,
+    take one seed from rng for a random.Random that draws Python ints,
+    returned as an object array when size is given.
     """
     if q <= 1 << 63:
         return rng.integers(0, q, size=size)
@@ -662,9 +645,10 @@ def exact_limb_terms(q: int) -> int:
 def _limb_operand(x: np.ndarray, q: int) -> np.ndarray:
     """x's integer entries as canonical uint64, for _limb_product.
 
-    Entries outside [0, q), negative or past 2^64 included, are reduced mod
-    q first, so a limb product equals (a @ b) % q on Python ints for any
-    integer representatives.
+    int64 entries are viewed uncopied, object ones (stored only at q >=
+    2^62) converted.  Entries outside [0, q), negative or past 2^64
+    included, are reduced mod q first, so a limb product equals (a @ b) % q
+    on Python ints for any integer representatives.
     """
     try:
         u = x.astype(np.uint64) if x.dtype == object else x.astype(np.int64, copy=False).view(np.uint64)
@@ -775,69 +759,79 @@ def _limb_product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-def _int64_path(size: int, inner: int, q: int) -> str:
-    """The path of an int64 contraction of inner terms into size result entries mod q.
+def mulmod(a, b, q: int) -> np.ndarray:
+    """Canonical a * b mod q, element-wise and broadcast, for arrays of canonical entries.
 
-    The one rule that modmatmul and combine read: "matmul", one int64
-    matmul, for at most _INT64_MUL_ADDS multiply-adds (size * inner) whose
-    int64 sums stay exact, inner * (q-1)^2 < 2^63, an empty contraction
-    included; else "zeros" for an empty result; else "limbs" where not even
-    one float64 product is exact (exact_float_terms(q) == 0, q > 2^25);
-    else "tiled", the tile loop.
+    Object operands multiply as Python ints, int64 ones in one int64 product
+    where (q-1)^2 < 2^63.  Past that, below 2^63, a product of at least
+    _LIMB_MIN_MUL_ADDS entries takes 21-bit limbs, whose diagonal sums
+    sum_{s+t=d} a_s b_t stay below 2^44, exact in float64, for _limb_reduce;
+    other int64 operands multiply as Python ints and come back int64.
     """
-    if size * inner <= _INT64_MUL_ADDS and inner * (q - 1) ** 2 < 1 << 63:
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype == object or b.dtype == object or (q - 1) ** 2 < 1 << 63:
+        return a * b % q
+    shape = np.broadcast(a, b).shape
+    if q >= _LIMB_MODULUS or prod(shape) < _LIMB_MIN_MUL_ADDS:
+        return (a.astype(object) * b % q).astype(np.int64)
+    a_limbs, b_limbs = ((np.broadcast_to(x, shape).reshape(1, -1).view(np.uint64) >> _LIMB_SHIFTS[:, 0]
+                         & _LIMB_MASK).astype(np.float64) for x in (a, b))
+    diagonals = np.zeros((5, 1, a_limbs.shape[1]))
+    for s in range(3):
+        diagonals[s:s + 3, 0] += a_limbs[s] * b_limbs
+    return _limb_reduce(diagonals, q).view(np.int64).reshape(shape)
+
+
+def _path(size: int, inner: int, q: int, objects: bool) -> str:
+    """The path of a contraction of inner terms into size result entries mod q, for modmatmul and combine.
+
+    int64 operands take one int64 "matmul" for at most _INT64_MUL_ADDS
+    multiply-adds (size * inner) whose sums stay below 2^63; below 2^21 the
+    others take the tile loop, "tiled", or "zeros" for an empty result.  Up
+    to 2^63, at least _LIMB_MIN_MUL_ADDS take "limbs"; the rest "python".
+    """
+    if not objects and size * inner <= _INT64_MUL_ADDS and inner * (q - 1) ** 2 < 1 << 63:
         return "matmul"
-    if size == 0:
-        return "zeros"
-    return "limbs" if exact_float_terms(q) == 0 else "tiled"
+    if not objects and q < _INT64_SAFE_MODULUS:
+        return "tiled" if size else "zeros"
+    if not _INT64_SAFE_MODULUS <= q < _LIMB_MODULUS or size * inner < _LIMB_MIN_MUL_ADDS:
+        return "python"
+    return "limbs"
 
 
 def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     """Canonical (a @ b) mod q for arrays of canonical entries.
 
     Operands are matrices or equal-length stacks of them, (..., rows, inner)
-    @ (..., inner, cols), one product per stack entry; one operand may be a
-    single matrix, shared by every entry.  Operands whose inner dimensions
-    or stacks disagree raise ValueError, and so do int64 operands at q >=
-    2^63, whose residues int64 cannot hold.  Object operands over 2^21 <= q <
-    2^63 with at least _LIMB_MIN_ENTRIES result entries and
-    _LIMB_MIN_MUL_ADDS multiply-adds convert to canonical uint64, reduced
-    mod q on entry, multiply on 21-bit limbs (_limb_product) and return
-    Python ints.
-    Measured in-process at q = 2^61 - 1, an 8 x 8 x 8 product took 46 us as
-    Python ints and 30 us on limbs, 6 x 6 x 8 26 us both ways, and in
-    fault-repair jobs the 9 x 64 x 1 products (9 entries) 53 us as Python
-    ints and 64 us on limbs; a 256^2 product took about 1.8 s as Python
-    ints and 30-50 ms on limbs.  Other object products, and every one at q
-    >= 2^63, multiply as Python ints.  int64 operands take the path that
-    _int64_path picks for stack * rows * cols result entries: one int64
-    matmul reduced with one ``%``, zeros, the limbs (staying int64), or the
-    tile loop (_tiled), whose parts are the rows of b, in chunks of the
-    contraction that _reduce takes exactly (exact_float_terms), into a
-    result from the result pool (_fresh), allocating nothing else.  The
-    result has the operands' dtype.
+    @ (..., inner, cols); one operand may be a single matrix, shared by every
+    entry.  Operands whose inner dimensions or stacks disagree raise
+    ValueError, and so do int64 operands at q >= 2^63.  The path is _path's:
+    one int64 matmul and one ``%``; zeros; the tile loop (_tiled), whose
+    parts are the rows of b, into a result from the result pool (_fresh);
+    21-bit limbs (_limb_product) on canonical uint64 operands, reduced on
+    entry only when an entry lies outside [0, q); or Python ints.  At q =
+    2^61 - 1 on int64 operands, best of 5, Python ints against limbs:
+    (9 x 9)(9 x 1) 12.6 against 27.8 us, 8^3 53 against 29 us, the repair's
+    (9 x 128)(128 x 1) 131 against 41 us, 256^2 about 1.8 s against 30-50
+    ms.  The result is int64, or object for object operands.
     """
     if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]
             or a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]):
         raise ValueError(f"operands of shapes {a.shape} and {b.shape} do not multiply")
-    if q >= _LIMB_MODULUS and a.dtype != object and b.dtype != object:
+    objects = a.dtype == object or b.dtype == object
+    if q >= _LIMB_MODULUS and not objects:
         raise ValueError(f"{a.dtype} operands cannot hold residues mod {q}")
-    rows, inner = a.shape[-2:]
-    cols = b.shape[-1]
+    (rows, inner), cols = a.shape[-2:], b.shape[-1]
     stack = a.shape[:-2] if a.ndim >= b.ndim else b.shape[:-2]
-    size = prod(stack) * rows * cols
-    if a.dtype == object or b.dtype == object:
-        if (not _INT64_SAFE_MODULUS <= q < _LIMB_MODULUS or size < _LIMB_MIN_ENTRIES
-                or size * inner < _LIMB_MIN_MUL_ADDS):
-            return (a @ b) % q
-        return _limb_product(_limb_operand(a, q), _limb_operand(b, q), q).astype(object)
-    path = _int64_path(size, inner, q)
+    path = _path(prod(stack) * rows * cols, inner, q, objects)
     if path == "matmul":
         return np.remainder(np.matmul(a, b, dtype=np.int64), q)
     if path == "zeros":
         return np.zeros((*stack, rows, cols), dtype=np.int64)
-    if path == "limbs":
-        return _limb_product(_limb_operand(a, q), _limb_operand(b, q), q).view(np.int64)
+    if path in ("python", "limbs"):
+        product = a.astype(object) @ b % q if path == "python" else _limb_product(
+            _limb_operand(a, q), _limb_operand(b, q), q).view(np.int64)
+        return product.astype(object if objects else np.int64, copy=False)
     out = _fresh((*stack, rows, cols), np.int64)
     # a shared operand is one stack entry, which matmul broadcasts
     _tiled(a.reshape(-1, rows, inner), b.reshape(-1, inner, cols), out.reshape(-1, rows, cols), q)
@@ -855,13 +849,10 @@ def combine(field: PrimeField, weights: np.ndarray, parts, out=None) -> np.ndarr
     result's shape, or a sequence of len(weights) arrays of the parts'
     shape, such as the block views of an assembled product.
 
-    An int64 combination that modmatmul would tile (_int64_path) is
-    modmatmul's tile loop (_tiled) with one stack entry, the weights as its
-    a and the parts as its parts, read where they lie and written straight
-    into out, so the result, taken from the result pool (_fresh) unless out
-    is given, is all it allocates.  Every other combination (object or
-    scalar parts, and the int64 ones that modmatmul takes as one matmul,
-    zeros or limbs) is one modmatmul of the stacked parts.
+    A combination that modmatmul would tile (_path) is the tile loop
+    (_tiled) with the weights as its a, the parts read where they lie and
+    the result, from the result pool (_fresh) unless out is given, all it
+    allocates; every other one is one modmatmul of the stacked parts.
     """
     k, t = weights.shape
     first = np.asarray(parts[0])
@@ -869,8 +860,8 @@ def combine(field: PrimeField, weights: np.ndarray, parts, out=None) -> np.ndarr
         shapes = {out.shape[1:]} if isinstance(out, np.ndarray) else {np.shape(o) for o in out}
         if len(out) != k or shapes != {first.shape}:
             raise ValueError(f"out needs {k} arrays of shape {first.shape}")
-    if (_int64_path(k * first.size, t, field.modulus) != "tiled"
-            or weights.dtype == object or first.dtype == object or first.ndim == 0):
+    objects = weights.dtype == object or first.dtype == object
+    if _path(k * first.size, t, field.modulus, objects) != "tiled" or first.ndim == 0:
         stack = np.asarray(parts)
         result = modmatmul(weights, stack.reshape(len(stack), -1), field.modulus).reshape(k, *stack.shape[1:])
         if isinstance(out, np.ndarray):
@@ -998,7 +989,7 @@ def vandermonde(field: PrimeField, xs: Sequence[int], n_cols: int) -> np.ndarray
     s = 1
     while s < n_cols:
         step = min(s, n_cols - s)
-        table[:, s:s + step] = table[:, :step] * power % q
-        power = power * power % q
+        table[:, s:s + step] = mulmod(table[:, :step], power, q)
+        power = mulmod(power, power, q)
         s *= 2
     return table

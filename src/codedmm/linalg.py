@@ -14,7 +14,7 @@ from math import prod
 
 import numpy as np
 
-from .field import PrimeField, canonical_array
+from .field import PrimeField, canonical_array, mulmod
 
 
 def solve_linear_system(
@@ -46,11 +46,11 @@ def solve_linear_system(
         pivot = row + int(nonzero[0])
         if pivot != row:
             aug[[row, pivot]] = aug[[pivot, row]]
-        aug[row] = aug[row] * field.inv(int(aug[row, col])) % q
+        aug[row] = mulmod(aug[row], field.inv(int(aug[row, col])), q)
         factors = aug[:, col].copy()
         factors[row] = 0
         # columns left of col are already zero in the pivot row
-        aug[:, col:] = (aug[:, col:] - np.outer(factors, aug[row, col:])) % q
+        aug[:, col:] = (aug[:, col:] - mulmod(factors[:, None], aug[row, col:], q)) % q
         pivot_cols.append(col)
     rank = len(pivot_cols)
     if require_full_column_rank and rank < cols:

@@ -197,7 +197,7 @@ def _locate_errors(
     for i, (x, y) in enumerate(zip(map(int, xs), ys.tolist())):
         value = 0
         for c in high_first:
-            value = (value * x + c) % q
+            value = (value * x + c) % q  # scalar: Python ints
         if value != y:
             mismatches.append(i)
     return mismatches if len(mismatches) <= max_errors else None

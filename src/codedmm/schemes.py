@@ -44,7 +44,7 @@ from .errors import (
     UnknownWorker,
 )
 from .field import (
-    PrimeField, _fresh, canonical_array, combine, lagrange_basis, modmatmul, random_elements, vandermonde,
+    PrimeField, _fresh, canonical_array, combine, lagrange_basis, modmatmul, mulmod, random_elements, vandermonde,
 )
 from .linalg import solve_linear_system
 
@@ -256,7 +256,8 @@ class InterpolationCode(CodingScheme):
     the rows of V_S^-1 at the degrees where output_map has a nonzero
     column, so the constructor keeps those degrees and output_map cut to
     them, and a decode asks lagrange_basis for just those rows: 3 of 11 for
-    the (3, 3, 1) entangled code.  _assemble(weights, parts,
+    the (3, 3, 1) entangled code; where each part is one coefficient, those
+    rows, in the parts' order, are the map itself.  _assemble(weights, parts,
     dims) then builds the product from the parts' combination: A^T B from
     its mn blocks, written in place, the R element-wise products, or the
     overlap-add of K block convolutions.  Every evaluation code is built
@@ -271,8 +272,10 @@ class InterpolationCode(CodingScheme):
         super().__init__(field, gen_a, gen_b)
         self.points = points
         self.output_map = output_map
-        self._degrees = tuple(np.flatnonzero(output_map.any(axis=0)).tolist())
-        self._degree_map = output_map[:, self._degrees]
+        # where each part is one coefficient, the decode map is those rows, in order
+        select = np.isin(output_map, (0, 1)).all() and (output_map.sum(axis=1) == 1).all()
+        self._degrees = tuple((output_map.argmax(axis=1) if select else np.flatnonzero(output_map.any(axis=0))).tolist())
+        self._degree_map = None if select else output_map[:, self._degrees]
 
     def recovery_threshold(self) -> int:
         return self.output_map.shape[1]
@@ -281,7 +284,7 @@ class InterpolationCode(CodingScheme):
         """The product, interpolated through the first K workers."""
         first = workers[:self.output_map.shape[1]]
         rows = lagrange_basis(self.field, [self.points[w] for w in first], self._degrees)
-        decode_map = modmatmul(self._degree_map, rows, self.field.modulus)
+        decode_map = rows if self._degree_map is None else modmatmul(self._degree_map, rows, self.field.modulus)
         return self._assemble(decode_map, received[:len(first)], dims)
 
 
@@ -395,11 +398,11 @@ class UncodedRepetitionCode(CodingScheme):
             raise InsufficientResults(f"{missing} of {self.num_tasks} sub-products missing")
         # task (j, k, k') is j + k*p + k'*pm; output block (k, k') sums over j
         received = np.asarray(received)
-        by_task = received[[first[t] for t in range(self.num_tasks)]].reshape(
-            self.n, self.m, self.p, *_block_shape(received)
-        )
-        blocks = by_task.sum(axis=2).swapaxes(0, 1) % self.field.modulus
-        return assemble_array(blocks, dims)
+        br, bc = _block_shape(received)
+        by_task = received[[first[t] for t in range(self.num_tasks)]].reshape(self.n * self.m, self.p, br * bc)
+        ones = np.ones((1, self.p), dtype=self.field.array_dtype)
+        blocks = modmatmul(ones, by_task, self.field.modulus).reshape(self.n, self.m, br, bc)
+        return assemble_array(blocks.swapaxes(0, 1), dims)
 
 
 class RandomLinearCode(CodingScheme):
@@ -438,7 +441,7 @@ class RandomLinearCode(CodingScheme):
         )
         # row w: result_w = sum over pairs ((j,k),(j',k')) of
         #        gen_a[w,(j,k)] * gen_b[w,(j',k')] * (A[j,k]^T B[j',k'])
-        gen = (self.gen_a[:, :, None] * self.gen_b[:, None, :] % q).reshape(N, -1)
+        gen = mulmod(self.gen_a[:, :, None], self.gen_b[:, None, :], q).reshape(N, -1)
         # G^T Z = I is solvable exactly when rank G = p^2mn; free variables
         # come back zero, so Z's nonzero rows are I and Z[I]^T = G[I]^-1
         solved = solve_linear_system(field, gen.T, np.eye(unknowns, dtype=np.int64))
@@ -451,8 +454,8 @@ class RandomLinearCode(CodingScheme):
         self._info_pos[info] = np.arange(unknowns)
         self._systematic = modmatmul(gen, inverse, q)
         # output block (k, k') sums the aligned products A[j,k]^T B[j,k'] over j
-        aligned = inverse.reshape(p, m, p, n, unknowns)[range(p), :, range(p)]
-        self._output_map = aligned.sum(axis=0).reshape(m * n, unknowns) % q
+        aligned = inverse.reshape(p, m, p, n, unknowns)[range(p), :, range(p)].reshape(p, -1)
+        self._output_map = modmatmul(np.ones((1, p), dtype=field.array_dtype), aligned, q).reshape(m * n, unknowns)
 
     def recovery_threshold(self) -> int:
         return self.p * self.p * self.m * self.n

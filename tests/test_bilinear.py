@@ -246,6 +246,17 @@ class TestElementwiseProduct:
             code.decode(results, [0, 1, 2])
 
 
+    @pytest.mark.parametrize("N", [5, 6], ids=["direct read", "interpolated"])
+    def test_dims_other_than_the_vector_lengths_are_refused(self, gf257, N):
+        # the vectors are not padded, so dims can only name their lengths
+        # (R, R); malformed dims are refused as every other code refuses them
+        code = ElementwiseProductCode(3, N, gf257)
+        stack = code.worker_products([1, 2, 3], [4, 5, 6])
+        for dims in ((1.5, 2), (1,), (3, 3, 3), 3, "33", (2, 3), (3, 4)):
+            with pytest.raises(BlockShapeMismatch):
+                code.decode(stack, range(N), dims=dims)
+        assert code.decode(stack, range(N), dims=(np.int64(3), 3)).tolist() == [4, 10, 18]
+
     def test_non_integer_entries_are_refused(self, gf65537):
         # 1.5 would otherwise be truncated to 1, and a result 0.9 off decode silently
         code = ElementwiseProductCode(3, 5, gf65537)

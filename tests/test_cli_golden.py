@@ -58,7 +58,7 @@ CASES = {
     "fault-detect": ("fault", "--p", "2", "--m", "2", "--n", "1", "--N", "9",
                      "--errors", "3", "--trials", "10", "--mode", "detect", "--seed", "5"),
     "conv": ("conv", "--m", "3", "--n", "2", "--N", "6", "--len", "4", "--seed", "3"),
-    # q >= 2^21 takes the object-dtype path
+    # q >= 2^21 takes the large-field paths: limbs, Python ints, no FFT
     "conv-q2p61": ("conv", "--m", "2", "--n", "2", "--N", "5", "--len", "3",
                    "--q", "2305843009213693951", "--seed", "3"),
     "bounds": ("bounds", "--Nmax", "14"),

@@ -26,7 +26,7 @@ from codedmm.field import PrimeField, interpolate_arrays
 from oracles import direct_convolution
 
 Q_INT64_MAX = 2097143  # the largest prime of the int64 path
-Q_BIG = (1 << 61) - 1  # an object-dtype field
+Q_BIG = (1 << 61) - 1  # a field past the FFT path, convolved as Python ints
 
 
 def encode_all(spec, a, b):
@@ -318,6 +318,15 @@ class TestConvDecode:
             with pytest.raises(BlockShapeMismatch):
                 conv_decode(spec, results, [0, 1, 2], true_lens=lens)
         assert len(conv_decode(spec, results, [0, 1, 2], true_lens=(np.int64(6), np.int32(5)))) == 10
+
+    def test_results_that_are_not_vectors(self, gf257):
+        # results 2s - 1 long with a trailing axis, or scalars, are refused by
+        # shape, not by numpy's broadcast in the overlap-add
+        spec = conv_spec(2, 2, 5, 3, gf257)
+        stack = spec.worker_products(np.arange(6), np.arange(6))
+        for results in (stack[:, :, None], stack[:, None, :], stack[:, 0]):
+            with pytest.raises(BlockShapeMismatch):
+                spec.decode(results, [0, 1, 2])
 
     def test_product_coefficient_structure(self, gf257, rng):
         # coefficient d of the interpolated polynomial is the anti-diagonal

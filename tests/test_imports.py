@@ -1,4 +1,5 @@
-"""Import hygiene of the package source, and the names the benchmark imports, checked on their syntax trees."""
+"""Import hygiene of the package source, the names the benchmark imports, and the package's modular
+products outside the kernels, checked on their syntax trees."""
 
 import ast
 import importlib
@@ -37,6 +38,35 @@ def test_every_import_is_used_and_the_package_exports_what_it_imports():
         if names:
             faults[path.name] = sorted(names)
     assert faults == {}
+
+
+def _overflows(node: ast.AST) -> bool:
+    """Whether node multiplies or sums: an int64 product (q < 2^62) or a sum of three entries can pass 2^63."""
+    return any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+               or isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "sum"
+               for n in ast.walk(node))
+
+
+def test_modular_products_outside_the_kernels_are_scalar():
+    # every `x * y % q` and `s.sum() % q` outside field.py (and every
+    # np.remainder of one) must be marked as a scalar expression on Python
+    # ints; array products go through field.mulmod, modmatmul or combine
+    unmarked = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "field.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+                reduced = node.left
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in ("remainder", "mod") and node.args:
+                reduced = node.args[0]
+            else:
+                continue
+            if _overflows(reduced) and "# scalar" not in lines[node.end_lineno - 1]:
+                unmarked.append(f"{path.name}:{node.lineno}: {lines[node.lineno - 1].strip()}")
+    assert unmarked == []
 
 
 def _resolves(module: str, name: str | None = None) -> bool:

@@ -914,7 +914,7 @@ def test_pool_stays_under_its_cap(empty_pool, monkeypatch):
     assert [in_pool(h) for h in held] == [True, False, False]
 
 
-# Large fields.  Object products over 2^21 <= q < 2^63 run on 21-bit limbs:
+# Large fields.  Products over 2^21 <= q < 2^63 run on 21-bit limbs:
 # products of the limbs' Toeplitz stack on float64 BLAS, exact in chunks of
 # exact_limb_terms(q) terms, reduced by one more float64 product with a
 # table of powers of 2 mod q and a quotient estimate that is never too
@@ -954,25 +954,31 @@ def test_any_integer_representatives_reduce_as_python_ints(signs, dtype, shape):
 
 @pytest.fixture
 def limb_calls(monkeypatch):
-    """The shapes of the operands that went to the limb path, two per product."""
+    """The shapes of the operands that went to the limb path, two per product.
+
+    The int64 matmul is switched off, so that small int64 products over the
+    moduli below about 2^31.5, where it is exact, reach the limbs too.
+    """
+    monkeypatch.setattr(field_module, "_INT64_MUL_ADDS", 0)
     calls = []
     limb_operand = field_module._limb_operand
     monkeypatch.setattr(field_module, "_limb_operand", lambda x, q: calls.append(x.shape) or limb_operand(x, q))
     return calls
 
 
-def check_python_ints(q: int, a: np.ndarray, b: np.ndarray):
-    """check() for object operands, whose product holds Python ints."""
+def check_large(q: int, a: np.ndarray, b: np.ndarray):
+    """check() over a large field: int64 operands (q < 2^62) give int64, object operands Python ints."""
     got = modmatmul(a, b, q)
-    assert got.dtype == object and all(type(x) is int for x in got.flat)
+    assert got.dtype == a.dtype
+    assert a.dtype == np.int64 or all(type(x) is int for x in got.flat)
     assert got.tolist() == naive_matmul_t(q, a.T.tolist(), b.tolist())
 
 
 @pytest.mark.parametrize("q", LIMB_MODULI)
 @pytest.mark.parametrize("shape", [(8, 8, 8), (9, 4, 64), (2, 5, 64), (9, 64, 8), (1, 300, 70), (33, 17, 29)])
 def test_limb_products_match_oracle(q, shape, limb_calls):
-    check_python_ints(q, *operands(q, *shape, seed=sum(shape)))
-    check_python_ints(q, *near_maximal(q, *shape))
+    check_large(q, *operands(q, *shape, seed=sum(shape)))
+    check_large(q, *near_maximal(q, *shape))
     assert len(limb_calls) == 2 * 2
 
 
@@ -994,14 +1000,14 @@ def test_limb_contraction_at_and_past_one_chunk(past, limb_calls):
     a = np.full((8, inner), (1 << 42) - 1, dtype=object)
     a[:, 0] = (1 << 42) - 2
     b = np.full((inner, 8), (1 << 42) - 1, dtype=object)
-    check_python_ints(q, a, b)
+    check_large(q, a, b)
     assert limb_calls
 
 
 @pytest.mark.parametrize("q", LIMB_MODULI)
 @pytest.mark.parametrize("inner", [2047, 2048, 2049])
 def test_limb_contraction_lengths(q, inner):
-    check_python_ints(q, *near_maximal(q, 8, inner, 8))
+    check_large(q, *near_maximal(q, 8, inner, 8))
 
 
 @pytest.mark.parametrize("q", LIMB_MODULI)
@@ -1015,9 +1021,9 @@ def test_limb_layouts(q, limb_calls):
             assert out.tolist() == naive_matmul_t(q, x.T.tolist(), y.tolist())
     a, b = near_maximal(q, 24, 9, 30)
     at, bt = np.array(a.T, order="C"), np.array(b.T, order="C")
-    check_python_ints(q, at.T, bt.T)
-    check_python_ints(q, a[::2, ::3], b[::3, 1::2])
-    check_python_ints(q, *operands(q, 20, 30, 4, seed=4))
+    check_large(q, at.T, bt.T)
+    check_large(q, a[::2, ::3], b[::3, 1::2])
+    check_large(q, *operands(q, 20, 30, 4, seed=4))
     assert len(limb_calls) == 2 * 7
 
 
@@ -1026,19 +1032,19 @@ def test_limb_products_in_row_slabs(monkeypatch, limb_calls):
     monkeypatch.setattr(field_module, "_TILE_ELEMS", 40)
     q = (1 << 61) - 1
     check_stacked(q, distinct_operands(q, 8, 5, 8))
-    check_python_ints(q, *near_maximal(q, 8, 2049, 8))
+    check_large(q, *near_maximal(q, 8, 2049, 8))
     assert len(limb_calls) == 2 * 2
 
 
 @pytest.mark.parametrize("shape, limbs", [
-    ((8, 8, 8), True), ((8, 7, 8), False), ((7, 10, 9), False), ((8, 1, 64), True), ((8, 1, 63), False),
+    ((8, 8, 8), True), ((8, 7, 8), False), ((7, 10, 9), True), ((8, 1, 64), True), ((8, 1, 63), False),
+    ((9, 64, 1), True), ((1, 511, 1), False),
 ])
 def test_limb_path_threshold(shape, limbs, limb_calls):
-    # products of at least _LIMB_MIN_ENTRIES result entries and
-    # _LIMB_MIN_MUL_ADDS multiply-adds take the limbs; smaller ones stay
-    # Python ints
+    # products of at least _LIMB_MIN_MUL_ADDS multiply-adds take the limbs,
+    # however few their result entries; smaller ones stay Python ints
     q = (1 << 61) - 1
-    check_python_ints(q, *operands(q, *shape, seed=1))
+    check_large(q, *operands(q, *shape, seed=1))
     assert bool(limb_calls) == limbs
 
 
@@ -1062,7 +1068,7 @@ def test_moduli_past_2_pow_63_multiply_as_python_ints(limb_calls):
     a, b = (np.array([[gen.randrange(q) for _ in range(cols)] for _ in range(rows)], dtype=object)
             for rows, cols in ((16, 8), (16, 8)))
     a[0, 0] = b[0, 0] = q - 1
-    check_python_ints(q, a.T, b)
+    check_large(q, a.T, b)
     assert not limb_calls
 
 

@@ -1,21 +1,29 @@
-"""Spot checks for moduli too large for the int64 fast path.
+"""Spot checks for moduli too large for the float64 tile loop.
 
-Fields with q >= 2^21 switch to Python-int (object dtype) arrays; these
-tests run each pipeline once over the 61-bit Mersenne prime to keep that
-path honest.
+Fields with 2^21 <= q < 2^62 keep int64 arrays, whose products run on
+21-bit limbs or Python ints; from 2^62 up arrays hold Python ints (object
+dtype).  These tests run each pipeline once over the 61-bit Mersenne prime,
+and every code, with entries at q - 1, at the largest int64 field and at an
+object field below 2^63, where an unguarded int64 product or sum of three
+entries would overflow.
 """
 
 import numpy as np
 import pytest
 
-from codedmm.bilinear import ImprovedBilinearCode, strassen_construction, validate_construction
+from codedmm.bilinear import (
+    ElementwiseProductCode, ImprovedBilinearCode, strassen_construction, tensor_power, validate_construction,
+)
 from codedmm.blocks import MatrixF, partition_vector
 from codedmm.convolution import conv_decode, conv_encode, conv_spec, conv_worker
-from codedmm.field import PrimeField, random_elements
-from codedmm.robust import FaultModel, correct_errors
-from codedmm.schemes import EntangledCode, worker_multiply
+from codedmm.field import PrimeField, lagrange_basis, random_elements, vandermonde
+from codedmm.linalg import solve_linear_system
+from codedmm.robust import FaultModel, correct_errors, detect_errors, inject_faults
+from codedmm.schemes import EntangledCode, RandomLinearCode, UncodedRepetitionCode, worker_multiply
 
-from oracles import direct_convolution, oracle_product, random_matrix
+from oracles import (
+    direct_convolution, elementwise_product, naive_matmul_t, oracle_product, random_matrix, vandermonde_inverse,
+)
 
 BIG = PrimeField((1 << 61) - 1)
 
@@ -49,8 +57,78 @@ def test_draws_past_int64():
 
 
 def test_object_dtype_selected():
-    assert BIG.array_dtype is object
-    assert PrimeField(65537).array_dtype is np.int64
+    # int64 below 2^62, where two canonical entries sum below 2^63; Python
+    # ints from 2^62 up
+    for q in (65537, BIG.modulus, (1 << 62) - 57):
+        assert PrimeField(q).array_dtype is np.int64
+    for q in ((1 << 63) - 25, (1 << 89) - 1):
+        assert PrimeField(q).array_dtype is object
+
+
+# the largest int64 field, and an object field whose entries still fit int64
+BOUND_MODULI = [(1 << 62) - 57, (1 << 63) - 25]
+
+
+def extreme(field: PrimeField, rows: int, cols: int) -> MatrixF:
+    """A matrix of entries q - 1, with q - 2 on every 5th, so that no sum is a plain multiple."""
+    data = np.full((rows, cols), field.modulus - 1, dtype=object)
+    data.flat[::5] = field.modulus - 2
+    return MatrixF(field, data)
+
+
+@pytest.mark.parametrize("q", BOUND_MODULI)
+def test_matrix_codes_at_the_storage_bound(q):
+    # the polynomial codes' generators and decode maps, the uncoded sum over
+    # p = 3 sub-products, the random linear code's product generator,
+    # elimination and sum over p, and repair, against the oracle.  b has
+    # ones on every other row, so that every sub-product of two rows holds
+    # entries q - 1 or q - 2 and their sums pass 2^63
+    field = PrimeField(q)
+    a, b = extreme(field, 6, 5), MatrixF(field, [[1 - i % 2] * 4 for i in range(6)])
+    want = oracle_product(a, b)
+    codes = [EntangledCode(3, 1, 1, 9, field), UncodedRepetitionCode(3, 1, 1, 4, field),
+             RandomLinearCode(3, 1, 1, 10, field, seed=3)]
+    for code in codes:
+        stack = code.worker_products(a, b)
+        assert stack.dtype == field.array_dtype
+        subset = list(range(code.N - code.recovery_threshold(), code.N))
+        assert code.decode(stack, subset, dims=(5, 4)).tolist() == want.data.tolist()
+    code = codes[0]
+    results = [worker_multiply(ca, cb) for ca, cb in code.encode_all(a, b)]
+    corrupted, _ = FaultModel(2, seed=7).inject(results)
+    assert correct_errors(code, corrupted, dims=(5, 4)) == want
+    assert detect_errors(code, results, dims=(5, 4)).matrix == want
+
+
+@pytest.mark.parametrize("q", BOUND_MODULI)
+def test_vector_codes_and_kernels_at_the_storage_bound(q):
+    # the element-wise product, construction validation, the improved code,
+    # convolution, scaling, Vandermonde tables and bases, elimination and
+    # fault injection, with entries at q - 1
+    field = PrimeField(q)
+    top = [q - 1, q - 2, q - 1]
+    code = ElementwiseProductCode(3, 6, field)
+    assert code.decode(code.worker_products(top, top), range(6)).tolist() == elementwise_product(q, top, top)
+    assert validate_construction(strassen_construction(), field).ok
+    # strassen^2 multiplies -1 by -1, q - 1 by q - 1, in its pair tensors
+    assert validate_construction(tensor_power(strassen_construction(), 2), field).ok
+    improved = ImprovedBilinearCode(strassen_construction(), 14, field)
+    a, b = extreme(field, 4, 4), extreme(field, 4, 4)
+    got = improved.decode(improved.worker_products(a, b), range(1, 14), dims=(4, 4))
+    assert got.tolist() == oracle_product(a, b).data.tolist()
+    spec = conv_spec(2, 2, 5, 3, field)
+    vec = [q - 1] * 6
+    assert spec.decode(spec.worker_products(vec, vec), [0, 3, 4]).tolist()[:11] == direct_convolution(q, vec, vec)
+    assert a.scale(-1).data.tolist() == [[(q - x) % q for x in row] for row in a.data.tolist()]
+    xs = [q - 1, q - 2, q - 3, 5]
+    assert vandermonde(field, xs, 4).tolist() == [[pow(x, d, q) for d in range(4)] for x in xs]
+    assert lagrange_basis(field, xs).tolist() == vandermonde_inverse(q, xs)
+    m = a.data.tolist()
+    rhs = naive_matmul_t(q, [list(c) for c in zip(*m)], [[1], [q - 1], [2], [q - 2]])
+    assert solve_linear_system(field, m, rhs).tolist() == [[1], [q - 1], [2], [q - 2]]
+    stack = np.full((5, 2, 2), q - 1, dtype=field.array_dtype)
+    victims = inject_faults(np.random.default_rng(1), stack, 2, q)
+    assert all(0 <= int(x) < q for x in stack.flat) and len(victims) == 2
 
 
 def test_entangled_and_correction(big_setup):

@@ -118,8 +118,8 @@ def inputs_and_oracle(code, gen, q):
 
 
 def off_canonical(gen, q, stack):
-    """stack + k q, k drawn per entry of either sign: int64 entries near 2^57, Python ints past 2^63."""
-    bound = 1 << 40 if stack.dtype == np.int64 else 1 << 10
+    """stack + k q, k drawn per entry of either sign: int64 entries up to 2^57 or 3q, Python ints past 2^63."""
+    bound = min(1 << 40, (1 << 62) // q) if stack.dtype == np.int64 else 1 << 10
     k = np.array([gen.randint(-bound, bound) for _ in range(stack.size)], dtype=stack.dtype)
     return stack + q * k.reshape(stack.shape)
 
@@ -350,7 +350,7 @@ def test_limb_kernel_equals_the_oracles(q, rows, cols, past, stack, views, top, 
         b = b[0] if stack != "a shared" else b
     field = PrimeField(q)
     weights, parts = draw(rows + cols, inner), draw(inner, rows, 2 * cols)[..., ::2] if views else draw(inner, rows, cols)
-    with mock.patch.multiple(field_module, _LIMB_MIN_ENTRIES=0, _LIMB_MIN_MUL_ADDS=0):
+    with mock.patch.multiple(field_module, _LIMB_MIN_MUL_ADDS=0):
         got = modmatmul(a, b, q).reshape(-1, rows, cols)
         combined = combine(field, weights, list(parts) if views else parts)
     pairs = zip(np.broadcast_to(a, (len(got), rows, inner)), np.broadcast_to(b, (len(got), inner, cols)))

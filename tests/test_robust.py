@@ -533,7 +533,7 @@ def test_repair_takes_the_worker_products_stack(q, repair, rng):
     if q == 65537:
         shifted = [stack - q]
     else:
-        shifted = [stack + q, stack + 8 * q]
+        shifted = [stack + q, stack.astype(object) + 8 * q]
         assert min(int(v) for v in shifted[1].flat) >= 1 << 63
     for results in (stack, *shifted, list(shifted[-1])):
         out = repair(code, results, dims=(4, 2))

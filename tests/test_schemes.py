@@ -773,6 +773,6 @@ def test_elementwise_direct_read_reduces_its_results(q, rng):
     field = PrimeField(q)
     code = ElementwiseProductCode(3, 4, field)
     a, b = ([rng.randrange(q) for _ in range(3)] for _ in range(2))
-    shifted = code.worker_products(a, b) + 5 * q
+    shifted = code.worker_products(a, b).astype(object) + 5 * q
     subset = [3, 1, 0, 2]
     assert code.decode(shifted, subset).tolist() == elementwise_product(q, a, b)
