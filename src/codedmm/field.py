@@ -20,10 +20,11 @@ Results of 64 KB or more, and the products that schemes assemble, come from
 one result pool shared by every thread (``_fresh``), so results of the same
 shapes job after job reuse memory that is already mapped.  From 2^21 up to
 2^63 the larger products run on the same float64 BLAS with no Python int on
-the way: entries split into 21-bit limbs whose products sum exactly in
-float64, and a Barrett reduction in float64 and wrapping uint64 takes the
-sums to canonical residues, which int64 results view uncopied.  Smaller
-products, and every product at q >= 2^63, multiply as Python ints.
+the way: one split of both operands into 21-bit limbs, one exact float64
+matmul of a limb Toeplitz stack with limbs, and a Barrett reduction in
+float64 and wrapping int64 to canonical residues, which int64 results view
+uncopied.  Smaller products, and every product at q >= 2^63, multiply as
+Python ints.
 
 Decoding interpolates through ``lagrange_basis``, which returns only the
 rows of the inverse Vandermonde matrix that a decoder reads: synthetic
@@ -74,12 +75,12 @@ _INT64_MUL_ADDS = 1 << 12
 _LIMB_MODULUS = 1 << 63
 _LIMB_BITS = 21
 _LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
-_LIMB_SHIFTS = np.array([0, _LIMB_BITS, 2 * _LIMB_BITS], dtype=np.uint64).reshape(3, 1, 1)
+_LIMB_SHIFTS = np.array([0, _LIMB_BITS, 2 * _LIMB_BITS], dtype=np.uint64).reshape(3, 1)
 
 # Products over those moduli of fewer multiply-adds (for mulmod, entries)
-# multiply as Python ints, about 0.1 us each, below the limb path's fixed
-# cost of about 25 numpy calls (measured at q = 2^61 - 1, see modmatmul).
-_LIMB_MIN_MUL_ADDS = 1 << 9
+# multiply as Python ints, 0.1-0.2 us each: at q = 2^61 - 1 they cross the
+# limb path's ~20 us near 128-256 (matrices) and 192 (mulmod; see modmatmul).
+_LIMB_MIN_MUL_ADDS = 1 << 8
 
 # The limb path keeps its per-modulus tables for this many recent moduli.
 _FIELD_CACHE = 16
@@ -642,60 +643,41 @@ def exact_limb_terms(q: int) -> int:
     return (1 << 53) // worst
 
 
-def _limb_operand(x: np.ndarray, q: int) -> np.ndarray:
-    """x's integer entries as canonical uint64, for _limb_product.
+def _limbs(x: np.ndarray, q: int) -> np.ndarray:
+    """The limbs (x >> 21s) & (2^21 - 1), uint64 (3, len(x)), of integers x reduced mod q.
 
     int64 entries are viewed uncopied, object ones (stored only at q >=
     2^62) converted.  Entries outside [0, q), negative or past 2^64
-    included, are reduced mod q first, so a limb product equals (a @ b) % q
-    on Python ints for any integer representatives.
+    included, are reduced mod q first, so a limb product equals a @ b or a
+    * b mod q on Python ints for any integer representatives.
     """
     try:
         u = x.astype(np.uint64) if x.dtype == object else x.astype(np.int64, copy=False).view(np.uint64)
     except OverflowError:  # a negative Python int, or one of 2^64 or more
-        return (x % q).astype(np.uint64)
+        u = (x % q).astype(np.uint64)
     if u.size and u.max() >= q:  # a negative int64 reads as 2^63 or more
-        return (x % q).astype(np.uint64)
-    return u
+        u = (x % q).astype(np.uint64)
+    limbs = u >> _LIMB_SHIFTS
+    limbs &= _LIMB_MASK
+    return limbs
 
 
 @functools.lru_cache(maxsize=_FIELD_CACHE)
-def _limb_weights(q: int) -> tuple[np.ndarray, np.ndarray]:
+def _limb_weights(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tables that _limb_reduce reduces limb diagonal sums with.
 
     weights is (4, 10) float64: column (j, d) holds the three 22-bit limbs
     of w = 2^(21d + 27j) mod q and, below them, fl(fl(w / q)(1 - 2^-47)).
-    horner is the uint64 row (1, 2^22, 2^44, 2^64 - q).  Both are
-    read-only, as every product over q shares them.
+    horner is the int64 row (1, 2^22, 2^44, -q), modulus q in a uint64
+    array.  All are read-only, as every product over q shares them.
     """
     powers = [pow(2, _LIMB_BITS * d + 27 * j, q) for j in range(2) for d in range(5)]
     limbs = [[(w >> 22 * l) & ((1 << 22) - 1) for w in powers] for l in range(3)]
     weights = np.array([*limbs, [w / q * (1 - 2.0**-47) for w in powers]])
-    horner = np.array([1, 1 << 22, 1 << 44, (1 << 64) - q], dtype=np.uint64)
-    weights.flags.writeable = horner.flags.writeable = False
-    return weights, horner
-
-
-def _limb_diagonals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The limb diagonal sums D_d = sum_{s+t=d} a_s @ b_t of canonical uint64 stacks, float64 (..., 5, rows, cols).
-
-    One float64 matmul: the (5 rows x 3 inner) Toeplitz stack of a's limbs,
-    block (d, t) = a_{d-t}, times the (3 inner x cols) stack of b's.  The
-    contraction is at most exact_limb_terms(q), so every sum is exact.
-    """
-    rows, inner = a.shape[-2:]
-    lead = a.shape[:-2]
-    # a's limbs between two zero blocks on each side, so that block (d, t)
-    # is padded[2 + d - t]: a view with a negative stride along t
-    padded = np.zeros((*lead, 7, rows, inner), dtype=np.uint64)
-    np.bitwise_and(a[..., None, :, :] >> _LIMB_SHIFTS, _LIMB_MASK, out=padded[..., 2:5, :, :])
-    st = padded.strides
-    toeplitz = np.ndarray((*lead, 5, rows, 3, inner), np.uint64, padded, 2 * st[-3],
-                          (*st[:-3], st[-3], st[-2], -st[-3], st[-1]))
-    b_limbs = (b[..., None, :, :] >> _LIMB_SHIFTS) & _LIMB_MASK
-    diagonals = np.matmul(toeplitz.astype(np.float64, order="C").reshape(*lead, 5 * rows, 3 * inner),
-                          b_limbs.astype(np.float64).reshape(*b.shape[:-2], 3 * inner, b.shape[-1]))
-    return diagonals.reshape(*diagonals.shape[:-2], 5, rows, b.shape[-1])
+    horner = np.array([1, 1 << 22, 1 << 44, -q], dtype=np.int64)
+    modulus = np.array(q, dtype=np.uint64)
+    weights.flags.writeable = horner.flags.writeable = modulus.flags.writeable = False
+    return weights, horner, modulus
 
 
 def _limb_reduce(diagonals: np.ndarray, q: int) -> np.ndarray:
@@ -712,61 +694,78 @@ def _limb_reduce(diagonals: np.ndarray, q: int) -> np.ndarray:
     times a factor within gamma_12 = 12u / (1 - 12u) of 1, u = 2^-53: never
     above x / q, so Q = floor(f) is never above floor(x / q), and below it
     by at most 77u x / q < 2^-15, so Q is at most one below.  Then r = x -
-    Q q lies in [0, 2q), below 2^64 as q < 2^63: one uint64 matmul with the
-    row (1, 2^22, 2^44, 2^64 - q) forms it exactly, as the wraps of its
-    parts cancel, and min(r, r - q) in wrapping uint64 makes it canonical.
+    Q q lies in [0, 2q), below 2^64 as q < 2^63: one int64 product with the
+    row (1, 2^22, 2^44, -q) forms it exactly, as the wraps of its parts
+    cancel, and min(r, r - q) in wrapping uint64 makes it canonical.
     """
-    weights, horner = _limb_weights(q)
-    lead, shape = diagonals.shape[:-3], diagonals.shape[-2:]
-    halves = np.empty((*lead, 2, *diagonals.shape[-3:]))
-    low, high = halves[..., 0, :, :, :], halves[..., 1, :, :, :]
-    np.floor(np.multiply(diagonals, 2.0**-27, out=high), out=high)
-    np.subtract(diagonals, high * 2.0**27, out=low)
-    parts = np.matmul(weights, halves.reshape(*lead, 10, -1)).astype(np.uint64)
-    r = np.matmul(horner, parts)
-    return np.minimum(r, r - np.uint64(q), out=r).reshape(*lead, *shape)
+    weights, horner, modulus = _limb_weights(q)
+    *lead, _, rows, cols = diagonals.shape
+    sums = diagonals.reshape(-1, 5, rows * cols).swapaxes(0, 1)
+    halves = np.empty((2, *sums.shape))
+    low, high = halves[0], halves[1]
+    np.floor(np.multiply(sums, 2.0**-27, out=high), out=high)
+    np.subtract(sums, high * 2.0**27, out=low)
+    r = horner.dot(weights.dot(halves.reshape(10, -1)).astype(np.int64)).view(np.uint64)
+    return np.minimum(r, r - modulus, out=r).reshape(*lead, rows, cols)
 
 
 def _limb_product(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Canonical (a @ b) mod q, uint64, for canonical uint64 stacks at 2^21 <= q < 2^63.
+    """Canonical (a @ b) mod q, int64, for integer stacks at 2^21 <= q < 2^63.
 
     The Toeplitz stack is built from the operand with fewer entries: a
-    larger a runs as (b^T a^T)^T.  Products run in slabs of rows of a and
-    chunks of exact_limb_terms(q) terms of the contraction: a slab's
-    Toeplitz stack and the arrays its reduction passes through take about
-    _TILE_ELEMS entries.  Each chunk's diagonal sums (_limb_diagonals) are
-    reduced (_limb_reduce) and added mod q to the chunks before it.
+    larger a runs as (b^T a^T)^T.  Both operands split into limbs at once
+    (_limbs).  Slabs of rows of a times chunks of exact_limb_terms(q) terms,
+    each _limb_diagonals then _limb_reduce, take about _TILE_ELEMS entries.
     """
     if a.size > b.size:
         return np.ascontiguousarray(_limb_product(b.swapaxes(-1, -2), a.swapaxes(-1, -2), q).swapaxes(-1, -2))
     rows, inner = a.shape[-2:]
     cols = b.shape[-1]
-    stack = a.shape[:-2] if a.ndim >= b.ndim else b.shape[:-2]
+    stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) if a.ndim > 2 or b.ndim > 2 else ()
+    limbs = _limbs(np.concatenate((a, b), axis=None), q)
+    a_limbs, b_limbs = limbs[:, :a.size].reshape(3, -1, rows, inner), limbs[:, a.size:].reshape(3, -1, inner, cols)
     terms = exact_limb_terms(q)
     height = max(1, _TILE_ELEMS // (prod(stack) * (15 * min(inner, terms) + 25 * cols)))
     if rows <= height and inner <= terms:
-        return _limb_reduce(_limb_diagonals(a, b), q)
-    out = np.empty((*stack, rows, cols), dtype=np.uint64)
+        return _limb_reduce(_limb_diagonals(a_limbs, b_limbs).reshape(*stack, 5, rows, cols), q).view(np.int64)
+    out = np.empty((prod(stack), rows, cols), dtype=np.uint64)
     for r0 in range(0, rows, height):
-        tile = out[..., r0:r0 + height, :]
+        tile = out[:, r0:r0 + height]
         for k0 in range(0, inner, terms):
-            part = _limb_reduce(_limb_diagonals(a[..., r0:r0 + height, k0:k0 + terms], b[..., k0:k0 + terms, :]), q)
+            part = _limb_reduce(_limb_diagonals(a_limbs[:, :, r0:r0 + height, k0:k0 + terms],
+                                                b_limbs[:, :, k0:k0 + terms]), q)
             if k0 == 0:
                 tile[...] = part
             else:
                 tile += part
-                np.minimum(tile, tile - np.uint64(q), out=tile)
-    return out
+                np.minimum(tile, tile - q, out=tile)
+    return out.view(np.int64).reshape(*stack, rows, cols)
+
+
+def _limb_diagonals(a_limbs: np.ndarray, b_limbs: np.ndarray) -> np.ndarray:
+    """D_d = sum_{s+t=d} a_s @ b_t, float64 (stack, 5, rows, cols), of limbs (3, stack or 1, rows, inner), (3, ...).
+
+    One float64 matmul of the (5 rows x 3 inner) Toeplitz stack of a's limbs,
+    block (d, t) = a_{d-t}, with b's limbs, exact for at most
+    exact_limb_terms(q) terms.  It frees its arrays before _limb_reduce.
+    """
+    _, stack, rows, inner = a_limbs.shape
+    toeplitz = np.zeros((stack, 5, rows, 3, inner))
+    st = toeplitz.strides
+    # a strided view of the nine blocks (t + s, t) that hold limb s
+    np.ndarray((3, 3, stack, rows, inner), np.float64, toeplitz, 0, (st[1] + st[3], st[1], st[0], st[2], st[4]))[...] = a_limbs
+    b_rows = b_limbs.swapaxes(0, 1).astype(np.float64, order="C").reshape(b_limbs.shape[1], 3 * inner, -1)
+    return np.matmul(toeplitz.reshape(stack, 5 * rows, 3 * inner), b_rows).reshape(-1, 5, rows, b_rows.shape[-1])
 
 
 def mulmod(a, b, q: int) -> np.ndarray:
-    """Canonical a * b mod q, element-wise and broadcast, for arrays of canonical entries.
+    """Canonical a * b mod q, element-wise and broadcast, for arrays of integer entries.
 
     Object operands multiply as Python ints, int64 ones in one int64 product
     where (q-1)^2 < 2^63.  Past that, below 2^63, a product of at least
-    _LIMB_MIN_MUL_ADDS entries takes 21-bit limbs, whose diagonal sums
-    sum_{s+t=d} a_s b_t stay below 2^44, exact in float64, for _limb_reduce;
-    other int64 operands multiply as Python ints and come back int64.
+    _LIMB_MIN_MUL_ADDS entries splits each operand in its own shape (_limbs);
+    the diagonal sums of limbs, below 2^44, go to _limb_reduce.  Other int64
+    operands multiply as Python ints and come back int64.
     """
     a, b = np.asarray(a), np.asarray(b)
     if a.dtype == object or b.dtype == object or (q - 1) ** 2 < 1 << 63:
@@ -774,12 +773,13 @@ def mulmod(a, b, q: int) -> np.ndarray:
     shape = np.broadcast(a, b).shape
     if q >= _LIMB_MODULUS or prod(shape) < _LIMB_MIN_MUL_ADDS:
         return (a.astype(object) * b % q).astype(np.int64)
-    a_limbs, b_limbs = ((np.broadcast_to(x, shape).reshape(1, -1).view(np.uint64) >> _LIMB_SHIFTS[:, 0]
-                         & _LIMB_MASK).astype(np.float64) for x in (a, b))
-    diagonals = np.zeros((5, 1, a_limbs.shape[1]))
+    limbs = _limbs(np.concatenate((a, b), axis=None), q).astype(np.float64)
+    a_limbs, b_limbs = (x.reshape(3, *(1,) * (len(shape) - y.ndim), *y.shape)
+                        for x, y in ((limbs[:, :a.size], a), (limbs[:, a.size:], b)))
+    diagonals = np.zeros((5, *shape))
     for s in range(3):
-        diagonals[s:s + 3, 0] += a_limbs[s] * b_limbs
-    return _limb_reduce(diagonals, q).view(np.int64).reshape(shape)
+        diagonals[s:s + 3] += a_limbs[s:s + 1] * b_limbs
+    return _limb_reduce(diagonals.reshape(5, 1, -1), q).view(np.int64).reshape(shape)
 
 
 def _path(size: int, inner: int, q: int, objects: bool) -> str:
@@ -808,12 +808,11 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     ValueError, and so do int64 operands at q >= 2^63.  The path is _path's:
     one int64 matmul and one ``%``; zeros; the tile loop (_tiled), whose
     parts are the rows of b, into a result from the result pool (_fresh);
-    21-bit limbs (_limb_product) on canonical uint64 operands, reduced on
-    entry only when an entry lies outside [0, q); or Python ints.  At q =
-    2^61 - 1 on int64 operands, best of 5, Python ints against limbs:
-    (9 x 9)(9 x 1) 12.6 against 27.8 us, 8^3 53 against 29 us, the repair's
-    (9 x 128)(128 x 1) 131 against 41 us, 256^2 about 1.8 s against 30-50
-    ms.  The result is int64, or object for object operands.
+    21-bit limbs (_limb_product), reduced on entry only when an entry lies
+    outside [0, q); or Python ints.  At q = 2^61 - 1, int64 operands, 2-core
+    VM, Python ints against limbs: (9 x 9)(9 x 1) 11 against 20 us, (1 x
+    256)(256 x 1) 31 against 24 us, 8^3 49 against 21 us, 256^3 about 1.8 s
+    against 12 ms.  The result is int64, or object for object operands.
     """
     if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]
             or a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]):
@@ -829,8 +828,7 @@ def modmatmul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     if path == "zeros":
         return np.zeros((*stack, rows, cols), dtype=np.int64)
     if path in ("python", "limbs"):
-        product = a.astype(object) @ b % q if path == "python" else _limb_product(
-            _limb_operand(a, q), _limb_operand(b, q), q).view(np.int64)
+        product = a.astype(object) @ b % q if path == "python" else _limb_product(a, b, q)
         return product.astype(object if objects else np.int64, copy=False)
     out = _fresh((*stack, rows, cols), np.int64)
     # a shared operand is one stack entry, which matmul broadcasts

@@ -36,7 +36,7 @@ import pytest
 from codedmm import field as field_module
 from codedmm.blocks import MatrixF, padded_blocks
 from codedmm.convolution import field_convolve
-from codedmm.field import PrimeField, combine, exact_float_terms, exact_limb_terms, is_prime, modmatmul
+from codedmm.field import PrimeField, combine, exact_float_terms, exact_limb_terms, is_prime, modmatmul, mulmod
 from codedmm.schemes import EntangledCode, worker_multiply
 
 from oracles import naive_matmul_t
@@ -954,15 +954,15 @@ def test_any_integer_representatives_reduce_as_python_ints(signs, dtype, shape):
 
 @pytest.fixture
 def limb_calls(monkeypatch):
-    """The shapes of the operands that went to the limb path, two per product.
+    """The shapes of the operand vectors that went to the limb path's range check and split, one per product.
 
     The int64 matmul is switched off, so that small int64 products over the
     moduli below about 2^31.5, where it is exact, reach the limbs too.
     """
     monkeypatch.setattr(field_module, "_INT64_MUL_ADDS", 0)
     calls = []
-    limb_operand = field_module._limb_operand
-    monkeypatch.setattr(field_module, "_limb_operand", lambda x, q: calls.append(x.shape) or limb_operand(x, q))
+    limbs = field_module._limbs
+    monkeypatch.setattr(field_module, "_limbs", lambda x, q: calls.append(x.shape) or limbs(x, q))
     return calls
 
 
@@ -979,7 +979,7 @@ def check_large(q: int, a: np.ndarray, b: np.ndarray):
 def test_limb_products_match_oracle(q, shape, limb_calls):
     check_large(q, *operands(q, *shape, seed=sum(shape)))
     check_large(q, *near_maximal(q, *shape))
-    assert len(limb_calls) == 2 * 2
+    assert len(limb_calls) == 2
 
 
 def test_limb_chunk_length_at_2_pow_61_minus_1():
@@ -1024,7 +1024,7 @@ def test_limb_layouts(q, limb_calls):
     check_large(q, at.T, bt.T)
     check_large(q, a[::2, ::3], b[::3, 1::2])
     check_large(q, *operands(q, 20, 30, 4, seed=4))
-    assert len(limb_calls) == 2 * 7
+    assert len(limb_calls) == 7
 
 
 def test_limb_products_in_row_slabs(monkeypatch, limb_calls):
@@ -1033,12 +1033,12 @@ def test_limb_products_in_row_slabs(monkeypatch, limb_calls):
     q = (1 << 61) - 1
     check_stacked(q, distinct_operands(q, 8, 5, 8))
     check_large(q, *near_maximal(q, 8, 2049, 8))
-    assert len(limb_calls) == 2 * 2
+    assert len(limb_calls) == 2
 
 
 @pytest.mark.parametrize("shape, limbs", [
-    ((8, 8, 8), True), ((8, 7, 8), False), ((7, 10, 9), True), ((8, 1, 64), True), ((8, 1, 63), False),
-    ((9, 64, 1), True), ((1, 511, 1), False),
+    ((8, 8, 8), True), ((4, 8, 8), True), ((8, 7, 4), False), ((5, 10, 6), True), ((8, 1, 32), True),
+    ((8, 1, 31), False), ((9, 64, 1), True), ((1, 256, 1), True), ((1, 255, 1), False),
 ])
 def test_limb_path_threshold(shape, limbs, limb_calls):
     # products of at least _LIMB_MIN_MUL_ADDS multiply-adds take the limbs,
@@ -1072,10 +1072,74 @@ def test_moduli_past_2_pow_63_multiply_as_python_ints(limb_calls):
     assert not limb_calls
 
 
+def off_canonical(q: int, x: np.ndarray, seed: int) -> np.ndarray:
+    """x as int64 with about a third of its entries moved off [0, q): negative, q or more, int64's extremes."""
+    rng = np.random.default_rng(seed)
+    pool = [-1, -q, -(q + 3), -(1 << 63), q, q + 5, (1 << 63) - 1] + [2 * q + 1] * (2 * q + 1 < 1 << 63)
+    out = x.astype(np.int64)
+    moved = rng.random(x.shape) < 1 / 3
+    out[moved] = rng.choice(np.array(pool, dtype=np.int64), size=int(moved.sum()))
+    return out
+
+
 @pytest.mark.parametrize("q", LIMB_MODULI)
-def test_int64_operands_on_limbs(q):
-    # int64 operands over a large field, stacked, come back int64
-    check_stacked(q, [(x.astype(np.int64), y.astype(np.int64)) for x, y in distinct_operands(q, 3, 40, 2)])
+@pytest.mark.parametrize("layout", ["stacked", "a shared", "b shared", "transposed", "sliced", "a larger"])
+@pytest.mark.parametrize("split", ["one chunk", "row slabs", "chunks"])
+def test_int64_operands_on_limbs(monkeypatch, limb_calls, q, layout, split):
+    # int64 operands over a large field, in every layout, with negative and
+    # >= q entries, in one slab and chunk, in slabs of one row (a small
+    # budget) and past one chunk of exact_limb_terms(q) terms, come back
+    # int64 and equal (a @ b) % q on Python ints
+    if split == "row slabs":
+        monkeypatch.setattr(field_module, "_TILE_ELEMS", 400)
+    inner = exact_limb_terms(q) + 3 if split == "chunks" else 9
+    rows, cols = (40, 2) if layout == "a larger" else (8, 8)
+    pairs = [near_maximal(q, rows, inner, cols)] + [operands(q, rows, inner, cols, seed=s) for s in range(2)]
+    a = np.stack([off_canonical(q, x, seed=2 * s) for s, (x, _) in enumerate(pairs)])
+    b = np.stack([off_canonical(q, y, seed=2 * s + 1) for s, (_, y) in enumerate(pairs)])
+    if layout == "a shared":
+        a = a[1]
+    elif layout == "b shared":
+        b = b[1]
+    elif layout == "transposed":  # Fortran-order views of the last pair
+        a, b = np.array(a[2].T, order="C").T, np.array(b[2].T, order="C").T
+    elif layout == "sliced":  # strided views into larger arrays
+        wide_a = np.zeros((2 * rows, 3 * inner), dtype=np.int64)
+        wide_b = np.zeros((3 * inner, 2 * cols), dtype=np.int64)
+        wide_a[::2, 1::3], wide_b[::3, 1::2] = a[0], b[0]
+        a, b = wide_a[::2, 1::3], wide_b[::3, 1::2]
+    elif layout == "a larger":  # runs as (b^T a^T)^T
+        a, b = a[0], b[0]
+    got = modmatmul(a, b, q)
+    assert got.dtype == np.int64 and limb_calls
+    pairs = zip(np.broadcast_to(a, (*got.shape[:-2], rows, inner)).reshape(-1, rows, inner),
+                np.broadcast_to(b, (*got.shape[:-2], inner, cols)).reshape(-1, inner, cols))
+    want = [naive_matmul_t(q, x.T.tolist(), y.tolist()) for x, y in pairs]
+    assert got.reshape(-1, rows, cols).tolist() == want
+
+
+@pytest.mark.parametrize("q", [65537, (1 << 61) - 1, (1 << 62) - 57])
+@pytest.mark.parametrize("size", [3, 255, 256, 600])
+def test_mulmod_of_minus_one(q, size):
+    # -1 times 1 is q - 1 on every branch of mulmod, below and past
+    # _LIMB_MIN_MUL_ADDS entries: the limbs once dropped the bit 63 of the
+    # int64 -1 and read 3 at 2^61 - 1
+    assert mulmod(np.full(size, -1), np.ones(size, dtype=np.int64), q).tolist() == [q - 1] * size
+
+
+@pytest.mark.parametrize("q", [(1 << 61) - 1, (1 << 62) - 57])
+@pytest.mark.parametrize("shapes", [((3,), (3,)), ((255,), (255,)), ((256,), (256,)), ((600,), (600,)),
+                                    ((27, 1), (67,)), ((), (600,)), ((2, 1, 300), (1, 4, 1))])
+def test_mulmod_of_any_int64_representatives(q, shapes):
+    # where (q - 1)^2 passes 2^63, so that no int64 multiply is exact,
+    # mulmod is a * b % q on Python ints, broadcast, for int64 entries of
+    # any sign and size, on both sides of _LIMB_MIN_MUL_ADDS result entries
+    a, b = (off_canonical(q, np.random.default_rng(s).integers(0, q, size=shape), seed=s)
+            for s, shape in enumerate(shapes))
+    got = mulmod(a, b, q)
+    want = [x * y % q for x, y in zip(*(np.broadcast_to(v, got.shape).ravel().tolist() for v in (a, b)))]
+    assert got.dtype == np.int64 and got.shape == np.broadcast_shapes(*shapes)
+    assert got.ravel().tolist() == want
 
 
 @pytest.mark.parametrize("q", [(1 << 31) - 1, (1 << 47) - 115])
